@@ -26,7 +26,6 @@ from .diagnostics import (
     kirchhoff_residual,
     quasi_derivatives,
     solution_report,
-    weak_bvp_residual,
 )
 from .expressions import (
     CoefficientError,
@@ -98,7 +97,6 @@ __all__ = [
     "star",
     "trajectory_distance",
     "variation_integrand",
-    "weak_bvp_residual",
 ]
 
 __version__ = "0.1.0"

@@ -7,13 +7,19 @@ basis pairs and the right side driven by the history lift.  ``G`` is
 Hermitian positive definite whenever the leading coefficients stay away
 from zero, so the solve is a single Cholesky factorisation.
 
-Assembly evaluates every ``L w_p`` once, symbolically, then integrates on a
-shared Gauss grid whose cells refine all breakpoints involved, which makes
-the quadrature exact for the polynomial integrands at hand.
+Assembly works element by element.  At every Gauss point of an edge the
+operator row of the basis is the sum of the ``2n`` Hermite shapes of the
+element holding ``t`` (weighted by the ``b_k``) and of the element holding
+``t - tau`` (weighted by the ``c_k``), which sits on the same edge or on the
+parent's tail; those at most ``4n`` values are scattered into the rows of
+the DOFs they belong to.  Gauss cells refine every element node, its
+``tau``-shift and every coefficient breakpoint, so the integrands are
+polynomials on each cell and the quadrature is exact.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,8 +42,9 @@ from .trees import Tree
 class IndefiniteGramError(np.linalg.LinAlgError):
     """The Gram matrix failed the positive-definite factorisation.
 
-    With admissible data this signals coefficient degeneracy, typically a
-    leading instantaneous coefficient passing through zero."""
+    The message reports the extreme eigenvalues of the matrix, a condition
+    estimate and the smallest element width: a leading coefficient near zero
+    and a sliver element both make the energy form degenerate."""
 
 
 @dataclass
@@ -112,11 +119,52 @@ class GramSystem:
         try:
             cf = scipy.linalg.cho_factor(self.matrix, lower=False)
         except np.linalg.LinAlgError as exc:
+            eig = scipy.linalg.eigvalsh(self.matrix)
+            lo, hi = abs(eig[0]), abs(eig[-1])
+            cond = hi / lo if lo > 0 else np.inf
             raise IndefiniteGramError(
-                "Gram matrix is not positive definite; check that the leading "
-                "instantaneous coefficients stay away from zero"
+                f"Gram matrix is not positive definite: eigenvalues from {eig[0]:.3e} "
+                f"to {eig[-1]:.3e}, condition estimate {cond:.3e}, smallest element "
+                f"width h_min = {self.basis.mesh.min_width():.3e}; a leading coefficient "
+                "near zero or a sliver element makes the energy form degenerate"
             ) from exc
         return scipy.linalg.cho_solve(cf, self.rhs)
+
+
+class _EdgeElements:
+    """Hermite shapes and DOF rows of the elements of one edge.
+
+    ``shapes[e]`` is the ``2n x 2n`` coefficient matrix of element ``e``:
+    row ``k`` (``n + k``) is the shape carrying derivative ``k`` at the left
+    (right) node, in ascending powers of ``t - nodes[e]``.  ``rows[e]`` holds
+    the matching DOF indices, -1 where the node is clamped.
+    """
+
+    def __init__(self, basis: Basis, j: int):
+        self.nodes = basis.mesh.nodes[j - 1]
+        self.shapes = np.array([np.vstack(basis._shapes(h)) for h in np.diff(self.nodes)])
+        dofs = []
+        for g in basis.node_gid[j - 1]:
+            idx = (basis.dof_index(g, k) for k in range(basis.n))
+            dofs.append([-1 if p is None else p for p in idx])
+        self.rows = np.array([a + b for a, b in zip(dofs[:-1], dofs[1:])], dtype=int)
+
+    def add_rows(self, L: np.ndarray, cols: np.ndarray, t: np.ndarray, weights: list) -> None:
+        """Add ``sum_k a_k(t) d^k/dt^k`` of the shapes of the element holding
+        each ``t`` into the free DOF rows of column ``cols`` of ``L``, for
+        ``weights = [(k, a_k(t)), ...]``."""
+        e = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, len(self.shapes) - 1)
+        s = (t - self.nodes[e])[:, None]
+        powers = np.arange(self.shapes.shape[1])
+        mono = np.zeros((len(t), len(powers)), dtype=complex)
+        for k, a in weights:
+            falling = np.array([math.perm(i, k) for i in powers], dtype=float)
+            mono += a[:, None] * falling * s ** np.maximum(powers - k, 0)
+        vals = np.einsum("pi,psi->ps", mono, self.shapes[e])
+        rows = self.rows[e]
+        free = rows >= 0
+        # the rows of one point are distinct DOFs, so the fancy += adds each once
+        L[rows[free], np.broadcast_to(cols[:, None], rows.shape)[free]] += vals[free]
 
 
 def assemble(
@@ -130,27 +178,54 @@ def assemble(
     lower it.
     """
     tree = basis.mesh.tree
-    ells = [operator_components(basis.unit(p), coeffs) for p in range(basis.ndof)]
+    nodes = basis.mesh.nodes
+    tau = coeffs.tau
+    top = 2 * basis.n - 1  # degree of the Hermite shapes
     lift_ell = operator_components(lift, coeffs)
+    terms = [coeffs.terms(j) for j in range(1, tree.m + 1)]
 
     break_sets = []
-    max_deg = 0
+    max_deg = max(p.max_degree for p in lift_ell)
     for j in range(1, tree.m + 1):
-        sets = [lift_ell[j - 1].breaks]
-        max_deg = max(max_deg, lift_ell[j - 1].max_degree)
-        for row in ells:
-            sets.append(row[j - 1].breaks)
-            max_deg = max(max_deg, row[j - 1].max_degree)
+        sets = [nodes[j - 1], lift_ell[j - 1].breaks]
+        for k, b, c in terms[j - 1]:
+            for coef in (b, c):
+                if coef is not None:
+                    sets.append(coef.breaks)
+                    max_deg = max(max_deg, coef.max_degree + top - k)
+        if any(c is not None for _, _, c in terms[j - 1]):
+            # delayed reads: own nodes shifted by tau, parent's tail moved to [0, tau]
+            xs = nodes[j - 1]
+            sets.append(np.append(xs[xs < tree.length(j) - tau] + tau, [0.0, tau]))
+            if j > 1:
+                par = nodes[tree.parent_of(j) - 1]
+                Tp = tree.length(tree.parent_of(j))
+                sets.append(par[par > Tp - tau] - Tp + tau)
         break_sets.append(sets)
 
     grid = _QuadGrid(tree, break_sets, max_deg, min_points)
-    L = np.empty((basis.ndof, len(grid.flat_weights)), dtype=complex)
-    for p, row in enumerate(ells):
-        L[p] = grid.eval_edges(row)
+    L = np.zeros((basis.ndof, len(grid.flat_weights)), dtype=complex)
+    elements = [_EdgeElements(basis, j) for j in range(1, tree.m + 1)]
+    start = 0
+    for j in range(1, tree.m + 1):
+        t = grid.points[j - 1]
+        cols = start + np.arange(len(t))
+        start += len(t)
+        edge = elements[j - 1]
+        edge.add_rows(L, cols, t, [(k, b.values(t)) for k, b, _ in terms[j - 1] if b is not None])
+        c_w = [(k, c.values(t)) for k, _, c in terms[j - 1] if c is not None]
+        if not c_w:
+            continue
+        td = t - tau
+        own = td >= 0.0
+        edge.add_rows(L, cols[own], td[own], [(k, a[own]) for k, a in c_w])
+        if j > 1:  # on the root edge the early delayed read is the (zero) history
+            p = tree.parent_of(j)
+            head = ~own
+            elements[p - 1].add_rows(L, cols[head], td[head] + tree.length(p), [(k, a[head]) for k, a in c_w])
     Lphi = grid.eval_edges(lift_ell)
-    w = grid.flat_weights
-
-    Lw = L.conj() * w[None, :]
+    Lw = L.conj()
+    Lw *= grid.flat_weights[None, :]
     G = Lw @ L.T
     f = -(Lw @ Lphi)
     return GramSystem(matrix=G, rhs=f, basis=basis, grid=grid, basis_values=L, lift_values=Lphi)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import DampingSolution, weak_residual_symbolic
+from .damping import DampingSolution
 from .expressions import (
     CoefficientSet,
     TreeFunction,
@@ -35,7 +35,6 @@ from .expressions import (
     reduced_length,
     variation_integrand,
 )
-from .meshing import Basis
 from .piecewise import PiecewisePoly
 
 
@@ -153,16 +152,6 @@ def equation_residual(qd: QuasiDerivativeSet) -> float:
     for inspection, not as a convergence criterion.
     """
     return max(qd.function(2 * qd.n, j).max_abs() for j in range(1, qd.tree.m + 1))
-
-
-def weak_bvp_residual(y: TreeFunction, basis: Basis, coeffs: CoefficientSet) -> dict:
-    """Weak residual of the optimality system against every basis function.
-
-    Same quantity as the assembly-grid optimality check, evaluated through
-    the symbolic re-indexed route; agreement of the two routes to roundoff
-    is itself one of the structural checks.
-    """
-    return weak_residual_symbolic(y, basis, coeffs)
 
 
 def match_jump(entries: list, location: tuple, tol: float) -> float:

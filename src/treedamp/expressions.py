@@ -116,6 +116,15 @@ class CoefficientSet:
 
         return cls(tree=tree, n=n, tau=tau, b=table(b, "b"), c=table(c, "c"))
 
+    def terms(self, j: int) -> list:
+        """``(k, b_kj, c_kj)`` for ``k=0..n``; an identically zero coefficient
+        is given as ``None`` so callers can skip its term."""
+
+        def present(p):
+            return p if p.max_degree > 0 or any(np.any(c != 0) for c in p.coefs) else None
+
+        return [(k, present(self.b[k][j - 1]), present(self.c[k][j - 1])) for k in range(self.n + 1)]
+
     def breakpoints(self, j: int) -> np.ndarray:
         """Union of interior coefficient breakpoints on edge ``j``."""
         arrays = []
@@ -249,12 +258,10 @@ def delayed_part(y: TreeFunction, j: int, k: int = 0) -> PiecewisePoly:
 def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
     """The edge operator ``L_j y`` on ``[0, T_j]``."""
     acc = PiecewisePoly.zero(0.0, y.tree.length(j))
-    for k in range(coeffs.n + 1):
-        b = coeffs.b[k][j - 1]
-        c = coeffs.c[k][j - 1]
-        if b.max_degree > 0 or any(np.any(p != 0) for p in b.coefs):
+    for k, b, c in coeffs.terms(j):
+        if b is not None:
             acc = acc + b * y.component(j).derivative(k)
-        if c.max_degree > 0 or any(np.any(p != 0) for p in c.coefs):
+        if c is not None:
             acc = acc + c * delayed_part(y, j, k)
     return acc
 

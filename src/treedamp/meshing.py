@@ -74,6 +74,9 @@ class DelayMesh:
     def max_width(self) -> float:
         return max(float(np.max(np.diff(xs))) for xs in self.nodes)
 
+    def min_width(self) -> float:
+        return min(float(np.min(np.diff(xs))) for xs in self.nodes)
+
     def check(self):
         """Assert the structural invariants; returns self for chaining."""
         if self.max_width() > self.tau / self.q * (1 + 1e-9):

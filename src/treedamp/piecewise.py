@@ -335,12 +335,21 @@ class PiecewisePoly:
             best = max(best, float(np.max(np.abs(_poly_val(c, s)))))
         return best
 
-    def min_abs(self, samples_per_piece: int = 16) -> float:
-        """Lower estimate of min |p| from per-piece sampling."""
+    def min_abs(self) -> float:
+        """Exact minimum of ``|p|`` over the domain.
+
+        On each piece ``|p|^2 = p * conj(p)`` is a real polynomial in the
+        local variable, so its minimum lies at a piece end or at a real root
+        of its derivative inside the piece.  Every root's real part that
+        falls in the piece is tried, which covers real roots computed with a
+        tiny imaginary part and adds only harmless extra candidates.
+        """
         worst = np.inf
         for i, c in enumerate(self.coefs):
             h = self.breaks[i + 1] - self.breaks[i]
-            s = np.linspace(0.0, h, samples_per_piece)
+            sq = np.convolve(c, np.conj(c)).real
+            crit = np.roots(_poly_der(sq).real[::-1]).real if len(sq) > 2 else np.zeros(0)
+            s = np.concatenate([[0.0, h], crit[(crit > 0.0) & (crit < h)]])
             worst = min(worst, float(np.min(np.abs(_poly_val(c, s)))))
         return worst
 

@@ -244,6 +244,14 @@ def test_cli_exit_codes_for_bad_input(tmp_path, capsys):
     assert "lacks edge id" in capsys.readouterr().err
 
 
+def test_cli_rejects_leading_coefficient_with_interior_zero(tmp_path, capsys):
+    lead = {"edge": 1, "family": "b", "k": 1, "kind": "polynomial", "data": [-0.1, 1.0]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_minimal_dict(coefficients=[lead])))
+    assert main(["damp", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "away from zero" in capsys.readouterr().err
+
+
 def test_cli_maps_numerical_failure_to_exit_3(tmp_path, capsys, monkeypatch):
     import treedamp.cli as cli_mod
 
@@ -255,6 +263,28 @@ def test_cli_maps_numerical_failure_to_exit_3(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_reports_degenerate_gram_with_mesh_and_conditioning(tmp_path, capsys, monkeypatch):
+    # every coefficient forged to zero past validation: the real solver
+    # fails to factorise, and the message names h_min and the conditioning
+    import treedamp.cli as cli_mod
+    from treedamp.expressions import CoefficientSet
+
+    def degenerate(tree, coeffs, phi, **kw):
+        bad = object.__new__(CoefficientSet)
+        for name in ("tree", "n", "tau"):
+            object.__setattr__(bad, name, getattr(coeffs, name))
+        for name in ("b", "c"):
+            zero = tuple(tuple(p * 0.0 for p in row) for row in getattr(coeffs, name))
+            object.__setattr__(bad, name, zero)
+        return solve_damping(tree, bad, phi, **kw)
+
+    monkeypatch.setattr(cli_mod, "solve_damping", degenerate)
+    rc = main(["damp", "--config", str(CONFIGS / "interval.json"), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "h_min = " in err and "condition estimate" in err
 
 
 def test_control_exchange_format_is_exact(tmp_path):

@@ -1,5 +1,7 @@
 """Constrained quadratic minimisation of the control cost."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,8 +170,12 @@ def test_degenerate_operator_raises_indefinite_gram():
     ):
         object.__setattr__(bad, name, val)
     phi = PiecewisePoly.constant(-1.0, 0.0, 1.0)
-    with pytest.raises(IndefiniteGramError):
+    with pytest.raises(IndefiniteGramError) as info:
         solve_damping(tr, bad, phi, q=2)
+    # the message names the mesh and the conditioning, not only the coefficient
+    h_min = default_mesh(tr, cs, 2).min_width()
+    assert f"h_min = {h_min:.3e}" in str(info.value)
+    assert re.search(r"condition estimate (inf|\d\.\d{3}e[+-]\d+)", str(info.value))
 
 
 def test_quadrature_floor_does_not_change_energy():

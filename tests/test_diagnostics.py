@@ -12,7 +12,7 @@ from treedamp.expressions import (
     eval_delayed,
     variation_integrand,
 )
-from treedamp.damping import Control, optimality_check, solve_damping
+from treedamp.damping import Control, optimality_check, solve_damping, weak_residual_symbolic
 from treedamp.cauchy import solve_cauchy
 from treedamp.meshing import build_mesh
 from treedamp.diagnostics import (
@@ -24,7 +24,6 @@ from treedamp.diagnostics import (
     match_jump,
     quasi_derivatives,
     solution_report,
-    weak_bvp_residual,
 )
 
 
@@ -258,13 +257,13 @@ def test_weak_bvp_residual_flags_nonoptimal_trajectory():
     )
     phi = PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 1.0])
     sol = solve_damping(tr, cs, phi, q=3)
-    at_opt = weak_bvp_residual(sol.y, sol.basis, cs)
+    at_opt = weak_residual_symbolic(sol.y, sol.basis, cs)
     assert at_opt["max_rel"] < 1e-10
 
     # drive the same history with an arbitrary control: not optimal
     u = Control(tr, (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 1.0]),))
     z = solve_cauchy(tr, cs, phi, u, sol.mesh)
-    off_opt = weak_bvp_residual(z, sol.basis, cs)
+    off_opt = weak_residual_symbolic(z, sol.basis, cs)
     assert off_opt["max_rel"] > 1e-3
 
 
@@ -277,7 +276,7 @@ def test_weak_bvp_residual_matches_grid_optimality():
     )
     phi = PiecewisePoly.from_global_coefs(-0.5, 0.0, [1.0, -0.5])
     sol = solve_damping(tr, cs, phi, q=3)
-    weak = weak_bvp_residual(sol.y, sol.basis, sol.coeffs)
+    weak = weak_residual_symbolic(sol.y, sol.basis, sol.coeffs)
     grid = optimality_check(sol)
     assert np.allclose(weak["per_basis"], grid["per_basis"], atol=1e-12)
     assert weak["max_abs"] == pytest.approx(grid["max_abs"], abs=1e-12)

@@ -42,6 +42,14 @@ def test_coefficient_set_rejects_vanishing_leading_term():
         CoefficientSet.build(tr, 1, 0.5, b={(1, 1): lead}, c={})
 
 
+def test_coefficient_set_rejects_interior_zero_of_leading_term():
+    # b_1(t) = t - 0.1 vanishes between sample points of the piece
+    tr = interval(3.0)
+    lead = PiecewisePoly.from_global_coefs(0.0, 3.0, [-0.1, 1.0])
+    with pytest.raises(CoefficientError, match="away from zero"):
+        CoefficientSet.build(tr, 1, 1.0, b={(1, 1): lead}, c={})
+
+
 def test_coefficient_set_rejects_delay_not_below_shortest_edge():
     tr = star([2.0, 1.0, 3.0])
     with pytest.raises(CoefficientError, match="shortest edge"):

@@ -1,0 +1,84 @@
+"""Invariants of the minimal energy over generated problems.
+
+Random small trees (depth at most 3), orders 1 and 2, refinement up to 4,
+complex lower-order coefficients and histories.  Edge lengths are multiples
+of a quarter delay so that no wavefront lands next to a mesh node.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treedamp.damping import solve_damping
+from treedamp.expressions import CoefficientSet
+from treedamp.piecewise import PiecewisePoly
+from treedamp.trees import build_tree
+
+TAU = 1.0
+
+small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False, allow_infinity=False)
+complex_small = st.builds(complex, small, small)
+
+
+@st.composite
+def problems(draw):
+    """(parents, lengths, order, q, coefficients, history coefficients);
+    edges are labelled 1..m and coefficients keyed by (family, k, label)."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    parents, depth = {1: 0}, {1: 1}
+    for e in range(2, m + 1):
+        p = draw(st.sampled_from([f for f in range(1, e) if depth[f] < 3]))
+        parents[e], depth[e] = p, depth[p] + 1
+    lengths = {e: draw(st.sampled_from([2.0, 2.25, 2.5])) for e in parents}
+    n = draw(st.integers(min_value=1, max_value=2))
+    q = draw(st.integers(min_value=1, max_value=4))
+    coefs = {}
+    for e in parents:
+        coefs[("b", n, e)] = [1.0]
+        for k in range(n + 1):
+            for fam in ("b", "c") if k < n else ("c",):
+                if draw(st.booleans()):
+                    coefs[(fam, k, e)] = draw(st.lists(complex_small, min_size=1, max_size=2))
+    # phi(0) != 0 keeps the lift, and with it the energy, away from zero
+    history = draw(st.lists(complex_small, min_size=1, max_size=3).filter(lambda h: abs(h[0]) > 0.05))
+    return parents, lengths, n, q, coefs, history
+
+
+def _energy(problem, relabel=None, alpha=1.0):
+    parents, lengths, n, q, coefs, history = problem
+    name = relabel or {e: e for e in parents}
+    tree = build_tree(
+        {name[e]: (0 if p == 0 else name[p]) for e, p in parents.items()},
+        {name[e]: L for e, L in lengths.items()},
+    )
+    canon = {label: j for j, label in enumerate(tree.original_ids, start=1)}
+    tables = {"b": {}, "c": {}}
+    for (fam, k, e), data in coefs.items():
+        j = canon[name[e]]
+        tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, tree.length(j), data)
+    cs = CoefficientSet.build(tree, n, TAU, b=tables["b"], c=tables["c"])
+    phi = PiecewisePoly.from_global_coefs(-TAU, 0.0, [alpha * h for h in history])
+    return solve_damping(tree, cs, phi, q=q).energy
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_energy_is_nonnegative(problem):
+    assert _energy(problem) >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.randoms(use_true_random=False))
+def test_energy_is_invariant_under_edge_relabelling(problem, rnd):
+    labels = list(problem[0])
+    shuffled = labels[:]
+    rnd.shuffle(shuffled)
+    relabel = {e: 10 + s for e, s in zip(labels, shuffled)}
+    assert _energy(problem, relabel) == pytest.approx(_energy(problem), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), complex_small.filter(lambda a: abs(a) > 0.05))
+def test_energy_scales_with_the_history(problem, alpha):
+    scaled = _energy(problem, alpha=4.0 * alpha)
+    assert scaled == pytest.approx(abs(4.0 * alpha) ** 2 * _energy(problem), rel=1e-11, abs=0.0)

@@ -95,6 +95,18 @@ def test_conj_on_complex_coefficients():
     assert p.conj().eval(0.5) == 1.0 - 2.0j
 
 
+def test_min_abs_is_exact_between_samples():
+    # |t - 0.1| and |(t - 0.37)^2 + 1e-6 i| reach their minima off any sample grid
+    p = PiecewisePoly.from_global_coefs(0.0, 3.0, [-0.1, 1.0])
+    assert p.min_abs() < 1e-15
+    q = PiecewisePoly(
+        np.array([0.0, 0.2, 1.0]),
+        [np.array([2.0]), np.array([0.17**2 + 1e-6j, -0.34, 1.0])],
+    )
+    assert q.min_abs() == pytest.approx(1e-6, rel=1e-6)
+    assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).min_abs() == pytest.approx(5.0)
+
+
 def test_merge_breaks_dedups_within_tolerance():
     merged = merge_breaks([np.array([0.0, 1.0]), np.array([1.0 + 1e-14, 2.0])], 1e-9)
     assert len(merged) == 3
