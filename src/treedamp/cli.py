@@ -23,19 +23,8 @@ import numpy as np
 
 from .cauchy import residual_ell, solve_cauchy
 from .config import ConfigError, ProblemConfig, _num, _num_out
-from .damping import (
-    Control,
-    IndefiniteGramError,
-    default_mesh,
-    optimality_check,
-    solve_damping,
-)
-from .diagnostics import (
-    continuity_report,
-    equation_residual,
-    kirchhoff_residual,
-    quasi_derivatives,
-)
+from .damping import Control, IndefiniteGramError, default_mesh, solve_damping
+from .diagnostics import solution_report
 from .expressions import CoefficientError
 from .meshing import MeshError
 from .piecewise import PiecewisePoly
@@ -57,32 +46,31 @@ def _sample_times(p: PiecewisePoly, per_piece: int = 4) -> np.ndarray:
     return np.unique(np.concatenate(ts))
 
 
+def _csv_rows(eid, p: PiecewisePoly, nder: int) -> list:
+    """``eid,t`` then the real and imaginary parts of ``p`` and its first
+    ``nder - 1`` derivatives, one row per sample time."""
+    times = _sample_times(p)
+    cols = [times]
+    for k in range(nder):
+        v = p.values(times, k)
+        cols += [v.real, v.imag]
+    return [",".join([str(eid)] + [_fmt(x) for x in row]) for row in np.column_stack(cols)]
+
+
 def _write_trajectory_csv(path: Path, cfg: ProblemConfig, y) -> None:
-    n = cfg.n
     header = ["edge", "t"]
-    for k in range(n):
+    for k in range(cfg.n):
         header += [f"re_y{k}", f"im_y{k}"]
     lines = [",".join(header)]
     for j in range(1, cfg.tree.m + 1):
-        comp = y.component(j)
-        ders = [comp.derivative(k) if k else comp for k in range(n)]
-        times = _sample_times(comp)
-        for t in times:
-            vals = []
-            for d in ders:
-                v = d.left_limit(t) if t >= comp.domain[1] else complex(d.values(np.array([t]))[0])
-                vals += [_fmt(v.real), _fmt(v.imag)]
-            lines.append(",".join([str(cfg.edge_ids[j - 1]), _fmt(float(t))] + vals))
+        lines += _csv_rows(cfg.edge_ids[j - 1], y.component(j), cfg.n)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_control_csv(path: Path, cfg: ProblemConfig, control: Control) -> None:
     lines = ["edge,t,re_u,im_u"]
     for j in range(1, cfg.tree.m + 1):
-        u = control.components[j - 1]
-        for t in _sample_times(u):
-            v = u.left_limit(t) if t >= u.domain[1] else complex(u.values(np.array([t]))[0])
-            lines.append(",".join([str(cfg.edge_ids[j - 1]), _fmt(float(t)), _fmt(v.real), _fmt(v.imag)]))
+        lines += _csv_rows(cfg.edge_ids[j - 1], control.components[j - 1], 1)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -130,22 +118,15 @@ def _control_from_file(path, cfg: ProblemConfig) -> Control:
     return Control(cfg.tree, tuple(comps))
 
 
-def _diagnostics_record(cfg: ProblemConfig, sol) -> dict:
-    qd = quasi_derivatives(sol.y, sol.coeffs)
-    kr = kirchhoff_residual(qd)
-    cont = continuity_report(qd)
-    opt = optimality_check(sol)
-    return {
-        "optimality": opt["max_rel"],
-        "hermiticity": sol.gram.hermiticity_defect(),
-        "equation_sup": equation_residual(qd),
-        "kirchhoff": [
-            {"vertex": cfg.edge_ids[key[0] - 1], "order": key[1], "residual": v}
-            for key, v in kr.items() if key != "max"
-        ],
-        "kirchhoff_max": kr["max"],
-        "continuity": {str(k): rep["max_jump"] for k, rep in cont.items()},
-    }
+def _numbers(value) -> list:
+    """The numeric leaves of a JSON value, in document order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
 
 
 def cmd_simulate(args) -> int:
@@ -172,24 +153,20 @@ def cmd_simulate(args) -> int:
 def cmd_damp(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     q = args.q or cfg.solver.q
-    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q,
-                        min_points=cfg.solver.quadrature_order)
+    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", cfg, sol.y)
     _write_control_csv(out / "control.csv", cfg, sol.control)
     (out / "control.json").write_text(
         json.dumps(_control_to_dict(cfg, sol.control), indent=2) + "\n")
-    diag = _diagnostics_record(cfg, sol)
-    tol = args.tol or cfg.solver.tolerance
+    diag = solution_report(sol)
     summary = {
         "command": "damp",
         "order": cfg.n,
         "delay": cfg.tau,
         "q": q,
-        "tolerance": tol,
-        "ndof": int(sol.dofs.size),
-        "energy": sol.energy,
+        "tolerance": cfg.solver.tolerance,
         **diag,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -210,19 +187,25 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"cannot read solution summary: {exc}") from exc
     q = summary.get("q", cfg.solver.q)
     tol = cfg.solver.tolerance
-    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q,
-                        min_points=cfg.solver.quadrature_order)
+    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
+    diag = solution_report(sol)
     failures = []
 
-    stored = summary.get("energy")
-    if stored is None:
-        failures.append("summary has no energy record")
-    else:
-        gap = abs(sol.energy - stored) / max(1.0, abs(stored))
-        if gap > tol:
-            failures.append(f"energy mismatch: stored {stored!r}, recomputed {sol.energy!r}")
-        else:
-            print(f"energy matches to {gap:.3e}")
+    for key, fresh in diag.items():
+        if key not in summary:
+            failures.append(f"summary has no {key} record")
+            continue
+        stored, recomputed = _numbers(summary[key]), _numbers(fresh)
+        if len(stored) != len(recomputed):
+            failures.append(f"{key} mismatch: stored {len(stored)} values, "
+                            f"recomputed {len(recomputed)}")
+            continue
+        for a, b in zip(stored, recomputed):
+            if abs(a - b) > tol * max(1.0, abs(a)):
+                failures.append(f"{key} mismatch: stored {a!r}, recomputed {b!r}")
+                break
+    if not failures:
+        print(f"{len(diag)} stored diagnostics match")
 
     control_path = sol_dir / "control.json"
     if control_path.exists():
@@ -238,7 +221,6 @@ def cmd_verify(args) -> int:
     else:
         failures.append("control.json missing from solution directory")
 
-    diag = _diagnostics_record(cfg, sol)
     print(f"optimality residual {diag['optimality']:.3e}, "
           f"Kirchhoff max {diag['kirchhoff_max']:.3e}, "
           f"hermiticity defect {diag['hermiticity']:.3e}")
@@ -262,30 +244,17 @@ def cmd_convergence(args) -> int:
     if not qs or any(q < 1 for q in qs):
         raise ConfigError(f"--q entries must be positive integers, got {args.q!r}")
     tol = cfg.solver.tolerance
-    orders = list(range(cfg.n, 2 * cfg.n))
+    orders = [str(k) for k in range(cfg.n, 2 * cfg.n)]
     header = ["q", "ndof", "energy", "optimality", "kirchhoff_max"]
     header += [f"jump_{k}" for k in orders]
     print(",".join(header))
     rows = []
     for q in qs:
-        sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q,
-                            min_points=cfg.solver.quadrature_order)
-        qd = quasi_derivatives(sol.y, sol.coeffs)
-        kr = kirchhoff_residual(qd)
-        cont = continuity_report(qd)
-        opt = optimality_check(sol)
-        row = {
-            "q": q,
-            "ndof": int(sol.dofs.size),
-            "energy": sol.energy,
-            "optimality": opt["max_rel"],
-            "kirchhoff_max": kr["max"],
-            "jumps": [cont[k]["max_jump"] for k in orders],
-        }
+        row = {"q": q, **solution_report(solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q))}
         rows.append(row)
         cells = [str(q), str(row["ndof"]), _fmt(row["energy"]),
                  f"{row['optimality']:.6e}", f"{row['kirchhoff_max']:.6e}"]
-        cells += [f"{v:.6e}" for v in row["jumps"]]
+        cells += [f"{row['continuity'][k]:.6e}" for k in orders]
         print(",".join(cells))
 
     if len(rows) < 2:
@@ -307,7 +276,7 @@ def cmd_convergence(args) -> int:
               f"({first_k:.3e} -> {last_k:.3e})", file=sys.stderr)
         code = 4
     top = orders[-1]
-    first_j, last_j = rows[0]["jumps"][-1], rows[-1]["jumps"][-1]
+    first_j, last_j = rows[0]["continuity"][top], rows[-1]["continuity"][top]
     if last_j > 0.5 * first_j and last_j > tol:
         print(f"smoothness loss detected: order-{top} quasi-derivative jump "
               f"stays at {last_j:.3e} under refinement")
@@ -331,7 +300,6 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--q", type=int, default=0)
-    p.add_argument("--tol", type=float, default=0.0)
     p.set_defaults(fn=cmd_damp)
 
     p = sub.add_parser("verify", help="recompute a stored solution and compare")

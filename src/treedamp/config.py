@@ -129,15 +129,12 @@ class SolverOptions:
 
     q: int = 8
     tolerance: float = 1e-9
-    quadrature_order: int = 0  # extra Gauss points per cell beyond exactness
 
     def validated(self) -> "SolverOptions":
         if self.q < 1:
             _fail("solver.q", "q must be a positive integer")
         if not (self.tolerance > 0):
             _fail("solver.tolerance", "tolerance must be positive")
-        if self.quadrature_order < 0:
-            _fail("solver.quadrature_order", "quadrature order cannot be negative")
         return self
 
 
@@ -234,17 +231,13 @@ class ProblemConfig:
         solver = SolverOptions()
         if "solver" in d:
             s = d["solver"]
-            _check_keys(s, {"q", "tolerance", "quadrature_order"}, set(), "config.solver")
+            _check_keys(s, {"q", "tolerance"}, set(), "config.solver")
             q = s.get("q", solver.q)
             if isinstance(q, bool) or not isinstance(q, int):
                 _fail("config.solver.q", f"q must be an integer, got {q!r}")
-            qo = s.get("quadrature_order", 0)
-            if isinstance(qo, bool) or not isinstance(qo, int):
-                _fail("config.solver.quadrature_order", f"expected an integer, got {qo!r}")
             solver = SolverOptions(
                 q=q,
                 tolerance=_real(s.get("tolerance", solver.tolerance), "config.solver.tolerance"),
-                quadrature_order=qo,
             ).validated()
         return cls(n=n, tau=tau, tree=tree, coeffs=coeffs, history=history, solver=solver)
 
@@ -287,11 +280,7 @@ class ProblemConfig:
             "edges": edges,
             "coefficients": records,
             "history": _poly_out(self.history),
-            "solver": {
-                "q": self.solver.q,
-                "tolerance": self.solver.tolerance,
-                "quadrature_order": self.solver.quadrature_order,
-            },
+            "solver": {"q": self.solver.q, "tolerance": self.solver.tolerance},
         }
 
     def to_file(self, path):

@@ -72,11 +72,10 @@ class Control:
 class _QuadGrid:
     """Shared per-edge Gauss grids refining a family of breakpoint sets."""
 
-    def __init__(self, tree: Tree, break_sets: list, max_degree: int, min_points: int = 0):
+    def __init__(self, tree: Tree, break_sets: list, max_degree: int):
         self.points = []
         self.weights = []
-        npts = max(max_degree + 1, min_points)
-        gx, gw = np.polynomial.legendre.leggauss(npts)
+        gx, gw = np.polynomial.legendre.leggauss(max_degree + 1)
         for j in range(1, tree.m + 1):
             tol = 1e-12 * max(1.0, tree.length(j))
             cells = merge_breaks(break_sets[j - 1], tol)
@@ -167,15 +166,11 @@ class _EdgeElements:
         L[rows[free], np.broadcast_to(cols[:, None], rows.shape)[free]] += vals[free]
 
 
-def assemble(
-    basis: Basis, lift: TreeFunction, coeffs: CoefficientSet, min_points: int = 0
-) -> GramSystem:
+def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSystem:
     """Build the Gram system on the given basis around the given lift.
 
     The Gauss grid carries one point more than the largest integrand degree
-    per cell, so every entry is integrated exactly; ``min_points`` can only
-    raise that count (useful for demonstrating grid independence), never
-    lower it.
+    per cell, so every entry is integrated exactly.
     """
     tree = basis.mesh.tree
     nodes = basis.mesh.nodes
@@ -203,7 +198,7 @@ def assemble(
                 sets.append(par[par > Tp - tau] - Tp + tau)
         break_sets.append(sets)
 
-    grid = _QuadGrid(tree, break_sets, max_deg, min_points)
+    grid = _QuadGrid(tree, break_sets, max_deg)
     L = np.zeros((basis.ndof, len(grid.flat_weights)), dtype=complex)
     elements = [_EdgeElements(basis, j) for j in range(1, tree.m + 1)]
     start = 0
@@ -265,7 +260,6 @@ def solve_damping(
     phi: PiecewisePoly,
     q: int = 8,
     mesh: DelayMesh | None = None,
-    min_points: int = 0,
 ) -> DampingSolution:
     """Minimise the control cost subject to history and rest constraints.
 
@@ -284,7 +278,7 @@ def solve_damping(
         mesh = default_mesh(tree, coeffs, q)
     basis = Basis(mesh, coeffs.n)
     lift = history_lift(mesh, coeffs.n, phi)
-    gram = assemble(basis, lift, coeffs, min_points)
+    gram = assemble(basis, lift, coeffs)
     x = gram.solve()
     y = lift + basis.tree_function(x)
     u = Control(tree, tuple(apply_operator(y, coeffs, j) for j in range(1, tree.m + 1)))

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import DampingSolution
+from .damping import DampingSolution, optimality_check
 from .expressions import (
     CoefficientSet,
     TreeFunction,
     operator_components,
-    reduced_length,
     variation_integrand,
 )
 from .piecewise import PiecewisePoly
@@ -57,15 +56,19 @@ class QuasiDerivativeSet:
         return self.functions[k][j - 1]
 
 
-def quasi_derivatives(y: TreeFunction, coeffs: CoefficientSet) -> QuasiDerivativeSet:
+def quasi_derivatives(
+    y: TreeFunction, coeffs: CoefficientSet, ells: list | None = None
+) -> QuasiDerivativeSet:
     """Build the quasi-derivative family of a trajectory.
 
     Runs the descending recursion on the variation weights, one edge at a
-    time, purely symbolically.
+    time, purely symbolically.  Passing ``ells`` (the precomputed
+    ``operator_components``) avoids recomputing ``L y``.
     """
     tree = y.tree
     n = coeffs.n
-    ells = operator_components(y, coeffs)
+    if ells is None:
+        ells = operator_components(y, coeffs)
     functions: dict = {}
     jumps: dict = {}
     per_edge_weights = []
@@ -145,7 +148,7 @@ def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
 
 
 def equation_residual(qd: QuasiDerivativeSet) -> float:
-    """Sup estimate of the order-``2n`` quasi-derivative over the tree.
+    """Sup norm of the order-``2n`` quasi-derivative over the tree.
 
     The exact optimum satisfies ``y^<2n> = 0`` pointwise; the discrete
     trajectory does not, and this quantity decays only weakly.  Reported
@@ -210,13 +213,30 @@ def detect_persistent_jump(
 
 
 def solution_report(sol: DampingSolution) -> dict:
-    """One-call diagnostic bundle for a damping solution."""
-    qd = quasi_derivatives(sol.y, sol.coeffs)
-    cont = continuity_report(qd)
+    """The diagnostics record of a damping solution, ready for JSON.
+
+    Keys: ``ndof``; ``energy``; ``optimality`` (the relative first-variation
+    residual of :func:`~treedamp.damping.optimality_check`); ``hermiticity``
+    of the Gram matrix; ``equation_sup`` (:func:`equation_residual`);
+    ``kirchhoff``, one ``{vertex, order, residual}`` per branching vertex
+    and order, the vertex named by the input label of the edge ending
+    there; ``kirchhoff_max``; and ``continuity``, the largest jump of each
+    order ``k = n..2n-1`` keyed by ``str(k)``.  The control already holds
+    ``L y``, so the quasi-derivatives reuse it.
+    """
+    qd = quasi_derivatives(sol.y, sol.coeffs, list(sol.control.components))
+    kr = kirchhoff_residual(qd)
+    ids = sol.y.tree.original_ids
     return {
+        "ndof": int(sol.dofs.size),
         "energy": sol.energy,
-        "kirchhoff": kirchhoff_residual(qd),
-        "continuity": {k: v["max_jump"] for k, v in cont.items()},
-        "equation_sup": equation_residual(qd),
+        "optimality": optimality_check(sol)["max_rel"],
         "hermiticity": sol.gram.hermiticity_defect(),
+        "equation_sup": equation_residual(qd),
+        "kirchhoff": [
+            {"vertex": ids[key[0] - 1], "order": key[1], "residual": v}
+            for key, v in kr.items() if key != "max"
+        ],
+        "kirchhoff_max": kr["max"],
+        "continuity": {str(k): rep["max_jump"] for k, rep in continuity_report(qd).items()},
     }

@@ -326,32 +326,29 @@ class PiecewisePoly:
 
     # ------------------------------------------------------------------
 
-    def max_abs(self, samples_per_piece: int = 8) -> float:
-        """Upper estimate of the sup norm from per-piece sampling."""
-        best = 0.0
-        for i, c in enumerate(self.coefs):
-            h = self.breaks[i + 1] - self.breaks[i]
-            s = np.linspace(0.0, h, samples_per_piece)
-            best = max(best, float(np.max(np.abs(_poly_val(c, s)))))
-        return best
-
-    def min_abs(self) -> float:
-        """Exact minimum of ``|p|`` over the domain.
+    def _abs_at_extrema(self):
+        """Per piece, ``|p|`` at every point where it can take its extremes.
 
         On each piece ``|p|^2 = p * conj(p)`` is a real polynomial in the
-        local variable, so its minimum lies at a piece end or at a real root
+        local variable, so its extremes lie at a piece end or at a real root
         of its derivative inside the piece.  Every root's real part that
         falls in the piece is tried, which covers real roots computed with a
         tiny imaginary part and adds only harmless extra candidates.
         """
-        worst = np.inf
         for i, c in enumerate(self.coefs):
             h = self.breaks[i + 1] - self.breaks[i]
             sq = np.convolve(c, np.conj(c)).real
             crit = np.roots(_poly_der(sq).real[::-1]).real if len(sq) > 2 else np.zeros(0)
             s = np.concatenate([[0.0, h], crit[(crit > 0.0) & (crit < h)]])
-            worst = min(worst, float(np.min(np.abs(_poly_val(c, s)))))
-        return worst
+            yield np.abs(_poly_val(c, s))
+
+    def max_abs(self) -> float:
+        """Exact maximum of ``|p|`` over the domain."""
+        return max(float(np.max(a)) for a in self._abs_at_extrema())
+
+    def min_abs(self) -> float:
+        """Exact minimum of ``|p|`` over the domain."""
+        return min(float(np.min(a)) for a in self._abs_at_extrema())
 
     def __repr__(self):
         a, b = self.domain

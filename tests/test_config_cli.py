@@ -106,6 +106,7 @@ def test_polynomial_and_piecewise_kinds():
     (lambda d: d.update(history={"kind": "constant", "data": "x"}), "config.history.data"),
     (lambda d: d.update(solver={"q": True}), "config.solver.q"),
     (lambda d: d.update(solver={"tolerance": 0.0}), "solver.tolerance"),
+    (lambda d: d.update(solver={"quadrature_order": 3}), "unknown key 'quadrature_order'"),
 ])
 def test_validation_reports_field_paths(mutate, fragment):
     d = _minimal_dict()
@@ -202,6 +203,20 @@ def test_cli_verify_catches_tampered_energy(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 4
     assert "energy mismatch" in capsys.readouterr().err
+
+
+def test_cli_verify_catches_tampered_diagnostics(tmp_path, capsys):
+    cfg_path = str(CONFIGS / "interval.json")
+    out = tmp_path / "run"
+    main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"])
+    capsys.readouterr()
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["continuity"]["1"] += 1.0
+    summary_path.write_text(json.dumps(summary))
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "continuity mismatch" in err and "energy" not in err
 
 
 def test_cli_convergence_table(tmp_path, capsys):

@@ -178,18 +178,6 @@ def test_degenerate_operator_raises_indefinite_gram():
     assert re.search(r"condition estimate (inf|\d\.\d{3}e[+-]\d+)", str(info.value))
 
 
-def test_quadrature_floor_does_not_change_energy():
-    tr = interval(3.0)
-    cs = CoefficientSet.build(
-        tr, 1, 1.0, b={(1, 1): 1.0, (0, 1): 0.5}, c={(0, 1): 0.25}
-    )
-    phi = PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 0.5])
-    base = solve_damping(tr, cs, phi, q=3)
-    bumped = solve_damping(tr, cs, phi, q=3, min_points=12)
-    assert bumped.energy == pytest.approx(base.energy, rel=1e-13)
-    assert len(bumped.gram.grid.flat_weights) > len(base.gram.grid.flat_weights)
-
-
 def test_damping_is_linear_in_history():
     tr, cs0 = _first_order_interval()
     cs = CoefficientSet.build(

@@ -1,5 +1,7 @@
 """Quasi-derivative structure and jump diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -290,7 +292,15 @@ def test_solution_report_bundle():
     phi = PiecewisePoly.from_global_coefs(-0.5, 0.0, [1.0, 0.0])
     sol = solve_damping(tr, cs, phi, q=3)
     rep = solution_report(sol)
-    assert set(rep) == {"energy", "kirchhoff", "continuity", "equation_sup", "hermiticity"}
-    assert rep["energy"] == pytest.approx(sol.energy)
+    assert list(rep) == [
+        "ndof", "energy", "optimality", "hermiticity", "equation_sup",
+        "kirchhoff", "kirchhoff_max", "continuity",
+    ]
+    assert rep["ndof"] == sol.dofs.size
+    assert rep["energy"] == sol.energy
+    assert rep["optimality"] < 1e-8
     assert rep["hermiticity"] < 1e-12
-    assert set(rep["continuity"]) == {1}
+    assert [(r["vertex"], r["order"]) for r in rep["kirchhoff"]] == [(tr.original_ids[0], 1)]
+    assert rep["kirchhoff_max"] == rep["kirchhoff"][0]["residual"]
+    assert set(rep["continuity"]) == {"1"}
+    json.dumps(rep)

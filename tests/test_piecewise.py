@@ -107,6 +107,14 @@ def test_min_abs_is_exact_between_samples():
     assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).min_abs() == pytest.approx(5.0)
 
 
+def test_max_abs_is_exact_between_samples():
+    # t(1 - t) peaks at t = 1/2, which no grid of 8 samples on [0, 1] hits
+    p = PiecewisePoly.from_global_coefs(0.0, 1.0, [0.0, 1.0, -1.0])
+    assert p.max_abs() == pytest.approx(0.25, rel=1e-15)
+    assert (1j * p).max_abs() == pytest.approx(0.25, rel=1e-15)
+    assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).max_abs() == pytest.approx(5.0)
+
+
 def test_merge_breaks_dedups_within_tolerance():
     merged = merge_breaks([np.array([0.0, 1.0]), np.array([1.0 + 1e-14, 2.0])], 1e-9)
     assert len(merged) == 3
