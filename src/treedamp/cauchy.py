@@ -9,47 +9,25 @@ canonical order always have their parent finished first.
 
 Each element is integrated by collocation: the restriction of the solution
 is one polynomial matched to the running state at the left end and to the
-differential relation at interior Gauss points.  Polynomial data of degree
-at most the collocation degree is reproduced exactly, which is what makes
-control round trips (damp, then resimulate) reproduce the variational
-trajectory to roundoff.
+differential relation at ``max(3, n + 1)`` interior Gauss points, so its
+local degree ``n + max(3, n + 1) - 1`` is at least ``2n``.  Polynomial data
+of at most that degree is reproduced exactly.  The trajectories of ``damp``
+are Hermite polynomials of degree ``2n - 1`` on the same elements, which is
+what makes control round trips (damp, then resimulate) reproduce the
+variational trajectory to roundoff.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
 
 from .damping import Control
-from .expressions import CoefficientSet, TreeFunction
+from .expressions import CoefficientSet, TreeFunction, apply_operator
 from .meshing import DelayMesh
-from .piecewise import PiecewisePoly, _poly_der, _poly_val
+from .piecewise import PiecewisePoly, derivative_powers
 from .trees import Tree
-
-
-class _GrowingPiecewise:
-    """Append-only piecewise polynomial with pointwise queries."""
-
-    def __init__(self, start: float):
-        self.breaks = [start]
-        self.coefs = []
-
-    def append(self, right: float, coefs: np.ndarray):
-        self.breaks.append(right)
-        self.coefs.append(coefs)
-
-    def eval(self, t: float, deriv: int = 0) -> complex:
-        i = bisect.bisect_right(self.breaks, t) - 1
-        i = min(max(i, 0), len(self.coefs) - 1)
-        c = self.coefs[i]
-        for _ in range(deriv):
-            c = _poly_der(c)
-        return complex(_poly_val(c, t - self.breaks[i]))
-
-    def finish(self) -> PiecewisePoly:
-        return PiecewisePoly(np.array(self.breaks), self.coefs)
 
 
 def solve_cauchy(
@@ -58,89 +36,68 @@ def solve_cauchy(
     phi: PiecewisePoly,
     control: Control,
     mesh: DelayMesh,
-    collocation_points: int | None = None,
 ) -> TreeFunction:
     """Integrate the controlled system forward from the history ``phi``.
 
-    Parameters
-    ----------
-    mesh : DelayMesh
-        Supplies the element partition of every edge; element widths never
-        exceed the delay, which the stepping argument relies on.
-    collocation_points : int, optional
-        Gauss points per element; defaults to ``max(3, n + 1)``.  The local
-        polynomial degree is ``n + collocation_points - 1``.
+    ``mesh`` supplies the element partition of every edge; element widths
+    never exceed the delay, which the stepping argument relies on.
     """
     n = coeffs.n
     tau = coeffs.tau
-    g = collocation_points or max(3, n + 1)
-    if g < n:
-        raise ValueError(f"need at least {n} collocation points for an order-{n} system")
+    # Gauss points per element: the local degree n + g - 1 is then at least
+    # 2n, above the degree 2n - 1 of the trajectories damp computes
+    g = max(3, n + 1)
+    deg = n + g  # local coefficients per element
     gauss, _ = np.polynomial.legendre.leggauss(g)
+    sigma = 0.5 * (gauss + 1.0)  # collocation abscissae on [0, 1]
+    # derivatives 0..n-1 of the powers of sigma at the element ends, 0..n at the abscissae
+    ends = np.array([derivative_powers([0.0, 1.0], k, deg) for k in range(n)])
+    at0, at1 = ends[:, 0], ends[:, 1]
+    at_gauss = [derivative_powers(sigma, k, deg) for k in range(n + 1)]
 
-    built: list[_GrowingPiecewise] = []
+    comps = []
     for j in range(1, tree.m + 1):
-        Tj = tree.length(j)
+        xs = mesh.nodes[j - 1]
+        h = np.diff(xs)
+        t = xs[:-1, None] + h[:, None] * sigma  # (elements, g)
+        # delayed reads before the edge starts go to the history or the parent's tail
         if j == 1:
-            state = [phi.left_limit(0.0, k) for k in range(n)]
+            past, shift = phi, 0.0
         else:
-            p = tree.parent_of(j)
-            Tp = tree.length(p)
-            state = [built[p - 1].eval(Tp, k) for k in range(n)]
+            past, shift = comps[tree.parent_of(j) - 1], tree.length(tree.parent_of(j))
+        state = np.array([past.left_limit(shift, k) for k in range(n)])
+        terms = coeffs.terms(j)
+        b = [(k, bk.values(t)) for k, bk, _ in terms if bk is not None]
+        c = [(k, ck.values(t)) for k, _, ck in terms if ck is not None]
+        rhs = control.component(j).values(t)
+        s = t - tau
+        before = s < 0.0
+        # elements are no wider than tau, so t - tau on the edge lies in an earlier element
+        src = np.maximum(np.searchsorted(xs, s, side="right") - 1, 0)
+        own = []
+        for k, ck in c:
+            rhs[before] -= ck[before] * past.values(s[before] + shift, k)
+            table = derivative_powers((s - xs[src]).ravel(), k, deg).reshape(*t.shape, deg)
+            own.append((ck, table))
 
-        def delayed(t: float, k: int) -> complex:
-            s = t - tau
-            if s >= 0.0:
-                return cur.eval(s, k)
-            if j == 1:
-                return phi.eval(s, k)
-            par = tree.parent_of(j)
-            return built[par - 1].eval(s + tree.length(par), k)
+        coef = np.zeros((len(h), deg), dtype=complex)  # powers of t - xs[e]
+        for e, he in enumerate(h):
+            mine = ~before[e]
+            for ck, table in own:
+                read = np.einsum("pi,pi->p", table[e, mine], coef[src[e, mine]])
+                rhs[e, mine] -= ck[e, mine] * read
+            scale = he ** -np.arange(n)[:, None]  # d/dt = (1/h) d/dsigma
+            A = np.vstack([at0 * scale, sum(bk[e][:, None] * at_gauss[k] / he**k for k, bk in b)])
+            x = np.linalg.solve(A, np.concatenate([state, rhs[e]]))
+            state = (at1 * scale) @ x
+            coef[e] = x / he ** np.arange(deg)
+        comps.append(PiecewisePoly(xs, coef))
 
-        cur = _GrowingPiecewise(0.0)
-        uj = control.component(j)
-        b_row = [coeffs.b[k][j - 1] for k in range(n + 1)]
-        c_row = [coeffs.c[k][j - 1] for k in range(n + 1)]
-        deg = n + g  # number of local coefficients
-        for a, b_ in zip(mesh.nodes[j - 1][:-1], mesh.nodes[j - 1][1:]):
-            h = b_ - a
-            A = np.zeros((deg, deg), dtype=complex)
-            rhs = np.zeros(deg, dtype=complex)
-            # running state pins the first n scaled derivatives at sigma = 0
-            for k in range(n):
-                A[k, k] = math.factorial(k) / h**k
-                rhs[k] = state[k]
-            sc = 0.5 * (gauss + 1.0)  # collocation abscissae in sigma
-            for row, sig in enumerate(sc, start=n):
-                t = a + sig * h
-                for i in range(deg):
-                    for k in range(n + 1):
-                        if i >= k:
-                            fall = math.factorial(i) / math.factorial(i - k)
-                            A[row, i] += b_row[k].eval(t) * fall * sig ** (i - k) / h**k
-                val = uj.eval(t)
-                for k in range(n + 1):
-                    ck = c_row[k].eval(t)
-                    if ck != 0.0:
-                        val -= ck * delayed(t, k)
-                rhs[row] = val
-            sol = np.linalg.solve(A, rhs)
-            local = sol / h ** np.arange(deg)  # back to powers of (t - a)
-            cur.append(b_, local)
-            dstate = local.copy()
-            for k in range(n):
-                dstate = dstate if k == 0 else _poly_der(dstate)
-                state[k] = complex(_poly_val(dstate, h))
-        built.append(cur)
-
-    comps = tuple(gp.finish() for gp in built)
-    return TreeFunction(tree, n, comps, phi)
+    return TreeFunction(tree, n, tuple(comps), phi)
 
 
 def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: Control) -> dict:
     """Per-edge L2 distance between the applied operator and the control."""
-    from .expressions import apply_operator
-
     per_edge = []
     for j in range(1, y.tree.m + 1):
         diff = apply_operator(y, coeffs, j) - control.component(j)

@@ -24,7 +24,7 @@ import numpy as np
 from .cauchy import residual_ell, solve_cauchy
 from .config import ConfigError, ProblemConfig, _num, _num_out
 from .damping import Control, IndefiniteGramError, default_mesh, solve_damping
-from .diagnostics import solution_report
+from .diagnostics import PERSISTENT_CHANGE, solution_report
 from .expressions import CoefficientError
 from .meshing import MeshError
 from .piecewise import PiecewisePoly
@@ -181,10 +181,15 @@ def cmd_damp(args) -> int:
 def cmd_verify(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     sol_dir = Path(args.solution)
+    path = sol_dir / "summary.json"
     try:
-        summary = json.loads((sol_dir / "summary.json").read_text())
+        summary = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read solution summary: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     q = summary.get("q", cfg.solver.q)
     tol = cfg.solver.tolerance
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
@@ -276,8 +281,8 @@ def cmd_convergence(args) -> int:
               f"({first_k:.3e} -> {last_k:.3e})", file=sys.stderr)
         code = 4
     top = orders[-1]
-    first_j, last_j = rows[0]["continuity"][top], rows[-1]["continuity"][top]
-    if last_j > 0.5 * first_j and last_j > tol:
+    prev_j, last_j = rows[-2]["continuity"][top], rows[-1]["continuity"][top]
+    if last_j > tol and abs(last_j - prev_j) < PERSISTENT_CHANGE * last_j:
         print(f"smoothness loss detected: order-{top} quasi-derivative jump "
               f"stays at {last_j:.3e} under refinement")
     return code

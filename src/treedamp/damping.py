@@ -19,7 +19,6 @@ polynomials on each cell and the quadrature is exact.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .expressions import (
     operator_components,
 )
 from .meshing import Basis, DelayMesh, build_mesh, history_lift
-from .piecewise import PiecewisePoly, merge_breaks
+from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
 
 
@@ -153,12 +152,11 @@ class _EdgeElements:
         each ``t`` into the free DOF rows of column ``cols`` of ``L``, for
         ``weights = [(k, a_k(t)), ...]``."""
         e = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, len(self.shapes) - 1)
-        s = (t - self.nodes[e])[:, None]
-        powers = np.arange(self.shapes.shape[1])
-        mono = np.zeros((len(t), len(powers)), dtype=complex)
+        s = t - self.nodes[e]
+        deg = self.shapes.shape[1]
+        mono = np.zeros((len(t), deg), dtype=complex)
         for k, a in weights:
-            falling = np.array([math.perm(i, k) for i in powers], dtype=float)
-            mono += a[:, None] * falling * s ** np.maximum(powers - k, 0)
+            mono += derivative_powers(s, k, deg, a)
         vals = np.einsum("pi,psi->ps", mono, self.shapes[e])
         rows = self.rows[e]
         free = rows >= 0
@@ -294,7 +292,7 @@ def solve_damping(
     )
 
 
-def optimality_check(sol: DampingSolution, basis: Basis | None = None, coeffs: CoefficientSet | None = None) -> dict:
+def optimality_check(sol: DampingSolution) -> dict:
     """First-variation residual of the solution against every basis function.
 
     Evaluates the energy product of the trajectory with each basis function
@@ -302,16 +300,8 @@ def optimality_check(sol: DampingSolution, basis: Basis | None = None, coeffs: C
     and relative to the natural scale (trajectory norm times basis-function
     norm).  At the discrete optimum, exact arithmetic would give zero.
     """
-    basis = basis or sol.basis
-    coeffs = coeffs or sol.coeffs
-    if basis.ndof == 0:
-        return {
-            "max_abs": 0.0,
-            "max_rel": 0.0,
-            "argmax": -1,
-            "per_basis": np.zeros(0, dtype=complex),
-            "worst_dof": None,
-        }
+    if sol.basis.ndof == 0:
+        return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
     grid = sol.gram.grid
     u_vals = grid.eval_edges(list(sol.control.components))
     w = grid.flat_weights
@@ -320,13 +310,10 @@ def optimality_check(sol: DampingSolution, basis: Basis | None = None, coeffs: C
     ynorm = np.sqrt(max(sol.energy, 0.0))
     scale = norms * ynorm
     rel = np.abs(resid) / np.where(scale > 0, scale, 1.0)
-    p = int(np.argmax(np.abs(resid)))
     return {
         "max_abs": float(np.max(np.abs(resid))),
         "max_rel": float(np.max(rel)),
-        "argmax": int(np.argmax(rel)),
         "per_basis": resid,
-        "worst_dof": basis.dof_location(p),
     }
 
 

@@ -36,6 +36,11 @@ from .expressions import (
 )
 from .piecewise import PiecewisePoly
 
+# A jump is persistent when it changed by less than this share of its size
+# between the two finest levels of a refinement study; a jump the mesh
+# resolves shrinks like the element width instead.
+PERSISTENT_CHANGE = 0.10
+
 
 @dataclass(frozen=True)
 class QuasiDerivativeSet:
@@ -178,9 +183,9 @@ def detect_persistent_jump(
     returned by :func:`continuity_report` for a single order), coarse to
     fine.  The jump at ``location`` (edge, t), defaulting to the dominant
     jump of the finest level, is matched by position in the next-coarser
-    level; it is flagged persistent when it changed by less than 10 percent
-    between those two levels while exceeding ten times every competing jump
-    on the finest level.
+    level; it is flagged persistent when it changed by less than
+    ``PERSISTENT_CHANGE`` between those two levels while exceeding ten times
+    every competing jump on the finest level.
 
     ``exclude_radius`` removes same-edge jumps within that distance of the
     candidate from the competition.  This is the localization scale of the
@@ -204,7 +209,7 @@ def detect_persistent_jump(
     others = [m for j, t, m in last["jumps"] if j != loc[0] or abs(t - loc[1]) > radius]
     separation = mag / max(others) if others else np.inf
     return {
-        "persistent": bool(change < 0.10 and separation >= 10.0),
+        "persistent": bool(change < PERSISTENT_CHANGE and separation >= 10.0),
         "location": loc,
         "magnitude": mag,
         "change": change,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import TreeFunction
-from .piecewise import PiecewisePoly, merge_breaks
+from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
 
 
@@ -35,13 +35,10 @@ def _hermite_shapes(n: int, h: float) -> tuple:
     rescaled to the unscaled local variable ``s``.
     """
     N = 2 * n
-    M = np.zeros((N, N))
-    # conditions in the scaled variable sigma = s/h, sigma in [0, 1]
-    for nu in range(n):
-        for i in range(nu, N):
-            fall = math.factorial(i) // math.factorial(i - nu)
-            M[nu, i] = fall if i == nu else 0.0
-            M[n + nu, i] = fall  # sigma = 1
+    # conditions in the scaled variable sigma = s/h: derivatives 0..n-1 at
+    # sigma = 0 (rows 0..n-1), then at sigma = 1 (rows n..2n-1)
+    ends = np.array([derivative_powers([0.0, 1.0], k, N) for k in range(n)])
+    M = ends.transpose(1, 0, 2).reshape(N, N)
     X = np.linalg.solve(M, np.eye(N))
     scale = h ** np.arange(N)
     left = np.empty((n, N))

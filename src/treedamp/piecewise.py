@@ -50,6 +50,20 @@ def _poly_der(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
+def derivative_powers(s, k: int, deg: int, weight=1.0) -> np.ndarray:
+    """``(len(s), deg)`` matrix of ``d^k/ds^k s^i`` for ``i = 0..deg-1``.
+
+    Entry ``[p, i]`` is ``weight[p] * i!/(i-k)! * s[p]^(i-k)``, zero for
+    ``i < k``, so ``derivative_powers(s, k, deg) @ c`` is the ``k``-th
+    derivative of ``sum c_i s^i`` at every ``s``.  ``weight`` (a scalar or
+    one value per point) is applied to the factorials before the powers.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    i = np.arange(deg)
+    falling = np.prod(i[:, None] - np.arange(k), axis=1).astype(float)
+    return np.multiply.outer(weight, falling) * s[:, None] ** np.maximum(i - k, 0)
+
+
 def _poly_int(c: np.ndarray) -> np.ndarray:
     out = np.zeros(len(c) + 1, dtype=complex)
     out[1:] = c / np.arange(1, len(c) + 1)

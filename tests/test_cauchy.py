@@ -53,10 +53,40 @@ def test_polynomial_manufactured_solution_is_exact():
     u = Control(tr, tuple(apply_operator(y_true, cs, j) for j in range(1, 4)))
 
     mesh = build_mesh(tr, tau, 2)
-    y = solve_cauchy(tr, cs, phi, u, mesh, collocation_points=4)
+    y = solve_cauchy(tr, cs, phi, u, mesh)
     assert trajectory_distance(y, y_true) < 1e-11
     res = residual_ell(y, cs, u)
     assert res["total"] < 1e-11
+
+
+def test_second_order_neutral_manufactured_solution_is_exact():
+    # order 2 with every c_k present: the history, the parent's tail and the
+    # own edge all serve delayed values, first and second derivatives
+    tau = 0.5
+    tr = star([2.0, 2.0, 2.0])
+    edges = range(1, 4)
+    b0 = PiecewisePoly([0.0, 0.7, 2.0], [np.array([0.5]), np.array([-0.3, 1.0])])
+    cs = CoefficientSet.build(
+        tr, 2, tau,
+        b={(2, j): 1.0 for j in edges} | {(1, 1): 0.4, (0, 2): b0},
+        c={(0, j): 0.3 for j in edges} | {(1, j): -0.4 for j in edges}
+        | {(2, j): 0.25 for j in edges},
+    )
+    root = [1.0, -0.5 + 0.2j, 0.3, 0.1j]  # one cubic through the history and edge 1
+    phi = PiecewisePoly.from_global_coefs(-tau, 0.0, root)
+    y1 = PiecewisePoly.from_global_coefs(0.0, 2.0, root)
+    v, d = y1.eval(2.0), y1.eval(2.0, 1)  # C^1 across the vertex
+    comps = (
+        y1,
+        PiecewisePoly.single(0.0, 2.0, [v, d, -0.7, 0.2]),
+        PiecewisePoly.single(0.0, 2.0, [v, d, 0.4j, -0.1]),
+    )
+    y_true = TreeFunction(tr, 2, comps, phi)
+    u = Control(tr, tuple(apply_operator(y_true, cs, j) for j in edges))
+
+    y = solve_cauchy(tr, cs, phi, u, default_mesh(tr, cs, 2))
+    assert trajectory_distance(y, y_true) < 1e-11
+    assert residual_ell(y, cs, u)["total"] < 1e-11
 
 
 def test_solution_is_linear_in_history_and_control():
@@ -120,7 +150,7 @@ def test_damp_then_resimulate_round_trip():
     )
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, [1.0, 1.0])
     sol = solve_damping(tr, cs, phi, q=4)
-    z = solve_cauchy(tr, cs, phi, sol.control, sol.mesh, collocation_points=6)
+    z = solve_cauchy(tr, cs, phi, sol.control, sol.mesh)
     assert trajectory_distance(z, sol.y) < 1e-9
     # and the resimulated trajectory rests on the final delay window
     tail = z.component(1).restrict(2.0, 3.0)

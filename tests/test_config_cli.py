@@ -219,6 +219,17 @@ def test_cli_verify_catches_tampered_diagnostics(tmp_path, capsys):
     assert "continuity mismatch" in err and "energy" not in err
 
 
+def test_cli_verify_rejects_malformed_summary(tmp_path, capsys):
+    cfg_path = str(CONFIGS / "interval.json")
+    out = tmp_path / "run"
+    main(["damp", "--config", cfg_path, "--out", str(out), "--q", "2"])
+    capsys.readouterr()
+    (out / "summary.json").write_text('{"energy": 1')
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "summary.json: line 1" in err and "Traceback" not in err
+
+
 def test_cli_convergence_table(tmp_path, capsys):
     cfg_path = str(CONFIGS / "interval.json")
     assert main(["convergence", "--config", cfg_path, "--q", "2,4,8,16"]) == 0
@@ -229,6 +240,13 @@ def test_cli_convergence_table(tmp_path, capsys):
     assert "smoothness loss" not in out
     energies = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+def test_cli_convergence_short_ladder_has_no_smoothness_note(capsys):
+    # the smooth history's top-order jump decays like h: 0.408 -> 0.249 at q = 2, 4
+    cfg_path = str(CONFIGS / "interval.json")
+    assert main(["convergence", "--config", cfg_path, "--q", "2,4"]) == 0
+    assert "smoothness loss" not in capsys.readouterr().out
 
 
 def test_cli_convergence_flags_rough_history(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treedamp.piecewise import PiecewisePoly, merge_breaks
+from treedamp.piecewise import PiecewisePoly, _poly_der, _poly_val, derivative_powers, merge_breaks
 
 
 def test_constructor_rejects_bad_breaks():
@@ -113,6 +113,21 @@ def test_max_abs_is_exact_between_samples():
     assert p.max_abs() == pytest.approx(0.25, rel=1e-15)
     assert (1j * p).max_abs() == pytest.approx(0.25, rel=1e-15)
     assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).max_abs() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_derivative_powers_match_derivative_coefficients(k):
+    rng = np.random.default_rng(k)
+    c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    s = np.array([-0.7, 0.0, 0.3, 1.0, 2.5])
+    dk = c
+    for _ in range(k):
+        dk = _poly_der(dk)
+    got = derivative_powers(s, k, len(c)) @ c
+    assert got.shape == s.shape
+    np.testing.assert_allclose(got, _poly_val(dk, s), rtol=1e-13, atol=1e-13)
+    w = rng.standard_normal(len(s))
+    np.testing.assert_allclose(derivative_powers(s, k, len(c), w) @ c, w * got, rtol=1e-13, atol=1e-13)
 
 
 def test_merge_breaks_dedups_within_tolerance():
