@@ -39,11 +39,9 @@ def _fmt(x: float) -> str:
 
 def _sample_times(p: PiecewisePoly, per_piece: int = 4) -> np.ndarray:
     """Piece endpoints plus equispaced interior points, for plot-ready CSV."""
-    ts = [p.breaks]
-    for i in range(p.npieces):
-        a, b = p.breaks[i], p.breaks[i + 1]
-        ts.append(a + (b - a) * np.arange(1, per_piece) / per_piece)
-    return np.unique(np.concatenate(ts))
+    h = np.diff(p.breaks)[:, None]
+    inner = p.breaks[:-1, None] + h * np.arange(1, per_piece) / per_piece
+    return np.unique(np.concatenate([p.breaks, inner.ravel()]))
 
 
 def _csv_rows(eid, p: PiecewisePoly, nder: int) -> list:

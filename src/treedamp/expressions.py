@@ -121,7 +121,7 @@ class CoefficientSet:
         is given as ``None`` so callers can skip its term."""
 
         def present(p):
-            return p if p.max_degree > 0 or any(np.any(c != 0) for c in p.coefs) else None
+            return p if p.max_degree > 0 or p.coefs.any() else None
 
         return [(k, present(self.b[k][j - 1]), present(self.c[k][j - 1])) for k in range(self.n + 1)]
 

@@ -194,12 +194,6 @@ class Basis:
         i = self._dof_of_node.get(node_gid)
         return None if i is None else i * self.n + k
 
-    def dof_location(self, p: int) -> tuple:
-        """(edge, t, derivative order) describing DOF ``p``."""
-        g = self.free_nodes[p // self.n]
-        j, t = self.node_positions[g]
-        return j, t, p % self.n
-
     def _shapes(self, h: float):
         key = round(h, 14)
         if key not in self._shape_cache:

@@ -5,9 +5,22 @@ quasi-derivatives) is a piecewise polynomial, so the algebra here is kept
 exact: sums and products merge breakpoints, differentiation and integration
 act on coefficient arrays, and no quadrature error enters anywhere.
 
-Coefficients of piece ``i`` are stored in ascending powers of the local
-variable ``t - breaks[i]``, which keeps evaluation well conditioned for
-domains far from zero.
+Storage follows SciPy's ``PPoly``: the ``breaks`` plus one complex
+``(npieces, width)`` table whose row ``i`` holds the coefficients of piece
+``i`` in ascending powers of the local variable ``t - breaks[i]``, which
+keeps evaluation well conditioned for domains far from zero.  Rows are
+zero-padded on the right to a common width, so ``width - 1`` bounds the
+degree of every piece and a piece may list trailing zero coefficients.
+
+Every method is whole-table numpy work with no loop over pieces:
+evaluation (one ``searchsorted``, row-wise Horner), differentiation,
+integration, jumps, restriction, shifting, concatenation, and the ring
+operations.  Operands with different breaks are first refined onto the
+merged breaks; only the pieces whose left end moved are re-centred, by one
+batched Taylor shift.  A product convolves row by row with a loop over the
+narrower operand's width.  Only the exact extreme search behind
+:meth:`PiecewisePoly.max_abs` and :meth:`PiecewisePoly.min_abs` runs piece
+by piece, because it finds polynomial roots.
 """
 
 from __future__ import annotations
@@ -44,10 +57,27 @@ def _poly_shift(c: np.ndarray, dx: float) -> np.ndarray:
     return q
 
 
-def _poly_der(c: np.ndarray) -> np.ndarray:
-    if len(c) == 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+def _taylor_shift(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Every row of ``c`` re-centred by its own ``dx``, as :func:`_poly_shift`.
+
+    Synthetic division applied to all rows at once: ``width - 1`` Horner
+    sweeps over whole coefficient columns, so the work is
+    ``rows * width**2`` and the memory ``rows * width``.
+    """
+    q = c.T.copy()  # one contiguous row per power
+    for k in range(len(q) - 1):
+        for i in range(len(q) - 2, k - 1, -1):
+            q[i] += dx * q[i + 1]
+    return q.T
+
+
+def _poly_der(c: np.ndarray, k: int = 1) -> np.ndarray:
+    """``k``-th derivative of the polynomials along the last axis of ``c``;
+    the width shrinks by one per derivative, down to a single zero."""
+    for _ in range(k):
+        width = c.shape[-1]
+        c = c[..., 1:] * np.arange(1, width) if width > 1 else np.zeros_like(c)
+    return c
 
 
 def derivative_powers(s, k: int, deg: int, weight=1.0) -> np.ndarray:
@@ -64,28 +94,21 @@ def derivative_powers(s, k: int, deg: int, weight=1.0) -> np.ndarray:
     return np.multiply.outer(weight, falling) * s[:, None] ** np.maximum(i - k, 0)
 
 
-def _poly_int(c: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(c) + 1, dtype=complex)
-    out[1:] = c / np.arange(1, len(c) + 1)
-    return out
-
-
 def _poly_val(c: np.ndarray, s):
-    """Horner evaluation at local coordinate(s) s."""
-    acc = np.zeros_like(np.asarray(s, dtype=float), dtype=complex) + c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        acc = acc * s + c[k]
+    """Horner evaluation at local coordinate(s) ``s`` of the polynomials
+    along the last axis of ``c``: one polynomial for all of ``s``, or one
+    per value of ``s`` when the leading shape of ``c`` is that of ``s``."""
+    acc = np.zeros_like(np.asarray(s, dtype=float), dtype=complex) + c[..., -1]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * s + c[..., k]
     return acc
 
 
 def merge_breaks(arrays, tol: float) -> np.ndarray:
-    """Union of breakpoint arrays with coincident points coalesced."""
-    pts = np.sort(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > tol:
-            keep.append(p)
-    return np.array(keep)
+    """Union of breakpoint arrays with coincident points coalesced: a point
+    within ``tol`` of its predecessor in sorted order is dropped."""
+    pts = np.sort(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays]))
+    return pts[np.concatenate(([True], np.diff(pts) > tol))]
 
 
 class PiecewisePoly:
@@ -97,24 +120,41 @@ class PiecewisePoly:
     which is what the jump diagnostics are built on.
     """
 
-    __slots__ = ("breaks", "coefs")
+    __slots__ = ("breaks", "_c")
 
-    def __init__(self, breaks, coefs):
-        breaks = np.asarray(breaks, dtype=float)
-        if breaks.ndim != 1 or len(breaks) < 2:
-            raise ValueError("need at least two breakpoints")
-        if np.any(np.diff(breaks) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(coefs) != len(breaks) - 1:
-            raise ValueError("one coefficient array per piece required")
+    def __init__(self, breaks, coefs, _valid: bool = False):
+        """``coefs`` lists one coefficient array per piece, ascending powers
+        of ``t - breaks[i]``; pieces may differ in length.  ``_valid`` marks
+        an internal result whose ``breaks`` and ``(npieces, width)`` complex
+        table are correct by construction and are taken as they are."""
+        if not _valid:
+            breaks = np.asarray(breaks, dtype=float)
+            if breaks.ndim != 1 or len(breaks) < 2:
+                raise ValueError("need at least two breakpoints")
+            if np.any(np.diff(breaks) <= 0):
+                raise ValueError("breakpoints must be strictly increasing")
+            if len(coefs) != len(breaks) - 1:
+                raise ValueError("one coefficient array per piece required")
+            pieces = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coefs]
+            if any(c.ndim != 1 or c.size == 0 for c in pieces):
+                raise ValueError("each piece needs a non-empty 1-D coefficient array")
+            coefs = np.zeros((len(pieces), max(c.size for c in pieces)), dtype=complex)
+            for i, c in enumerate(pieces):
+                coefs[i, : c.size] = c
+        coefs.flags.writeable = False
         self.breaks = breaks
-        self.coefs = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coefs]
+        self._c = coefs
         if self.max_degree > DEGREE_WARN:
             warnings.warn(
                 f"piecewise polynomial degree {self.max_degree} exceeds "
                 f"{DEGREE_WARN}; conditioning is no longer guaranteed",
                 stacklevel=2,
             )
+
+    @classmethod
+    def _of(cls, breaks: np.ndarray, table: np.ndarray) -> "PiecewisePoly":
+        """An internal result, skipping the validation of ``__init__``."""
+        return cls(breaks, table, _valid=True)
 
     # ------------------------------------------------------------------
     # constructors
@@ -142,19 +182,25 @@ class PiecewisePoly:
     # basic queries
 
     @property
+    def coefs(self) -> np.ndarray:
+        """Read-only ``(npieces, width)`` table; row ``i`` is piece ``i``,
+        zero-padded on the right."""
+        return self._c
+
+    @property
     def domain(self):
         return float(self.breaks[0]), float(self.breaks[-1])
 
     @property
     def npieces(self) -> int:
-        return len(self.coefs)
+        return len(self._c)
 
     @property
     def max_degree(self) -> int:
-        return max(len(c) - 1 for c in self.coefs)
+        return self._c.shape[1] - 1
 
     def _tol(self) -> float:
-        return BREAK_RTOL * max(1.0, float(np.max(np.abs(self.breaks))))
+        return BREAK_RTOL * max(1.0, abs(float(self.breaks[0])), abs(float(self.breaks[-1])))
 
     def _piece_at(self, t: float) -> int:
         i = int(np.searchsorted(self.breaks, t, side="right")) - 1
@@ -167,74 +213,55 @@ class PiecewisePoly:
         """Vectorised evaluation (right-continuous at interior breaks)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1, 0, self.npieces - 1)
-        out = np.empty(ts.shape, dtype=complex)
-        for i in np.unique(idx):
-            c = self.coefs[i]
-            for _ in range(deriv):
-                c = _poly_der(c)
-            mask = idx == i
-            out[mask] = _poly_val(c, ts[mask] - self.breaks[i])
-        return out
+        return _poly_val(_poly_der(self._c[idx], deriv), ts - self.breaks[idx])
 
     def eval(self, t: float, deriv: int = 0) -> complex:
         return complex(self.values(np.array([t]), deriv)[0])
+
+    def _value_in_piece(self, i: int, t: float, deriv: int) -> complex:
+        return complex(_poly_val(_poly_der(self._c[i], deriv), t - self.breaks[i]))
 
     def right_limit(self, t: float, deriv: int = 0) -> complex:
         """Limit from the right; at the domain end, the one-sided value."""
         if t >= self.breaks[-1] - self._tol():
             return self.left_limit(self.breaks[-1], deriv)
-        i = int(np.searchsorted(self.breaks, t + self._tol(), side="right")) - 1
-        i = min(max(i, 0), self.npieces - 1)
-        c = self.coefs[i]
-        for _ in range(deriv):
-            c = _poly_der(c)
-        return complex(_poly_val(c, t - self.breaks[i]))
+        return self._value_in_piece(self._piece_at(t + self._tol()), t, deriv)
 
     def left_limit(self, t: float, deriv: int = 0) -> complex:
         """Limit from the left; at the domain start, the one-sided value."""
         if t <= self.breaks[0] + self._tol():
             return self.right_limit(self.breaks[0], deriv)
-        i = int(np.searchsorted(self.breaks, t - self._tol(), side="right")) - 1
-        i = min(max(i, 0), self.npieces - 1)
-        c = self.coefs[i]
-        for _ in range(deriv):
-            c = _poly_der(c)
-        return complex(_poly_val(c, t - self.breaks[i]))
+        return self._value_in_piece(self._piece_at(t - self._tol()), t, deriv)
 
     def jumps(self) -> list[tuple[float, complex]]:
         """(breakpoint, right minus left limit) at every interior breakpoint."""
-        out = []
-        for t in self.breaks[1:-1]:
-            out.append((float(t), self.right_limit(t) - self.left_limit(t)))
-        return out
+        left = _poly_val(self._c[:-1], np.diff(self.breaks[:-1]))
+        gaps = self._c[1:, 0] - left
+        return list(zip(self.breaks[1:-1].tolist(), gaps.tolist()))
 
     # ------------------------------------------------------------------
     # calculus
 
     def derivative(self, k: int = 1) -> "PiecewisePoly":
-        coefs = self.coefs
-        for _ in range(k):
-            coefs = [_poly_der(c) for c in coefs]
-        return PiecewisePoly(self.breaks, coefs)
+        return PiecewisePoly._of(self.breaks, _poly_der(self._c, k))
+
+    def _integrated(self):
+        """The table of the piecewise antiderivatives vanishing at each
+        piece's left end, and each piece's integral."""
+        width = self._c.shape[1]
+        table = np.zeros((self.npieces, width + 1), dtype=complex)
+        table[:, 1:] = self._c / np.arange(1, width + 1)
+        return table, _poly_val(table, np.diff(self.breaks))
 
     def antiderivative(self) -> "PiecewisePoly":
         """Continuous antiderivative vanishing at the left end of the domain."""
-        coefs = []
-        acc = 0.0 + 0.0j
-        for i, c in enumerate(self.coefs):
-            ci = _poly_int(c)
-            ci[0] = acc
-            h = self.breaks[i + 1] - self.breaks[i]
-            acc = _poly_val(ci, h)
-            coefs.append(ci)
-        return PiecewisePoly(self.breaks, coefs)
+        table, parts = self._integrated()
+        table[1:, 0] = np.cumsum(parts[:-1])
+        return PiecewisePoly._of(self.breaks, table)
 
     def integral(self) -> complex:
-        total = 0.0 + 0.0j
-        for i, c in enumerate(self.coefs):
-            ci = _poly_int(c)
-            total += _poly_val(ci, self.breaks[i + 1] - self.breaks[i])
-        return complex(total)
+        # a running sum in piece order, which is what the antiderivative uses
+        return complex(np.cumsum(self._integrated()[1])[-1])
 
     def l2_norm_sq(self) -> float:
         return float((self * self.conj()).integral().real)
@@ -247,18 +274,33 @@ class PiecewisePoly:
     # reshaping
 
     def refined(self, extra_breaks) -> "PiecewisePoly":
-        """Same function on a breakpoint set enlarged by ``extra_breaks``."""
+        """Same function on a breakpoint set enlarged by ``extra_breaks``;
+        ``self`` itself when no break is new."""
         tol = self._tol()
         a, b = self.domain
-        extra = [x for x in np.asarray(extra_breaks, dtype=float) if a + tol < x < b - tol]
-        if not extra:
+        extra = np.asarray(extra_breaks, dtype=float).ravel()
+        extra = extra[(extra > a + tol) & (extra < b - tol)]
+        if not extra.size:
             return self
-        breaks = merge_breaks([self.breaks, extra], tol)
-        coefs = []
-        for i in range(len(breaks) - 1):
-            j = self._piece_at(0.5 * (breaks[i] + breaks[i + 1]))
-            coefs.append(_poly_shift(self.coefs[j], breaks[i] - self.breaks[j]))
-        return PiecewisePoly(breaks, coefs)
+        return self._onto(merge_breaks([self.breaks, extra], tol))
+
+    def _onto(self, breaks: np.ndarray) -> "PiecewisePoly":
+        """Same function on ``breaks``, which refine ``self.breaks`` up to the
+        break tolerance; ``self`` itself when they are ``self.breaks``.
+
+        Each new piece copies the row of the old piece holding its midpoint,
+        and the rows whose left end moved are re-centred in one batch.
+        """
+        if len(breaks) == len(self.breaks) and np.array_equal(breaks, self.breaks):
+            return self
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        src = np.clip(np.searchsorted(self.breaks, mids, side="right") - 1, 0, self.npieces - 1)
+        table = self._c[src]
+        dx = breaks[:-1] - self.breaks[src]
+        moved = dx != 0.0
+        if table.shape[1] > 1 and moved.any():
+            table[moved] = _taylor_shift(table[moved], dx[moved])
+        return PiecewisePoly._of(breaks, table)
 
     def restrict(self, a: float, b: float) -> "PiecewisePoly":
         tol = self._tol()
@@ -267,58 +309,66 @@ class PiecewisePoly:
             raise ValueError(f"restriction [{a}, {b}] outside domain [{lo}, {hi}]")
         a = min(max(a, lo), hi)
         b = min(max(b, lo), hi)
-        p = self.refined([a, b])
-        i0 = p._piece_at(a + tol)
-        i1 = p._piece_at(b - tol)
-        breaks = p.breaks[i0 : i1 + 2].copy()
+        i0 = self._piece_at(a + tol)
+        i1 = self._piece_at(b - tol)
+        breaks = self.breaks[i0 : i1 + 2].copy()
+        table = self._c[i0 : i1 + 1]
+        if breaks[0] != a:  # the first piece now starts at a
+            table = table.copy()
+            table[:1] = _taylor_shift(table[:1], np.array([a - breaks[0]]))
         breaks[0], breaks[-1] = a, b
-        return PiecewisePoly(breaks, [p.coefs[i] for i in range(i0, i1 + 1)])
+        return PiecewisePoly._of(breaks, table)
 
     def shift(self, dt: float) -> "PiecewisePoly":
         """Translate the graph: result(t) = self(t - dt)."""
-        return PiecewisePoly(self.breaks + dt, [c.copy() for c in self.coefs])
+        return PiecewisePoly._of(self.breaks + dt, self._c)
 
     def concat(self, other: "PiecewisePoly") -> "PiecewisePoly":
         tol = max(self._tol(), other._tol())
         if abs(self.breaks[-1] - other.breaks[0]) > tol:
             raise ValueError("domains are not adjacent")
         breaks = np.concatenate([self.breaks, other.breaks[1:]])
-        breaks[len(self.breaks) - 1] = self.breaks[-1]
-        return PiecewisePoly(breaks, self.coefs + other.coefs)
+        table = np.zeros((self.npieces + other.npieces, max(self._c.shape[1], other._c.shape[1])),
+                         dtype=complex)
+        table[: self.npieces, : self._c.shape[1]] = self._c
+        table[self.npieces :, : other._c.shape[1]] = other._c
+        return PiecewisePoly._of(breaks, table)
 
     def conj(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, [np.conj(c) for c in self.coefs])
+        return PiecewisePoly._of(self.breaks, self._c.conj())
 
     # ------------------------------------------------------------------
     # ring operations
 
     def _aligned(self, other: "PiecewisePoly"):
+        """Both operands on the merged breaks; each is returned itself when
+        none of the merged breaks is new to it."""
+        if np.array_equal(self.breaks, other.breaks):
+            return self, other
         tol = max(self._tol(), other._tol())
         sa, sb = self.domain
         oa, ob = other.domain
         if abs(sa - oa) > tol or abs(sb - ob) > tol:
             raise ValueError(f"domain mismatch: [{sa}, {sb}] vs [{oa}, {ob}]")
         breaks = merge_breaks([self.breaks, other.breaks], tol)
-        return self.refined(breaks), other.refined(breaks)
+        breaks[0], breaks[-1] = self.breaks[0], self.breaks[-1]
+        return self._onto(breaks), other._onto(breaks)
 
     def __add__(self, other):
         if np.isscalar(other):
             other = PiecewisePoly.constant(*self.domain, other)
         p, q = self._aligned(other)
-        coefs = []
-        for cp, cq in zip(p.coefs, q.coefs):
-            n = max(len(cp), len(cq))
-            c = np.zeros(n, dtype=complex)
-            c[: len(cp)] += cp
-            c[: len(cq)] += cq
-            coefs.append(c)
-        return PiecewisePoly(p.breaks, coefs)
+        if p._c.shape[1] < q._c.shape[1]:
+            p, q = q, p
+        table = p._c.copy()
+        table[:, : q._c.shape[1]] += q._c
+        return PiecewisePoly._of(p.breaks, table)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return PiecewisePoly(self.breaks, [-c for c in self.coefs])
+        return PiecewisePoly._of(self.breaks, -self._c)
 
     def __sub__(self, other):
         if np.isscalar(other):
@@ -330,10 +380,15 @@ class PiecewisePoly:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return PiecewisePoly(self.breaks, [c * other for c in self.coefs])
+            return PiecewisePoly._of(self.breaks, self._c * other)
         p, q = self._aligned(other)
-        coefs = [np.convolve(cp, cq) for cp, cq in zip(p.coefs, q.coefs)]
-        return PiecewisePoly(p.breaks, coefs)
+        if p._c.shape[1] < q._c.shape[1]:
+            p, q = q, p
+        wide, narrow = p._c, q._c
+        table = np.zeros((len(wide), wide.shape[1] + narrow.shape[1] - 1), dtype=complex)
+        for k in range(narrow.shape[1]):
+            table[:, k : k + wide.shape[1]] += wide * narrow[:, k, None]
+        return PiecewisePoly._of(p.breaks, table)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -349,10 +404,10 @@ class PiecewisePoly:
         falls in the piece is tried, which covers real roots computed with a
         tiny imaginary part and adds only harmless extra candidates.
         """
-        for i, c in enumerate(self.coefs):
-            h = self.breaks[i + 1] - self.breaks[i]
+        for c, h in zip(self._c, np.diff(self.breaks)):
             sq = np.convolve(c, np.conj(c)).real
-            crit = np.roots(_poly_der(sq).real[::-1]).real if len(sq) > 2 else np.zeros(0)
+            # np.roots drops the leading zeros the row padding leaves
+            crit = np.roots(_poly_der(sq)[::-1]).real if len(sq) > 2 else np.zeros(0)
             s = np.concatenate([[0.0, h], crit[(crit > 0.0) & (crit < h)]])
             yield np.abs(_poly_val(c, s))
 

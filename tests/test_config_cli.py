@@ -192,6 +192,23 @@ def test_cli_damp_verify_simulate_cycle(tmp_path, capsys):
     assert sim_summary["residual_total"] < 1e-8
 
 
+def test_cli_verify_accepts_control_pieces_of_different_lengths(tmp_path, capsys):
+    # damp pads every piece of an edge to one length; a control file whose
+    # pieces list their coefficients to different lengths is the same control
+    cfg_path = str(CONFIGS / "star.json")
+    out = tmp_path / "run"
+    assert main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"]) == 0
+    control_path = out / "control.json"
+    control = json.loads(control_path.read_text())
+    pieces = control["edges"][0]["pieces"]
+    pieces[0] = pieces[0] + [0.0, 0.0]
+    assert len({len(c) for c in pieces}) > 1
+    control_path.write_text(json.dumps(control))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 0
+    assert "verification passed" in capsys.readouterr().out
+
+
 def test_cli_verify_catches_tampered_energy(tmp_path, capsys):
     cfg_path = str(CONFIGS / "interval.json")
     out = tmp_path / "run"

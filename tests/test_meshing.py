@@ -78,8 +78,8 @@ def test_dof_count_single_free_node():
     mesh = build_mesh(interval(3.0), 1.0, 1)
     basis = Basis(mesh, 1)
     assert basis.ndof == 1
-    j, t, k = basis.dof_location(0)
-    assert (j, k) == (1, 0) and t == pytest.approx(1.0)
+    j, t = basis.node_positions[basis.free_nodes[0]]
+    assert j == 1 and t == pytest.approx(1.0)
 
 
 def test_vertex_dof_is_shared():

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treedamp.piecewise import PiecewisePoly, _poly_der, _poly_val, derivative_powers, merge_breaks
+from numpy.polynomial import polynomial as npoly
+
+from treedamp.piecewise import (
+    BREAK_RTOL,
+    PiecewisePoly,
+    _poly_der,
+    _poly_shift,
+    _poly_val,
+    derivative_powers,
+    merge_breaks,
+)
 
 
 def test_constructor_rejects_bad_breaks():
@@ -14,6 +24,15 @@ def test_constructor_rejects_bad_breaks():
         PiecewisePoly(np.array([1.0, 0.0]), [np.array([1.0])])
     with pytest.raises(ValueError):
         PiecewisePoly(np.array([0.0, 1.0, 2.0]), [np.array([1.0])])
+
+
+def test_coefs_is_a_read_only_zero_padded_table():
+    p = PiecewisePoly([0.0, 1.0, 2.0], [np.array([1.0]), np.array([1.0, 2.0, 3.0])])
+    assert p.coefs.shape == (2, 3) and p.max_degree == 2
+    np.testing.assert_array_equal(p.coefs[0], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        p.coefs[0, 1] = 5.0
+    assert p.refined(p.breaks) is p
 
 
 def test_eval_is_right_continuous_at_interior_break():
@@ -150,11 +169,12 @@ def pw_polys(draw, a=0.0, b=2.0):
     pts.append(b)
     breaks = np.array(pts)
     coefs = []
+    coef = st.floats(min_value=-3, max_value=3, allow_nan=False)
     for _ in range(len(breaks) - 1):
         deg = draw(st.integers(min_value=0, max_value=3))
-        coefs.append(np.array(draw(st.lists(
-            st.floats(min_value=-3, max_value=3, allow_nan=False),
-            min_size=deg + 1, max_size=deg + 1))))
+        re = draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1))
+        im = draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1))
+        coefs.append(np.array(re) + 1j * np.array(im))
     return PiecewisePoly(breaks, coefs)
 
 
@@ -211,3 +231,106 @@ def test_derivative_of_antiderivative(p):
     q = p.antiderivative().derivative()
     mids = 0.5 * (p.breaks[:-1] + p.breaks[1:])
     assert np.allclose(q.values(mids), p.values(mids), atol=1e-8)
+
+
+# ----------------------------------------------------------------------
+# the whole-table operations against a per-piece reference
+
+
+def _ref_refined(p, extra):
+    """Breaks and per-piece coefficients of ``p`` refined onto ``extra``,
+    one piece at a time: each new piece re-centres the old piece holding
+    its midpoint."""
+    tol = p._tol()
+    a, b = p.domain
+    extra = [x for x in extra if a + tol < x < b - tol]
+    breaks = merge_breaks([p.breaks, extra], tol) if extra else p.breaks
+    pieces = []
+    for i in range(len(breaks) - 1):
+        j = p._piece_at(0.5 * (breaks[i] + breaks[i + 1]))
+        pieces.append(_poly_shift(np.array(p.coefs[j]), breaks[i] - p.breaks[j]))
+    return breaks, pieces
+
+
+def _assert_pieces(got, breaks, pieces, tol=1e-11):
+    """``got`` has the given breaks and, row by row, the given coefficients
+    followed by zero padding only."""
+    np.testing.assert_array_equal(got.breaks, breaks)
+    assert got.npieces == len(pieces)
+    for row, ref in zip(got.coefs, pieces):
+        ref = np.trim_zeros(ref, "b")
+        np.testing.assert_allclose(row[: len(ref)], ref, rtol=tol, atol=tol)
+        assert not row[len(ref) :].any()
+
+
+@st.composite
+def extra_breaks(draw, p):
+    """Random points plus points within a few BREAK_RTOL of p's breaks."""
+    pts = draw(st.lists(st.floats(min_value=-0.5, max_value=2.5), max_size=4))
+    for t in draw(st.lists(st.sampled_from(list(p.breaks)), max_size=3)):
+        pts.append(t + BREAK_RTOL * draw(st.sampled_from([-2.0, -0.5, 0.5, 2.0])))
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_refined_matches_per_piece_shifts(data):
+    p = data.draw(pw_polys())
+    extra = data.draw(extra_breaks(p))
+    r = p.refined(extra)
+    _assert_pieces(r, *_ref_refined(p, extra))
+    if np.array_equal(r.breaks, p.breaks):
+        assert r is p
+
+
+@settings(max_examples=60, deadline=None)
+@given(pw_polys(), pw_polys())
+def test_sum_and_product_match_per_piece_algebra(p, q):
+    tol = max(p._tol(), q._tol())
+    merged = merge_breaks([p.breaks, q.breaks], tol)
+    breaks, pp = _ref_refined(p, merged)
+    _, qq = _ref_refined(q, merged)
+    width = max(len(c) for c in pp + qq)
+    padded = [np.pad(c, (0, width - len(c))) for c in pp + qq]
+    sums = [a + b for a, b in zip(padded[: len(pp)], padded[len(pp) :])]
+    _assert_pieces(p + q, breaks, sums)
+    _assert_pieces(p - q, breaks, [a - b for a, b in zip(padded[: len(pp)], padded[len(pp) :])])
+    _assert_pieces(p * q, breaks, [np.convolve(a, b) for a, b in zip(pp, qq)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pw_polys(), st.integers(min_value=0, max_value=4))
+def test_derivative_matches_per_piece(p, k):
+    pieces = [npoly.polyder(np.array(c), k) if len(c) > k else np.zeros(1) for c in p.coefs]
+    _assert_pieces(p.derivative(k), p.breaks, pieces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pw_polys())
+def test_antiderivative_and_jumps_match_per_piece(p):
+    pieces, acc = [], 0.0
+    for i, c in enumerate(p.coefs):
+        ci = npoly.polyint(np.array(c))
+        ci[0] = acc
+        acc = _poly_val(ci, p.breaks[i + 1] - p.breaks[i])
+        pieces.append(ci)
+    _assert_pieces(p.antiderivative(), p.breaks, pieces)
+    assert p.integral() == pytest.approx(complex(acc), rel=1e-12, abs=1e-12)
+
+    jumps = p.jumps()
+    assert [t for t, _ in jumps] == list(p.breaks[1:-1])
+    for i, (_, gap) in enumerate(jumps, start=1):
+        left = _poly_val(np.array(p.coefs[i - 1]), p.breaks[i] - p.breaks[i - 1])
+        assert gap == pytest.approx(complex(p.coefs[i][0] - left), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pw_polys(), st.floats(min_value=0.05, max_value=1.95))
+def test_restrict_then_concat_is_refinement(p, x):
+    assume(_away_from_breaks(x, p))
+    left, right = p.restrict(0.0, x), p.restrict(x, 2.0)
+    breaks, pieces = _ref_refined(p, [x])
+    cut = int(np.searchsorted(breaks, x))
+    _assert_pieces(left, breaks[: cut + 1], pieces[:cut])
+    _assert_pieces(right, breaks[cut:], pieces[cut:])
+    _assert_pieces(left.concat(right), breaks, pieces)
