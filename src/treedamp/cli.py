@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import residual_ell, solve_cauchy
-from .config import ConfigError, ProblemConfig, _num, _num_out
+from .config import ConfigError, ProblemConfig, _check_keys, _num_out, _parse_piecewise, _read_json
 from .damping import Control, IndefiniteGramError, default_mesh, solve_damping
 from .diagnostics import PERSISTENT_CHANGE, solution_report
 from .expressions import CoefficientError
@@ -85,35 +85,26 @@ def _control_to_dict(cfg: ProblemConfig, control: Control) -> dict:
 
 
 def _control_from_file(path, cfg: ProblemConfig) -> Control:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(d, dict) or "edges" not in d:
-        raise ConfigError(f"{path}: expected an object with an 'edges' list")
-    by_id = {}
+    d = _read_json(path)
+    _check_keys(d, {"edges"}, {"edges"}, "control")
+    if not isinstance(d["edges"], list):
+        raise ConfigError("control.edges: expected a list of edge records")
+    canon = {eid: j for j, eid in enumerate(cfg.edge_ids, start=1)}
+    comps = {}
     for i, e in enumerate(d["edges"]):
         p = f"control.edges[{i}]"
-        for key in ("id", "breaks", "pieces"):
-            if key not in e:
-                raise ConfigError(f"{p}: missing key {key!r}")
-        coefs = [np.array([_num(z, f"{p}.pieces[{r}][{s}]") for s, z in enumerate(piece)])
-                 for r, piece in enumerate(e["pieces"])]
-        by_id[e["id"]] = PiecewisePoly(np.array([float(x) for x in e["breaks"]]), coefs)
-    comps = []
-    for j in range(1, cfg.tree.m + 1):
-        eid = cfg.edge_ids[j - 1]
-        if eid not in by_id:
+        _check_keys(e, {"id", "breaks", "pieces"}, {"id", "breaks", "pieces"}, p)
+        eid = e["id"]
+        if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
+            raise ConfigError(f"{p}.id: unknown edge id {eid!r}")
+        j = canon[eid]
+        if j in comps:
+            raise ConfigError(f"{p}.id: duplicate edge id {eid}")
+        comps[j] = _parse_piecewise(e["breaks"], e["pieces"], 0.0, cfg.tree.length(j), p)
+    for eid, j in canon.items():
+        if j not in comps:
             raise ConfigError(f"control file lacks edge id {eid}")
-        u = by_id[eid]
-        Tj = cfg.tree.length(j)
-        if abs(u.domain[0]) > 1e-9 or abs(u.domain[1] - Tj) > 1e-9 * max(1.0, Tj):
-            raise ConfigError(f"control for edge id {eid} must cover [0, {Tj}]")
-        comps.append(u)
-    return Control(cfg.tree, tuple(comps))
+    return Control(cfg.tree, tuple(comps[j] for j in sorted(comps)))
 
 
 def _numbers(value) -> list:
@@ -180,12 +171,7 @@ def cmd_verify(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     sol_dir = Path(args.solution)
     path = sol_dir / "summary.json"
-    try:
-        summary = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read solution summary: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    summary = _read_json(path)
     if not isinstance(summary, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     q = summary.get("q", cfg.solver.q)

@@ -35,6 +35,18 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
+def _read_json(path):
+    """The JSON document in ``path``; an unreadable or malformed file is a
+    :class:`ConfigError` naming the file and the position."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 def _real(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(path, f"expected a real number, got {x!r}")
@@ -71,10 +83,32 @@ def _check_keys(d: dict, allowed: set, required: set, path: str):
             _fail(path, f"missing required key {key!r}")
 
 
+def _parse_piecewise(breaks, pieces, a: float, b: float, path: str) -> PiecewisePoly:
+    """Breakpoints plus per-piece local coefficients into a piecewise
+    polynomial on [a, b]; the end breakpoints snap onto a and b."""
+    if not isinstance(breaks, list):
+        _fail(path + ".breaks", "expected a list of breakpoints")
+    breaks = [_real(x, f"{path}.breaks[{i}]") for i, x in enumerate(breaks)]
+    if not isinstance(pieces, list) or len(pieces) != len(breaks) - 1:
+        _fail(path + ".pieces", f"expected {len(breaks) - 1} pieces for {len(breaks)} breaks")
+    tol = 1e-9 * max(1.0, abs(a), abs(b))
+    if abs(breaks[0] - a) > tol or abs(breaks[-1] - b) > tol:
+        _fail(path + ".breaks", f"breakpoints must span [{a}, {b}]")
+    coefs = []
+    for i, piece in enumerate(pieces):
+        if not isinstance(piece, list) or not piece:
+            _fail(f"{path}.pieces[{i}]", "expected a non-empty coefficient array")
+        coefs.append(np.array([_num(x, f"{path}.pieces[{i}][{j}]") for j, x in enumerate(piece)]))
+    breaks[0], breaks[-1] = a, b
+    try:
+        return PiecewisePoly(np.array(breaks), coefs)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _parse_poly_data(entry: dict, a: float, b: float, path: str) -> PiecewisePoly:
-    """One {kind, data} record into a piecewise polynomial on [a, b]."""
-    _check_keys(entry, {"kind", "data"} | set(entry) & {"edge", "family", "k"},
-                {"kind", "data"}, path)
+    """One {kind, data} record, its keys already checked, into a piecewise
+    polynomial on [a, b]."""
     kind = entry["kind"]
     data = entry["data"]
     if kind == "constant":
@@ -86,25 +120,7 @@ def _parse_poly_data(entry: dict, a: float, b: float, path: str) -> PiecewisePol
         return PiecewisePoly.from_global_coefs(a, b, coefs)
     if kind == "piecewise":
         _check_keys(data, {"breaks", "pieces"}, {"breaks", "pieces"}, path + ".data")
-        breaks = [_real(x, f"{path}.data.breaks[{i}]") for i, x in enumerate(data["breaks"])]
-        pieces = data["pieces"]
-        if not isinstance(pieces, list) or len(pieces) != len(breaks) - 1:
-            _fail(path + ".data.pieces", f"expected {len(breaks) - 1} pieces for {len(breaks)} breaks")
-        tol = 1e-9 * max(1.0, abs(a), abs(b))
-        if abs(breaks[0] - a) > tol or abs(breaks[-1] - b) > tol:
-            _fail(path + ".data.breaks", f"breakpoints must span [{a}, {b}]")
-        coefs = []
-        for i, piece in enumerate(pieces):
-            if not isinstance(piece, list) or not piece:
-                _fail(f"{path}.data.pieces[{i}]", "expected a non-empty coefficient array")
-            coefs.append(np.array(
-                [_num(x, f"{path}.data.pieces[{i}][{j}]") for j, x in enumerate(piece)]
-            ))
-        breaks[0], breaks[-1] = a, b
-        try:
-            return PiecewisePoly(np.array(breaks), coefs)
-        except ValueError as exc:
-            _fail(path + ".data", str(exc))
+        return _parse_piecewise(data["breaks"], data["pieces"], a, b, path + ".data")
     _fail(path + ".kind", f"unknown kind {kind!r} (constant | polynomial | piecewise)")
 
 
@@ -226,6 +242,7 @@ class ProblemConfig:
         except Exception as exc:
             _fail("config.coefficients", str(exc))
 
+        _check_keys(d["history"], {"kind", "data"}, {"kind", "data"}, "config.history")
         history = _parse_poly_data(d["history"], -tau, 0.0, "config.history")
 
         solver = SolverOptions()
@@ -243,14 +260,7 @@ class ProblemConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":
-        try:
-            with open(path) as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(_read_json(path))
 
     def to_dict(self) -> dict:
         """Canonical form: canonical edge order, sorted coefficient records,

@@ -7,7 +7,8 @@ basis pairs and the right side driven by the history lift.  ``G`` is
 Hermitian positive definite whenever the leading coefficients stay away
 from zero, so the solve is a single Cholesky factorisation.
 
-Assembly works element by element.  At every Gauss point of an edge the
+Assembly works element by element on the shape and DOF-row tables of
+:class:`~treedamp.meshing.Basis`.  At every Gauss point of an edge the
 operator row of the basis is the sum of the ``2n`` Hermite shapes of the
 element holding ``t`` (weighted by the ``b_k``) and of the element holding
 ``t - tau`` (weighted by the ``c_k``), which sits on the same edge or on the
@@ -68,44 +69,23 @@ class Control:
         return sum(p.l2_norm_sq() for p in self.components)
 
 
-class _QuadGrid:
-    """Shared per-edge Gauss grids refining a family of breakpoint sets."""
-
-    def __init__(self, tree: Tree, break_sets: list, max_degree: int):
-        self.points = []
-        self.weights = []
-        gx, gw = np.polynomial.legendre.leggauss(max_degree + 1)
-        for j in range(1, tree.m + 1):
-            tol = 1e-12 * max(1.0, tree.length(j))
-            cells = merge_breaks(break_sets[j - 1], tol)
-            a = cells[:-1]
-            h = np.diff(cells)
-            pts = (a[:, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
-            wts = (0.5 * h[:, None] * gw[None, :]).ravel()
-            self.points.append(pts)
-            self.weights.append(wts)
-        self.flat_weights = np.concatenate(self.weights)
-
-    def eval_edges(self, polys: list) -> np.ndarray:
-        return np.concatenate([p.values(pts) for p, pts in zip(polys, self.points)])
-
-
 @dataclass
 class GramSystem:
     """Normal equations of the discrete minimisation.
 
     ``matrix[p, r]`` is the energy product of basis function ``r`` against
     basis function ``p``; ``rhs[p]`` is minus the product of the lift
-    against basis function ``p``.  The evaluation grid and the basis-image
-    values are kept for reuse by the optimality diagnostics.
+    against basis function ``p``.  The Gauss grid (``points`` per edge,
+    ``weights`` flat over all edges in edge order) and the basis-image values
+    are kept for reuse by the optimality diagnostics.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     basis: Basis
-    grid: _QuadGrid
+    points: list
+    weights: np.ndarray
     basis_values: np.ndarray  # ndof x nquad values of L w_p
-    lift_values: np.ndarray  # nquad values of L lift
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -129,39 +109,24 @@ class GramSystem:
         return scipy.linalg.cho_solve(cf, self.rhs)
 
 
-class _EdgeElements:
-    """Hermite shapes and DOF rows of the elements of one edge.
-
-    ``shapes[e]`` is the ``2n x 2n`` coefficient matrix of element ``e``:
-    row ``k`` (``n + k``) is the shape carrying derivative ``k`` at the left
-    (right) node, in ascending powers of ``t - nodes[e]``.  ``rows[e]`` holds
-    the matching DOF indices, -1 where the node is clamped.
-    """
-
-    def __init__(self, basis: Basis, j: int):
-        self.nodes = basis.mesh.nodes[j - 1]
-        self.shapes = np.array([np.vstack(basis._shapes(h)) for h in np.diff(self.nodes)])
-        dofs = []
-        for g in basis.node_gid[j - 1]:
-            idx = (basis.dof_index(g, k) for k in range(basis.n))
-            dofs.append([-1 if p is None else p for p in idx])
-        self.rows = np.array([a + b for a, b in zip(dofs[:-1], dofs[1:])], dtype=int)
-
-    def add_rows(self, L: np.ndarray, cols: np.ndarray, t: np.ndarray, weights: list) -> None:
-        """Add ``sum_k a_k(t) d^k/dt^k`` of the shapes of the element holding
-        each ``t`` into the free DOF rows of column ``cols`` of ``L``, for
-        ``weights = [(k, a_k(t)), ...]``."""
-        e = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, len(self.shapes) - 1)
-        s = t - self.nodes[e]
-        deg = self.shapes.shape[1]
-        mono = np.zeros((len(t), deg), dtype=complex)
-        for k, a in weights:
-            mono += derivative_powers(s, k, deg, a)
-        vals = np.einsum("pi,psi->ps", mono, self.shapes[e])
-        rows = self.rows[e]
-        free = rows >= 0
-        # the rows of one point are distinct DOFs, so the fancy += adds each once
-        L[rows[free], np.broadcast_to(cols[:, None], rows.shape)[free]] += vals[free]
+def _add_rows(L: np.ndarray, basis: Basis, j: int, cols: np.ndarray, t: np.ndarray,
+              weights: list) -> None:
+    """Add ``sum_k a_k(t) d^k/dt^k`` of the shapes of the element of edge
+    ``j`` holding each ``t`` into the free DOF rows of column ``cols`` of
+    ``L``, for ``weights = [(k, a_k(t)), ...]``."""
+    nodes = basis.mesh.nodes[j - 1]
+    shapes = basis.shapes[j - 1]
+    e = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(shapes) - 1)
+    s = t - nodes[e]
+    deg = shapes.shape[-1]
+    mono = np.zeros((len(t), deg), dtype=complex)
+    for k, a in weights:
+        mono += derivative_powers(s, k, deg, a)
+    vals = np.einsum("pi,psi->ps", mono, shapes[e])
+    rows = basis.rows[j - 1][e]
+    free = rows >= 0
+    # the rows of one point are distinct DOFs, so the fancy += adds each once
+    L[rows[free], np.broadcast_to(cols[:, None], rows.shape)[free]] += vals[free]
 
 
 def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSystem:
@@ -177,7 +142,7 @@ def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSy
     lift_ell = operator_components(lift, coeffs)
     terms = [coeffs.terms(j) for j in range(1, tree.m + 1)]
 
-    break_sets = []
+    cells = []
     max_deg = max(p.max_degree for p in lift_ell)
     for j in range(1, tree.m + 1):
         sets = [nodes[j - 1], lift_ell[j - 1].breaks]
@@ -194,34 +159,35 @@ def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSy
                 par = nodes[tree.parent_of(j) - 1]
                 Tp = tree.length(tree.parent_of(j))
                 sets.append(par[par > Tp - tau] - Tp + tau)
-        break_sets.append(sets)
+        cells.append(merge_breaks(sets, 1e-12 * max(1.0, tree.length(j))))
 
-    grid = _QuadGrid(tree, break_sets, max_deg)
-    L = np.zeros((basis.ndof, len(grid.flat_weights)), dtype=complex)
-    elements = [_EdgeElements(basis, j) for j in range(1, tree.m + 1)]
+    gx, gw = np.polynomial.legendre.leggauss(max_deg + 1)
+    points = [(x[:-1, None] + 0.5 * np.diff(x)[:, None] * (gx + 1.0)).ravel() for x in cells]
+    weights = np.concatenate([(0.5 * np.diff(x)[:, None] * gw).ravel() for x in cells])
+    L = np.zeros((basis.ndof, len(weights)), dtype=complex)
     start = 0
-    for j in range(1, tree.m + 1):
-        t = grid.points[j - 1]
+    for j, t in enumerate(points, start=1):
         cols = start + np.arange(len(t))
         start += len(t)
-        edge = elements[j - 1]
-        edge.add_rows(L, cols, t, [(k, b.values(t)) for k, b, _ in terms[j - 1] if b is not None])
+        b_w = [(k, b.values(t)) for k, b, _ in terms[j - 1] if b is not None]
+        _add_rows(L, basis, j, cols, t, b_w)
         c_w = [(k, c.values(t)) for k, _, c in terms[j - 1] if c is not None]
         if not c_w:
             continue
         td = t - tau
         own = td >= 0.0
-        edge.add_rows(L, cols[own], td[own], [(k, a[own]) for k, a in c_w])
+        _add_rows(L, basis, j, cols[own], td[own], [(k, a[own]) for k, a in c_w])
         if j > 1:  # on the root edge the early delayed read is the (zero) history
             p = tree.parent_of(j)
             head = ~own
-            elements[p - 1].add_rows(L, cols[head], td[head] + tree.length(p), [(k, a[head]) for k, a in c_w])
-    Lphi = grid.eval_edges(lift_ell)
+            _add_rows(L, basis, p, cols[head], td[head] + tree.length(p),
+                      [(k, a[head]) for k, a in c_w])
+    Lphi = np.concatenate([ell.values(t) for ell, t in zip(lift_ell, points)])
     Lw = L.conj()
-    Lw *= grid.flat_weights[None, :]
+    Lw *= weights[None, :]
     G = Lw @ L.T
     f = -(Lw @ Lphi)
-    return GramSystem(matrix=G, rhs=f, basis=basis, grid=grid, basis_values=L, lift_values=Lphi)
+    return GramSystem(matrix=G, rhs=f, basis=basis, points=points, weights=weights, basis_values=L)
 
 
 @dataclass
@@ -257,7 +223,6 @@ def solve_damping(
     coeffs: CoefficientSet,
     phi: PiecewisePoly,
     q: int = 8,
-    mesh: DelayMesh | None = None,
 ) -> DampingSolution:
     """Minimise the control cost subject to history and rest constraints.
 
@@ -272,8 +237,7 @@ def solve_damping(
                 "window consumes most of it and the problem may be stiff",
                 stacklevel=2,
             )
-    if mesh is None:
-        mesh = default_mesh(tree, coeffs, q)
+    mesh = default_mesh(tree, coeffs, q)
     basis = Basis(mesh, coeffs.n)
     lift = history_lift(mesh, coeffs.n, phi)
     gram = assemble(basis, lift, coeffs)
@@ -302,11 +266,10 @@ def optimality_check(sol: DampingSolution) -> dict:
     """
     if sol.basis.ndof == 0:
         return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
-    grid = sol.gram.grid
-    u_vals = grid.eval_edges(list(sol.control.components))
-    w = grid.flat_weights
-    resid = (sol.gram.basis_values.conj() * w[None, :]) @ u_vals
-    norms = np.sqrt(np.abs(np.diag(sol.gram.matrix).real))
+    gram = sol.gram
+    u_vals = np.concatenate([u.values(t) for u, t in zip(sol.control.components, gram.points)])
+    resid = (gram.basis_values.conj() * gram.weights[None, :]) @ u_vals
+    norms = np.sqrt(np.abs(np.diag(gram.matrix).real))
     ynorm = np.sqrt(max(sol.energy, 0.0))
     scale = norms * ynorm
     rel = np.abs(resid) / np.where(scale > 0, scale, 1.0)

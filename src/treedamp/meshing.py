@@ -7,6 +7,11 @@ elements of degree ``2n-1`` (value and first ``n-1`` derivatives shared at
 the nodes), on meshes whose nodes contain every delay-wavefront image of the
 initial instant, so that the kinks the stepping structure creates sit on
 element boundaries.
+
+:class:`Basis` owns the element layer: per edge it tabulates the Hermite
+shapes of every element and the DOF indices of their nodal data, and
+reconstruction (:meth:`Basis.tree_function`), Gram assembly and the history
+lift all read those tables.
 """
 
 from __future__ import annotations
@@ -25,14 +30,14 @@ class MeshError(ValueError):
     pass
 
 
-def _hermite_shapes(n: int, h: float) -> tuple:
-    """Shape functions for one element of width ``h``.
+def _hermite_shapes(n: int, h) -> np.ndarray:
+    """Hermite shapes of elements of width ``h`` (a number or an array).
 
-    Returns ``(left, right)``: arrays of shape ``(n, 2n)`` whose row ``k``
-    holds the coefficients (ascending powers of the scaled local variable
-    ``s / h``) of the function with ``k``-th derivative 1 at the matching
-    end and all other nodal data zero.  Coefficients are returned already
-    rescaled to the unscaled local variable ``s``.
+    Returns an array of shape ``np.shape(h) + (2n, 2n)``.  Row ``k`` holds
+    the coefficients, in ascending powers of the local variable ``s``
+    measured from the left node, of the shape with ``k``-th derivative 1 at
+    the left node and all other nodal data zero; row ``n + k`` is the same
+    for the right node.
     """
     N = 2 * n
     # conditions in the scaled variable sigma = s/h: derivatives 0..n-1 at
@@ -40,13 +45,9 @@ def _hermite_shapes(n: int, h: float) -> tuple:
     ends = np.array([derivative_powers([0.0, 1.0], k, N) for k in range(n)])
     M = ends.transpose(1, 0, 2).reshape(N, N)
     X = np.linalg.solve(M, np.eye(N))
-    scale = h ** np.arange(N)
-    left = np.empty((n, N))
-    right = np.empty((n, N))
-    for k in range(n):
-        left[k] = X[:, k] / scale * h**k
-        right[k] = X[:, n + k] / scale * h**k
-    return left, right
+    h = np.asarray(h, dtype=float)[..., None, None]
+    i = np.arange(N)
+    return X.T / h**i * h ** (i % n)[:, None]
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,6 @@ class DelayMesh:
     q: int
     nodes: tuple
     wavefronts: tuple
-
-    def elements(self, j: int):
-        xs = self.nodes[j - 1]
-        return zip(xs[:-1], xs[1:])
 
     def max_width(self) -> float:
         return max(float(np.max(np.diff(xs))) for xs in self.nodes)
@@ -147,6 +144,11 @@ class Basis:
     child edges (that is what keeps the space conforming across vertices);
     it is dropped when it is the start of the root edge or when it lies in
     the resting tail ``[T_j - tau, T_j]`` of a boundary edge.
+
+    The element tables are the one description of the space: for edge
+    ``j``, ``shapes[j-1][e]`` is the ``2n x 2n`` shape matrix of element
+    ``e`` (see :func:`_hermite_shapes`) and ``rows[j-1][e]`` the ``2n`` DOF
+    indices of its left then right nodal data, -1 where the node is clamped.
     """
 
     def __init__(self, mesh: DelayMesh, n: int):
@@ -157,75 +159,50 @@ class Basis:
         tree = mesh.tree
 
         gid = []  # per edge: global node id for each local node
-        positions = []  # per gid: (edge, local t) of the defining occurrence
-        free = []
+        positions = [(1, 0.0)]  # per gid: (edge, local t) of the defining occurrence
+        free = [False]  # the history side of the root vertex is clamped
         for j in range(1, tree.m + 1):
             xs = mesh.nodes[j - 1]
-            ids = np.empty(len(xs), dtype=int)
-            if j == 1:
-                start = len(positions)
-                positions.append((1, 0.0))
-                ids[0] = start
-                free.append(False)  # history side of the root vertex is clamped
-            else:
-                parent = tree.parent_of(j)
-                ids[0] = gid[parent - 1][-1]
             Tj = tree.length(j)
             tail_from = Tj - mesh.tau - 1e-9 * max(1.0, Tj)
-            for i, t in enumerate(xs[1:], start=1):
-                ids[i] = len(positions)
-                positions.append((j, float(t)))
-                free.append(not (tree.is_boundary(j) and t >= tail_from))
-            gid.append(ids)
+            first = 0 if j == 1 else gid[tree.parent_of(j) - 1][-1]
+            gid.append(np.append(first, len(positions) + np.arange(len(xs) - 1)))
+            positions += [(j, float(t)) for t in xs[1:]]
+            free += [not (tree.is_boundary(j) and t >= tail_from) for t in xs[1:]]
 
         self.node_gid = gid
         self.node_positions = positions
-        self.free_mask = np.array(free)
-        self.free_nodes = np.nonzero(self.free_mask)[0]
-        self._dof_of_node = {g: i for i, g in enumerate(self.free_nodes)}
-        self._shape_cache: dict = {}
+        self.free_nodes = np.flatnonzero(free)
+        first_dof = np.full(len(positions), -1)  # per gid: DOF of derivative 0, -1 if clamped
+        first_dof[self.free_nodes] = n * np.arange(len(self.free_nodes))
+        self.shapes = []
+        self.rows = []
+        for j in range(1, tree.m + 1):
+            self.shapes.append(_hermite_shapes(n, np.diff(mesh.nodes[j - 1])))
+            d = first_dof[gid[j - 1]][:, None]
+            node_rows = np.where(d >= 0, d + np.arange(n), -1)
+            self.rows.append(np.hstack([node_rows[:-1], node_rows[1:]]))
 
     @property
     def ndof(self) -> int:
         return self.n * len(self.free_nodes)
-
-    def dof_index(self, node_gid: int, k: int) -> int | None:
-        """Flat DOF index of derivative ``k`` at a global node, None if clamped."""
-        i = self._dof_of_node.get(node_gid)
-        return None if i is None else i * self.n + k
-
-    def _shapes(self, h: float):
-        key = round(h, 14)
-        if key not in self._shape_cache:
-            self._shape_cache[key] = _hermite_shapes(self.n, h)
-        return self._shape_cache[key]
 
     def tree_function(self, dofs: np.ndarray) -> TreeFunction:
         """Member of the discrete space with the given DOF vector."""
         dofs = np.asarray(dofs, dtype=complex)
         if dofs.shape != (self.ndof,):
             raise ValueError(f"expected {self.ndof} degrees of freedom")
-        tree = self.mesh.tree
         n = self.n
-
-        def nodal(gid_, k):
-            p = self.dof_index(gid_, k)
-            return 0.0 + 0.0j if p is None else dofs[p]
-
+        padded = np.append(dofs, 0.0)  # index -1, a clamped node, reads 0
         comps = []
-        for j in range(1, tree.m + 1):
-            xs = self.mesh.nodes[j - 1]
-            ids = self.node_gid[j - 1]
-            coefs = []
-            for i in range(len(xs) - 1):
-                h = xs[i + 1] - xs[i]
-                left, right = self._shapes(h)
-                c = np.zeros(2 * n, dtype=complex)
-                for k in range(n):
-                    c += nodal(ids[i], k) * left[k] + nodal(ids[i + 1], k) * right[k]
-                coefs.append(c)
+        for xs, shapes, rows in zip(self.mesh.nodes, self.shapes, self.rows):
+            nodal = padded[rows]
+            coefs = np.zeros((len(rows), 2 * n), dtype=complex)
+            for k in range(n):
+                coefs += nodal[:, k, None] * shapes[:, k] + nodal[:, n + k, None] * shapes[:, n + k]
             comps.append(PiecewisePoly(xs, coefs))
-        return TreeFunction(tree, n, tuple(comps), PiecewisePoly.zero(-self.mesh.tau, 0.0))
+        history = PiecewisePoly.zero(-self.mesh.tau, 0.0)
+        return TreeFunction(self.mesh.tree, n, tuple(comps), history)
 
     def unit(self, p: int) -> TreeFunction:
         e = np.zeros(self.ndof, dtype=complex)
@@ -264,7 +241,7 @@ def history_lift(mesh: DelayMesh, n: int, phi: PiecewisePoly) -> TreeFunction:
         raise MeshError(f"history domain [{a}, {b_}] does not match [-{tau}, 0]")
     T1 = tree.length(1)
     L = T1 - tau
-    left, _right = _hermite_shapes(n, L)
+    left = _hermite_shapes(n, L)[:n]
     c = np.zeros(2 * n, dtype=complex)
     for k in range(n):
         c += phi.left_limit(0.0, k) * left[k]

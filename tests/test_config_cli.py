@@ -294,6 +294,51 @@ def test_cli_exit_codes_for_bad_input(tmp_path, capsys):
     assert "lacks edge id" in capsys.readouterr().err
 
 
+def _set_edge(**fields):
+    return lambda d: d["edges"][0].update(fields)
+
+
+@pytest.mark.parametrize("target, mutate, fragment", [
+    pytest.param("control", _set_edge(pieces=[[0.0]]),
+                 "control.edges[0].pieces: expected 2 pieces", id="missing-piece"),
+    pytest.param("control", _set_edge(breaks=[0.0, 2.0, 1.5, 3.0], pieces=[[0.0]] * 3),
+                 "control.edges[0]: breakpoints must be strictly increasing", id="unsorted-breaks"),
+    pytest.param("control", lambda d: d.update(edges=[5]),
+                 "control.edges[0]: expected an object", id="edge-not-object"),
+    pytest.param("control", lambda d: d.update(edges=5),
+                 "control.edges: expected a list", id="edges-not-list"),
+    pytest.param("control", _set_edge(pieces=[[0.0], []]),
+                 "control.edges[0].pieces[1]: expected a non-empty", id="empty-piece"),
+    pytest.param("control", _set_edge(breaks=[0.0, "x", 3.0]),
+                 "control.edges[0].breaks[1]: expected a real", id="non-numeric-break"),
+    pytest.param("control", _set_edge(pieces=[[0.0], 1.0]),
+                 "control.edges[0].pieces[1]: expected a non-empty", id="piece-not-list"),
+    pytest.param("control", lambda d: d["edges"].append(dict(d["edges"][0])),
+                 "control.edges[1].id: duplicate edge id", id="duplicate-edge"),
+    pytest.param("control", _set_edge(id=7),
+                 "control.edges[0].id: unknown edge id", id="unknown-edge"),
+    pytest.param("control", _set_edge(breaks=[0.0, 1.5, 2.5]),
+                 "control.edges[0].breaks: breakpoints must span", id="short-domain"),
+    pytest.param("config", lambda d: d.update(history=5),
+                 "config.history: expected an object", id="history-not-object"),
+    pytest.param("config", lambda d: d.update(history={"kind": "piecewise",
+                                                       "data": {"breaks": 5, "pieces": []}}),
+                 "config.history.data.breaks: expected a list", id="breaks-not-list"),
+])
+def test_cli_rejects_malformed_piecewise_input(tmp_path, capsys, target, mutate, fragment):
+    files = {
+        "config": _minimal_dict(),
+        "control": {"edges": [{"id": 1, "breaks": [0.0, 1.5, 3.0], "pieces": [[0.0], [1.0, 0.5]]}]},
+    }
+    mutate(files[target])
+    for name, d in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    code = main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--control", str(tmp_path / "control.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_cli_rejects_leading_coefficient_with_interior_zero(tmp_path, capsys):
     lead = {"edge": 1, "family": "b", "k": 1, "kind": "polynomial", "data": [-0.1, 1.0]}
     bad = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Invariants of the minimal energy over generated problems.
+"""Invariants of the minimal energy and of the damp -> simulate round trip.
 
 Random small trees (depth at most 3), orders 1 and 2, refinement up to 4,
 complex lower-order coefficients and histories.  Edge lengths are multiples
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treedamp.cauchy import solve_cauchy
 from treedamp.damping import solve_damping
 from treedamp.expressions import CoefficientSet
 from treedamp.piecewise import PiecewisePoly
@@ -44,7 +45,7 @@ def problems(draw):
     return parents, lengths, n, q, coefs, history
 
 
-def _energy(problem, relabel=None, alpha=1.0):
+def _solve(problem, relabel=None, alpha=1.0):
     parents, lengths, n, q, coefs, history = problem
     name = relabel or {e: e for e in parents}
     tree = build_tree(
@@ -58,7 +59,11 @@ def _energy(problem, relabel=None, alpha=1.0):
         tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, tree.length(j), data)
     cs = CoefficientSet.build(tree, n, TAU, b=tables["b"], c=tables["c"])
     phi = PiecewisePoly.from_global_coefs(-TAU, 0.0, [alpha * h for h in history])
-    return solve_damping(tree, cs, phi, q=q).energy
+    return solve_damping(tree, cs, phi, q=q)
+
+
+def _energy(problem, relabel=None, alpha=1.0):
+    return _solve(problem, relabel, alpha).energy
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,3 +87,21 @@ def test_energy_is_invariant_under_edge_relabelling(problem, rnd):
 def test_energy_scales_with_the_history(problem, alpha):
     scaled = _energy(problem, alpha=4.0 * alpha)
     assert scaled == pytest.approx(abs(4.0 * alpha) ** 2 * _energy(problem), rel=1e-11, abs=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_damping_then_simulating_reproduces_the_trajectory(problem):
+    sol = _solve(problem)
+    tree = sol.mesh.tree
+    back = solve_cauchy(tree, sol.coeffs, sol.y.history, sol.control, sol.mesh)
+    size = gap = 0.0
+    for j in range(1, tree.m + 1):
+        y, z = sol.y.component(j), back.component(j)
+        xs = y.breaks
+        ts = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2])
+        for k in range(sol.coeffs.n):
+            want = y.values(ts, k)
+            size = max(size, np.max(np.abs(want)))
+            gap = max(gap, np.max(np.abs(z.values(ts, k) - want)))
+    assert gap <= 1e-9 * size

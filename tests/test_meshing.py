@@ -22,7 +22,9 @@ from treedamp.expressions import TreeFunction
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hermite_shapes_nodal_conditions(n):
     h = 0.71
-    left, right = _hermite_shapes(n, h)
+    shapes = _hermite_shapes(n, h)
+    assert shapes.shape == (2 * n, 2 * n)
+    left, right = shapes[:n], shapes[n:]
     for k in range(n):
         pl = PiecewisePoly.single(0.0, h, left[k])
         pr = PiecewisePoly.single(0.0, h, right[k])
@@ -32,6 +34,12 @@ def test_hermite_shapes_nodal_conditions(n):
             assert pl.left_limit(h, nu) == pytest.approx(0.0, abs=1e-11)
             assert pr.eval(0.0, nu) == pytest.approx(0.0, abs=1e-11)
             assert pr.left_limit(h, nu) == pytest.approx(1.0 if nu == k else 0.0, abs=1e-11)
+    # an array of widths tabulates every element at once, as the scalar calls do
+    widths = np.array([[0.71, 0.2], [1.3, 2.2e-14 + 0.2]])
+    table = _hermite_shapes(n, widths)
+    assert table.shape == (2, 2, 2 * n, 2 * n)
+    for idx in np.ndindex(widths.shape):
+        assert np.array_equal(table[idx], _hermite_shapes(n, widths[idx]))
 
 
 def test_mesh_contains_mandatory_nodes_and_respects_width():
@@ -91,7 +99,11 @@ def test_vertex_dof_is_shared():
     g = basis.node_gid[0][-1]
     assert basis.node_gid[1][0] == g
     assert basis.node_gid[2][0] == g
-    p = basis.dof_index(g, 0)
+    # the element tables carry the same DOF index on both sides of the vertex
+    p = basis.rows[0][-1][1]
+    assert p >= 0
+    assert basis.rows[1][0][0] == p
+    assert basis.rows[2][0][0] == p
     e = basis.unit(p)
     assert e.component(1).left_limit(2.0) == pytest.approx(1.0)
     assert e.component(2).right_limit(0.0) == pytest.approx(1.0)
@@ -112,14 +124,17 @@ def test_basis_members_are_admissible():
 
 
 def test_interpolate_inverts_tree_function():
-    tr = star([2.0, 2.0, 2.0])
-    for n in (1, 2):
-        mesh = build_mesh(tr, 0.6, 2)
+    # elements of many different widths, some equal only up to roundoff: at
+    # n = 3 one shape table shared by nearly equal widths misses by ~1e-9
+    tr = build_tree({1: 0, 2: 1, 3: 1, 4: 2}, {1: 2.3, 2: 1.7, 3: 2.9, 4: 1.1})
+    mesh = build_mesh(tr, 0.6, 2, sources=(0.0, 0.37), local_points={2: [0.77], 3: [1.3]})
+    assert len({round(h, 12) for xs in mesh.nodes for h in np.diff(xs)}) > 4
+    for n in (1, 2, 3):
         basis = Basis(mesh, n)
         rng = np.random.default_rng(9)
         dofs = rng.standard_normal(basis.ndof) + 1j * rng.standard_normal(basis.ndof)
         back = basis.interpolate(basis.tree_function(dofs))
-        assert np.allclose(back, dofs, atol=1e-9)
+        assert np.allclose(back, dofs, rtol=0.0, atol=1e-9), n
 
 
 def test_tree_function_rejects_wrong_dof_count():
