@@ -103,11 +103,3 @@ def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: Control) -> d
         diff = apply_operator(y, coeffs, j) - control.component(j)
         per_edge.append(math.sqrt(diff.l2_norm_sq()))
     return {"per_edge": per_edge, "total": math.sqrt(sum(r * r for r in per_edge))}
-
-
-def trajectory_distance(y: TreeFunction, z: TreeFunction) -> float:
-    """Total L2 distance between two trajectories over the tree."""
-    total = 0.0
-    for j in range(1, y.tree.m + 1):
-        total += (y.component(j) - z.component(j)).l2_norm_sq()
-    return math.sqrt(total)

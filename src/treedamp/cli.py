@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import residual_ell, solve_cauchy
-from .config import ConfigError, ProblemConfig, _check_keys, _num_out, _parse_piecewise, _read_json
+from .config import (ConfigError, ProblemConfig, _check_keys, _parse_piecewise, _piecewise_out,
+                     _read_json)
 from .damping import Control, IndefiniteGramError, default_mesh, solve_damping
 from .diagnostics import PERSISTENT_CHANGE, solution_report
 from .expressions import CoefficientError
@@ -73,15 +74,8 @@ def _write_control_csv(path: Path, cfg: ProblemConfig, control: Control) -> None
 
 
 def _control_to_dict(cfg: ProblemConfig, control: Control) -> dict:
-    edges = []
-    for j in range(1, cfg.tree.m + 1):
-        u = control.components[j - 1]
-        edges.append({
-            "id": cfg.edge_ids[j - 1],
-            "breaks": [float(x) for x in u.breaks],
-            "pieces": [[_num_out(z) for z in cs] for cs in u.coefs],
-        })
-    return {"edges": edges}
+    return {"edges": [{"id": eid, **_piecewise_out(u)}
+                      for eid, u in zip(cfg.edge_ids, control.components)]}
 
 
 def _control_from_file(path, cfg: ProblemConfig) -> Control:
@@ -175,6 +169,8 @@ def cmd_verify(args) -> int:
     if not isinstance(summary, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     q = summary.get("q", cfg.solver.q)
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise ConfigError(f"{path}: q must be an integer, got {q!r}")
     tol = cfg.solver.tolerance
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     diag = solution_report(sol)

@@ -124,19 +124,22 @@ def _parse_poly_data(entry: dict, a: float, b: float, path: str) -> PiecewisePol
     _fail(path + ".kind", f"unknown kind {kind!r} (constant | polynomial | piecewise)")
 
 
+def _piecewise_out(p: PiecewisePoly) -> dict:
+    """``{breaks, pieces}`` of a piecewise polynomial, as
+    :func:`_parse_piecewise` reads them back."""
+    return {
+        "breaks": [float(x) for x in p.breaks],
+        "pieces": [[_num_out(z) for z in cs] for cs in p.coefs],
+    }
+
+
 def _poly_out(p: PiecewisePoly) -> dict:
     """Canonical {kind, data} for a stored piecewise polynomial."""
     if p.npieces == 1:
         cs = p.coefs[0]
         if cs.size == 1:
             return {"kind": "constant", "data": _num_out(cs[0])}
-    return {
-        "kind": "piecewise",
-        "data": {
-            "breaks": [float(x) for x in p.breaks],
-            "pieces": [[_num_out(z) for z in cs] for cs in p.coefs],
-        },
-    }
+    return {"kind": "piecewise", "data": _piecewise_out(p)}
 
 
 @dataclass(frozen=True)
@@ -292,8 +295,3 @@ class ProblemConfig:
             "history": _poly_out(self.history),
             "solver": {"q": self.solver.q, "tolerance": self.solver.tolerance},
         }
-
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")

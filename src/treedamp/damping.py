@@ -1,11 +1,13 @@
 """Energy-optimal damping by constrained quadratic minimisation.
 
-The optimal trajectory minimises the control cost over ``lift + V_h`` where
-``V_h`` is the discrete perturbation space; equivalently it solves the
-normal equations ``G x = f`` with the Gram matrix of the energy product on
-basis pairs and the right side driven by the history lift.  ``G`` is
-Hermitian positive definite whenever the leading coefficients stay away
-from zero, so the solve is a single Cholesky factorisation.
+The optimal trajectory minimises the energy, the squared L2 norm of the
+control ``L y``, over ``lift + V_h`` where ``V_h`` is the discrete
+perturbation space; equivalently it solves the normal equations
+``G x = f`` with the Gram matrix of the energy product on basis pairs and
+the right side driven by the history lift.  ``G`` is Hermitian positive
+definite whenever the leading coefficients stay away from zero, so the
+solve is a single Cholesky factorisation; :func:`optimality_check` then
+measures the first variation of the solution on the assembly grid.
 
 Assembly works element by element on the shape and DOF-row tables of
 :class:`~treedamp.meshing.Basis`.  At every Gauss point of an edge the
@@ -26,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .expressions import (
-    CoefficientSet,
-    TreeFunction,
-    apply_operator,
-    energy,
-    energy_product_reindexed,
-    operator_components,
-)
+from .expressions import CoefficientSet, TreeFunction, apply_operator, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, history_lift
 from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
@@ -277,63 +272,4 @@ def optimality_check(sol: DampingSolution) -> dict:
         "max_abs": float(np.max(np.abs(resid))),
         "max_rel": float(np.max(rel)),
         "per_basis": resid,
-    }
-
-
-def energy_dominance_check(
-    sol: DampingSolution,
-    trials: int = 100,
-    seed: int = 0,
-    amplitude: float = 1.0,
-) -> dict:
-    """Random second-order check that the solution is a true minimiser.
-
-    Draws random admissible perturbations ``v`` and verifies the cost of
-    ``y + v`` never undercuts the cost of ``y`` beyond roundoff.  The margin
-    reported is the minimum of ``J(y+v) - J(y)`` over the trials, together
-    with the tolerance ``1e-10 * scale`` it is compared against.
-    """
-    rng = np.random.default_rng(seed)
-    J = sol.energy
-    worst = np.inf
-    worst_scale = 1.0
-    basis = sol.basis
-    for _ in range(trials):
-        z = rng.standard_normal(basis.ndof) + 1j * rng.standard_normal(basis.ndof)
-        v = basis.tree_function(amplitude * z)
-        Jv = energy(v, sol.coeffs)
-        Jyv = energy(sol.y + v, sol.coeffs)
-        margin = Jyv - J
-        scale = max(1.0, J + Jv)
-        if margin / scale < worst / worst_scale:
-            worst, worst_scale = margin, scale
-    return {
-        "min_margin": float(worst),
-        "scale": float(worst_scale),
-        "ok": bool(worst >= -1e-10 * worst_scale),
-        "trials": trials,
-    }
-
-
-def weak_residual_symbolic(y: TreeFunction, basis: Basis, coeffs: CoefficientSet) -> dict:
-    """First-variation residual through the re-indexed integrals.
-
-    Independent route from :func:`optimality_check`: no quadrature grid, the
-    products are integrated piece by piece after moving every delayed read
-    of the test function back to its home edge.  Used by the diagnostics
-    layer; the two routes must agree to roundoff.
-    """
-    if basis.ndof == 0:
-        return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
-    vals = np.array(
-        [energy_product_reindexed(y, basis.unit(p), coeffs) for p in range(basis.ndof)]
-    )
-    norms = np.array([np.sqrt(max(energy(basis.unit(p), coeffs), 0.0)) for p in range(basis.ndof)])
-    ynorm = np.sqrt(max(energy(y, coeffs), 0.0))
-    scale = norms * ynorm
-    rel = np.abs(vals) / np.where(scale > 0, scale, 1.0)
-    return {
-        "max_abs": float(np.max(np.abs(vals))),
-        "max_rel": float(np.max(rel)),
-        "per_basis": vals,
     }

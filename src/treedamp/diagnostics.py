@@ -44,18 +44,15 @@ PERSISTENT_CHANGE = 0.10
 
 @dataclass(frozen=True)
 class QuasiDerivativeSet:
-    """Quasi-derivatives of orders ``n..2n`` per edge, with jump tables.
+    """Quasi-derivatives of orders ``n..2n`` per edge.
 
     ``functions[k]`` maps the order ``k`` to the per-edge piecewise
-    polynomials on the active windows ``[0, l_j]``.  ``jump_table[(k, j)]``
-    lists ``(t, gap)`` for every interior breakpoint, where ``gap`` is the
-    right minus the left limit.
+    polynomials on the active windows ``[0, l_j]``.
     """
 
     tree: object
     n: int
     functions: dict
-    jump_table: dict
 
     def function(self, k: int, j: int) -> PiecewisePoly:
         return self.functions[k][j - 1]
@@ -75,7 +72,6 @@ def quasi_derivatives(
     if ells is None:
         ells = operator_components(y, coeffs)
     functions: dict = {}
-    jumps: dict = {}
     per_edge_weights = []
     for j in range(1, tree.m + 1):
         per_edge_weights.append(
@@ -90,9 +86,8 @@ def quasi_derivatives(
             else:
                 qd = w[2 * n - k] - functions[k - 1][j - 1].derivative()
             row.append(qd)
-            jumps[(k, j)] = qd.jumps()
         functions[k] = row
-    return QuasiDerivativeSet(tree=tree, n=n, functions=functions, jump_table=jumps)
+    return QuasiDerivativeSet(tree=tree, n=n, functions=functions)
 
 
 def g_recursion(weights: list) -> list:
@@ -133,7 +128,8 @@ def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
     """Jump summary per order ``k = n..2n-1``.
 
     For each order: the largest absolute jump, where it sits, and the full
-    list of ``(edge, t, |gap|)`` above ``threshold``.  These are the
+    list of ``(edge, t, |gap|)`` above ``threshold``, where ``gap`` is the
+    right minus the left limit at an interior breakpoint.  These are the
     absolute-continuity proxies: under refinement they vanish at the true
     optimum except where the data itself obstructs smoothness.
     """
@@ -141,7 +137,7 @@ def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
     for k in range(qd.n, 2 * qd.n):
         entries = []
         for j in range(1, qd.tree.m + 1):
-            for t, gap in qd.jump_table[(k, j)]:
+            for t, gap in qd.function(k, j).jumps():
                 if abs(gap) > threshold:
                     entries.append((j, t, abs(gap)))
         if entries:

@@ -8,9 +8,8 @@ The controlled system applies, on every edge ``j``, an operator of order
 where the delayed value is read through the parent edge when ``t < tau``
 (and from the prescribed history on the root edge).  This module holds the
 data types for coefficient families and trajectories plus the exact algebra
-on them: applying ``L_j``, the quadratic control cost, its polarisation, and
-the re-indexed integrands of the first variation that the variational and
-diagnostic layers are built on.
+on them: the delayed read, applying ``L_j``, and the re-indexed integrands
+of the first variation that the diagnostics are built on.
 """
 
 from __future__ import annotations
@@ -25,17 +24,6 @@ from .trees import Tree
 
 class CoefficientError(ValueError):
     """Raised when a coefficient family fails validation."""
-
-
-def reduced_length(tree: Tree, tau: float, j: int) -> float:
-    """Length of the active window of edge ``j``.
-
-    Boundary edges are forced to rest on their final delay window, so only
-    ``[0, T_j - tau]`` carries unknowns there; internal edges stay active to
-    the far vertex.
-    """
-    Tj = tree.length(j)
-    return Tj if j <= tree.d else Tj - tau
 
 
 @dataclass(frozen=True)
@@ -171,46 +159,6 @@ class TreeFunction:
     def component(self, j: int) -> PiecewisePoly:
         return self.components[j - 1]
 
-    @classmethod
-    def zero(cls, tree: Tree, n: int, tau: float) -> "TreeFunction":
-        comps = tuple(PiecewisePoly.zero(0.0, tree.length(j)) for j in range(1, tree.m + 1))
-        return cls(tree, n, comps, PiecewisePoly.zero(-tau, 0.0))
-
-    def smoothness_defect(self) -> float:
-        """Largest jump of any derivative of order < n at interior breaks.
-
-        Zero (up to roundoff) for trajectories in the natural energy space;
-        reported rather than enforced because discrete objects carry rounding.
-        """
-        worst = 0.0
-        for p in self.components + (self.history,):
-            for k in range(self.n):
-                dp = p.derivative(k)
-                for _, gap in dp.jumps():
-                    worst = max(worst, abs(gap))
-        return worst
-
-    def vertex_defect(self) -> float:
-        """Largest mismatch of derivatives of order < n across any vertex."""
-        worst = 0.0
-        for j in range(2, self.tree.m + 1):
-            p = self.tree.parent_of(j)
-            Tp = self.tree.length(p)
-            for k in range(self.n):
-                a = self.component(j).right_limit(0.0, k)
-                b = self.component(p).left_limit(Tp, k)
-                worst = max(worst, abs(a - b))
-        return worst
-
-    def history_defect(self) -> float:
-        """Mismatch between the history end and the root edge start."""
-        worst = 0.0
-        for k in range(self.n):
-            a = self.history.left_limit(0.0, k)
-            b = self.component(1).right_limit(0.0, k)
-            worst = max(worst, abs(a - b))
-        return worst
-
     def __add__(self, other: "TreeFunction") -> "TreeFunction":
         comps = tuple(p + q for p, q in zip(self.components, other.components))
         return TreeFunction(self.tree, self.n, comps, self.history + other.history)
@@ -224,21 +172,6 @@ class TreeFunction:
         return TreeFunction(self.tree, self.n, comps, self.history * scalar)
 
     __rmul__ = __mul__
-
-
-def eval_delayed(y: TreeFunction, j: int, t: float, k: int = 0) -> complex:
-    """Value of ``y_j^(k)(t)`` for ``t`` in ``[-tau, T_j]``.
-
-    Negative times dereference through the parent edge (or the history on
-    the root edge); since ``tau`` is shorter than every edge, one hop always
-    suffices.
-    """
-    if t >= 0.0:
-        return y.component(j).eval(t, k)
-    if j == 1:
-        return y.history.eval(t, k)
-    p = y.tree.parent_of(j)
-    return y.component(p).eval(t + y.tree.length(p), k)
 
 
 def delayed_part(y: TreeFunction, j: int, k: int = 0) -> PiecewisePoly:
@@ -269,23 +202,6 @@ def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> Piecewise
 def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> list:
     """``[L_1 y, ..., L_m y]`` computed once for reuse."""
     return [apply_operator(y, coeffs, j) for j in range(1, y.tree.m + 1)]
-
-
-def energy(y: TreeFunction, coeffs: CoefficientSet) -> float:
-    """Total control cost: the squared L2 norm of ``L y`` over the tree."""
-    return sum(p.l2_norm_sq() for p in operator_components(y, coeffs))
-
-
-def energy_product(y: TreeFunction, w: TreeFunction, coeffs: CoefficientSet) -> complex:
-    """Polarisation of the cost: integral of ``L y`` against ``conj(L w)``.
-
-    Sesquilinear (conjugate-linear in ``w``); its real part drives the
-    quadratic expansion of the cost around a candidate trajectory.
-    """
-    total = 0.0 + 0.0j
-    for j in range(1, y.tree.m + 1):
-        total += apply_operator(y, coeffs, j).inner(apply_operator(w, coeffs, j))
-    return complex(total)
 
 
 def variation_integrand(
@@ -328,23 +244,3 @@ def variation_integrand(
         c_nu = coeffs.c[k][nu - 1].restrict(0.0, tau).shift(Tj - tau).conj()
         late = late + c_nu * ells[nu - 1].restrict(0.0, tau).shift(Tj - tau)
     return early.concat(late)
-
-
-def energy_product_reindexed(
-    y: TreeFunction, w: TreeFunction, coeffs: CoefficientSet
-) -> complex:
-    """The energy product written through the re-indexed variation weights.
-
-    Valid when ``w`` is an admissible perturbation (zero history, matched
-    vertices, resting tails); agrees with :func:`energy_product` up to
-    roundoff and serves as an independent implementation for cross-checks.
-    """
-    ells = operator_components(y, coeffs)
-    total = 0.0 + 0.0j
-    for j in range(1, y.tree.m + 1):
-        lj = reduced_length(y.tree, coeffs.tau, j)
-        for k in range(coeffs.n + 1):
-            weight = variation_integrand(y, coeffs, k, j, ells)
-            wk = w.component(j).derivative(k).restrict(0.0, lj)
-            total += weight.inner(wk)
-    return complex(total)

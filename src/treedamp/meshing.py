@@ -55,15 +55,12 @@ class DelayMesh:
     """Per-edge node sets aligned with the delay stepping structure.
 
     ``nodes[j-1]`` is the sorted node array of edge ``j`` (first entry 0,
-    last entry ``T_j``).  ``wavefronts[j-1]`` lists the nodes that are
-    forward images of a propagation source, measured along the path from
-    the root."""
+    last entry ``T_j``)."""
 
     tree: Tree
     tau: float
     q: int
     nodes: tuple
-    wavefronts: tuple
 
     def max_width(self) -> float:
         return max(float(np.max(np.diff(xs))) for xs in self.nodes)
@@ -106,7 +103,6 @@ def build_mesh(
         raise MeshError(f"delay {tau} must lie in (0, min edge length)")
 
     all_nodes = []
-    all_fronts = []
     for j in range(1, tree.m + 1):
         Tj = tree.length(j)
         offset = tree.depth_offset(j)
@@ -132,8 +128,7 @@ def build_mesh(
         xs = np.array(xs)
         xs[0], xs[-1] = 0.0, Tj
         all_nodes.append(xs)
-        all_fronts.append(tuple(sorted(fronts)))
-    return DelayMesh(tree, float(tau), int(q), tuple(all_nodes), tuple(all_fronts)).check()
+    return DelayMesh(tree, float(tau), int(q), tuple(all_nodes)).check()
 
 
 class Basis:
@@ -159,22 +154,18 @@ class Basis:
         tree = mesh.tree
 
         gid = []  # per edge: global node id for each local node
-        positions = [(1, 0.0)]  # per gid: (edge, local t) of the defining occurrence
-        free = [False]  # the history side of the root vertex is clamped
+        free = [False]  # per gid; the history side of the root vertex is clamped
         for j in range(1, tree.m + 1):
             xs = mesh.nodes[j - 1]
             Tj = tree.length(j)
             tail_from = Tj - mesh.tau - 1e-9 * max(1.0, Tj)
             first = 0 if j == 1 else gid[tree.parent_of(j) - 1][-1]
-            gid.append(np.append(first, len(positions) + np.arange(len(xs) - 1)))
-            positions += [(j, float(t)) for t in xs[1:]]
+            gid.append(np.append(first, len(free) + np.arange(len(xs) - 1)))
             free += [not (tree.is_boundary(j) and t >= tail_from) for t in xs[1:]]
 
-        self.node_gid = gid
-        self.node_positions = positions
-        self.free_nodes = np.flatnonzero(free)
-        first_dof = np.full(len(positions), -1)  # per gid: DOF of derivative 0, -1 if clamped
-        first_dof[self.free_nodes] = n * np.arange(len(self.free_nodes))
+        free = np.array(free)
+        self.ndof = n * int(free.sum())
+        first_dof = np.where(free, n * (np.cumsum(free) - 1), -1)  # per gid: DOF of derivative 0
         self.shapes = []
         self.rows = []
         for j in range(1, tree.m + 1):
@@ -182,10 +173,6 @@ class Basis:
             d = first_dof[gid[j - 1]][:, None]
             node_rows = np.where(d >= 0, d + np.arange(n), -1)
             self.rows.append(np.hstack([node_rows[:-1], node_rows[1:]]))
-
-    @property
-    def ndof(self) -> int:
-        return self.n * len(self.free_nodes)
 
     def tree_function(self, dofs: np.ndarray) -> TreeFunction:
         """Member of the discrete space with the given DOF vector."""
@@ -203,25 +190,6 @@ class Basis:
             comps.append(PiecewisePoly(xs, coefs))
         history = PiecewisePoly.zero(-self.mesh.tau, 0.0)
         return TreeFunction(self.mesh.tree, n, tuple(comps), history)
-
-    def unit(self, p: int) -> TreeFunction:
-        e = np.zeros(self.ndof, dtype=complex)
-        e[p] = 1.0
-        return self.tree_function(e)
-
-    def interpolate(self, y: TreeFunction) -> np.ndarray:
-        """Nodal DOF vector sampling ``y`` (clamped nodes are ignored)."""
-        out = np.zeros(self.ndof, dtype=complex)
-        for i, g in enumerate(self.free_nodes):
-            j, t = self.node_positions[g]
-            for k in range(self.n):
-                # take the limit from inside the edge that owns the node
-                Tj = self.mesh.tree.length(j)
-                if t >= Tj - 1e-12 * max(1.0, Tj):
-                    out[i * self.n + k] = y.component(j).left_limit(t, k)
-                else:
-                    out[i * self.n + k] = y.component(j).right_limit(t, k)
-        return out
 
 
 def history_lift(mesh: DelayMesh, n: int, phi: PiecewisePoly) -> TreeFunction:
@@ -251,31 +219,3 @@ def history_lift(mesh: DelayMesh, n: int, phi: PiecewisePoly) -> TreeFunction:
     for j in range(2, tree.m + 1):
         comps.append(PiecewisePoly.zero(0.0, tree.length(j)))
     return TreeFunction(tree, n, tuple(comps), phi)
-
-
-def admissibility_report(y: TreeFunction, tau: float) -> dict:
-    """Tolerance-style report on membership in the perturbation space.
-
-    Keys: ``history`` (L2 norm of the history), ``start`` (largest initial
-    derivative on the root edge), ``vertex`` (largest cross-vertex
-    mismatch), ``tails`` (largest L2 norm over a boundary resting window),
-    ``smoothness`` (largest sub-order jump inside an edge).  All zero, up
-    to roundoff, exactly for admissible perturbations.
-    """
-    tree = y.tree
-    tails = 0.0
-    for j in range(tree.d + 1, tree.m + 1):
-        Tj = tree.length(j)
-        tails = max(tails, math.sqrt(y.component(j).restrict(Tj - tau, Tj).l2_norm_sq()))
-    start = max(abs(y.component(1).right_limit(0.0, k)) for k in range(y.n))
-    return {
-        "history": math.sqrt(y.history.l2_norm_sq()),
-        "start": start,
-        "vertex": y.vertex_defect(),
-        "tails": tails,
-        "smoothness": y.smoothness_defect(),
-    }
-
-
-def is_admissible(y: TreeFunction, tau: float, tol: float = 1e-9) -> bool:
-    return max(admissibility_report(y, tau).values()) <= tol

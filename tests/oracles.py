@@ -1,0 +1,182 @@
+"""Reference routes the tests check the solver against.
+
+None of these is on the path of a command.  Each recomputes a quantity the
+solver produces or relies on by exact piecewise-polynomial algebra, without
+the assembly's Gauss grid: the energy and its polarisation straight from
+``L y``, the first variation through the re-indexed weights, membership in
+the perturbation space from one-sided limits.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from treedamp.expressions import operator_components, variation_integrand
+
+
+def reduced_length(tree, tau: float, j: int) -> float:
+    """Length of the active window of edge ``j``: boundary edges rest on
+    their final delay window, internal edges stay active to the far vertex."""
+    Tj = tree.length(j)
+    return Tj if j <= tree.d else Tj - tau
+
+
+def eval_delayed(y, j: int, t: float, k: int = 0) -> complex:
+    """``y_j^(k)(t)`` for ``t`` in ``[-tau, T_j]``; negative times read the
+    parent edge, or the history on the root edge."""
+    if t >= 0.0:
+        return y.component(j).eval(t, k)
+    if j == 1:
+        return y.history.eval(t, k)
+    p = y.tree.parent_of(j)
+    return y.component(p).eval(t + y.tree.length(p), k)
+
+
+def energy(y, coeffs) -> float:
+    """The squared L2 norm of ``L y`` over the tree."""
+    return sum(p.l2_norm_sq() for p in operator_components(y, coeffs))
+
+
+def energy_product(y, w, coeffs) -> complex:
+    """The integral of ``L y`` against ``conj(L w)`` over the tree."""
+    ly, lw = operator_components(y, coeffs), operator_components(w, coeffs)
+    return complex(sum((a.inner(b) for a, b in zip(ly, lw)), 0.0j))
+
+
+def energy_product_reindexed(y, w, coeffs) -> complex:
+    """:func:`energy_product` through the re-indexed variation weights.
+
+    Valid when ``w`` is a perturbation (zero history, matched vertices,
+    resting tails): every delayed read of ``w`` is moved back to its home
+    edge, so only the active windows ``[0, l_j]`` contribute.
+    """
+    ells = operator_components(y, coeffs)
+    total = 0.0j
+    for j in range(1, y.tree.m + 1):
+        lj = reduced_length(y.tree, coeffs.tau, j)
+        for k in range(coeffs.n + 1):
+            weight = variation_integrand(y, coeffs, k, j, ells)
+            total += weight.inner(w.component(j).derivative(k).restrict(0.0, lj))
+    return complex(total)
+
+
+def smoothness_defect(y) -> float:
+    """Largest jump of a derivative of order below ``n`` inside an edge or
+    the history."""
+    worst = 0.0
+    for p in y.components + (y.history,):
+        for k in range(y.n):
+            for _, gap in p.derivative(k).jumps():
+                worst = max(worst, abs(gap))
+    return worst
+
+
+def vertex_defect(y) -> float:
+    """Largest mismatch of a derivative of order below ``n`` across a vertex."""
+    worst = 0.0
+    for j in range(2, y.tree.m + 1):
+        p = y.tree.parent_of(j)
+        for k in range(y.n):
+            a = y.component(j).right_limit(0.0, k)
+            b = y.component(p).left_limit(y.tree.length(p), k)
+            worst = max(worst, abs(a - b))
+    return worst
+
+
+def history_defect(y) -> float:
+    """Largest mismatch between the end of the history and the start of the
+    root edge, over the derivatives of order below ``n``."""
+    return max(abs(y.history.left_limit(0.0, k) - y.component(1).right_limit(0.0, k))
+               for k in range(y.n))
+
+
+def admissibility_report(y, tau: float) -> dict:
+    """How far ``y`` is from the perturbation space: ``history`` (its L2
+    norm), ``start`` (largest initial derivative on the root edge),
+    ``vertex``, ``tails`` (largest L2 norm over a boundary resting window)
+    and ``smoothness``; all zero up to roundoff for a perturbation."""
+    tree = y.tree
+    tails = 0.0
+    for j in range(tree.d + 1, tree.m + 1):
+        Tj = tree.length(j)
+        tails = max(tails, math.sqrt(y.component(j).restrict(Tj - tau, Tj).l2_norm_sq()))
+    return {
+        "history": math.sqrt(y.history.l2_norm_sq()),
+        "start": max(abs(y.component(1).right_limit(0.0, k)) for k in range(y.n)),
+        "vertex": vertex_defect(y),
+        "tails": tails,
+        "smoothness": smoothness_defect(y),
+    }
+
+
+def is_admissible(y, tau: float, tol: float = 1e-9) -> bool:
+    return max(admissibility_report(y, tau).values()) <= tol
+
+
+def unit(basis, p: int):
+    """Basis function ``p``: DOF ``p`` set to 1, all others 0."""
+    e = np.zeros(basis.ndof, dtype=complex)
+    e[p] = 1.0
+    return basis.tree_function(e)
+
+
+def interpolate(basis, y) -> np.ndarray:
+    """DOF vector sampling ``y`` at the free nodes, read element by element:
+    the right limit at an element's left node, the left limit at its right
+    node.  A node shared by several elements is read once from each."""
+    n = basis.n
+    out = np.zeros(basis.ndof, dtype=complex)
+    for j, (xs, rows) in enumerate(zip(basis.mesh.nodes, basis.rows), start=1):
+        p = y.component(j)
+        for e, dofs in enumerate(rows):
+            for k in range(n):
+                for dof, value in ((dofs[k], p.right_limit(xs[e], k)),
+                                   (dofs[n + k], p.left_limit(xs[e + 1], k))):
+                    if dof >= 0:
+                        out[dof] = value
+    return out
+
+
+def trajectory_distance(y, z) -> float:
+    """L2 distance between two trajectories over the tree."""
+    return math.sqrt(sum((a - b).l2_norm_sq() for a, b in zip(y.components, z.components)))
+
+
+def weak_residual_symbolic(y, basis, coeffs) -> dict:
+    """First variation of ``y`` against every basis function, through
+    :func:`energy_product_reindexed`: no quadrature grid, every product is
+    integrated piece by piece.  Same keys as
+    :func:`treedamp.damping.optimality_check`, with ``max_rel`` relative to
+    the norms of ``L y`` and ``L w_p``."""
+    if basis.ndof == 0:
+        return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
+    units = [unit(basis, p) for p in range(basis.ndof)]
+    vals = np.array([energy_product_reindexed(y, w, coeffs) for w in units])
+    norms = np.sqrt([max(energy(w, coeffs), 0.0) for w in units])
+    scale = norms * np.sqrt(max(energy(y, coeffs), 0.0))
+    rel = np.abs(vals) / np.where(scale > 0, scale, 1.0)
+    return {"max_abs": float(np.max(np.abs(vals))), "max_rel": float(np.max(rel)),
+            "per_basis": vals}
+
+
+def energy_dominance_check(sol, trials: int = 100, seed: int = 0) -> dict:
+    """Random second-order check that ``sol.y`` is a minimiser.
+
+    Draws random members ``v`` of the discrete perturbation space and
+    reports the smallest ``J(y + v) - J(y)`` relative to
+    ``max(1, J(y) + J(v))``; ``ok`` when it is above ``-1e-10``.
+    """
+    rng = np.random.default_rng(seed)
+    J = sol.energy
+    worst, worst_scale = np.inf, 1.0
+    ndof = sol.basis.ndof
+    for _ in range(trials):
+        v = sol.basis.tree_function(rng.standard_normal(ndof) + 1j * rng.standard_normal(ndof))
+        margin = energy(sol.y + v, sol.coeffs) - J
+        scale = max(1.0, J + energy(v, sol.coeffs))
+        if margin / scale < worst / worst_scale:
+            worst, worst_scale = margin, scale
+    return {"min_margin": float(worst), "scale": float(worst_scale),
+            "ok": bool(worst >= -1e-10 * worst_scale), "trials": trials}

@@ -20,11 +20,10 @@ from treedamp.damping import (
     IndefiniteGramError,
     assemble,
     default_mesh,
-    energy_dominance_check,
     optimality_check,
     solve_damping,
 )
-from treedamp.cauchy import residual_ell, solve_cauchy, trajectory_distance
+from treedamp.cauchy import residual_ell, solve_cauchy
 from treedamp.diagnostics import (
     continuity_report,
     detect_persistent_jump,
@@ -33,6 +32,8 @@ from treedamp.diagnostics import (
     quasi_derivatives,
 )
 from treedamp.meshing import history_lift
+
+import oracles
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FIXTURES = ["interval.json", "star.json", "smoothness_loss.json"]
@@ -145,7 +146,7 @@ def test_criterion_4_control_round_trips(capsys):
         z = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, sol.mesh)
         ynorm = np.sqrt(sum(
             sol.y.component(j).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
-        worst_dist = max(worst_dist, trajectory_distance(z, sol.y) / max(ynorm, 1.0))
+        worst_dist = max(worst_dist, oracles.trajectory_distance(z, sol.y) / max(ynorm, 1.0))
         worst_res = max(worst_res, residual_ell(z, cfg.coeffs, sol.control)["total"])
     ok = worst_dist <= 1e-4 and worst_res <= 1e-4
     _report(capsys, 4, ok,
@@ -217,7 +218,7 @@ def test_criterion_6_first_variation_and_dominance(capsys):
         cfg = ProblemConfig.from_file(CONFIGS / name)
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=cfg.solver.q)
         worst_opt = max(worst_opt, optimality_check(sol)["max_rel"])
-        dom = energy_dominance_check(sol, trials=100, seed=2024)
+        dom = oracles.energy_dominance_check(sol, trials=100, seed=2024)
         all_ok = all_ok and dom["ok"]
     ok = worst_opt <= 1e-8 and all_ok
     _report(capsys, 6, ok,
@@ -239,8 +240,8 @@ def test_criterion_7_linearity_in_the_history(capsys):
             y.component(j).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
 
     scale = max(tnorm(s1.y) + tnorm(s2.y), 1e-30)
-    add_err = trajectory_distance(s_sum.y, s1.y + s2.y) / scale
-    hom_err = trajectory_distance(s_two.y, s1.y * 2.0) / max(2.0 * tnorm(s1.y), 1e-30)
+    add_err = oracles.trajectory_distance(s_sum.y, s1.y + s2.y) / scale
+    hom_err = oracles.trajectory_distance(s_two.y, s1.y * 2.0) / max(2.0 * tnorm(s1.y), 1e-30)
     energy_err = abs(s_two.energy - 4.0 * s1.energy) / max(s1.energy, 1e-30)
     ok = add_err <= 1e-9 and hom_err <= 1e-9 and energy_err <= 1e-9
     _report(capsys, 7, ok,

@@ -151,10 +151,10 @@ def test_from_file_reports_json_position(tmp_path):
         ProblemConfig.from_file(tmp_path / "absent.json")
 
 
-def test_to_file_round_trip(tmp_path):
+def test_canonical_form_round_trips_through_a_file(tmp_path):
     cfg = ProblemConfig.from_file(CONFIGS / "star.json")
     out = tmp_path / "copy.json"
-    cfg.to_file(out)
+    out.write_text(json.dumps(cfg.to_dict()))
     again = ProblemConfig.from_file(out)
     assert again.to_dict() == cfg.to_dict()
 
@@ -245,6 +245,20 @@ def test_cli_verify_rejects_malformed_summary(tmp_path, capsys):
     assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 2
     err = capsys.readouterr().err
     assert "summary.json: line 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["x", None, True, [4], 2.5])
+def test_cli_verify_rejects_a_stored_q_that_is_not_an_integer(tmp_path, capsys, q):
+    cfg_path = str(CONFIGS / "interval.json")
+    out = tmp_path / "run"
+    main(["damp", "--config", cfg_path, "--out", str(out), "--q", "2"])
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["q"] = q
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 2
+    assert "summary.json: q must be an integer" in capsys.readouterr().err
 
 
 def test_cli_convergence_table(tmp_path, capsys):

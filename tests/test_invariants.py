@@ -1,4 +1,5 @@
-"""Invariants of the minimal energy and of the damp -> simulate round trip.
+"""Invariants of the minimal energy, of its first variation and of the
+damp -> simulate round trip.
 
 Random small trees (depth at most 3), orders 1 and 2, refinement up to 4,
 complex lower-order coefficients and histories.  Edge lengths are multiples
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treedamp.cauchy import solve_cauchy
-from treedamp.damping import solve_damping
+from treedamp.damping import optimality_check, solve_damping
 from treedamp.expressions import CoefficientSet
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree
+
+import oracles
 
 TAU = 1.0
 
@@ -105,3 +108,17 @@ def test_damping_then_simulating_reproduces_the_trajectory(problem):
             size = max(size, np.max(np.abs(want)))
             gap = max(gap, np.max(np.abs(z.values(ts, k) - want)))
     assert gap <= 1e-9 * size
+
+
+@settings(max_examples=20, deadline=None)
+@given(problems())
+def test_grid_and_symbolic_first_variations_agree(problem):
+    # the grid route integrates on the assembly's Gauss points, the symbolic
+    # one piece by piece through the re-indexed weights; each entry is
+    # compared on the scale sqrt(J) * sqrt(G_pp) of its Cauchy-Schwarz bound
+    sol = _solve(problem)
+    grid = optimality_check(sol)["per_basis"]
+    symbolic = oracles.weak_residual_symbolic(sol.y, sol.basis, sol.coeffs)
+    gap = np.abs(grid - symbolic["per_basis"])
+    scale = np.sqrt(sol.energy) * np.sqrt(np.diag(sol.gram.matrix).real)
+    assert np.all(gap <= 1e-10 * scale)
