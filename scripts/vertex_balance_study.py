@@ -59,7 +59,7 @@ def main():
         for a in amps:
             sol = solve_damping(cfg.tree, scaled_coeffs(cfg.coeffs, a),
                                 cfg.history, q=q)
-            row.append(kirchhoff_residual(quasi_derivatives(sol.y, sol.coeffs))["max"])
+            row.append(kirchhoff_residual(quasi_derivatives(sol.coeffs, sol.control))["max"])
         table.append(row)
         print(f"{q:>6}" + "".join(f"{d:>14.3e}" for d in row))
 

@@ -45,7 +45,7 @@ def main():
     print(f"{'q':>6} {'J':>16}" + "".join(f"{'order ' + str(k):>13}" for k in orders))
     for q in qs:
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
-        rep = continuity_report(quasi_derivatives(sol.y, sol.coeffs))
+        rep = continuity_report(quasi_derivatives(sol.coeffs, sol.control))
         reports.append(rep)
         print(f"{q:>6} {sol.energy:>16.10f}"
               + "".join(f"{rep[k]['max_jump']:>13.3e}" for k in orders))

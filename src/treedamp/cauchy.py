@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .damping import Control
 from .expressions import CoefficientSet, TreeFunction, apply_operator
 from .meshing import DelayMesh
 from .piecewise import PiecewisePoly, derivative_powers
@@ -34,14 +33,16 @@ def solve_cauchy(
     tree: Tree,
     coeffs: CoefficientSet,
     phi: PiecewisePoly,
-    control: Control,
+    control: tuple,
     mesh: DelayMesh,
 ) -> TreeFunction:
     """Integrate the controlled system forward from the history ``phi``.
 
-    ``mesh`` supplies the element partition of every edge; element widths
-    never exceed the delay, which the stepping argument relies on.
+    ``control`` holds the input on edge ``j`` at index ``j - 1``.  ``mesh``
+    supplies the element partition of every edge; element widths never
+    exceed the delay, which the stepping argument relies on.
     """
+    _check_control(tree, control)
     n = coeffs.n
     tau = coeffs.tau
     # Gauss points per element: the local degree n + g - 1 is then at least
@@ -69,7 +70,7 @@ def solve_cauchy(
         terms = coeffs.terms(j)
         b = [(k, bk.values(t)) for k, bk, _ in terms if bk is not None]
         c = [(k, ck.values(t)) for k, _, ck in terms if ck is not None]
-        rhs = control.component(j).values(t)
+        rhs = control[j - 1].values(t)
         s = t - tau
         before = s < 0.0
         # elements are no wider than tau, so t - tau on the edge lies in an earlier element
@@ -96,10 +97,17 @@ def solve_cauchy(
     return TreeFunction(tree, n, tuple(comps), phi)
 
 
-def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: Control) -> dict:
+def _check_control(tree: Tree, control: tuple) -> None:
+    if len(control) != tree.m:
+        raise ValueError(f"one control component per edge required: got {len(control)} "
+                         f"for {tree.m} edges")
+
+
+def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:
     """Per-edge L2 distance between the applied operator and the control."""
+    _check_control(y.tree, control)
     per_edge = []
     for j in range(1, y.tree.m + 1):
-        diff = apply_operator(y, coeffs, j) - control.component(j)
+        diff = apply_operator(y, coeffs, j) - control[j - 1]
         per_edge.append(math.sqrt(diff.l2_norm_sq()))
     return {"per_edge": per_edge, "total": math.sqrt(sum(r * r for r in per_edge))}

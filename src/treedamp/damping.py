@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .expressions import CoefficientSet, TreeFunction, apply_operator, operator_components
+from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, history_lift
 from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
@@ -40,28 +40,6 @@ class IndefiniteGramError(np.linalg.LinAlgError):
     The message reports the extreme eigenvalues of the matrix, a condition
     estimate and the smallest element width: a leading coefficient near zero
     and a sliver element both make the energy form degenerate."""
-
-
-@dataclass
-class Control:
-    """Per-edge control inputs as piecewise polynomials on ``[0, T_j]``."""
-
-    tree: Tree
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.tree.m:
-            raise ValueError("one control component per edge required")
-
-    def component(self, j: int) -> PiecewisePoly:
-        return self.components[j - 1]
-
-    @classmethod
-    def zero(cls, tree: Tree) -> "Control":
-        return cls(tree, tuple(PiecewisePoly.zero(0.0, tree.length(j)) for j in range(1, tree.m + 1)))
-
-    def norm_sq(self) -> float:
-        return sum(p.l2_norm_sq() for p in self.components)
 
 
 @dataclass
@@ -187,10 +165,12 @@ def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSy
 
 @dataclass
 class DampingSolution:
-    """Output of :func:`solve_damping`."""
+    """Output of :func:`solve_damping`.
+
+    ``control`` holds the per-edge control ``L_j y`` at index ``j - 1``."""
 
     y: TreeFunction
-    control: Control
+    control: tuple
     energy: float
     dofs: np.ndarray
     basis: Basis
@@ -238,11 +218,11 @@ def solve_damping(
     gram = assemble(basis, lift, coeffs)
     x = gram.solve()
     y = lift + basis.tree_function(x)
-    u = Control(tree, tuple(apply_operator(y, coeffs, j) for j in range(1, tree.m + 1)))
+    u = tuple(operator_components(y, coeffs))
     return DampingSolution(
         y=y,
         control=u,
-        energy=u.norm_sq(),
+        energy=sum(p.l2_norm_sq() for p in u),
         dofs=x,
         basis=basis,
         lift=lift,
@@ -262,7 +242,7 @@ def optimality_check(sol: DampingSolution) -> dict:
     if sol.basis.ndof == 0:
         return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
     gram = sol.gram
-    u_vals = np.concatenate([u.values(t) for u, t in zip(sol.control.components, gram.points)])
+    u_vals = np.concatenate([u.values(t) for u, t in zip(sol.control, gram.points)])
     resid = (gram.basis_values.conj() * gram.weights[None, :]) @ u_vals
     norms = np.sqrt(np.abs(np.diag(gram.matrix).real))
     ynorm = np.sqrt(max(sol.energy, 0.0))

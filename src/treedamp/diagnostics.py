@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingSolution, optimality_check
-from .expressions import (
-    CoefficientSet,
-    TreeFunction,
-    operator_components,
-    variation_integrand,
-)
+from .expressions import CoefficientSet, variation_integrand
 from .piecewise import PiecewisePoly
 
 # A jump is persistent when it changed by less than this share of its size
@@ -58,25 +53,20 @@ class QuasiDerivativeSet:
         return self.functions[k][j - 1]
 
 
-def quasi_derivatives(
-    y: TreeFunction, coeffs: CoefficientSet, ells: list | None = None
-) -> QuasiDerivativeSet:
-    """Build the quasi-derivative family of a trajectory.
+def quasi_derivatives(coeffs: CoefficientSet, ells) -> QuasiDerivativeSet:
+    """Build the quasi-derivative family of a trajectory from its control.
 
-    Runs the descending recursion on the variation weights, one edge at a
-    time, purely symbolically.  Passing ``ells`` (the precomputed
-    ``operator_components``) avoids recomputing ``L y``.
+    ``ells`` holds ``L_j y`` at index ``j - 1``, the ``control`` of a
+    :class:`~treedamp.damping.DampingSolution`.  Runs the descending
+    recursion on the variation weights, one edge at a time, purely
+    symbolically.
     """
-    tree = y.tree
+    tree = coeffs.tree
     n = coeffs.n
-    if ells is None:
-        ells = operator_components(y, coeffs)
     functions: dict = {}
     per_edge_weights = []
     for j in range(1, tree.m + 1):
-        per_edge_weights.append(
-            [variation_integrand(y, coeffs, k, j, ells) for k in range(n + 1)]
-        )
+        per_edge_weights.append([variation_integrand(coeffs, ells, k, j) for k in range(n + 1)])
     for k in range(n, 2 * n + 1):
         row = []
         for j in range(1, tree.m + 1):
@@ -222,10 +212,9 @@ def solution_report(sol: DampingSolution) -> dict:
     ``kirchhoff``, one ``{vertex, order, residual}`` per branching vertex
     and order, the vertex named by the input label of the edge ending
     there; ``kirchhoff_max``; and ``continuity``, the largest jump of each
-    order ``k = n..2n-1`` keyed by ``str(k)``.  The control already holds
-    ``L y``, so the quasi-derivatives reuse it.
+    order ``k = n..2n-1`` keyed by ``str(k)``.
     """
-    qd = quasi_derivatives(sol.y, sol.coeffs, list(sol.control.components))
+    qd = quasi_derivatives(sol.coeffs, sol.control)
     kr = kirchhoff_residual(qd)
     ids = sol.y.tree.original_ids
     return {

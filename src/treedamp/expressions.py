@@ -8,8 +8,10 @@ The controlled system applies, on every edge ``j``, an operator of order
 where the delayed value is read through the parent edge when ``t < tau``
 (and from the prescribed history on the root edge).  This module holds the
 data types for coefficient families and trajectories plus the exact algebra
-on them: the delayed read, applying ``L_j``, and the re-indexed integrands
-of the first variation that the diagnostics are built on.
+on them: the delayed read (:func:`delayed_part`) and its adjoint, the
+advanced read (:func:`advanced_part`); applying ``L_j``; and the
+re-indexed integrands of the first variation that the diagnostics are
+built on.
 """
 
 from __future__ import annotations
@@ -174,28 +176,48 @@ class TreeFunction:
     __rmul__ = __mul__
 
 
-def delayed_part(y: TreeFunction, j: int, k: int = 0) -> PiecewisePoly:
-    """The delayed read ``t -> y_j^(k)(t - tau)`` as a function on ``[0, T_j]``."""
+def delayed_part(y: TreeFunction, j: int) -> PiecewisePoly:
+    """The delayed read ``t -> y_j(t - tau)`` as a function on ``[0, T_j]``."""
     tau = y.tau
     Tj = y.tree.length(j)
     if j == 1:
-        head = y.history.derivative(k).shift(tau)
+        head = y.history.shift(tau)
     else:
         p = y.tree.parent_of(j)
         Tp = y.tree.length(p)
-        head = y.component(p).derivative(k).restrict(Tp - tau, Tp).shift(tau - Tp)
-    main = y.component(j).derivative(k).restrict(0.0, Tj - tau).shift(tau)
-    return head.concat(main)
+        head = y.component(p).restrict(Tp - tau, Tp).shift(tau - Tp)
+    return head.concat(y.component(j).restrict(0.0, Tj - tau).shift(tau))
+
+
+def advanced_part(g, tree: Tree, tau: float, j: int) -> PiecewisePoly:
+    """The adjoint of :func:`delayed_part` on edge ``j``, on ``[0, l_j]``.
+
+    ``g(nu)`` is a function on ``[0, T_nu]`` per edge ``nu``.  Summed over
+    the edges, the integral of ``delayed_part(y, nu) * conj(g(nu))`` equals
+    that of ``y_j * conj(advanced_part(g, tree, tau, j))`` for every ``y``
+    with zero history: the advanced read ``g_j(t + tau)`` on
+    ``[0, T_j - tau]`` and, on the last delay window of an internal edge,
+    the sum of the children's reads ``g_nu(t - T_j + tau)``.  ``l_j`` is
+    ``T_j`` on internal edges and ``T_j - tau`` on boundary edges, whose
+    last window no delayed read reaches.
+    """
+    Tj = tree.length(j)
+    early = g(j).restrict(tau, Tj).shift(-tau)
+    if j > tree.d:
+        return early
+    reads = [g(nu).restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
+    return early.concat(sum(reads[1:], reads[0]))
 
 
 def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
     """The edge operator ``L_j y`` on ``[0, T_j]``."""
     acc = PiecewisePoly.zero(0.0, y.tree.length(j))
+    delayed = delayed_part(y, j)
     for k, b, c in coeffs.terms(j):
         if b is not None:
             acc = acc + b * y.component(j).derivative(k)
         if c is not None:
-            acc = acc + c * delayed_part(y, j, k)
+            acc = acc + c * delayed.derivative(k)
     return acc
 
 
@@ -204,43 +226,17 @@ def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> list:
     return [apply_operator(y, coeffs, j) for j in range(1, y.tree.m + 1)]
 
 
-def variation_integrand(
-    y: TreeFunction,
-    coeffs: CoefficientSet,
-    k: int,
-    j: int,
-    ells: list | None = None,
-) -> PiecewisePoly:
+def variation_integrand(coeffs: CoefficientSet, ells, k: int, j: int) -> PiecewisePoly:
     """Weight of ``conj(w_j^(k))`` in the re-indexed first variation.
 
     After moving every delayed test-function read back to its home edge, the
     first variation becomes a sum of integrals over the active windows
-    ``[0, l_j]`` of products (weight) * conj(w_j^(k)); this returns that
-    weight.  On ``(0, T_j - tau)`` the advanced read of ``L_j y`` appears; on
-    the final window of an internal edge the advanced reads come from the
-    child edges instead.
-
-    Passing ``ells`` (the precomputed ``operator_components``) avoids
-    recomputing ``L y``.
+    ``[0, l_j]`` of products (weight) * conj(w_j^(k)).  Given the control
+    ``ells`` (``L_nu y`` at index ``nu - 1``), the weight is
+    ``conj(b_kj) * ells_j`` on ``[0, l_j]`` plus the advanced read
+    (:func:`advanced_part`) of ``conj(c_k) * ells``.
     """
-    if ells is None:
-        ells = operator_components(y, coeffs)
-    tree = y.tree
-    tau = coeffs.tau
-    Tj = tree.length(j)
-    ell_j = ells[j - 1]
-
-    # common instantaneous term, first on the early window
-    early_b = coeffs.b[k][j - 1].restrict(0.0, Tj - tau).conj() * ell_j.restrict(0.0, Tj - tau)
-    adv_c = coeffs.c[k][j - 1].restrict(tau, Tj).shift(-tau).conj()
-    early = early_b + adv_c * ell_j.restrict(tau, Tj).shift(-tau)
-
-    if j > tree.d:
-        return early
-
-    late_b = coeffs.b[k][j - 1].restrict(Tj - tau, Tj).conj() * ell_j.restrict(Tj - tau, Tj)
-    late = late_b
-    for nu in tree.children_of(j):
-        c_nu = coeffs.c[k][nu - 1].restrict(0.0, tau).shift(Tj - tau).conj()
-        late = late + c_nu * ells[nu - 1].restrict(0.0, tau).shift(Tj - tau)
-    return early.concat(late)
+    tree, tau = coeffs.tree, coeffs.tau
+    lj = tree.length(j) if j <= tree.d else tree.length(j) - tau
+    own = (coeffs.b[k][j - 1].conj() * ells[j - 1]).restrict(0.0, lj)
+    return own + advanced_part(lambda nu: coeffs.c[k][nu - 1].conj() * ells[nu - 1], tree, tau, j)

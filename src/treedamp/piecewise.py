@@ -25,7 +25,6 @@ by piece, because it finds polynomial roots.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -37,28 +36,9 @@ BREAK_RTOL = 1e-12
 DEGREE_WARN = 40
 
 
-def _poly_shift(c: np.ndarray, dx: float) -> np.ndarray:
-    """Re-center ``p(s) = sum c_i s^i`` to powers of ``u = s - dx``.
-
-    Returns coefficients ``q`` with ``q(u) = p(u + dx)``.
-    """
-    n = len(c)
-    if n == 1 or dx == 0.0:
-        return c.copy()
-    q = np.zeros(n, dtype=complex)
-    # q_k = sum_{i>=k} c_i * C(i,k) * dx^(i-k)
-    for i in range(n):
-        ci = c[i]
-        if ci == 0.0:
-            continue
-        powers = dx ** np.arange(i + 1)[::-1]  # dx^(i-k) for k=0..i
-        binom = np.array([math.comb(i, k) for k in range(i + 1)], dtype=float)
-        q[: i + 1] += ci * binom * powers
-    return q
-
-
 def _taylor_shift(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Every row of ``c`` re-centred by its own ``dx``, as :func:`_poly_shift`.
+    """Every row of ``c`` re-centred by its own ``dx``: row ``p(s)`` becomes
+    the coefficients of ``p(u + dx)`` in powers of ``u = s - dx``.
 
     Synthetic division applied to all rows at once: ``width - 1`` Horner
     sweeps over whole coefficient columns, so the work is
@@ -176,7 +156,7 @@ class PiecewisePoly:
     def from_global_coefs(cls, a: float, b: float, coefs) -> "PiecewisePoly":
         """One piece whose coefficients are given in powers of ``t`` itself."""
         c = np.atleast_1d(np.asarray(coefs, dtype=complex))
-        return cls([a, b], [_poly_shift(c, a)])
+        return cls([a, b], _taylor_shift(c[None, :], np.array([a])))
 
     # ------------------------------------------------------------------
     # basic queries

@@ -57,7 +57,7 @@ def energy_product_reindexed(y, w, coeffs) -> complex:
     for j in range(1, y.tree.m + 1):
         lj = reduced_length(y.tree, coeffs.tau, j)
         for k in range(coeffs.n + 1):
-            weight = variation_integrand(y, coeffs, k, j, ells)
+            weight = variation_integrand(coeffs, ells, k, j)
             total += weight.inner(w.component(j).derivative(k).restrict(0.0, lj))
     return complex(total)
 

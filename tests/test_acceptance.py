@@ -106,7 +106,7 @@ def test_criterion_2_kirchhoff_residual_decays_on_star(capsys):
     defects = []
     for q in (2, 4, 8, 16):
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
-        defects.append(kirchhoff_residual(quasi_derivatives(sol.y, sol.coeffs))["max"])
+        defects.append(kirchhoff_residual(quasi_derivatives(sol.coeffs, sol.control))["max"])
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     ok = all(r >= 1.4 for r in ratios) and defects[-1] < 1e-5
     _report(capsys, 2, ok,
@@ -122,7 +122,7 @@ def test_criterion_3_smoothness_loss_reproduction(capsys):
     levels3 = []
     for q in qs:
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
-        rep = continuity_report(quasi_derivatives(sol.y, sol.coeffs))
+        rep = continuity_report(quasi_derivatives(sol.coeffs, sol.control))
         j2.append(rep[2]["max_jump"])
         levels3.append(rep[3])
     element_width = cfg.tau / qs[-1]
@@ -254,9 +254,9 @@ def test_criterion_8_recursion_routes_agree(capsys):
     for name in FIXTURES:
         cfg = ProblemConfig.from_file(CONFIGS / name)
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
-        qd = quasi_derivatives(sol.y, sol.coeffs)
+        qd = quasi_derivatives(sol.coeffs, sol.control)
         for j in range(1, cfg.tree.m + 1):
-            weights = [variation_integrand(sol.y, sol.coeffs, k, j)
+            weights = [variation_integrand(sol.coeffs, sol.control, k, j)
                        for k in range(cfg.n + 1)]
             gs = g_recursion(weights)
             for k in range(cfg.n, 2 * cfg.n + 1):

@@ -7,10 +7,14 @@ from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import interval, star
 from treedamp.expressions import CoefficientSet, TreeFunction, apply_operator
 from treedamp.meshing import build_mesh
-from treedamp.damping import Control, default_mesh, solve_damping
+from treedamp.damping import default_mesh, solve_damping
 from treedamp.cauchy import residual_ell, solve_cauchy
 
 import oracles
+
+
+def _zero_control(tr):
+    return tuple(PiecewisePoly.zero(0.0, tr.length(j)) for j in range(1, tr.m + 1))
 
 
 def test_pure_delay_analytic_solution():
@@ -20,7 +24,7 @@ def test_pure_delay_analytic_solution():
     cs = CoefficientSet.build(tr, 1, tau, b={(1, 1): 1.0}, c={(0, 1): 1.0})
     phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
     mesh = build_mesh(tr, tau, 2)
-    y = solve_cauchy(tr, cs, phi, Control.zero(tr), mesh)
+    y = solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)
 
     def exact(t):
         if t <= 1.0:
@@ -52,7 +56,7 @@ def test_polynomial_manufactured_solution_is_exact():
     )
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, [0.0, 0.0, 1.0])      # t^2
     y_true = TreeFunction(tr, 1, comps, phi)
-    u = Control(tr, tuple(apply_operator(y_true, cs, j) for j in range(1, 4)))
+    u = tuple(apply_operator(y_true, cs, j) for j in range(1, 4))
 
     mesh = build_mesh(tr, tau, 2)
     y = solve_cauchy(tr, cs, phi, u, mesh)
@@ -84,7 +88,7 @@ def test_second_order_neutral_manufactured_solution_is_exact():
         PiecewisePoly.single(0.0, 2.0, [v, d, 0.4j, -0.1]),
     )
     y_true = TreeFunction(tr, 2, comps, phi)
-    u = Control(tr, tuple(apply_operator(y_true, cs, j) for j in edges))
+    u = tuple(apply_operator(y_true, cs, j) for j in edges)
 
     y = solve_cauchy(tr, cs, phi, u, default_mesh(tr, cs, 2))
     assert oracles.trajectory_distance(y, y_true) < 1e-11
@@ -100,14 +104,14 @@ def test_solution_is_linear_in_history_and_control():
     mesh = build_mesh(tr, tau, 2)
     phi1 = PiecewisePoly.from_global_coefs(-tau, 0.0, [1.0, 0.5])
     phi2 = PiecewisePoly.from_global_coefs(-tau, 0.0, [0.0, -1.0, 2.0])
-    u1 = Control(tr, (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 1.0]),))
-    u2 = Control(tr, (PiecewisePoly.constant(0.0, 3.0, -2.0),))
+    u1 = (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 1.0]),)
+    u2 = (PiecewisePoly.constant(0.0, 3.0, -2.0),)
 
     a = 2.0 - 1.0j
     y1 = solve_cauchy(tr, cs, phi1, u1, mesh)
     y2 = solve_cauchy(tr, cs, phi2, u2, mesh)
     phi = phi1 * a + phi2
-    u = Control(tr, (u1.component(1) * a + u2.component(1),))
+    u = (u1[0] * a + u2[0],)
     y = solve_cauchy(tr, cs, phi, u, mesh)
     assert oracles.trajectory_distance(y, a * y1 + y2) < 1e-10
 
@@ -122,7 +126,7 @@ def test_collocation_residual_decays_under_refinement():
         c={(0, 1): 0.3},
     )
     phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
-    u = Control(tr, (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 0.0, 1.0]),))
+    u = (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 0.0, 1.0]),)
     res = []
     for q in (2, 8):
         mesh = build_mesh(tr, tau, q)
@@ -137,7 +141,7 @@ def test_second_order_system():
     tr = interval(2.0)
     cs = CoefficientSet.build(tr, 2, tau, b={(2, 1): 1.0}, c={})
     phi = PiecewisePoly.zero(-tau, 0.0)
-    u = Control(tr, (PiecewisePoly.constant(0.0, 2.0, 2.0),))
+    u = (PiecewisePoly.constant(0.0, 2.0, 2.0),)
     mesh = build_mesh(tr, tau, 2)
     y = solve_cauchy(tr, cs, phi, u, mesh)
     for t in (0.5, 1.0, 1.7):
@@ -170,15 +174,31 @@ def test_delayed_read_crosses_vertex():
     )
     phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
     mesh = build_mesh(tr, tau, 2)
-    y = solve_cauchy(tr, cs, phi, Control.zero(tr), mesh)
+    y = solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)
     # same scalar equation solved on the interval [0, 4]
     tr_line = interval(4.0)
     cs_line = CoefficientSet.build(tr_line, 1, tau, b={(1, 1): 1.0}, c={(0, 1): 1.0})
     mesh_line = build_mesh(tr_line, tau, 2)
-    z = solve_cauchy(tr_line, cs_line, phi, Control.zero(tr_line), mesh_line)
+    z = solve_cauchy(tr_line, cs_line, phi, _zero_control(tr_line), mesh_line)
     for t in (0.3, 1.1, 1.9):
         assert y.component(1).eval(t) == pytest.approx(z.component(1).eval(t), abs=1e-11)
     for t in (0.2, 0.9, 1.6):
         got = y.component(2).eval(t)
         assert got == pytest.approx(z.component(1).eval(2.0 + t), abs=1e-11)
         assert y.component(3).eval(t) == pytest.approx(got, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_control_with_wrong_edge_count_is_rejected(size):
+    # a star has three edges; the control must carry exactly one input per edge
+    tau = 0.5
+    tr = star([2.0, 2.0, 2.0])
+    cs = CoefficientSet.build(tr, 1, tau, b={(1, j): 1.0 for j in range(1, 4)}, c={})
+    phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
+    mesh = build_mesh(tr, tau, 2)
+    y = solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)
+    bad = tuple(PiecewisePoly.zero(0.0, 2.0) for _ in range(size))
+    with pytest.raises(ValueError, match=f"got {size} for 3 edges"):
+        solve_cauchy(tr, cs, phi, bad, mesh)
+    with pytest.raises(ValueError, match=f"got {size} for 3 edges"):
+        residual_ell(y, cs, bad)

@@ -403,7 +403,7 @@ def test_control_exchange_format_is_exact(tmp_path):
     path.write_text(json.dumps(_control_to_dict(cfg, sol.control)))
     back = _control_from_file(path, cfg)
     for j in range(1, cfg.tree.m + 1):
-        diff = back.component(j) - sol.control.component(j)
+        diff = back[j - 1] - sol.control[j - 1]
         assert diff.max_abs() == 0.0
 
 

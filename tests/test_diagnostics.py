@@ -7,8 +7,13 @@ import pytest
 
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import interval, star
-from treedamp.expressions import CoefficientSet, TreeFunction, variation_integrand
-from treedamp.damping import Control, optimality_check, solve_damping
+from treedamp.expressions import (
+    CoefficientSet,
+    TreeFunction,
+    operator_components,
+    variation_integrand,
+)
+from treedamp.damping import optimality_check, solve_damping
 from treedamp.cauchy import solve_cauchy
 from treedamp.meshing import build_mesh
 from treedamp.diagnostics import (
@@ -40,8 +45,9 @@ def _interval_fixture():
 
 def test_g_recursion_matches_inline_build():
     tr, cs, y = _interval_fixture()
-    qd = quasi_derivatives(y, cs)
-    weights = [variation_integrand(y, cs, k, 1) for k in range(cs.n + 1)]
+    ells = operator_components(y, cs)
+    qd = quasi_derivatives(cs, ells)
+    weights = [variation_integrand(cs, ells, k, 1) for k in range(cs.n + 1)]
     gs = g_recursion(weights)
     for k in range(cs.n, 2 * cs.n + 1):
         diff = gs[k - cs.n] - qd.function(k, 1)
@@ -54,7 +60,7 @@ def test_first_order_quasi_derivative_closed_form():
     # a lower-order part in y; check the split pointwise
     a, b, c = 0.25, 0.5, -0.3
     tr, cs, y = _interval_fixture()
-    qd = quasi_derivatives(y, cs)
+    qd = quasi_derivatives(cs, operator_components(y, cs))
     f = qd.function(1, 1)
     tau = 1.0
     comp = y.component(1)
@@ -85,7 +91,7 @@ def test_second_order_quasi_derivatives_closed_form():
         (PiecewisePoly.from_global_coefs(0.0, 4.0, poly),),
         PiecewisePoly.from_global_coefs(-tau, 0.0, poly),
     )
-    qd = quasi_derivatives(y, cs)
+    qd = quasi_derivatives(cs, operator_components(y, cs))
     comp = y.component(1)
 
     def dk(t, k):
@@ -122,7 +128,7 @@ def test_retarded_first_order_vertex_balance_reduction():
     )
     y = TreeFunction(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, [1.0, 1.0]))
 
-    qd = quasi_derivatives(y, cs)
+    qd = quasi_derivatives(cs, operator_components(y, cs))
     T1 = 2.0
     raw = qd.function(1, 1).left_limit(T1) - sum(
         qd.function(1, nu).right_limit(0.0) for nu in (2, 3)
@@ -140,7 +146,7 @@ def test_retarded_first_order_vertex_balance_reduction():
 
 def test_kirchhoff_residual_empty_on_interval():
     tr, cs, y = _interval_fixture()
-    qd = quasi_derivatives(y, cs)
+    qd = quasi_derivatives(cs, operator_components(y, cs))
     kr = kirchhoff_residual(qd)
     assert kr == {"max": 0.0}
 
@@ -156,7 +162,7 @@ def test_kirchhoff_residual_decays_at_optimum():
     defects = []
     for q in (2, 8):
         sol = solve_damping(tr, cs, phi, q=q)
-        defects.append(kirchhoff_residual(quasi_derivatives(sol.y, sol.coeffs))["max"])
+        defects.append(kirchhoff_residual(quasi_derivatives(sol.coeffs, sol.control))["max"])
     assert defects[1] < defects[0] / 2.0
 
 
@@ -168,7 +174,7 @@ def test_jump_table_records_known_kink():
         [np.array([1.0, -1.0]), np.array([0.3, 2.0])],
     )
     y = TreeFunction(tr, 1, (comp,), PiecewisePoly.constant(-1.0, 0.0, 1.0))
-    qd = quasi_derivatives(y, cs)
+    qd = quasi_derivatives(cs, operator_components(y, cs))
     # y<1> = y', carrying the slope change 2 - (-1) = 3 at t = 0.7
     entries = qd.function(1, 1).jumps()
     [(t, gap)] = [(t, g) for t, g in entries if abs(g) > 1e-12]
@@ -183,7 +189,7 @@ def test_continuity_report_clean_for_smooth_optimum():
     cs = CoefficientSet.build(tr, 1, 1.0, b={(1, 1): 1.0}, c={})
     phi = PiecewisePoly.constant(-1.0, 0.0, 1.0)
     sol = solve_damping(tr, cs, phi, q=4)
-    qd = quasi_derivatives(sol.y, cs)
+    qd = quasi_derivatives(cs, sol.control)
     rep = continuity_report(qd)
     assert rep[1]["max_jump"] < 1e-10
     assert equation_residual(qd) < 1e-10
@@ -259,7 +265,7 @@ def test_weak_bvp_residual_flags_nonoptimal_trajectory():
     assert at_opt["max_rel"] < 1e-10
 
     # drive the same history with an arbitrary control: not optimal
-    u = Control(tr, (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 1.0]),))
+    u = (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 1.0]),)
     z = solve_cauchy(tr, cs, phi, u, sol.mesh)
     off_opt = oracles.weak_residual_symbolic(z, sol.basis, cs)
     assert off_opt["max_rel"] > 1e-3

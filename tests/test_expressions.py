@@ -10,6 +10,7 @@ from treedamp.expressions import (
     CoefficientError,
     CoefficientSet,
     TreeFunction,
+    advanced_part,
     apply_operator,
     delayed_part,
     variation_integrand,
@@ -106,7 +107,7 @@ def test_delayed_part_concatenates_history_head():
     assert dp.eval(0.5) == pytest.approx(1.0)            # history window
     assert dp.eval(2.5) == pytest.approx((2.5 - 1) ** 2)  # shifted main part
     # derivative order moves through the delayed read
-    dp1 = delayed_part(y, 1, k=1)
+    dp1 = dp.derivative(1)
     assert dp1.eval(2.0) == pytest.approx(2.0 * (2.0 - 1.0))
     assert dp1.eval(0.3) == pytest.approx(0.0)
 
@@ -124,6 +125,27 @@ def test_delayed_part_reads_parent_tail():
     assert dp.eval(0.2) == pytest.approx((2.0 + 0.2 - 0.5) ** 2)
     # past tau it reads edge 2 itself (zero)
     assert dp.eval(1.0) == pytest.approx(0.0)
+
+
+def test_advanced_part_is_adjoint_of_delayed_part():
+    # sum over edges of <delayed_part(y, nu), g_nu> equals the sum of
+    # <y_j, advanced_part(g, j)> over the active windows [0, l_j]
+    tau = 0.5
+    tr = star([2.0, 1.5, 2.5])
+    rng = np.random.default_rng(5)
+
+    def rand(T):
+        return PiecewisePoly.from_global_coefs(0.0, T, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+    y = TreeFunction(tr, 1, tuple(rand(T) for T in tr.lengths), PiecewisePoly.zero(-tau, 0.0))
+    g = [rand(T) for T in tr.lengths]
+    delayed = sum(delayed_part(y, nu).inner(g[nu - 1]) for nu in range(1, 4))
+    advanced = 0.0j
+    for j in range(1, 4):
+        adv = advanced_part(lambda nu: g[nu - 1], tr, tau, j)
+        assert adv.domain == (0.0, oracles.reduced_length(tr, tau, j))
+        advanced += y.component(j).restrict(*adv.domain).inner(adv)
+    assert advanced == pytest.approx(delayed, rel=1e-12)
 
 
 def test_apply_operator_hand_case():
@@ -251,7 +273,7 @@ def test_variation_integrand_interval_weight():
     y = _tf_interval([1.0, 1.0, 0.5], [1.0, 1.0], T=T, tau=tau)
     Ly = apply_operator(y, cs, 1)
     for k, bk, ck in ((0, 0.5, 2.0), (1, 1.0, 0.25)):
-        weight = variation_integrand(y, cs, k, 1)
+        weight = variation_integrand(cs, (Ly,), k, 1)
         assert weight.domain == (0.0, T - tau)
         for t in (0.3, 1.1, 1.9):
             expect = bk * Ly.eval(t) + ck * Ly.eval(t + tau)
@@ -274,7 +296,7 @@ def test_variation_integrand_star_late_window_uses_children():
     ells = [apply_operator(y, cs, j) for j in range(1, 4)]
     T1 = 2.0
     for k in (0, 1):
-        weight = variation_integrand(y, cs, k, 1, ells)
+        weight = variation_integrand(cs, ells, k, 1)
         assert weight.domain == (0.0, T1)
         t = T1 - 0.2  # inside the final delay window
         bk = 1.0 if k == 1 else 0.0

@@ -1,5 +1,7 @@
 """Exact piecewise-polynomial algebra."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +12,6 @@ from treedamp.piecewise import (
     BREAK_RTOL,
     PiecewisePoly,
     _poly_der,
-    _poly_shift,
     _poly_val,
     derivative_powers,
     merge_breaks,
@@ -235,6 +236,16 @@ def test_derivative_of_antiderivative(p):
 
 # ----------------------------------------------------------------------
 # the whole-table operations against a per-piece reference
+
+
+def _poly_shift(c, dx):
+    """Re-centre ``p(s) = sum c_i s^i`` to powers of ``u = s - dx`` by the
+    binomial expansion, one coefficient at a time."""
+    q = np.zeros(len(c), dtype=complex)
+    for i, ci in enumerate(c):
+        for k in range(i + 1):
+            q[k] += ci * math.comb(i, k) * dx ** (i - k)
+    return q
 
 
 def _ref_refined(p, extra):
