@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .expressions import CoefficientSet, TreeFunction, apply_operator
+from .expressions import CoefficientSet, TreeFunction, apply_operator, check_edge_functions
 from .meshing import DelayMesh
 from .piecewise import PiecewisePoly, derivative_powers
 from .trees import Tree
@@ -38,11 +38,12 @@ def solve_cauchy(
 ) -> TreeFunction:
     """Integrate the controlled system forward from the history ``phi``.
 
-    ``control`` holds the input on edge ``j`` at index ``j - 1``.  ``mesh``
+    ``control`` holds the input on edge ``j``, a function on ``[0, T_j]``,
+    at index ``j - 1``.  ``mesh``
     supplies the element partition of every edge; element widths never
     exceed the delay, which the stepping argument relies on.
     """
-    _check_control(tree, control)
+    check_edge_functions(tree, control, "control")
     n = coeffs.n
     tau = coeffs.tau
     # Gauss points per element: the local degree n + g - 1 is then at least
@@ -97,15 +98,9 @@ def solve_cauchy(
     return TreeFunction(tree, n, tuple(comps), phi)
 
 
-def _check_control(tree: Tree, control: tuple) -> None:
-    if len(control) != tree.m:
-        raise ValueError(f"one control component per edge required: got {len(control)} "
-                         f"for {tree.m} edges")
-
-
 def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:
     """Per-edge L2 distance between the applied operator and the control."""
-    _check_control(y.tree, control)
+    check_edge_functions(y.tree, control, "control")
     per_edge = []
     for j in range(1, y.tree.m + 1):
         diff = apply_operator(y, coeffs, j) - control[j - 1]

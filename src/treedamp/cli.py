@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,31 +46,19 @@ def _sample_times(p: PiecewisePoly, per_piece: int = 4) -> np.ndarray:
     return np.unique(np.concatenate([p.breaks, inner.ravel()]))
 
 
-def _csv_rows(eid, p: PiecewisePoly, nder: int) -> list:
-    """``eid,t`` then the real and imaginary parts of ``p`` and its first
-    ``nder - 1`` derivatives, one row per sample time."""
-    times = _sample_times(p)
-    cols = [times]
-    for k in range(nder):
-        v = p.values(times, k)
-        cols += [v.real, v.imag]
-    return [",".join([str(eid)] + [_fmt(x) for x in row]) for row in np.column_stack(cols)]
-
-
-def _write_trajectory_csv(path: Path, cfg: ProblemConfig, y) -> None:
-    header = ["edge", "t"]
-    for k in range(cfg.n):
-        header += [f"re_y{k}", f"im_y{k}"]
+def _write_csv(path: Path, cfg: ProblemConfig, funcs, names: list) -> None:
+    """``edge,t`` then the real and imaginary parts of each edge's function
+    and of its derivatives, one derivative per entry of ``names``, one row
+    per sample time."""
+    header = ["edge", "t"] + [f"{part}_{name}" for name in names for part in ("re", "im")]
     lines = [",".join(header)]
-    for j in range(1, cfg.tree.m + 1):
-        lines += _csv_rows(cfg.edge_ids[j - 1], y.component(j), cfg.n)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_control_csv(path: Path, cfg: ProblemConfig, control: tuple) -> None:
-    lines = ["edge,t,re_u,im_u"]
-    for j in range(1, cfg.tree.m + 1):
-        lines += _csv_rows(cfg.edge_ids[j - 1], control[j - 1], 1)
+    for eid, p in zip(cfg.edge_ids, funcs):
+        times = _sample_times(p)
+        cols = [times]
+        for k in range(len(names)):
+            v = p.values(times, k)
+            cols += [v.real, v.imag]
+        lines += [",".join([str(eid)] + [_fmt(x) for x in row]) for row in np.column_stack(cols)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -120,7 +109,7 @@ def cmd_simulate(args) -> int:
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, control, mesh)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", cfg, y)
+    _write_csv(out / "trajectory.csv", cfg, y.components, [f"y{k}" for k in range(cfg.n)])
     res = residual_ell(y, cfg.coeffs, control)
     summary = {
         "command": "simulate",
@@ -140,8 +129,8 @@ def cmd_damp(args) -> int:
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", cfg, sol.y)
-    _write_control_csv(out / "control.csv", cfg, sol.control)
+    _write_csv(out / "trajectory.csv", cfg, sol.y.components, [f"y{k}" for k in range(cfg.n)])
+    _write_csv(out / "control.csv", cfg, sol.control, ["u"])
     (out / "control.json").write_text(
         json.dumps(_control_to_dict(cfg, sol.control), indent=2) + "\n")
     diag = solution_report(sol)
@@ -187,7 +176,7 @@ def cmd_verify(args) -> int:
                             f"recomputed {len(recomputed)}")
             continue
         for a, b in zip(stored, recomputed):
-            if abs(a - b) > tol * max(1.0, abs(a)):
+            if not math.isfinite(a) or abs(a - b) > tol * max(1.0, abs(a)):
                 failures.append(f"{key} mismatch: stored {a!r}, recomputed {b!r}")
                 break
     if not failures:

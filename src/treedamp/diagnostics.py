@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingSolution, optimality_check
-from .expressions import CoefficientSet, variation_integrand
+from .expressions import CoefficientSet, variation_weights
 from .piecewise import PiecewisePoly
 
 # A jump is persistent when it changed by less than this share of its size
@@ -58,26 +58,15 @@ def quasi_derivatives(coeffs: CoefficientSet, ells) -> QuasiDerivativeSet:
 
     ``ells`` holds ``L_j y`` at index ``j - 1``, the ``control`` of a
     :class:`~treedamp.damping.DampingSolution`.  Runs the descending
-    recursion on the variation weights, one edge at a time, purely
-    symbolically.
+    recursion on the variation weights, one order at a time for the whole
+    tree, purely symbolically.
     """
-    tree = coeffs.tree
     n = coeffs.n
-    functions: dict = {}
-    per_edge_weights = []
-    for j in range(1, tree.m + 1):
-        per_edge_weights.append([variation_integrand(coeffs, ells, k, j) for k in range(n + 1)])
-    for k in range(n, 2 * n + 1):
-        row = []
-        for j in range(1, tree.m + 1):
-            w = per_edge_weights[j - 1]
-            if k == n:
-                qd = w[n]
-            else:
-                qd = w[2 * n - k] - functions[k - 1][j - 1].derivative()
-            row.append(qd)
-        functions[k] = row
-    return QuasiDerivativeSet(tree=tree, n=n, functions=functions)
+    weights = [variation_weights(coeffs, ells, k) for k in range(n + 1)]
+    functions = {n: weights[n]}
+    for k in range(n + 1, 2 * n + 1):
+        functions[k] = [w - f.derivative() for w, f in zip(weights[2 * n - k], functions[k - 1])]
+    return QuasiDerivativeSet(tree=coeffs.tree, n=n, functions=functions)
 
 
 def g_recursion(weights: list) -> list:

@@ -9,9 +9,9 @@ where the delayed value is read through the parent edge when ``t < tau``
 (and from the prescribed history on the root edge).  This module holds the
 data types for coefficient families and trajectories plus the exact algebra
 on them: the delayed read (:func:`delayed_part`) and its adjoint, the
-advanced read (:func:`advanced_part`); applying ``L_j``; and the
-re-indexed integrands of the first variation that the diagnostics are
-built on.
+advanced read (:func:`advanced_part`); applying ``L_j``; and, one order
+at a time for the whole tree, the weights of the re-indexed first
+variation (:func:`variation_weights`) that the diagnostics are built on.
 """
 
 from __future__ import annotations
@@ -26,6 +26,18 @@ from .trees import Tree
 
 class CoefficientError(ValueError):
     """Raised when a coefficient family fails validation."""
+
+
+def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``funcs`` holds one function per edge, edge
+    ``j``'s at index ``j - 1`` and on ``[0, T_j]``."""
+    if len(funcs) != tree.m:
+        raise error(f"{what}: one function per edge required, got {len(funcs)} for {tree.m} edges")
+    for j, p in enumerate(funcs, start=1):
+        a0, a1 = p.domain
+        Tj = tree.length(j)
+        if abs(a0) > 1e-12 or abs(a1 - Tj) > 1e-12 * max(1.0, Tj):
+            raise error(f"{what} on edge {j} has domain [{a0}, {a1}], expected [0, {Tj}]")
 
 
 @dataclass(frozen=True)
@@ -60,15 +72,7 @@ class CoefficientSet:
             if len(table) != self.n + 1:
                 raise CoefficientError(f"{name} must have rows k=0..{self.n}")
             for k, row in enumerate(table):
-                if len(row) != self.tree.m:
-                    raise CoefficientError(f"{name}[{k}] must cover all {self.tree.m} edges")
-                for j, p in enumerate(row, start=1):
-                    a0, a1 = p.domain
-                    Tj = self.tree.length(j)
-                    if abs(a0) > 1e-12 or abs(a1 - Tj) > 1e-12 * max(1.0, Tj):
-                        raise CoefficientError(
-                            f"{name}[{k}] on edge {j} has domain [{a0}, {a1}], expected [0, {Tj}]"
-                        )
+                check_edge_functions(self.tree, row, f"{name}[{k}]", CoefficientError)
         for j in range(1, self.tree.m + 1):
             lead = self.b[self.n][j - 1].min_abs()
             if lead < self.MIN_LEADING:
@@ -82,29 +86,29 @@ class CoefficientSet:
         """Assemble from sparse ``{(k, j): PiecewisePoly | scalar}`` maps.
 
         Missing entries default to zero; ``b[(n, j)]`` is required for every
-        edge.  Scalars are promoted to constants on ``[0, T_j]``.
+        edge, and a key outside ``k = 0..n``, ``j = 1..m`` is rejected.
+        Scalars are promoted to constants on ``[0, T_j]``.
         """
+
+        valid = {(k, j) for k in range(n + 1) for j in range(1, tree.m + 1)}
+        for src, name in ((b, "b"), (c, "c")):
+            for key in src:
+                if key not in valid:
+                    raise CoefficientError(f"{name}[{key!r}] is outside k = 0..{n}, j = 1..{tree.m}")
+        for j in range(1, tree.m + 1):
+            if (n, j) not in b:
+                raise CoefficientError(f"b[({n}, {j})] is required")
 
         def promote(val, j):
             if isinstance(val, PiecewisePoly):
                 return val
             return PiecewisePoly.constant(0.0, tree.length(j), complex(val))
 
-        def table(src, name):
-            rows = []
-            for k in range(n + 1):
-                row = []
-                for j in range(1, tree.m + 1):
-                    if (k, j) in src:
-                        row.append(promote(src[(k, j)], j))
-                    elif name == "b" and k == n:
-                        raise CoefficientError(f"b[({n}, {j})] is required")
-                    else:
-                        row.append(PiecewisePoly.zero(0.0, tree.length(j)))
-                rows.append(tuple(row))
-            return tuple(rows)
+        def table(src):
+            return tuple(tuple(promote(src.get((k, j), 0.0), j) for j in range(1, tree.m + 1))
+                         for k in range(n + 1))
 
-        return cls(tree=tree, n=n, tau=tau, b=table(b, "b"), c=table(c, "c"))
+        return cls(tree=tree, n=n, tau=tau, b=table(b), c=table(c))
 
     def terms(self, j: int) -> list:
         """``(k, b_kj, c_kj)`` for ``k=0..n``; an identically zero coefficient
@@ -141,15 +145,7 @@ class TreeFunction:
     history: PiecewisePoly
 
     def __post_init__(self):
-        if len(self.components) != self.tree.m:
-            raise ValueError("one component per edge required")
-        for j, p in enumerate(self.components, start=1):
-            a0, a1 = p.domain
-            Tj = self.tree.length(j)
-            if abs(a0) > 1e-12 or abs(a1 - Tj) > 1e-12 * max(1.0, Tj):
-                raise ValueError(
-                    f"component {j} has domain [{a0}, {a1}], expected [0, {Tj}]"
-                )
+        check_edge_functions(self.tree, self.components, "trajectory")
         h0, h1 = self.history.domain
         if abs(h1) > 1e-12 or not h0 < 0:
             raise ValueError(f"history must live on [-tau, 0], got [{h0}, {h1}]")
@@ -192,20 +188,20 @@ def delayed_part(y: TreeFunction, j: int) -> PiecewisePoly:
 def advanced_part(g, tree: Tree, tau: float, j: int) -> PiecewisePoly:
     """The adjoint of :func:`delayed_part` on edge ``j``, on ``[0, l_j]``.
 
-    ``g(nu)`` is a function on ``[0, T_nu]`` per edge ``nu``.  Summed over
-    the edges, the integral of ``delayed_part(y, nu) * conj(g(nu))`` equals
-    that of ``y_j * conj(advanced_part(g, tree, tau, j))`` for every ``y``
-    with zero history: the advanced read ``g_j(t + tau)`` on
+    ``g[nu - 1]`` is a function on ``[0, T_nu]`` per edge ``nu``.  Summed
+    over the edges, the integral of ``delayed_part(y, nu) * conj(g[nu - 1])``
+    equals that of ``y_j * conj(advanced_part(g, tree, tau, j))`` for every
+    ``y`` with zero history: the advanced read ``g_j(t + tau)`` on
     ``[0, T_j - tau]`` and, on the last delay window of an internal edge,
     the sum of the children's reads ``g_nu(t - T_j + tau)``.  ``l_j`` is
     ``T_j`` on internal edges and ``T_j - tau`` on boundary edges, whose
     last window no delayed read reaches.
     """
     Tj = tree.length(j)
-    early = g(j).restrict(tau, Tj).shift(-tau)
+    early = g[j - 1].restrict(tau, Tj).shift(-tau)
     if j > tree.d:
         return early
-    reads = [g(nu).restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
+    reads = [g[nu - 1].restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
     return early.concat(sum(reads[1:], reads[0]))
 
 
@@ -226,17 +222,27 @@ def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> list:
     return [apply_operator(y, coeffs, j) for j in range(1, y.tree.m + 1)]
 
 
-def variation_integrand(coeffs: CoefficientSet, ells, k: int, j: int) -> PiecewisePoly:
-    """Weight of ``conj(w_j^(k))`` in the re-indexed first variation.
+def variation_weights(coeffs: CoefficientSet, ells, k: int) -> list:
+    """Weights of ``conj(w^(k))`` in the re-indexed first variation, edge
+    ``j``'s at index ``j - 1``.
 
     After moving every delayed test-function read back to its home edge, the
     first variation becomes a sum of integrals over the active windows
     ``[0, l_j]`` of products (weight) * conj(w_j^(k)).  Given the control
     ``ells`` (``L_nu y`` at index ``nu - 1``), the weight is
     ``conj(b_kj) * ells_j`` on ``[0, l_j]`` plus the advanced read
-    (:func:`advanced_part`) of ``conj(c_k) * ells``.
+    (:func:`advanced_part`) of ``conj(c_k) * ells``.  Each product is formed
+    once per edge; a zero coefficient gives a zero function without one.
     """
     tree, tau = coeffs.tree, coeffs.tau
-    lj = tree.length(j) if j <= tree.d else tree.length(j) - tau
-    own = (coeffs.b[k][j - 1].conj() * ells[j - 1]).restrict(0.0, lj)
-    return own + advanced_part(lambda nu: coeffs.c[k][nu - 1].conj() * ells[nu - 1], tree, tau, j)
+    own, read = [], []
+    for j in range(1, tree.m + 1):
+        _, b, c = coeffs.terms(j)[k]
+        zero = PiecewisePoly.zero(0.0, tree.length(j))
+        own.append(zero if b is None else b.conj() * ells[j - 1])
+        read.append(zero if c is None else c.conj() * ells[j - 1])
+    return [
+        own[j - 1].restrict(0.0, tree.length(j) if j <= tree.d else tree.length(j) - tau)
+        + advanced_part(read, tree, tau, j)
+        for j in range(1, tree.m + 1)
+    ]

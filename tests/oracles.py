@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from treedamp.expressions import operator_components, variation_integrand
+from treedamp.expressions import operator_components, variation_weights
 
 
 def reduced_length(tree, tau: float, j: int) -> float:
@@ -54,10 +54,9 @@ def energy_product_reindexed(y, w, coeffs) -> complex:
     """
     ells = operator_components(y, coeffs)
     total = 0.0j
-    for j in range(1, y.tree.m + 1):
-        lj = reduced_length(y.tree, coeffs.tau, j)
-        for k in range(coeffs.n + 1):
-            weight = variation_integrand(coeffs, ells, k, j)
+    for k in range(coeffs.n + 1):
+        for j, weight in enumerate(variation_weights(coeffs, ells, k), start=1):
+            lj = reduced_length(y.tree, coeffs.tau, j)
             total += weight.inner(w.component(j).derivative(k).restrict(0.0, lj))
     return complex(total)
 

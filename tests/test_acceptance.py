@@ -14,7 +14,7 @@ import pytest
 from treedamp.config import ProblemConfig
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import interval, star
-from treedamp.expressions import CoefficientError, CoefficientSet, variation_integrand
+from treedamp.expressions import CoefficientError, CoefficientSet, variation_weights
 from treedamp.meshing import Basis
 from treedamp.damping import (
     IndefiniteGramError,
@@ -255,10 +255,9 @@ def test_criterion_8_recursion_routes_agree(capsys):
         cfg = ProblemConfig.from_file(CONFIGS / name)
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
         qd = quasi_derivatives(sol.coeffs, sol.control)
+        table = [variation_weights(sol.coeffs, sol.control, k) for k in range(cfg.n + 1)]
         for j in range(1, cfg.tree.m + 1):
-            weights = [variation_integrand(sol.coeffs, sol.control, k, j)
-                       for k in range(cfg.n + 1)]
-            gs = g_recursion(weights)
+            gs = g_recursion([row[j - 1] for row in table])
             for k in range(cfg.n, 2 * cfg.n + 1):
                 diff = gs[k - cfg.n] - qd.function(k, j)
                 worst = max(worst, diff.max_abs())

@@ -188,17 +188,22 @@ def test_delayed_read_crosses_vertex():
         assert y.component(3).eval(t) == pytest.approx(got, abs=1e-12)
 
 
-@pytest.mark.parametrize("size", [2, 4])
-def test_control_with_wrong_edge_count_is_rejected(size):
-    # a star has three edges; the control must carry exactly one input per edge
+@pytest.mark.parametrize("lengths, match", [
+    ((2.0, 2.0), "got 2 for 3 edges"),
+    ((2.0,) * 4, "got 4 for 3 edges"),
+    ((2.0, 1.0, 2.0), r"edge 2 has domain \[0.0, 1.0\], expected \[0, 2.0\]"),
+], ids=["2", "4", "domain"])
+def test_control_with_wrong_edge_count_is_rejected(lengths, match):
+    # a star has three edges; the control must carry exactly one input per
+    # edge, on that edge's [0, T_j], or it would be read outside its domain
     tau = 0.5
     tr = star([2.0, 2.0, 2.0])
     cs = CoefficientSet.build(tr, 1, tau, b={(1, j): 1.0 for j in range(1, 4)}, c={})
     phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
     mesh = build_mesh(tr, tau, 2)
     y = solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)
-    bad = tuple(PiecewisePoly.zero(0.0, 2.0) for _ in range(size))
-    with pytest.raises(ValueError, match=f"got {size} for 3 edges"):
+    bad = tuple(PiecewisePoly.zero(0.0, T) for T in lengths)
+    with pytest.raises(ValueError, match=match):
         solve_cauchy(tr, cs, phi, bad, mesh)
-    with pytest.raises(ValueError, match=f"got {size} for 3 edges"):
+    with pytest.raises(ValueError, match=match):
         residual_ell(y, cs, bad)

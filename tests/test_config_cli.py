@@ -1,6 +1,7 @@
 """Problem-file parsing and the command-line workflows."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -222,18 +223,24 @@ def test_cli_verify_catches_tampered_energy(tmp_path, capsys):
     assert "energy mismatch" in capsys.readouterr().err
 
 
-def test_cli_verify_catches_tampered_diagnostics(tmp_path, capsys):
+@pytest.mark.parametrize("key, tamper", [
+    ("continuity", lambda v: {**v, "1": v["1"] + 1.0}),
+    # json writes these as NaN and Infinity, which no tolerance test rejects
+    ("energy", lambda v: math.nan),
+    ("kirchhoff_max", lambda v: math.inf),
+], ids=["continuity", "nan", "inf"])
+def test_cli_verify_catches_tampered_diagnostics(tmp_path, capsys, key, tamper):
     cfg_path = str(CONFIGS / "interval.json")
     out = tmp_path / "run"
     main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"])
     capsys.readouterr()
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
-    summary["continuity"]["1"] += 1.0
+    summary[key] = tamper(summary[key])
     summary_path.write_text(json.dumps(summary))
     assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "continuity mismatch" in err and "energy" not in err
+    fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == 1 and f"{key} mismatch" in fails[0]
 
 
 def test_cli_verify_rejects_malformed_summary(tmp_path, capsys):
@@ -286,6 +293,16 @@ def test_cli_convergence_flags_rough_history(capsys):
     out = capsys.readouterr().out
     assert "smoothness loss detected" in out
     assert "order-3" in out
+
+
+def test_cli_convergence_checks_kirchhoff_decay_on_a_star(capsys):
+    # the only tree config with a branching vertex: the Kirchhoff residual
+    # must shrink from the coarsest to the finest level
+    cfg_path = str(CONFIGS / "star.json")
+    assert main(["convergence", "--config", cfg_path, "--q", "2,4,8"]) == 0
+    assert "Kirchhoff" not in capsys.readouterr().err
+    assert main(["convergence", "--config", cfg_path, "--q", "8,2"]) == 4
+    assert "Kirchhoff residual did not decay" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_for_bad_input(tmp_path, capsys):

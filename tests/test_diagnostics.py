@@ -11,7 +11,7 @@ from treedamp.expressions import (
     CoefficientSet,
     TreeFunction,
     operator_components,
-    variation_integrand,
+    variation_weights,
 )
 from treedamp.damping import optimality_check, solve_damping
 from treedamp.cauchy import solve_cauchy
@@ -47,7 +47,7 @@ def test_g_recursion_matches_inline_build():
     tr, cs, y = _interval_fixture()
     ells = operator_components(y, cs)
     qd = quasi_derivatives(cs, ells)
-    weights = [variation_integrand(cs, ells, k, 1) for k in range(cs.n + 1)]
+    weights = [variation_weights(cs, ells, k)[0] for k in range(cs.n + 1)]
     gs = g_recursion(weights)
     for k in range(cs.n, 2 * cs.n + 1):
         diff = gs[k - cs.n] - qd.function(k, 1)

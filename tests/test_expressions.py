@@ -1,5 +1,7 @@
 """Edge operators, delayed reads, and the control cost."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from treedamp.expressions import (
     advanced_part,
     apply_operator,
     delayed_part,
-    variation_integrand,
+    variation_weights,
 )
 
 import oracles
@@ -59,6 +61,21 @@ def test_coefficient_set_rejects_wrong_domain():
     bad = PiecewisePoly.constant(0.0, 1.5, 1.0)
     with pytest.raises(CoefficientError, match="domain"):
         CoefficientSet.build(tr, 1, 0.5, b={(1, 1): bad}, c={})
+
+
+@pytest.mark.parametrize("b", [
+    {(1, 1): 1.0, (2, 1): 5.0},
+    {(1, 1): 1.0, (0, 7): 3.0},
+    {(1, 1): 1.0, (-1, 1): 3.0},
+    {(1, 1): 1.0, 1: 3.0},
+])
+def test_coefficient_set_rejects_keys_outside_orders_and_edges(b):
+    tr = interval(2.0)
+    (stray,) = set(b) - {(1, 1)}
+    with pytest.raises(CoefficientError, match=re.escape(f"b[{stray!r}] is outside")):
+        CoefficientSet.build(tr, 1, 0.5, b=b, c={})
+    with pytest.raises(CoefficientError, match=re.escape(f"c[{stray!r}] is outside")):
+        CoefficientSet.build(tr, 1, 0.5, b={(1, 1): 1.0}, c={stray: 1.0})
 
 
 def test_coefficient_defaults_are_zero():
@@ -142,7 +159,7 @@ def test_advanced_part_is_adjoint_of_delayed_part():
     delayed = sum(delayed_part(y, nu).inner(g[nu - 1]) for nu in range(1, 4))
     advanced = 0.0j
     for j in range(1, 4):
-        adv = advanced_part(lambda nu: g[nu - 1], tr, tau, j)
+        adv = advanced_part(g, tr, tau, j)
         assert adv.domain == (0.0, oracles.reduced_length(tr, tau, j))
         advanced += y.component(j).restrict(*adv.domain).inner(adv)
     assert advanced == pytest.approx(delayed, rel=1e-12)
@@ -263,7 +280,7 @@ def test_energy_product_reindexed_matches_direct():
     assert reindexed == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_variation_integrand_interval_weight():
+def test_variation_weights_interval_weight():
     """On an interval the weight is b * Ly + advanced c * Ly, checked by hand."""
     T, tau = 3.0, 1.0
     tr = interval(T)
@@ -273,14 +290,14 @@ def test_variation_integrand_interval_weight():
     y = _tf_interval([1.0, 1.0, 0.5], [1.0, 1.0], T=T, tau=tau)
     Ly = apply_operator(y, cs, 1)
     for k, bk, ck in ((0, 0.5, 2.0), (1, 1.0, 0.25)):
-        weight = variation_integrand(cs, (Ly,), k, 1)
+        (weight,) = variation_weights(cs, (Ly,), k)
         assert weight.domain == (0.0, T - tau)
         for t in (0.3, 1.1, 1.9):
             expect = bk * Ly.eval(t) + ck * Ly.eval(t + tau)
             assert weight.eval(t) == pytest.approx(expect, rel=1e-12)
 
 
-def test_variation_integrand_star_late_window_uses_children():
+def test_variation_weights_star_late_window_uses_children():
     tau = 0.5
     tr = star([2.0, 2.0, 2.0])
     cmap = {(1, 1): 0.3, (1, 2): 0.7, (1, 3): -0.2, (0, 2): 1.1}
@@ -296,7 +313,7 @@ def test_variation_integrand_star_late_window_uses_children():
     ells = [apply_operator(y, cs, j) for j in range(1, 4)]
     T1 = 2.0
     for k in (0, 1):
-        weight = variation_integrand(cs, ells, k, 1)
+        weight = variation_weights(cs, ells, k)[0]
         assert weight.domain == (0.0, T1)
         t = T1 - 0.2  # inside the final delay window
         bk = 1.0 if k == 1 else 0.0
