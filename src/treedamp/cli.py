@@ -102,6 +102,17 @@ def _numbers(value) -> list:
     return []
 
 
+def _agrees(stored, fresh, tol: float) -> bool:
+    """Whether a stored number matches its recomputed value to ``tol``; a
+    stored number that is not finite, or an integer no float can hold,
+    matches nothing."""
+    try:
+        a = float(stored)
+    except OverflowError:
+        return False
+    return math.isfinite(a) and abs(a - fresh) <= tol * max(1.0, abs(a))
+
+
 def cmd_simulate(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     control = _control_from_file(args.control, cfg)
@@ -176,7 +187,7 @@ def cmd_verify(args) -> int:
                             f"recomputed {len(recomputed)}")
             continue
         for a, b in zip(stored, recomputed):
-            if not math.isfinite(a) or abs(a - b) > tol * max(1.0, abs(a)):
+            if not _agrees(a, b, tol):
                 failures.append(f"{key} mismatch: stored {a!r}, recomputed {b!r}")
                 break
     if not failures:

@@ -5,18 +5,25 @@ control ``L y``, over ``lift + V_h`` where ``V_h`` is the discrete
 perturbation space; equivalently it solves the normal equations
 ``G x = f`` with the Gram matrix of the energy product on basis pairs and
 the right side driven by the history lift.  ``G`` is Hermitian positive
-definite whenever the leading coefficients stay away from zero, so the
-solve is a single Cholesky factorisation; :func:`optimality_check` then
-measures the first variation of the solution on the assembly grid.
+definite whenever the leading coefficients stay away from zero.
+
+With ``L`` the sparse ndof x nquad table of basis-function images at the
+Gauss points and ``W`` the Gauss weights, ``G = conj(L) W L^T`` is formed as
+a sparse product.
+It is factored once by SuperLU with symmetric pivoting, whose pivots are
+the definiteness test, and one step of the corrected seminormal equations
+(Bjorck 1987) with the same factor recovers the accuracy that forming ``G``
+squared away.  :func:`optimality_check` then measures the first variation
+of the solution on the assembly grid.
 
 Assembly works element by element on the shape and DOF-row tables of
 :class:`~treedamp.meshing.Basis`.  At every Gauss point of an edge the
 operator row of the basis is the sum of the ``2n`` Hermite shapes of the
 element holding ``t`` (weighted by the ``b_k``) and of the element holding
 ``t - tau`` (weighted by the ``c_k``), which sits on the same edge or on the
-parent's tail; those at most ``4n`` values are scattered into the rows of
-the DOFs they belong to.  Gauss cells refine every element node, its
-``tau``-shift and every coefficient breakpoint, so the integrands are
+parent's tail; those at most ``4n`` values become entries of ``L`` in the
+rows of the DOFs they belong to.  Gauss cells refine every element node,
+its ``tau``-shift and every coefficient breakpoint, so the integrands are
 polynomials on each cell and the quadrature is exact.
 """
 
@@ -26,7 +33,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, history_lift
@@ -37,56 +45,119 @@ from .trees import Tree
 class IndefiniteGramError(np.linalg.LinAlgError):
     """The Gram matrix failed the positive-definite factorisation.
 
-    The message reports the extreme eigenvalues of the matrix, a condition
-    estimate and the smallest element width: a leading coefficient near zero
-    and a sliver element both make the energy form degenerate."""
+    The message reports the pivot ratio of the factor, a condition estimate
+    (from the extreme eigenvalues up to ``EIGEN_REPORT_NDOF`` unknowns) and
+    the smallest element width: a leading coefficient near zero and a sliver
+    element both make the energy form degenerate."""
+
+
+# Largest number of unknowns for which a failed factorisation also reports
+# the extreme eigenvalues of the Gram matrix, from a dense copy.
+EIGEN_REPORT_NDOF = 1000
+
+# A pivot whose imaginary part exceeds this fraction of the largest pivot is
+# not the real pivot of a Hermitian matrix.
+PIVOT_IMAG_RTOL = 1e-8
+
+
+class _Stored:
+    """``nbytes`` of a compressed sparse array: the bytes it stores."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+class SparseCSR(_Stored, scipy.sparse.csr_array):
+    pass
+
+
+class SparseCSC(_Stored, scipy.sparse.csc_array):
+    pass
 
 
 @dataclass
 class GramSystem:
     """Normal equations of the discrete minimisation.
 
-    ``matrix[p, r]`` is the energy product of basis function ``r`` against
-    basis function ``p``; ``rhs[p]`` is minus the product of the lift
-    against basis function ``p``.  The Gauss grid (``points`` per edge,
-    ``weights`` flat over all edges in edge order) and the basis-image values
-    are kept for reuse by the optimality diagnostics.
+    ``basis_values`` is the sparse ndof x nquad table of ``L w_p`` at the
+    Gauss points (``points`` per edge, ``weights`` flat over all edges in
+    edge order) and ``lift_values`` is ``L phi`` there.  ``matrix`` is the
+    sparse Gram matrix ``conj(L) W L^T``: ``matrix[p, r]`` is the energy
+    product of basis function ``r`` against basis function ``p``.  ``rhs``
+    is minus the product of the lift against each basis function.
     """
 
-    matrix: np.ndarray
+    matrix: SparseCSC
     rhs: np.ndarray
     basis: Basis
     points: list
     weights: np.ndarray
-    basis_values: np.ndarray  # ndof x nquad values of L w_p
+    basis_values: SparseCSR
+    lift_values: np.ndarray
+
+    def products(self, values: np.ndarray) -> np.ndarray:
+        """``conj(L) W values``: the energy product of a function, given by
+        its values at the Gauss points, against every basis function."""
+        return (self.basis_values @ (self.weights * values).conj()).conj()
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        defect = self.matrix - self.matrix.conj().T
+        return float(np.max(np.abs(defect.data), initial=0.0))
+
+    def _indefinite(self, reason: str, pivots=None) -> IndefiniteGramError:
+        ndof = self.matrix.shape[0]
+        parts = [f"Gram matrix is not positive definite: {reason}"]
+        cond = np.inf
+        if pivots is not None:
+            size = np.abs(pivots)
+            cond = size.max() / size.min() if size.min() > 0 else np.inf
+            parts.append(f"pivot ratio {cond:.3e}")
+        if ndof <= EIGEN_REPORT_NDOF:
+            eig = np.linalg.eigvalsh(self.matrix.toarray())
+            lo, hi = abs(eig[0]), abs(eig[-1])
+            cond = hi / lo if lo > 0 else np.inf
+            parts.append(f"eigenvalues from {eig[0]:.3e} to {eig[-1]:.3e}")
+        parts.append(f"condition estimate {cond:.3e}, smallest element width "
+                     f"h_min = {self.basis.mesh.min_width():.3e}; a leading coefficient "
+                     "near zero or a sliver element makes the energy form degenerate")
+        return IndefiniteGramError(", ".join(parts))
 
     def solve(self) -> np.ndarray:
-        if self.matrix.size == 0:
+        """The minimiser of the discrete energy over the perturbation space.
+
+        One sparse LU factorisation, with a fill-reducing ordering applied to
+        rows and columns alike and every pivot taken on the diagonal: for a
+        Hermitian positive definite ``G`` the pivots are real and positive,
+        so they are the definiteness test.  One step of the corrected
+        seminormal equations then recovers the accuracy that forming ``G``
+        squared away: the residual ``L phi + L^T x`` at the Gauss points
+        feeds one more solve with the same factor.
+        """
+        if self.matrix.shape[0] == 0:
             # fully clamped space: the lift is the only candidate
             return np.zeros(0, dtype=complex)
         try:
-            cf = scipy.linalg.cho_factor(self.matrix, lower=False)
-        except np.linalg.LinAlgError as exc:
-            eig = scipy.linalg.eigvalsh(self.matrix)
-            lo, hi = abs(eig[0]), abs(eig[-1])
-            cond = hi / lo if lo > 0 else np.inf
-            raise IndefiniteGramError(
-                f"Gram matrix is not positive definite: eigenvalues from {eig[0]:.3e} "
-                f"to {eig[-1]:.3e}, condition estimate {cond:.3e}, smallest element "
-                f"width h_min = {self.basis.mesh.min_width():.3e}; a leading coefficient "
-                "near zero or a sliver element makes the energy form degenerate"
-            ) from exc
-        return scipy.linalg.cho_solve(cf, self.rhs)
+            lu = scipy.sparse.linalg.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+            raise self._indefinite("the factor is singular") from exc
+        piv = lu.U.diagonal()
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise self._indefinite("a zero pivot forced an off-diagonal one", piv)
+        if np.any(piv.real <= 0.0) or np.any(np.abs(piv.imag) > PIVOT_IMAG_RTOL * np.abs(piv).max()):
+            raise self._indefinite("a pivot is not real and positive", piv)
+        x = lu.solve(self.rhs)
+        x += lu.solve(-self.products(self.lift_values + self.basis_values.T @ x))
+        return x
 
 
-def _add_rows(L: np.ndarray, basis: Basis, j: int, cols: np.ndarray, t: np.ndarray,
-              weights: list) -> None:
-    """Add ``sum_k a_k(t) d^k/dt^k`` of the shapes of the element of edge
-    ``j`` holding each ``t`` into the free DOF rows of column ``cols`` of
-    ``L``, for ``weights = [(k, a_k(t)), ...]``."""
+def _operator_rows(basis: Basis, j: int, cols: np.ndarray, t: np.ndarray, weights: list):
+    """COO triples ``(rows, cols, values)`` of ``sum_k a_k(t) d^k/dt^k``
+    applied to the shapes of the element of edge ``j`` holding each ``t``,
+    one row per free DOF of the element and column ``cols`` per point, for
+    ``weights = [(k, a_k(t)), ...]``."""
     nodes = basis.mesh.nodes[j - 1]
     shapes = basis.shapes[j - 1]
     e = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(shapes) - 1)
@@ -98,8 +169,7 @@ def _add_rows(L: np.ndarray, basis: Basis, j: int, cols: np.ndarray, t: np.ndarr
     vals = np.einsum("pi,psi->ps", mono, shapes[e])
     rows = basis.rows[j - 1][e]
     free = rows >= 0
-    # the rows of one point are distinct DOFs, so the fancy += adds each once
-    L[rows[free], np.broadcast_to(cols[:, None], rows.shape)[free]] += vals[free]
+    return rows[free], np.broadcast_to(cols[:, None], rows.shape)[free], vals[free]
 
 
 def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSystem:
@@ -137,30 +207,36 @@ def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSy
     gx, gw = np.polynomial.legendre.leggauss(max_deg + 1)
     points = [(x[:-1, None] + 0.5 * np.diff(x)[:, None] * (gx + 1.0)).ravel() for x in cells]
     weights = np.concatenate([(0.5 * np.diff(x)[:, None] * gw).ravel() for x in cells])
-    L = np.zeros((basis.ndof, len(weights)), dtype=complex)
+    triples = []
     start = 0
     for j, t in enumerate(points, start=1):
         cols = start + np.arange(len(t))
         start += len(t)
         b_w = [(k, b.values(t)) for k, b, _ in terms[j - 1] if b is not None]
-        _add_rows(L, basis, j, cols, t, b_w)
+        triples.append(_operator_rows(basis, j, cols, t, b_w))
         c_w = [(k, c.values(t)) for k, _, c in terms[j - 1] if c is not None]
         if not c_w:
             continue
         td = t - tau
         own = td >= 0.0
-        _add_rows(L, basis, j, cols[own], td[own], [(k, a[own]) for k, a in c_w])
+        triples.append(_operator_rows(basis, j, cols[own], td[own], [(k, a[own]) for k, a in c_w]))
         if j > 1:  # on the root edge the early delayed read is the (zero) history
             p = tree.parent_of(j)
             head = ~own
-            _add_rows(L, basis, p, cols[head], td[head] + tree.length(p),
-                      [(k, a[head]) for k, a in c_w])
-    Lphi = np.concatenate([ell.values(t) for ell, t in zip(lift_ell, points)])
+            triples.append(_operator_rows(basis, p, cols[head], td[head] + tree.length(p),
+                                          [(k, a[head]) for k, a in c_w]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
+    # a point's delayed read may reach DOFs its own element holds: the
+    # conversion from triples sums such duplicates
+    L = SparseCSR((vals, (rows, cols)), shape=(basis.ndof, len(weights)))
     Lw = L.conj()
-    Lw *= weights[None, :]
-    G = Lw @ L.T
-    f = -(Lw @ Lphi)
-    return GramSystem(matrix=G, rhs=f, basis=basis, points=points, weights=weights, basis_values=L)
+    Lw.data *= weights[Lw.indices]
+    # G = Lw L^T; its transpose L Lw^T, formed as CSR, stores G as CSC
+    Gt = L @ Lw.T
+    G = SparseCSC((Gt.data, Gt.indices, Gt.indptr), shape=Gt.shape)
+    Lphi = np.concatenate([ell.values(t) for ell, t in zip(lift_ell, points)])
+    return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis, points=points,
+                      weights=weights, basis_values=L, lift_values=Lphi)
 
 
 @dataclass
@@ -242,9 +318,8 @@ def optimality_check(sol: DampingSolution) -> dict:
     if sol.basis.ndof == 0:
         return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
     gram = sol.gram
-    u_vals = np.concatenate([u.values(t) for u, t in zip(sol.control, gram.points)])
-    resid = (gram.basis_values.conj() * gram.weights[None, :]) @ u_vals
-    norms = np.sqrt(np.abs(np.diag(gram.matrix).real))
+    resid = gram.products(np.concatenate([u.values(t) for u, t in zip(sol.control, gram.points)]))
+    norms = np.sqrt(np.abs(gram.matrix.diagonal().real))
     ynorm = np.sqrt(max(sol.energy, 0.0))
     scale = norms * ynorm
     rel = np.abs(resid) / np.where(scale > 0, scale, 1.0)

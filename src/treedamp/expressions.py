@@ -120,13 +120,15 @@ class CoefficientSet:
         return [(k, present(self.b[k][j - 1]), present(self.c[k][j - 1])) for k in range(self.n + 1)]
 
     def breakpoints(self, j: int) -> np.ndarray:
-        """Union of interior coefficient breakpoints on edge ``j``."""
-        arrays = []
+        """Interior points of edge ``j`` where some coefficient switches
+        polynomial.  A break that every coefficient crosses with the same
+        polynomial is left out, so the mesh puts no sliver element there."""
+        Tj = self.tree.length(j)
+        arrays = [np.array([0.0, Tj])]
         for k in range(self.n + 1):
-            arrays.append(self.b[k][j - 1].breaks)
-            arrays.append(self.c[k][j - 1].breaks)
-        pts = merge_breaks(arrays, 1e-12 * max(1.0, self.tree.length(j)))
-        return pts[1:-1]
+            arrays.append(self.b[k][j - 1].changes())
+            arrays.append(self.c[k][j - 1].changes())
+        return merge_breaks(arrays, 1e-12 * max(1.0, Tj))[1:-1]
 
 
 @dataclass(frozen=True)

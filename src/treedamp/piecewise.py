@@ -32,6 +32,10 @@ import numpy as np
 # Relative tolerance used when deciding that two breakpoints coincide.
 BREAK_RTOL = 1e-12
 
+# Relative tolerance used when deciding that the pieces on both sides of a
+# breakpoint are one polynomial.
+SAME_POLY_RTOL = 1e-13
+
 # Degree past which products are probably a modelling mistake.
 DEGREE_WARN = 40
 
@@ -218,6 +222,18 @@ class PiecewisePoly:
         left = _poly_val(self._c[:-1], np.diff(self.breaks[:-1]))
         gaps = self._c[1:, 0] - left
         return list(zip(self.breaks[1:-1].tolist(), gaps.tolist()))
+
+    def changes(self) -> np.ndarray:
+        """The interior breakpoints where the function switches polynomial:
+        the left piece, re-centred at the break, differs from the right one
+        by more than ``SAME_POLY_RTOL`` of their largest coefficient."""
+        if self.npieces == 1:
+            return self.breaks[1:-1]
+        left = _taylor_shift(self._c[:-1], np.diff(self.breaks[:-1]))
+        right = self._c[1:]
+        scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
+        same = np.abs(left - right).max(axis=1) <= SAME_POLY_RTOL * scale
+        return self.breaks[1:-1][~same]
 
     # ------------------------------------------------------------------
     # calculus

@@ -3,8 +3,9 @@
 None of these is on the path of a command.  Each recomputes a quantity the
 solver produces or relies on by exact piecewise-polynomial algebra, without
 the assembly's Gauss grid: the energy and its polarisation straight from
-``L y``, the first variation through the re-indexed weights, membership in
-the perturbation space from one-sided limits.
+``L y``, the dense Gram system and its minimal energy, the first variation
+through the re-indexed weights, membership in the perturbation space from
+one-sided limits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from treedamp.expressions import operator_components, variation_weights
 
@@ -119,6 +121,45 @@ def unit(basis, p: int):
     e = np.zeros(basis.ndof, dtype=complex)
     e[p] = 1.0
     return basis.tree_function(e)
+
+
+def dense_gram(basis, lift, coeffs):
+    """The Gram system ``(G, f)`` as dense arrays, by exact piecewise algebra:
+    ``G[p, r]`` is the energy product of basis function ``r`` against basis
+    function ``p`` and ``f[p]`` minus that of the lift.
+
+    No quadrature grid and no shape tabulation is shared with the assembly.
+    The operator images are formed once per function instead of once per
+    pair, and an edge where either image is identically zero contributes
+    exactly zero.  The lift rides along as the last function.
+    """
+    nd = basis.ndof
+    ells = [operator_components(u, coeffs) for u in [unit(basis, p) for p in range(nd)] + [lift]]
+    live = [{j for j, e in enumerate(ell) if any(c.any() for c in e.coefs)} for ell in ells]
+
+    def product(a, b):  # energy_product of function a against function b
+        return sum((ells[a][j].inner(ells[b][j]) for j in live[a] & live[b]), 0.0j)
+
+    G = np.array([[product(r, p) for r in range(nd)] for p in range(nd)]).reshape(nd, nd)
+    f = np.array([-product(nd, p) for p in range(nd)], dtype=complex)
+    return G, f
+
+
+def dense_energy(basis, lift, coeffs) -> float:
+    """The minimal energy on ``lift + span(basis)`` from :func:`dense_gram`,
+    solved by a dense Cholesky factorisation."""
+    G, f = dense_gram(basis, lift, coeffs)
+    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), f) if basis.ndof else f
+    return energy(lift + basis.tree_function(x), coeffs)
+
+
+def least_squares_dofs(gram) -> np.ndarray:
+    """The minimiser of ``|W^(1/2) (L phi + L^T x)|`` by LAPACK's dense
+    SVD-based least-squares solve.  It never forms ``G``, so its error grows
+    with the condition number of the weighted images, not with its square."""
+    sw = np.sqrt(gram.weights)
+    A = gram.basis_values.toarray().T * sw[:, None]
+    return np.linalg.lstsq(A, -sw * gram.lift_values, rcond=None)[0]
 
 
 def interpolate(basis, y) -> np.ndarray:

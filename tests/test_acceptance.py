@@ -176,7 +176,7 @@ def test_criterion_5_gram_positive_definite_and_rejections(capsys):
         basis = Basis(mesh, 1)
         lift = history_lift(mesh, 1, PiecewisePoly.constant(-tau, 0.0, 1.0))
         gram = assemble(basis, lift, cs)
-        piv = np.min(np.diag(np.linalg.cholesky(gram.matrix)).real)
+        piv = np.min(np.diag(np.linalg.cholesky(gram.matrix.toarray())).real)
         min_pivot = min(min_pivot, piv)
 
     # violation path one: a leading coefficient that reaches zero is

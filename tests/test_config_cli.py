@@ -228,7 +228,9 @@ def test_cli_verify_catches_tampered_energy(tmp_path, capsys):
     # json writes these as NaN and Infinity, which no tolerance test rejects
     ("energy", lambda v: math.nan),
     ("kirchhoff_max", lambda v: math.inf),
-], ids=["continuity", "nan", "inf"])
+    # an integer no float can hold
+    ("ndof", lambda v: 10**400),
+], ids=["continuity", "nan", "inf", "huge"])
 def test_cli_verify_catches_tampered_diagnostics(tmp_path, capsys, key, tamper):
     cfg_path = str(CONFIGS / "interval.json")
     out = tmp_path / "run"
@@ -376,6 +378,36 @@ def test_cli_rejects_leading_coefficient_with_interior_zero(tmp_path, capsys):
     bad.write_text(json.dumps(_minimal_dict(coefficients=[lead])))
     assert main(["damp", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "away from zero" in capsys.readouterr().err
+
+
+def _break_config(delta):
+    # order 2 on [0, 3], tau = 1: every coefficient takes the same constant on
+    # both sides of 1 + delta, next to the delay wavefront at 1
+    def coef(value):
+        if delta is None:
+            return {"kind": "constant", "data": value}
+        pieces = {"breaks": [0.0, 1.0 + delta, 3.0], "pieces": [[value], [value]]}
+        return {"kind": "piecewise", "data": pieces}
+
+    return _minimal_dict(order=2, coefficients=[
+        {"edge": 1, "family": "b", "k": 2, **coef(1.0)},
+        {"edge": 1, "family": "c", "k": 1, **coef(0.5)},
+        {"edge": 1, "family": "b", "k": 0, **coef(0.5)},
+    ], history={"kind": "polynomial", "data": [1.0, 1.0]}, solver={"q": 4})
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-10])
+def test_cli_damp_ignores_a_coefficient_break_that_changes_nothing(tmp_path, delta):
+    # the break would mesh a sliver element of width delta; a break where no
+    # coefficient changes its polynomial is not a break at all
+    energies = []
+    for name, d in (("plain", None), ("broken", delta)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_break_config(d)))
+        assert main(["damp", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        energies.append(json.loads((tmp_path / name / "summary.json").read_text())["energy"])
+    assert energies[0] == pytest.approx(3.0243625639410, rel=1e-12)
+    assert energies[1] == pytest.approx(energies[0], rel=1e-12)
 
 
 def test_cli_maps_numerical_failure_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,16 @@
 """Constrained quadratic minimisation of the control cost."""
 
+import dataclasses
 import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treedamp import damping
+from treedamp.config import ProblemConfig
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import interval, star
 from treedamp.expressions import CoefficientError, CoefficientSet
@@ -18,6 +24,9 @@ from treedamp.damping import (
 from treedamp.meshing import Basis, history_lift
 
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _first_order_interval(T=3.0, tau=1.0):
@@ -143,7 +152,7 @@ def test_gram_matrix_is_hermitian_positive_definite():
         gram = assemble(basis, lift, cs)
         assert gram.hermiticity_defect() < 1e-12
         # PD: Cholesky succeeds and the diagonal is positive
-        L = np.linalg.cholesky(gram.matrix)
+        L = np.linalg.cholesky(gram.matrix.toarray())
         assert np.min(np.diag(L).real) > 0.0
 
 
@@ -157,9 +166,9 @@ def test_leading_coefficient_zero_is_rejected_at_build():
         CoefficientSet.build(tr, 1, 1.0, b={(1, 1): dip}, c={})
 
 
-def test_degenerate_operator_raises_indefinite_gram():
-    # forging a coefficient set past validation (leading term identically
-    # zero) must surface as the dedicated factorisation error, not junk
+def _forged_degenerate():
+    # a coefficient set forged past validation: the leading term is
+    # identically zero, so the energy form is degenerate
     tr, cs = _first_order_interval()
     zero = PiecewisePoly.zero(0.0, 3.0)
     bad = object.__new__(CoefficientSet)
@@ -168,13 +177,78 @@ def test_degenerate_operator_raises_indefinite_gram():
         ("b", ((zero,), (zero,))), ("c", cs.c),
     ):
         object.__setattr__(bad, name, val)
-    phi = PiecewisePoly.constant(-1.0, 0.0, 1.0)
+    return tr, bad, PiecewisePoly.constant(-1.0, 0.0, 1.0)
+
+
+def test_degenerate_operator_raises_indefinite_gram():
+    # the forged family must surface as the dedicated factorisation error,
+    # not junk
+    tr, bad, phi = _forged_degenerate()
     with pytest.raises(IndefiniteGramError) as info:
         solve_damping(tr, bad, phi, q=2)
     # the message names the mesh and the conditioning, not only the coefficient
-    h_min = default_mesh(tr, cs, 2).min_width()
+    h_min = default_mesh(tr, bad, 2).min_width()
     assert f"h_min = {h_min:.3e}" in str(info.value)
     assert re.search(r"condition estimate (inf|\d\.\d{3}e[+-]\d+)", str(info.value))
+
+
+def test_large_degenerate_system_is_reported_without_a_dense_copy(monkeypatch):
+    # above EIGEN_REPORT_NDOF the report rests on the factor alone
+    monkeypatch.setattr(damping, "EIGEN_REPORT_NDOF", 0)
+    tr, bad, phi = _forged_degenerate()
+    with pytest.raises(IndefiniteGramError, match="singular") as info:
+        solve_damping(tr, bad, phi, q=2)
+    assert "eigenvalues" not in str(info.value)
+    assert "condition estimate inf" in str(info.value)
+
+
+def test_negative_pivot_raises_indefinite_gram():
+    # a negative definite system factors, but its pivots are negative
+    tr, cs = _first_order_interval()
+    mesh = default_mesh(tr, cs, 2)
+    basis = Basis(mesh, 1)
+    gram = assemble(basis, history_lift(mesh, 1, PiecewisePoly.constant(-1.0, 0.0, 1.0)), cs)
+    flipped = dataclasses.replace(gram, matrix=damping.SparseCSC(-gram.matrix))
+    with pytest.raises(IndefiniteGramError, match="not real and positive") as info:
+        flipped.solve()
+    assert re.search(r"pivot ratio \d\.\d{3}e[+-]\d+", str(info.value))
+    assert f"h_min = {mesh.min_width():.3e}" in str(info.value)
+
+
+def test_refinement_step_reaches_least_squares_accuracy():
+    # G = conj(L) W L^T squares the condition number of the weighted images;
+    # one corrected seminormal step brings the solution back to what a dense
+    # least-squares solve of the images gives.  Without the step the gap is
+    # 6e-12 at q = 8 and 8e-11 at q = 16 (order 2, so cond grows like q^2).
+    cfg = ProblemConfig.from_file(CONFIGS / "smoothness_loss.json")
+    for q in (8, 16):
+        mesh = default_mesh(cfg.tree, cfg.coeffs, q)
+        basis = Basis(mesh, cfg.n)
+        gram = assemble(basis, history_lift(mesh, cfg.n, cfg.history), cfg.coeffs)
+        want = oracles.least_squares_dofs(gram)
+        assert np.linalg.norm(gram.solve() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# tracemalloc peak of solve_damping on the depth-6, order-2, q-8 binary tree
+# (ndof 1440): the sparse route takes about 5 MiB, a dense ndof x nquad image
+# table alone about 250 MiB
+SPARSE_MEMORY_CAP_MIB = 32
+
+
+def test_solve_damping_memory_stays_sparse():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import binary_tree_problem
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    cfg = ProblemConfig.from_dict(binary_tree_problem(np.random.default_rng(0), 6, 2, 8))
+    tracemalloc.start()
+    try:
+        solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SPARSE_MEMORY_CAP_MIB * 2**20
 
 
 def test_damping_is_linear_in_history():

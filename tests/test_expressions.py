@@ -92,6 +92,16 @@ def test_breakpoints_collects_interior_coefficient_breaks():
     assert list(cs.breakpoints(1)) == [0.7]
 
 
+def test_breakpoints_skip_a_break_that_changes_nothing():
+    # 1 + 2t split at 0.7 and written in local powers on both sides is one
+    # polynomial; c_0 really switches at 1.3
+    tr = interval(2.0)
+    line = PiecewisePoly(np.array([0.0, 0.7, 2.0]), [np.array([1.0, 2.0]), np.array([2.4, 2.0])])
+    step = PiecewisePoly(np.array([0.0, 1.3, 2.0]), [np.array([0.5]), np.array([0.25])])
+    cs = CoefficientSet.build(tr, 1, 0.5, b={(1, 1): line}, c={(0, 1): step})
+    assert list(cs.breakpoints(1)) == [1.3]
+
+
 def _tf_interval(coefs_y, coefs_phi, T=3.0, tau=1.0, n=1):
     y = PiecewisePoly.from_global_coefs(0.0, T, coefs_y)
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, coefs_phi)

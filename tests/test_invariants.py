@@ -120,5 +120,15 @@ def test_grid_and_symbolic_first_variations_agree(problem):
     grid = optimality_check(sol)["per_basis"]
     symbolic = oracles.weak_residual_symbolic(sol.y, sol.basis, sol.coeffs)
     gap = np.abs(grid - symbolic["per_basis"])
-    scale = np.sqrt(sol.energy) * np.sqrt(np.diag(sol.gram.matrix).real)
+    scale = np.sqrt(sol.energy) * np.sqrt(sol.gram.matrix.diagonal().real)
     assert np.all(gap <= 1e-10 * scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problems())
+def test_sparse_solve_matches_the_dense_oracle_energy(problem):
+    # the dense oracle integrates every Gram entry by exact piecewise algebra
+    # and solves by a dense Cholesky factorisation
+    sol = _solve(problem)
+    want = oracles.dense_energy(sol.basis, sol.lift, sol.coeffs)
+    assert sol.energy == pytest.approx(want, rel=1e-12, abs=0.0)
