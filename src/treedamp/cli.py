@@ -26,7 +26,8 @@ from .cauchy import residual_ell, solve_cauchy
 from .config import (ConfigError, ProblemConfig, _check_keys, _parse_piecewise, _piecewise_out,
                      _read_json)
 from .damping import default_mesh, solve_damping
-from .diagnostics import PERSISTENT_CHANGE, solution_report
+from .diagnostics import (continuity_report, detect_persistent_jump, quasi_derivatives,
+                          solution_report)
 from .expressions import CoefficientError
 from .meshing import MeshError
 from .piecewise import PiecewisePoly
@@ -229,13 +230,17 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--q entries must be positive integers, got {args.q!r}")
     tol = cfg.solver.tolerance
     orders = [str(k) for k in range(cfg.n, 2 * cfg.n)]
+    top = 2 * cfg.n - 1
     header = ["q", "ndof", "energy", "optimality", "kirchhoff_max"]
     header += [f"jump_{k}" for k in orders]
     print(",".join(header))
-    rows = []
+    rows, levels = [], []
     for q in qs:
-        row = {"q": q, **solution_report(solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q))}
+        sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
+        qd = quasi_derivatives(sol.coeffs, sol.control)
+        row = {"q": q, **solution_report(sol, qd)}
         rows.append(row)
+        levels.append(continuity_report(qd, threshold=tol)[top])
         cells = [str(q), str(row["ndof"]), _fmt(row["energy"]),
                  f"{row['optimality']:.6e}", f"{row['kirchhoff_max']:.6e}"]
         cells += [f"{row['continuity'][k]:.6e}" for k in orders]
@@ -259,11 +264,10 @@ def cmd_convergence(args) -> int:
         print("ASSERTION FAILED: Kirchhoff residual did not decay "
               f"({first_k:.3e} -> {last_k:.3e})", file=sys.stderr)
         code = 4
-    top = orders[-1]
-    prev_j, last_j = rows[-2]["continuity"][top], rows[-1]["continuity"][top]
-    if last_j > tol and abs(last_j - prev_j) < PERSISTENT_CHANGE * last_j:
+    jump = detect_persistent_jump(levels, exclude_radius=sol.mesh.max_width())
+    if jump["persistent"]:
         print(f"smoothness loss detected: order-{top} quasi-derivative jump "
-              f"stays at {last_j:.3e} under refinement")
+              f"stays at {jump['magnitude']:.3e} under refinement")
     return code
 
 

@@ -222,7 +222,7 @@ class ProblemConfig:
             _check_keys(entry, {"edge", "family", "k", "kind", "data"},
                         {"edge", "family", "k", "kind", "data"}, path)
             eid = entry["edge"]
-            if eid not in canon:
+            if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
                 _fail(path + ".edge", f"unknown edge id {eid!r}")
             fam = entry["family"]
             if fam not in ("b", "c"):

@@ -4,8 +4,9 @@ The optimal trajectory minimises the energy, the squared L2 norm of the
 control ``L y``, over ``lift + V_h`` where ``V_h`` is the discrete
 perturbation space; equivalently it solves the normal equations
 ``G x = f`` with the Gram matrix of the energy product on basis pairs and
-the right side driven by the history lift.  ``G`` is Hermitian positive
-definite whenever the leading coefficients stay away from zero.
+the right side driven by the history lift, and ``x`` is the trajectory's
+nodal data at the free nodes.  ``G`` is Hermitian positive definite
+whenever the leading coefficients stay away from zero.
 
 With ``L`` the sparse ndof x nquad table of basis-function images at the
 Gauss points and ``W`` the Gauss weights, ``G = conj(L) W L^T`` is formed as
@@ -22,9 +23,13 @@ operator row of the basis is the sum of the ``2n`` Hermite shapes of the
 element holding ``t`` (weighted by the ``b_k``) and of the element holding
 ``t - tau`` (weighted by the ``c_k``), which sits on the same edge or on the
 parent's tail; those at most ``4n`` values become entries of ``L`` in the
-rows of the DOFs they belong to.  Gauss cells refine every element node,
-its ``tau``-shift and every coefficient breakpoint, so the integrands are
-polynomials on each cell and the quadrature is exact.
+rows of the DOFs they belong to.  The root start's ``n`` values, which the
+history fixes, have rows after the DOFs; the lift's image is those rows
+times the history's end derivatives plus the root edge's read of the
+history on ``[0, tau]``, so no symbolic operator image is built.  Gauss
+cells refine every element node, its ``tau``-shift, every coefficient
+breakpoint and the history's breaks shifted by ``tau``, so the integrands
+are polynomials on each cell and the quadrature is exact.
 """
 
 from __future__ import annotations
@@ -175,38 +180,46 @@ def _operator_rows(basis: Basis, j: int, cols: np.ndarray, t: np.ndarray, weight
 def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSystem:
     """Build the Gram system on the given basis around the given lift.
 
-    The Gauss grid carries one point more than the largest integrand degree
-    per cell, so every entry is integrated exactly.
+    Only the lift's history is read: its end derivatives are the root
+    start's nodal data.  The Gauss grid carries one point more than the
+    largest integrand degree per cell, so every entry is integrated exactly.
     """
     tree = basis.mesh.tree
     nodes = basis.mesh.nodes
     tau = coeffs.tau
-    top = 2 * basis.n - 1  # degree of the Hermite shapes
-    lift_ell = operator_components(lift, coeffs)
+    n, ndof = basis.n, basis.ndof
+    top = 2 * n - 1  # degree of the Hermite shapes
+    phi = lift.history
     terms = [coeffs.terms(j) for j in range(1, tree.m + 1)]
 
     cells = []
-    max_deg = max(p.max_degree for p in lift_ell)
+    max_deg = 0
     for j in range(1, tree.m + 1):
-        sets = [nodes[j - 1], lift_ell[j - 1].breaks]
+        sets = [nodes[j - 1]]
         for k, b, c in terms[j - 1]:
             for coef in (b, c):
                 if coef is not None:
                     sets.append(coef.breaks)
                     max_deg = max(max_deg, coef.max_degree + top - k)
+            if j == 1 and c is not None:
+                max_deg = max(max_deg, c.max_degree + phi.max_degree - k)
         if any(c is not None for _, _, c in terms[j - 1]):
-            # delayed reads: own nodes shifted by tau, parent's tail moved to [0, tau]
+            # delayed reads: own nodes shifted by tau, and the parent's tail
+            # (the history on the root edge) moved to [0, tau]
             xs = nodes[j - 1]
             sets.append(np.append(xs[xs < tree.length(j) - tau] + tau, [0.0, tau]))
             if j > 1:
                 par = nodes[tree.parent_of(j) - 1]
                 Tp = tree.length(tree.parent_of(j))
                 sets.append(par[par > Tp - tau] - Tp + tau)
+            else:
+                sets.append(phi.breaks + tau)
         cells.append(merge_breaks(sets, 1e-12 * max(1.0, tree.length(j))))
 
     gx, gw = np.polynomial.legendre.leggauss(max_deg + 1)
     points = [(x[:-1, None] + 0.5 * np.diff(x)[:, None] * (gx + 1.0)).ravel() for x in cells]
     weights = np.concatenate([(0.5 * np.diff(x)[:, None] * gw).ravel() for x in cells])
+    Lphi = np.zeros(len(weights), dtype=complex)
     triples = []
     start = 0
     for j, t in enumerate(points, start=1):
@@ -218,23 +231,25 @@ def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSy
         if not c_w:
             continue
         td = t - tau
-        own = td >= 0.0
+        own, head = td >= 0.0, td < 0.0
         triples.append(_operator_rows(basis, j, cols[own], td[own], [(k, a[own]) for k, a in c_w]))
-        if j > 1:  # on the root edge the early delayed read is the (zero) history
+        if j > 1:
             p = tree.parent_of(j)
-            head = ~own
             triples.append(_operator_rows(basis, p, cols[head], td[head] + tree.length(p),
                                           [(k, a[head]) for k, a in c_w]))
+        else:
+            Lphi[cols[head]] = sum(a[head] * phi.values(td[head], k) for k, a in c_w)
     rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
     # a point's delayed read may reach DOFs its own element holds: the
     # conversion from triples sums such duplicates
-    L = SparseCSR((vals, (rows, cols)), shape=(basis.ndof, len(weights)))
+    L = SparseCSR((vals, (rows, cols)), shape=(ndof + n, len(weights)))
+    Lphi += L[ndof:].T @ np.array([phi.left_limit(0.0, k) for k in range(n)])
+    L = L[:ndof]
     Lw = L.conj()
     Lw.data *= weights[Lw.indices]
     # G = Lw L^T; its transpose L Lw^T, formed as CSR, stores G as CSC
     Gt = L @ Lw.T
     G = SparseCSC((Gt.data, Gt.indices, Gt.indptr), shape=Gt.shape)
-    Lphi = np.concatenate([ell.values(t) for ell, t in zip(lift_ell, points)])
     return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis, points=points,
                       weights=weights, basis_values=L, lift_values=Lphi)
 

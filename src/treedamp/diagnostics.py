@@ -192,7 +192,7 @@ def detect_persistent_jump(
     }
 
 
-def solution_report(sol: DampingSolution) -> dict:
+def solution_report(sol: DampingSolution, qd: QuasiDerivativeSet | None = None) -> dict:
     """The diagnostics record of a damping solution, ready for JSON.
 
     Keys: ``ndof``; ``energy``; ``optimality`` (the relative first-variation
@@ -202,8 +202,12 @@ def solution_report(sol: DampingSolution) -> dict:
     and order, the vertex named by the input label of the edge ending
     there; ``kirchhoff_max``; and ``continuity``, the largest jump of each
     order ``k = n..2n-1`` keyed by ``str(k)``.
+
+    ``qd``, when given, is the solution's :func:`quasi_derivatives`, so a
+    caller that needs them too builds them once.
     """
-    qd = quasi_derivatives(sol.coeffs, sol.control)
+    if qd is None:
+        qd = quasi_derivatives(sol.coeffs, sol.control)
     kr = kirchhoff_residual(qd)
     ids = sol.y.tree.original_ids
     return {

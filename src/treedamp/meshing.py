@@ -1,17 +1,18 @@
 """Delay-aligned meshes and the constrained Hermite trial space.
 
-The minimisation runs over perturbations that vanish on the history window,
-match derivatives up to order ``n-1`` across vertices, and rest on the final
-delay window of every boundary edge.  The discrete subspace uses Hermite
-elements of degree ``2n-1`` (value and first ``n-1`` derivatives shared at
-the nodes), on meshes whose nodes contain every delay-wavefront image of the
-initial instant, so that the kinks the stepping structure creates sit on
-element boundaries.
+The trajectory lives in a conforming Hermite space: elements of degree
+``2n-1`` whose value and first ``n-1`` derivatives are shared at the nodes,
+on meshes whose nodes contain every delay-wavefront image of the initial
+instant, so that the kinks the stepping structure creates sit on element
+boundaries.  The history is an essential condition on that space, imposed
+through the nodal data of the root start (``phi``'s ``n`` end derivatives);
+the minimisation runs over the free nodal data, with every boundary edge
+resting on its final delay window.
 
 :class:`Basis` owns the element layer: per edge it tabulates the Hermite
-shapes of every element and the DOF indices of their nodal data, and
-reconstruction (:meth:`Basis.tree_function`), Gram assembly and the history
-lift all read those tables.
+shapes of every element and the indices of their nodal data, and
+reconstruction (:meth:`Basis.tree_function`) and Gram assembly read those
+tables.
 """
 
 from __future__ import annotations
@@ -137,13 +138,15 @@ class Basis:
     Degrees of freedom are the derivatives ``0..n-1`` at the free mesh
     nodes.  A node is shared between an edge end and the starts of all its
     child edges (that is what keeps the space conforming across vertices);
-    it is dropped when it is the start of the root edge or when it lies in
-    the resting tail ``[T_j - tau, T_j]`` of a boundary edge.
+    it is not free when it is the start of the root edge, whose values the
+    history fixes, or when it lies in the resting tail ``[T_j - tau, T_j]``
+    of a boundary edge.
 
     The element tables are the one description of the space: for edge
     ``j``, ``shapes[j-1][e]`` is the ``2n x 2n`` shape matrix of element
-    ``e`` (see :func:`_hermite_shapes`) and ``rows[j-1][e]`` the ``2n`` DOF
-    indices of its left then right nodal data, -1 where the node is clamped.
+    ``e`` (see :func:`_hermite_shapes`) and ``rows[j-1][e]`` the ``2n``
+    indices of its left then right nodal data: a DOF below ``ndof``, the
+    root start's known values ``ndof .. ndof+n-1``, or -1 in a resting tail.
     """
 
     def __init__(self, mesh: DelayMesh, n: int):
@@ -154,7 +157,7 @@ class Basis:
         tree = mesh.tree
 
         gid = []  # per edge: global node id for each local node
-        free = [False]  # per gid; the history side of the root vertex is clamped
+        free = [False]  # per gid; the root start is known from the history
         for j in range(1, tree.m + 1):
             xs = mesh.nodes[j - 1]
             Tj = tree.length(j)
@@ -166,6 +169,7 @@ class Basis:
         free = np.array(free)
         self.ndof = n * int(free.sum())
         first_dof = np.where(free, n * (np.cumsum(free) - 1), -1)  # per gid: DOF of derivative 0
+        first_dof[0] = self.ndof
         self.shapes = []
         self.rows = []
         for j in range(1, tree.m + 1):
@@ -180,7 +184,7 @@ class Basis:
         if dofs.shape != (self.ndof,):
             raise ValueError(f"expected {self.ndof} degrees of freedom")
         n = self.n
-        padded = np.append(dofs, 0.0)  # index -1, a clamped node, reads 0
+        padded = np.append(dofs, np.zeros(n + 1))  # the root start and index -1 read 0
         comps = []
         for xs, shapes, rows in zip(self.mesh.nodes, self.shapes, self.rows):
             nodal = padded[rows]
@@ -193,29 +197,23 @@ class Basis:
 
 
 def history_lift(mesh: DelayMesh, n: int, phi: PiecewisePoly) -> TreeFunction:
-    """Extend the history into the tree with minimal footprint.
+    """The history, carried onto the root edge's first element as nodal data.
 
-    The lift equals ``phi`` on the history window, blends along the root
-    edge with the Hermite polynomial of degree ``2n-1`` that matches the
-    ``n`` one-sided end derivatives of ``phi`` and dies (with ``n-1``
-    derivatives) at ``T_1 - tau``, and is zero beyond.  Adding any member of
-    the constrained space keeps the history and initial data intact, so the
-    discrete minimisation runs over ``lift + span(basis)``.
+    The lift equals ``phi`` on the history window; on the first element of
+    the root edge it is the Hermite polynomial of degree ``2n-1`` with the
+    ``n`` one-sided end derivatives of ``phi`` at the left node and zero
+    data at the right one, and it is zero from that node on.  Adding any
+    member of the constrained space keeps the history and initial data
+    intact, so the discrete minimisation runs over ``lift + span(basis)``.
     """
     tree = mesh.tree
     tau = mesh.tau
     a, b_ = phi.domain
     if abs(a + tau) > 1e-9 * max(1.0, tau) or abs(b_) > 1e-12:
         raise MeshError(f"history domain [{a}, {b_}] does not match [-{tau}, 0]")
-    T1 = tree.length(1)
-    L = T1 - tau
-    left = _hermite_shapes(n, L)[:n]
-    c = np.zeros(2 * n, dtype=complex)
-    for k in range(n):
-        c += phi.left_limit(0.0, k) * left[k]
-    blend = PiecewisePoly.single(0.0, L, c)
-    comp1 = blend.concat(PiecewisePoly.zero(L, T1))
-    comps = [comp1]
-    for j in range(2, tree.m + 1):
-        comps.append(PiecewisePoly.zero(0.0, tree.length(j)))
+    h = mesh.nodes[0][1]
+    left = _hermite_shapes(n, h)[:n]
+    c = sum(phi.left_limit(0.0, k) * left[k] for k in range(n))
+    comps = [PiecewisePoly.single(0.0, h, c).concat(PiecewisePoly.zero(h, tree.length(1)))]
+    comps += [PiecewisePoly.zero(0.0, tree.length(j)) for j in range(2, tree.m + 1)]
     return TreeFunction(tree, n, tuple(comps), phi)

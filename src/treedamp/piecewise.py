@@ -241,30 +241,15 @@ class PiecewisePoly:
     def derivative(self, k: int = 1) -> "PiecewisePoly":
         return PiecewisePoly._of(self.breaks, _poly_der(self._c, k))
 
-    def _integrated(self):
-        """The table of the piecewise antiderivatives vanishing at each
-        piece's left end, and each piece's integral."""
+    def integral(self) -> complex:
+        """Sum of the piece integrals, a running sum in piece order."""
         width = self._c.shape[1]
         table = np.zeros((self.npieces, width + 1), dtype=complex)
         table[:, 1:] = self._c / np.arange(1, width + 1)
-        return table, _poly_val(table, np.diff(self.breaks))
-
-    def antiderivative(self) -> "PiecewisePoly":
-        """Continuous antiderivative vanishing at the left end of the domain."""
-        table, parts = self._integrated()
-        table[1:, 0] = np.cumsum(parts[:-1])
-        return PiecewisePoly._of(self.breaks, table)
-
-    def integral(self) -> complex:
-        # a running sum in piece order, which is what the antiderivative uses
-        return complex(np.cumsum(self._integrated()[1])[-1])
+        return complex(np.cumsum(_poly_val(table, np.diff(self.breaks)))[-1])
 
     def l2_norm_sq(self) -> float:
         return float((self * self.conj()).integral().real)
-
-    def inner(self, other: "PiecewisePoly") -> complex:
-        """Integral of self times conj(other) over the common domain."""
-        return (self * other.conj()).integral()
 
     # ------------------------------------------------------------------
     # reshaping

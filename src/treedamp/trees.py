@@ -82,14 +82,6 @@ class Tree:
         """Total length of the strict ancestors of edge ``j``."""
         return sum(self.lengths[i - 1] for i in self.path_to_root(j)[1:])
 
-    def height(self) -> float:
-        """Longest root-to-leaf metric path."""
-        return max(
-            self.depth_offset(j) + self.lengths[j - 1]
-            for j in range(1, self.m + 1)
-            if not self.children[j]
-        )
-
 
 def build_tree(parent_map: dict, length_map: dict) -> Tree:
     """Validate an edge description and renumber it canonically.

@@ -36,6 +36,11 @@ def eval_delayed(y, j: int, t: float, k: int = 0) -> complex:
     return y.component(p).eval(t + y.tree.length(p), k)
 
 
+def inner(a, b) -> complex:
+    """The integral of ``a`` times ``conj(b)`` over their common domain."""
+    return (a * b.conj()).integral()
+
+
 def energy(y, coeffs) -> float:
     """The squared L2 norm of ``L y`` over the tree."""
     return sum(p.l2_norm_sq() for p in operator_components(y, coeffs))
@@ -44,7 +49,7 @@ def energy(y, coeffs) -> float:
 def energy_product(y, w, coeffs) -> complex:
     """The integral of ``L y`` against ``conj(L w)`` over the tree."""
     ly, lw = operator_components(y, coeffs), operator_components(w, coeffs)
-    return complex(sum((a.inner(b) for a, b in zip(ly, lw)), 0.0j))
+    return complex(sum((inner(a, b) for a, b in zip(ly, lw)), 0.0j))
 
 
 def energy_product_reindexed(y, w, coeffs) -> complex:
@@ -59,7 +64,7 @@ def energy_product_reindexed(y, w, coeffs) -> complex:
     for k in range(coeffs.n + 1):
         for j, weight in enumerate(variation_weights(coeffs, ells, k), start=1):
             lj = reduced_length(y.tree, coeffs.tau, j)
-            total += weight.inner(w.component(j).derivative(k).restrict(0.0, lj))
+            total += inner(weight, w.component(j).derivative(k).restrict(0.0, lj))
     return complex(total)
 
 
@@ -138,7 +143,7 @@ def dense_gram(basis, lift, coeffs):
     live = [{j for j, e in enumerate(ell) if any(c.any() for c in e.coefs)} for ell in ells]
 
     def product(a, b):  # energy_product of function a against function b
-        return sum((ells[a][j].inner(ells[b][j]) for j in live[a] & live[b]), 0.0j)
+        return sum((inner(ells[a][j], ells[b][j]) for j in live[a] & live[b]), 0.0j)
 
     G = np.array([[product(r, p) for r in range(nd)] for p in range(nd)]).reshape(nd, nd)
     f = np.array([-product(nd, p) for p in range(nd)], dtype=complex)
@@ -165,7 +170,8 @@ def least_squares_dofs(gram) -> np.ndarray:
 def interpolate(basis, y) -> np.ndarray:
     """DOF vector sampling ``y`` at the free nodes, read element by element:
     the right limit at an element's left node, the left limit at its right
-    node.  A node shared by several elements is read once from each."""
+    node.  A node shared by several elements is read once from each; the
+    root start (rows from ``ndof`` on) and the resting tails are skipped."""
     n = basis.n
     out = np.zeros(basis.ndof, dtype=complex)
     for j, (xs, rows) in enumerate(zip(basis.mesh.nodes, basis.rows), start=1):
@@ -174,7 +180,7 @@ def interpolate(basis, y) -> np.ndarray:
             for k in range(n):
                 for dof, value in ((dofs[k], p.right_limit(xs[e], k)),
                                    (dofs[n + k], p.left_limit(xs[e + 1], k))):
-                    if dof >= 0:
+                    if 0 <= dof < basis.ndof:
                         out[dof] = value
     return out
 

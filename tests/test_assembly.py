@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treedamp import damping, expressions
 from treedamp.config import ProblemConfig
-from treedamp.damping import assemble, default_mesh
+from treedamp.damping import assemble, default_mesh, solve_damping
 from treedamp.expressions import CoefficientSet
 from treedamp.meshing import Basis, history_lift
 from treedamp.piecewise import PiecewisePoly
@@ -81,3 +82,31 @@ def test_binary_tree_with_delayed_reads_and_piecewise_coefficient():
     phi = PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 0.5 - 0.25j, 0.3])
     basis = _check_against_oracle(tree, coeffs, phi, 2)
     assert basis.ndof > 0
+
+
+@pytest.mark.parametrize("name", ["interval.json", "smoothness_loss.json", "star.json"])
+def test_assembly_builds_no_symbolic_operator_image(name, monkeypatch):
+    # the basis and the lift reach G and f through the element tables alone;
+    # the only operator images a solve builds are the control's, one per edge
+    cfg = ProblemConfig.from_file(CONFIGS / name)
+    applied, components = [], []
+    apply_operator, operator_components = expressions.apply_operator, expressions.operator_components
+
+    def counted_apply(y, coeffs, j):
+        applied.append((y, j))
+        return apply_operator(y, coeffs, j)
+
+    def counted_components(y, coeffs):
+        components.append(y)
+        return operator_components(y, coeffs)
+
+    monkeypatch.setattr(expressions, "apply_operator", counted_apply)
+    monkeypatch.setattr(expressions, "operator_components", counted_components)
+    monkeypatch.setattr(damping, "operator_components", counted_components)
+    mesh = default_mesh(cfg.tree, cfg.coeffs, 4)
+    assemble(Basis(mesh, cfg.n), history_lift(mesh, cfg.n, cfg.history), cfg.coeffs)
+    assert applied == [] and components == []
+
+    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
+    assert [j for _, j in applied] == list(range(1, cfg.tree.m + 1))
+    assert all(y is sol.y for y, _ in applied)

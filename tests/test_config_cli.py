@@ -283,18 +283,27 @@ def test_cli_convergence_table(tmp_path, capsys):
 
 
 def test_cli_convergence_short_ladder_has_no_smoothness_note(capsys):
-    # the smooth history's top-order jump decays like h: 0.408 -> 0.249 at q = 2, 4
-    cfg_path = str(CONFIGS / "interval.json")
-    assert main(["convergence", "--config", cfg_path, "--q", "2,4"]) == 0
-    assert "smoothness loss" not in capsys.readouterr().out
+    # the smooth history's top-order jump decays like h: 0.408 -> 0.249 at
+    # q = 2, 4 on the interval.  On the doubling ladders of smoothness_loss
+    # tau/2 is a node, so the history's break is a node jump that the mesh
+    # resolves, not a persistent one
+    for name, ladder in (("interval", "2,4"), ("interval", "2,4,8,16"), ("star", "2,4,8"),
+                         ("smoothness_loss", "2,4"), ("smoothness_loss", "4,8"),
+                         ("smoothness_loss", "2,4,8,16")):
+        cfg_path = str(CONFIGS / f"{name}.json")
+        assert main(["convergence", "--config", cfg_path, "--q", ladder]) == 0
+        assert "smoothness loss" not in capsys.readouterr().out, (name, ladder)
 
 
 def test_cli_convergence_flags_rough_history(capsys):
+    # odd q keeps tau/2, where the history's break lands, inside an element;
+    # the jump there stays at 1.000 and dominates every other one
     cfg_path = str(CONFIGS / "smoothness_loss.json")
-    assert main(["convergence", "--config", cfg_path, "--q", "3,9"]) == 0
-    out = capsys.readouterr().out
-    assert "smoothness loss detected" in out
-    assert "order-3" in out
+    for ladder in ("3,9", "3,9,27"):
+        assert main(["convergence", "--config", cfg_path, "--q", ladder]) == 0
+        out = capsys.readouterr().out
+        assert "smoothness loss detected" in out, ladder
+        assert "order-3" in out
 
 
 def test_cli_convergence_checks_kirchhoff_decay_on_a_star(capsys):
@@ -370,6 +379,17 @@ def test_cli_rejects_malformed_piecewise_input(tmp_path, capsys, target, mutate,
                  "--control", str(tmp_path / "control.json"), "--out", str(tmp_path / "out")])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eid", [True, 1.0])
+def test_cli_rejects_a_non_integer_coefficient_edge_id(tmp_path, capsys, eid):
+    # True == 1 == 1.0 as dict keys, so a lookup alone accepts both as edge 1
+    d = _minimal_dict()
+    d["coefficients"].append({"edge": eid, "family": "b", "k": 0, "kind": "constant", "data": 0.5})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["damp", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config.coefficients[1].edge: unknown edge id" in capsys.readouterr().err
 
 
 def test_cli_rejects_leading_coefficient_with_interior_zero(tmp_path, capsys):

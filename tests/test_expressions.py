@@ -166,12 +166,12 @@ def test_advanced_part_is_adjoint_of_delayed_part():
 
     y = TreeFunction(tr, 1, tuple(rand(T) for T in tr.lengths), PiecewisePoly.zero(-tau, 0.0))
     g = [rand(T) for T in tr.lengths]
-    delayed = sum(delayed_part(y, nu).inner(g[nu - 1]) for nu in range(1, 4))
+    delayed = sum(oracles.inner(delayed_part(y, nu), g[nu - 1]) for nu in range(1, 4))
     advanced = 0.0j
     for j in range(1, 4):
         adv = advanced_part(g, tr, tau, j)
         assert adv.domain == (0.0, oracles.reduced_length(tr, tau, j))
-        advanced += y.component(j).restrict(*adv.domain).inner(adv)
+        advanced += oracles.inner(y.component(j).restrict(*adv.domain), adv)
     assert advanced == pytest.approx(delayed, rel=1e-12)
 
 

@@ -132,3 +132,13 @@ def test_sparse_solve_matches_the_dense_oracle_energy(problem):
     sol = _solve(problem)
     want = oracles.dense_energy(sol.basis, sol.lift, sol.coeffs)
     assert sol.energy == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+def test_solved_dofs_are_the_trajectory_nodal_data(problem):
+    # the lift lives on the first element only, so at every free node the
+    # trajectory's value and derivatives are the solved DOFs themselves
+    sol = _solve(problem)
+    gap = np.abs(oracles.interpolate(sol.basis, sol.y) - sol.dofs)
+    assert np.all(gap <= 1e-12 * max(1.0, np.max(np.abs(sol.dofs), initial=0.0)))

@@ -76,15 +76,16 @@ def test_mesh_local_points_become_nodes():
 
 
 def test_dof_count_single_free_node():
-    # n = 1, T = 3, tau = 1, q = 1: nodes at 0, 1, 2, 3; node 0 is clamped,
-    # nodes at 2 and 3 sit in the resting tail, so one free node remains.
+    # n = 1, T = 3, tau = 1, q = 1: nodes at 0, 1, 2, 3; node 0 is the root
+    # start, nodes at 2 and 3 sit in the resting tail, so one free node remains.
     mesh = build_mesh(interval(3.0), 1.0, 1)
     basis = Basis(mesh, 1)
     assert basis.ndof == 1
     assert mesh.nodes[0][1] == pytest.approx(1.0)
     # elements [0, 1], [1, 2], [2, 3]: the DOF is the right end of the first
-    # element and the left end of the second
-    assert basis.rows[0].tolist() == [[-1, 0], [0, -1], [-1, -1]]
+    # element and the left end of the second; the root start's known value
+    # is numbered ndof = 1, and -1 marks the resting tail
+    assert basis.rows[0].tolist() == [[1, 0], [0, -1], [-1, -1]]
 
 
 def test_vertex_dof_is_shared():
@@ -138,27 +139,30 @@ def test_tree_function_rejects_wrong_dof_count():
 
 
 def test_history_lift_linear_example():
-    # phi = 1 - |t| style: phi(t) = 1 + t on [-1, 0]; n = 1 blend joins
-    # phi(0) = 1 linearly down to zero at T - tau = 2
+    # phi(t) = 1 + t on [-1, 0]; at n = 1 the lift joins phi(0) = 1 linearly
+    # down to zero at the first node, 0.5, and is zero from there on
     mesh = build_mesh(interval(3.0), 1.0, 2)
+    assert mesh.nodes[0][1] == pytest.approx(0.5)
     lift = history_lift(mesh, 1, PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 1.0]))
     assert oracles.history_defect(lift) < 1e-12
     assert lift.component(1).eval(0.0) == pytest.approx(1.0)
-    assert lift.component(1).eval(1.0) == pytest.approx(0.5)
-    assert lift.component(1).eval(2.0) == pytest.approx(0.0)
-    assert lift.component(1).eval(2.7) == 0.0
+    assert lift.component(1).eval(0.25) == pytest.approx(0.5)
+    assert lift.component(1).left_limit(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert not lift.component(1).restrict(0.5, 3.0).coefs.any()
     rep = oracles.admissibility_report(lift, 1.0)
     assert rep["tails"] == 0.0 and rep["vertex"] < 1e-12
 
 
 def test_history_lift_matches_higher_order_data():
     mesh = build_mesh(interval(3.0), 1.0, 2)
+    h = mesh.nodes[0][1]
     phi = PiecewisePoly.from_global_coefs(-1.0, 0.0, [2.0, -1.0, 3.0])
     lift = history_lift(mesh, 2, phi)
     for k in range(2):
         assert lift.component(1).right_limit(0.0, k) == pytest.approx(
             phi.left_limit(0.0, k))
-        assert lift.component(1).left_limit(2.0, k) == pytest.approx(0.0, abs=1e-12)
+        assert lift.component(1).left_limit(h, k) == pytest.approx(0.0, abs=1e-12)
+    assert not lift.component(1).restrict(h, 3.0).coefs.any()
 
 
 def test_history_lift_rejects_mismatched_domain():
@@ -188,9 +192,13 @@ def test_mesh_and_basis_invariants(tr, q, n):
     mesh = build_mesh(tr, tau, q)
     mesh.check()
     basis = Basis(mesh, n)
-    # the element tables number the DOFs 0..ndof-1, each at least once
+    # the element tables number the DOFs 0..ndof-1, each at least once, and
+    # the root start's known values ndof..ndof+n-1, on the first element only
     used = np.unique(np.concatenate([rows.ravel() for rows in basis.rows]))
-    assert np.array_equal(used[used >= 0], np.arange(basis.ndof))
+    assert np.array_equal(used[used >= 0], np.arange(basis.ndof + n))
+    root = [rows >= basis.ndof for rows in basis.rows]
+    assert root[0][0].tolist() == [True] * n + [False] * n
+    assert sum(int(r.sum()) for r in root) == n
     # every free DOF produces an admissible function
     if basis.ndof:
         p = basis.ndof // 2

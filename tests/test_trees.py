@@ -12,7 +12,6 @@ def test_interval_shape():
     assert tr.parent == (0,)
     assert tr.lengths == (3.0,)
     assert tr.is_boundary(1)
-    assert tr.height() == 3.0
 
 
 def test_star_shape():
@@ -22,7 +21,6 @@ def test_star_shape():
     assert tr.children_of(1) == (2, 3)
     assert not tr.is_boundary(1)
     assert tr.is_boundary(2) and tr.is_boundary(3)
-    assert tr.height() == 2.0 + 1.5
 
 
 def test_canonical_order_puts_internal_edges_first():
@@ -44,7 +42,6 @@ def test_depth_offset_and_path():
     tr = build_tree(pm, lm)
     j_deep = tr.original_ids.index(4) + 1
     assert tr.depth_offset(j_deep) == pytest.approx(5.0)
-    assert tr.height() == pytest.approx(10.0)
     path = tr.path_to_root(j_deep)
     assert [tr.original_ids[i - 1] for i in path] == [4, 2, 1]
 
