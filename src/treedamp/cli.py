@@ -59,7 +59,9 @@ def _write_csv(path: Path, cfg: ProblemConfig, funcs, names: list) -> None:
         for k in range(len(names)):
             v = p.values(times, k)
             cols += [v.real, v.imag]
-        lines += [",".join([str(eid)] + [_fmt(x) for x in row]) for row in np.column_stack(cols)]
+        # one format per row; "%.17g" writes the same text as _fmt, "-0" included
+        row_fmt = f"{eid}," + ",".join(["%.17g"] * len(cols))
+        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -1,12 +1,15 @@
 """Forward integration by the method of steps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from treedamp.piecewise import PiecewisePoly
-from treedamp.trees import interval, star
+from treedamp.trees import build_tree, interval, star
+from treedamp.config import ProblemConfig
 from treedamp.expressions import CoefficientSet, TreeFunction, apply_operator
-from treedamp.meshing import build_mesh
+from treedamp.meshing import Basis, DelayMesh, MeshError, build_mesh, history_lift
 from treedamp.damping import default_mesh, solve_damping
 from treedamp.cauchy import residual_ell, solve_cauchy
 
@@ -65,9 +68,11 @@ def test_polynomial_manufactured_solution_is_exact():
     assert res["total"] < 1e-11
 
 
-def test_second_order_neutral_manufactured_solution_is_exact():
-    # order 2 with every c_k present: the history, the parent's tail and the
-    # own edge all serve delayed values, first and second derivatives
+def _neutral_star():
+    """Order 2 with every c_k present on a star: the history, the parent's
+    tail and the own edge all serve delayed values, first and second
+    derivatives.  Returns the tree, the coefficients, the exact trajectory
+    and the control it induces."""
     tau = 0.5
     tr = star([2.0, 2.0, 2.0])
     edges = range(1, 4)
@@ -89,10 +94,92 @@ def test_second_order_neutral_manufactured_solution_is_exact():
     )
     y_true = TreeFunction(tr, 2, comps, phi)
     u = tuple(apply_operator(y_true, cs, j) for j in edges)
+    return tr, cs, y_true, u
 
-    y = solve_cauchy(tr, cs, phi, u, default_mesh(tr, cs, 2))
+
+def test_second_order_neutral_manufactured_solution_is_exact():
+    tr, cs, y_true, u = _neutral_star()
+    y = solve_cauchy(tr, cs, y_true.history, u, default_mesh(tr, cs, 2))
     assert oracles.trajectory_distance(y, y_true) < 1e-11
     assert residual_ell(y, cs, u)["total"] < 1e-11
+
+
+@pytest.mark.parametrize("nodes", [
+    [0.0, 0.5, 1.0, 1.5, 2.0],
+    [0.0, 0.3, 0.7, 0.8, 1.25, 1.7, 2.0],
+    [0.0, 0.13, 0.61, 1.1, 1.45, 1.9, 2.0],
+], ids=["tau-wide", "unaligned", "unaligned-no-break-node"])
+def test_neutral_star_is_exact_on_meshes_not_aligned_with_the_delay(nodes):
+    # a delay window ends wherever the next element would pass x_a + tau, so
+    # the stepping must not rely on nodes at multiples of tau: here windows
+    # straddle t = tau, where a window reads both the history or parent and
+    # its own edge; the last mesh also puts b_0's break at 0.7 inside an element
+    tr, cs, y_true, u = _neutral_star()
+    mesh = DelayMesh(tr, cs.tau, 1, (np.array(nodes),) * tr.m)
+    y = solve_cauchy(tr, cs, y_true.history, u, mesh)
+    assert oracles.trajectory_distance(y, y_true) < 1e-11
+    assert residual_ell(y, cs, u)["total"] < 1e-11
+
+
+def test_mesh_wider_than_the_delay_is_rejected():
+    # an element wider than tau would read its own unfinished coefficients at
+    # t - tau and give a wrong trajectory without an error
+    cfg = ProblemConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "interval.json")
+    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
+    wide = DelayMesh(cfg.tree, cfg.coeffs.tau, 1, (np.array([0.0, 1.7, 3.0]),))
+    with pytest.raises(MeshError, match="element width 1.7 exceeds the delay 1.0"):
+        solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, wide)
+    y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, sol.mesh)
+    assert residual_ell(y, cfg.coeffs, sol.control)["total"] < 1e-12
+
+
+def _samples(y, n):
+    """Values and derivatives below ``n`` of every component at its breaks
+    and three interior points per piece, the far end as a left limit."""
+    out = []
+    for p in y.components:
+        ts = np.unique(np.concatenate(
+            [p.breaks, (p.breaks[:-1, None] + np.diff(p.breaks)[:, None] * [0.25, 0.5, 0.75]).ravel()]))
+        for k in range(n):
+            v = p.values(ts, k)
+            v[-1] = p.left_limit(ts[-1], k)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def test_round_trip_on_a_benchmark_sized_binary_tree():
+    # depth 4, order 2, q 8, lengths 2 and 3, every lower-order coefficient a
+    # complex linear polynomial: the manufactured trajectory comes back to
+    # roundoff, relative to its largest value
+    rng = np.random.default_rng(4)
+    depth, n, q, tau = 4, 2, 8, 1.0
+    m = 2**depth - 1
+    lengths = [2.0 + (i % 2) for i in range(m)]
+    rng.shuffle(lengths)
+    tr = build_tree({i: i // 2 for i in range(1, m + 1)}, {i: lengths[i - 1] for i in range(1, m + 1)})
+
+    def small(lo=0.05, hi=0.3):
+        return rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
+
+    tables = {"b": {}, "c": {}}
+    for j in range(1, m + 1):
+        for fam in tables:
+            for k in range(n):
+                data = [small(), 0.1 * small()]
+                tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, tr.length(j), data)
+        tables["b"][(n, j)] = 1.0
+    cs = CoefficientSet.build(tr, n, tau, b=tables["b"], c=tables["c"])
+    phi = PiecewisePoly.from_global_coefs(-tau, 0.0, [small(0.5, 1.5) for _ in range(3)])
+    mesh = default_mesh(tr, cs, q)
+    basis = Basis(mesh, n)
+    z = rng.standard_normal(basis.ndof) + 1j * rng.standard_normal(basis.ndof)
+    y_true = history_lift(mesh, n, phi) + basis.tree_function(z)
+    u = tuple(apply_operator(y_true, cs, j) for j in range(1, m + 1))
+
+    y = solve_cauchy(tr, cs, phi, u, mesh)
+    want = _samples(y_true, n)
+    gap = np.max(np.abs(_samples(y, n) - want)) / np.max(np.abs(want))
+    assert gap <= 1e-12
 
 
 def test_solution_is_linear_in_history_and_control():

@@ -3,12 +3,13 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from treedamp.config import ConfigError, ProblemConfig, SolverOptions, _num, _num_out
-from treedamp.cli import _control_from_file, _control_to_dict, main
+from treedamp.cli import _control_from_file, _control_to_dict, _write_csv, main
 from treedamp.damping import IndefiniteGramError, solve_damping
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -495,3 +496,34 @@ def test_trajectory_csv_floats_round_trip(tmp_path):
         assert float(im0) == want.imag
         checked += 1
     assert checked > 10
+
+
+class _FixedSamples:
+    """A stand-in edge function on [0, 1] whose samples are chosen floats."""
+
+    breaks = np.array([0.0, 1.0])
+    table = (
+        np.array([complex(-0.0, 5e-324), complex(3.0, -0.0), complex(1 / 3, 1e300),
+                  complex(-2.5e-310, -7.0), complex(0.1 * 3, 2.0**53)]),
+        np.arange(1.0, 6.0) + 0j,
+    )
+
+    def values(self, ts, k):
+        assert list(ts) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        return self.table[k]
+
+
+def test_trajectory_csv_bytes_are_pinned(tmp_path):
+    # 17 significant digits with trailing zeros dropped: negative zero keeps
+    # its sign, a subnormal and 1e300 keep every digit, an integral float
+    # has no decimal point
+    cfg = SimpleNamespace(edge_ids=(7,))
+    _write_csv(tmp_path / "trajectory.csv", cfg, [_FixedSamples()], ["y0", "y1"])
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        b"edge,t,re_y0,im_y0,re_y1,im_y1\n"
+        b"7,0,-0,4.9406564584124654e-324,1,0\n"
+        b"7,0.25,3,-0,2,0\n"
+        b"7,0.5,0.33333333333333331,1.0000000000000001e+300,3,0\n"
+        b"7,0.75,-2.5000000000000171e-310,-7,4,0\n"
+        b"7,1,0.30000000000000004,9007199254740992,5,0\n"
+    )
