@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .expressions import CoefficientSet, TreeFunction, apply_operator, check_edge_functions
-from .meshing import DelayMesh, MeshError
+from .meshing import DelayMesh, MeshError, check_history
 from .piecewise import PiecewisePoly, derivative_powers
 from .trees import Tree
 
@@ -54,11 +54,13 @@ def solve_cauchy(
     ``control`` holds the input on edge ``j``, a function on ``[0, T_j]``,
     at index ``j - 1``.  ``mesh`` supplies the element partition of every
     edge; an element wider than the delay raises :class:`MeshError`, since
-    its delayed reads would reach the element itself.
+    its delayed reads would reach the element itself, and so does a history
+    that does not live on ``[-tau, 0]``.
     """
     check_edge_functions(tree, control, "control")
     n = coeffs.n
     tau = coeffs.tau
+    check_history(phi, tau)
     reach = tau * (1 + 1e-9)  # the slack DelayMesh.check allows
     if mesh.max_width() > reach:
         raise MeshError(f"element width {mesh.max_width()} exceeds the delay {tau}")

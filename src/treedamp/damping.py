@@ -1,35 +1,30 @@
 """Energy-optimal damping by constrained quadratic minimisation.
 
 The optimal trajectory minimises the energy, the squared L2 norm of the
-control ``L y``, over ``lift + V_h`` where ``V_h`` is the discrete
-perturbation space; equivalently it solves the normal equations
-``G x = f`` with the Gram matrix of the energy product on basis pairs and
-the right side driven by the history lift, and ``x`` is the trajectory's
-nodal data at the free nodes.  ``G`` is Hermitian positive definite
-whenever the leading coefficients stay away from zero.
+control ``L y``, over the discrete space with the given history.  Its free
+nodal data ``x`` solve the normal equations ``G x = f``, with ``G`` the
+Gram matrix of the energy product on basis pairs (Hermitian positive
+definite whenever the leading coefficients stay away from zero) and ``f``
+driven by the history.
 
-With ``L`` the sparse ndof x nquad table of basis-function images at the
-Gauss points and ``W`` the Gauss weights, ``G = conj(L) W L^T`` is formed as
-a sparse product.
-It is factored once by SuperLU with symmetric pivoting, whose pivots are
-the definiteness test, and one step of the corrected seminormal equations
-(Bjorck 1987) with the same factor recovers the accuracy that forming ``G``
-squared away.  :func:`optimality_check` then measures the first variation
-of the solution on the assembly grid.
+Assembly reads the tree-wide element table of
+:class:`~treedamp.meshing.Basis`.  At every Gauss point of edge ``j`` the
+operator row of the basis sums the ``2n`` Hermite shapes of the element
+holding ``t``, weighted by the ``b_k``, and of the element of ``j``'s
+lead-in holding ``t - tau``, weighted by the ``c_k``; each family of reads
+is one lookup per edge and one pass over all points, and its values become
+entries of ``L`` in the rows of their DOFs.  The root start's ``n`` values,
+which the history fixes, have rows after the DOFs; only the root edge's
+reads before ``tau`` go to the history itself.  Gauss cells refine the
+element nodes, the lead-in nodes and the history's breaks shifted by
+``tau``, and the coefficient breakpoints, so the quadrature is exact.
 
-Assembly works element by element on the shape and DOF-row tables of
-:class:`~treedamp.meshing.Basis`.  At every Gauss point of an edge the
-operator row of the basis is the sum of the ``2n`` Hermite shapes of the
-element holding ``t`` (weighted by the ``b_k``) and of the element holding
-``t - tau`` (weighted by the ``c_k``), which sits on the same edge or on the
-parent's tail; those at most ``4n`` values become entries of ``L`` in the
-rows of the DOFs they belong to.  The root start's ``n`` values, which the
-history fixes, have rows after the DOFs; the lift's image is those rows
-times the history's end derivatives plus the root edge's read of the
-history on ``[0, tau]``, so no symbolic operator image is built.  Gauss
-cells refine every element node, its ``tau``-shift, every coefficient
-breakpoint and the history's breaks shifted by ``tau``, so the integrands
-are polynomials on each cell and the quadrature is exact.
+With ``W`` the Gauss weights, ``G = conj(L) W L^T`` is one sparse product.
+SuperLU factors it with symmetric pivoting, whose pivots are the
+definiteness test, and steps of the corrected seminormal equations (Bjorck
+1987) with the same factor recover the accuracy that forming ``G`` squared
+away.  :func:`optimality_check` then measures the first variation of the
+solution on the assembly grid.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
-from .meshing import Basis, DelayMesh, build_mesh, history_lift
+from .meshing import Basis, DelayMesh, build_mesh, check_history
 from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
 
@@ -63,6 +58,10 @@ EIGEN_REPORT_NDOF = 1000
 # A pivot whose imaginary part exceeds this fraction of the largest pivot is
 # not the real pivot of a Hermitian matrix.
 PIVOT_IMAG_RTOL = 1e-8
+
+# Corrected seminormal steps run while each correction is less than half the
+# one before; a sequence still contracting after this many steps is an error.
+CSNE_MAX_STEPS = 10
 
 
 class _Stored:
@@ -87,10 +86,11 @@ class GramSystem:
 
     ``basis_values`` is the sparse ndof x nquad table of ``L w_p`` at the
     Gauss points (``points`` per edge, ``weights`` flat over all edges in
-    edge order) and ``lift_values`` is ``L phi`` there.  ``matrix`` is the
-    sparse Gram matrix ``conj(L) W L^T``: ``matrix[p, r]`` is the energy
+    edge order) and ``lift_values`` is the image of the history's zero-DOF
+    member there (:func:`~treedamp.meshing.history_lift`).  ``matrix`` is
+    the sparse Gram matrix ``conj(L) W L^T``: ``matrix[p, r]`` is the energy
     product of basis function ``r`` against basis function ``p``.  ``rhs``
-    is minus the product of the lift against each basis function.
+    is minus the product of that member against each basis function.
     """
 
     matrix: SparseCSC
@@ -134,13 +134,16 @@ class GramSystem:
         One sparse LU factorisation, with a fill-reducing ordering applied to
         rows and columns alike and every pivot taken on the diagonal: for a
         Hermitian positive definite ``G`` the pivots are real and positive,
-        so they are the definiteness test.  One step of the corrected
-        seminormal equations then recovers the accuracy that forming ``G``
+        so they are the definiteness test.  Steps of the corrected
+        seminormal equations then recover the accuracy that forming ``G``
         squared away: the residual ``L phi + L^T x`` at the Gauss points
-        feeds one more solve with the same factor.
+        feeds one more solve with the same factor.  The steps stop at the
+        first correction that is not below half the previous one, which is
+        the roundoff floor, and is not applied; still contracting after
+        ``CSNE_MAX_STEPS`` steps raises ``LinAlgError``.
         """
         if self.matrix.shape[0] == 0:
-            # fully clamped space: the lift is the only candidate
+            # fully clamped space: the history's zero-DOF member is the only candidate
             return np.zeros(0, dtype=complex)
         try:
             lu = scipy.sparse.linalg.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
@@ -154,91 +157,87 @@ class GramSystem:
         if np.any(piv.real <= 0.0) or np.any(np.abs(piv.imag) > PIVOT_IMAG_RTOL * np.abs(piv).max()):
             raise self._indefinite("a pivot is not real and positive", piv)
         x = lu.solve(self.rhs)
-        x += lu.solve(-self.products(self.lift_values + self.basis_values.T @ x))
-        return x
+        size = np.inf
+        for _ in range(CSNE_MAX_STEPS):
+            dx = lu.solve(-self.products(self.lift_values + self.basis_values.T @ x))
+            prev, size = size, np.linalg.norm(dx)
+            if not size < prev / 2:
+                return x
+            x += dx
+        ratio = np.abs(piv).max() / np.abs(piv).min()
+        raise np.linalg.LinAlgError(
+            f"corrected seminormal steps still contracting after {CSNE_MAX_STEPS}: pivot "
+            f"ratio {ratio:.3e}, last relative correction {size / np.linalg.norm(x):.3e}")
 
 
-def _operator_rows(basis: Basis, j: int, cols: np.ndarray, t: np.ndarray, weights: list):
-    """COO triples ``(rows, cols, values)`` of ``sum_k a_k(t) d^k/dt^k``
-    applied to the shapes of the element of edge ``j`` holding each ``t``,
-    one row per free DOF of the element and column ``cols`` per point, for
-    ``weights = [(k, a_k(t)), ...]``."""
-    nodes = basis.mesh.nodes[j - 1]
-    shapes = basis.shapes[j - 1]
-    e = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(shapes) - 1)
-    s = t - nodes[e]
-    deg = shapes.shape[-1]
-    mono = np.zeros((len(t), deg), dtype=complex)
-    for k, a in weights:
-        mono += derivative_powers(s, k, deg, a)
-    vals = np.einsum("pi,psi->ps", mono, shapes[e])
-    rows = basis.rows[j - 1][e]
+def _operator_rows(basis: Basis, cols: np.ndarray, ids: np.ndarray, s: np.ndarray, a: np.ndarray):
+    """COO triples ``(rows, cols, values)`` of ``sum_k a[k] d^k/dt^k``
+    applied to the shapes of element ``ids`` at local coordinate ``s``, one
+    row per free DOF of the element and column ``cols`` per point."""
+    deg = basis.shapes.shape[-1]
+    mono = np.zeros((len(s), deg), dtype=complex)
+    for k, ak in enumerate(a):
+        mono += derivative_powers(s, k, deg, ak)
+    vals = np.einsum("pi,psi->ps", mono, basis.shapes[ids])
+    rows = basis.rows[ids]
     free = rows >= 0
     return rows[free], np.broadcast_to(cols[:, None], rows.shape)[free], vals[free]
 
 
-def assemble(basis: Basis, lift: TreeFunction, coeffs: CoefficientSet) -> GramSystem:
-    """Build the Gram system on the given basis around the given lift.
+def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSystem:
+    """Build the Gram system on the given basis for the history ``phi``.
 
-    Only the lift's history is read: its end derivatives are the root
-    start's nodal data.  The Gauss grid carries one point more than the
-    largest integrand degree per cell, so every entry is integrated exactly.
+    ``phi`` enters as the root start's nodal data (its end derivatives) and
+    through the root edge's delayed reads before ``tau``.  The Gauss grid
+    carries one point more than the largest integrand degree per cell, so
+    every entry is integrated exactly.
     """
     tree = basis.mesh.tree
-    nodes = basis.mesh.nodes
-    tau = coeffs.tau
-    n, ndof = basis.n, basis.ndof
+    n, ndof, tau = basis.n, basis.ndof, coeffs.tau
     top = 2 * n - 1  # degree of the Hermite shapes
-    phi = lift.history
     terms = [coeffs.terms(j) for j in range(1, tree.m + 1)]
 
-    cells = []
-    max_deg = 0
-    for j in range(1, tree.m + 1):
-        sets = [nodes[j - 1]]
-        for k, b, c in terms[j - 1]:
+    cells, max_deg = [], 0
+    for j, edge_terms in enumerate(terms, start=1):
+        Tj = tree.length(j)
+        tol = 1e-12 * max(1.0, Tj)
+        sets = [basis.mesh.nodes[j - 1]]
+        for k, b, c in edge_terms:
             for coef in (b, c):
                 if coef is not None:
                     sets.append(coef.breaks)
                     max_deg = max(max_deg, coef.max_degree + top - k)
             if j == 1 and c is not None:
                 max_deg = max(max_deg, c.max_degree + phi.max_degree - k)
-        if any(c is not None for _, _, c in terms[j - 1]):
-            # delayed reads: own nodes shifted by tau, and the parent's tail
-            # (the history on the root edge) moved to [0, tau]
-            xs = nodes[j - 1]
-            sets.append(np.append(xs[xs < tree.length(j) - tau] + tau, [0.0, tau]))
-            if j > 1:
-                par = nodes[tree.parent_of(j) - 1]
-                Tp = tree.length(tree.parent_of(j))
-                sets.append(par[par > Tp - tau] - Tp + tau)
-            else:
-                sets.append(phi.breaks + tau)
-        cells.append(merge_breaks(sets, 1e-12 * max(1.0, tree.length(j))))
+        if any(c is not None for _, _, c in edge_terms):
+            # delayed reads: the lead-in's nodes (and the history's) shifted by tau
+            heads = [phi.breaks] if j == 1 else []
+            reads = np.concatenate([basis.lead_in[j - 1], *heads]) + tau
+            sets.append(reads[(reads > tol) & (reads < Tj - tol)])
+        cells.append(merge_breaks(sets, tol))
 
     gx, gw = np.polynomial.legendre.leggauss(max_deg + 1)
     points = [(x[:-1, None] + 0.5 * np.diff(x)[:, None] * (gx + 1.0)).ravel() for x in cells]
     weights = np.concatenate([(0.5 * np.diff(x)[:, None] * gw).ravel() for x in cells])
     Lphi = np.zeros(len(weights), dtype=complex)
-    triples = []
+    now, late = [], []  # per edge: (cols, element ids, local coordinates, a_k) of each read
     start = 0
     for j, t in enumerate(points, start=1):
         cols = start + np.arange(len(t))
         start += len(t)
-        b_w = [(k, b.values(t)) for k, b, _ in terms[j - 1] if b is not None]
-        triples.append(_operator_rows(basis, j, cols, t, b_w))
-        c_w = [(k, c.values(t)) for k, _, c in terms[j - 1] if c is not None]
-        if not c_w:
+        b = np.array([0 * t if bk is None else bk.values(t) for _, bk, _ in terms[j - 1]])
+        now.append((cols, *basis.locate(j, t), b))
+        if all(ck is None for _, _, ck in terms[j - 1]):
             continue
+        c = np.array([0 * t if ck is None else ck.values(t) for _, _, ck in terms[j - 1]])
         td = t - tau
-        own, head = td >= 0.0, td < 0.0
-        triples.append(_operator_rows(basis, j, cols[own], td[own], [(k, a[own]) for k, a in c_w]))
-        if j > 1:
-            p = tree.parent_of(j)
-            triples.append(_operator_rows(basis, p, cols[head], td[head] + tree.length(p),
-                                          [(k, a[head]) for k, a in c_w]))
-        else:
-            Lphi[cols[head]] = sum(a[head] * phi.values(td[head], k) for k, a in c_w)
+        lead = np.ones(len(t), dtype=bool)
+        if j == 1:  # the root edge reads the history before tau
+            lead = td >= 0.0
+            Lphi[cols[~lead]] = sum(a[~lead] * phi.values(td[~lead], k) for k, a in enumerate(c))
+        late.append((cols[lead], *basis.locate(j, td[lead]), c[:, lead]))
+    triples = [_operator_rows(basis, *(np.concatenate(x, axis=-1) for x in zip(*reads)))
+               for reads in (now, late) if reads]
     rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
     # a point's delayed read may reach DOFs its own element holds: the
     # conversion from triples sums such duplicates
@@ -265,7 +264,6 @@ class DampingSolution:
     energy: float
     dofs: np.ndarray
     basis: Basis
-    lift: TreeFunction
     gram: GramSystem
     coeffs: CoefficientSet
 
@@ -284,42 +282,28 @@ def default_mesh(tree: Tree, coeffs: CoefficientSet, q: int) -> DelayMesh:
     return build_mesh(tree, coeffs.tau, q, sources=tuple(sorted(sources)), local_points=local)
 
 
-def solve_damping(
-    tree: Tree,
-    coeffs: CoefficientSet,
-    phi: PiecewisePoly,
-    q: int = 8,
-) -> DampingSolution:
+def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
+                  q: int = 8) -> DampingSolution:
     """Minimise the control cost subject to history and rest constraints.
 
-    The trajectory is the history lift plus the Gram-system solution in the
-    constrained Hermite space; the induced control is the edge operator
-    applied to the trajectory, and the reported energy is its squared norm.
+    The trajectory is the member of the constrained Hermite space with
+    history ``phi`` whose free nodal data solve the Gram system; the
+    induced control is the edge operator applied to the trajectory, and the
+    reported energy is its squared norm.
     """
     for j in range(tree.d + 1, tree.m + 1):
         if tree.length(j) < 2 * coeffs.tau:
-            warnings.warn(
-                f"boundary edge {j} is shorter than two delay spans; the rest "
-                "window consumes most of it and the problem may be stiff",
-                stacklevel=2,
-            )
+            warnings.warn(f"boundary edge {j} is shorter than two delay spans; the rest window "
+                          "consumes most of it and the problem may be stiff", stacklevel=2)
     mesh = default_mesh(tree, coeffs, q)
     basis = Basis(mesh, coeffs.n)
-    lift = history_lift(mesh, coeffs.n, phi)
-    gram = assemble(basis, lift, coeffs)
+    check_history(phi, coeffs.tau)
+    gram = assemble(basis, phi, coeffs)
     x = gram.solve()
-    y = lift + basis.tree_function(x)
+    y = basis.tree_function(x, phi)
     u = tuple(operator_components(y, coeffs))
-    return DampingSolution(
-        y=y,
-        control=u,
-        energy=sum(p.l2_norm_sq() for p in u),
-        dofs=x,
-        basis=basis,
-        lift=lift,
-        gram=gram,
-        coeffs=coeffs,
-    )
+    return DampingSolution(y=y, control=u, energy=sum(p.l2_norm_sq() for p in u), dofs=x,
+                           basis=basis, gram=gram, coeffs=coeffs)
 
 
 def optimality_check(sol: DampingSolution) -> dict:

@@ -9,10 +9,10 @@ through the nodal data of the root start (``phi``'s ``n`` end derivatives);
 the minimisation runs over the free nodal data, with every boundary edge
 resting on its final delay window.
 
-:class:`Basis` owns the element layer: per edge it tabulates the Hermite
-shapes of every element and the indices of their nodal data, and
-reconstruction (:meth:`Basis.tree_function`) and Gram assembly read those
-tables.
+:class:`Basis` owns the element layer: one table of Hermite shapes and
+nodal-data indices for the elements of the whole tree, and per edge a
+lead-in lookup where its delayed reads land.  Reconstruction
+(:meth:`Basis.tree_function`) and Gram assembly read that table.
 """
 
 from __future__ import annotations
@@ -83,13 +83,8 @@ class DelayMesh:
         return self
 
 
-def build_mesh(
-    tree: Tree,
-    tau: float,
-    q: int,
-    sources=(0.0,),
-    local_points: dict | None = None,
-) -> DelayMesh:
+def build_mesh(tree: Tree, tau: float, q: int, sources=(0.0,),
+               local_points: dict | None = None) -> DelayMesh:
     """Delay-aligned mesh with elements no wider than ``tau/q``.
 
     ``sources`` are global times (distance from the root along the path)
@@ -110,8 +105,7 @@ def build_mesh(
         tol = 1e-12 * max(1.0, offset + Tj)
         fronts = set()
         for g in sources:
-            k0 = math.ceil((offset - g) / tau - 1e-9)
-            k = max(k0, 0)
+            k = max(math.ceil((offset - g) / tau - 1e-9), 0)
             while g + k * tau <= offset + Tj + tol:
                 t = g + k * tau - offset
                 if -tol <= t <= Tj + tol:
@@ -142,11 +136,18 @@ class Basis:
     history fixes, or when it lies in the resting tail ``[T_j - tau, T_j]``
     of a boundary edge.
 
-    The element tables are the one description of the space: for edge
-    ``j``, ``shapes[j-1][e]`` is the ``2n x 2n`` shape matrix of element
-    ``e`` (see :func:`_hermite_shapes`) and ``rows[j-1][e]`` the ``2n``
-    indices of its left then right nodal data: a DOF below ``ndof``, the
-    root start's known values ``ndof .. ndof+n-1``, or -1 in a resting tail.
+    One element table describes the whole tree.  Elements are numbered
+    edge by edge in canonical order, edge ``j`` holding ids
+    ``offsets[j-1]:offsets[j]``.  Element ``e`` starts at ``left[e]`` in its
+    edge's coordinate, ``shapes[e]`` is its ``2n x 2n`` shape matrix (see
+    :func:`_hermite_shapes`) and ``rows[e]`` holds the ``2n`` indices of its
+    left then right nodal data: a DOF below ``ndof``, the root start's known
+    values ``ndof .. ndof+n-1``, or -1 in a resting tail.
+
+    Edge ``j`` reads its delayed values from its lead-in on ``[-tau, T_j)``:
+    the parent's tail elements moved to ``[-tau, 0]``, then its own, whose
+    left nodes are ``lead_in[j-1]``.  The root edge's lead-in starts at 0;
+    before that it reads the history.
     """
 
     def __init__(self, mesh: DelayMesh, n: int):
@@ -170,50 +171,63 @@ class Basis:
         self.ndof = n * int(free.sum())
         first_dof = np.where(free, n * (np.cumsum(free) - 1), -1)  # per gid: DOF of derivative 0
         first_dof[0] = self.ndof
-        self.shapes = []
-        self.rows = []
-        for j in range(1, tree.m + 1):
-            self.shapes.append(_hermite_shapes(n, np.diff(mesh.nodes[j - 1])))
-            d = first_dof[gid[j - 1]][:, None]
-            node_rows = np.where(d >= 0, d + np.arange(n), -1)
-            self.rows.append(np.hstack([node_rows[:-1], node_rows[1:]]))
+        d = first_dof[np.concatenate([np.stack([g[:-1], g[1:]], 1) for g in gid])][..., None]
+        self.rows = np.where(d >= 0, d + np.arange(n), -1).reshape(len(d), 2 * n)
+        self.offsets = np.cumsum([0] + [len(g) - 1 for g in gid])
+        self.left = np.concatenate([xs[:-1] for xs in mesh.nodes])
+        self.shapes = _hermite_shapes(n, np.concatenate([np.diff(xs) for xs in mesh.nodes]))
 
-    def tree_function(self, dofs: np.ndarray) -> TreeFunction:
-        """Member of the discrete space with the given DOF vector."""
+        self.lead_in, self._lead = [], []  # per edge; _lead: element ids, shifts to their edge
+        for j in range(1, tree.m + 1):
+            ids = np.arange(self.offsets[j - 1], self.offsets[j])
+            shift = np.zeros(len(ids))
+            if j > 1:
+                p = tree.parent_of(j)
+                Tp = tree.length(p)
+                tail = np.arange(self.offsets[p - 1], self.offsets[p])
+                tail = tail[self.left[tail] >= Tp - mesh.tau - 1e-9 * max(1.0, Tp)]
+                ids, shift = np.append(tail, ids), np.append(np.full(len(tail), Tp), shift)
+            self.lead_in.append(self.left[ids] - shift)
+            self._lead.append((ids, shift))
+
+    def locate(self, j: int, t: np.ndarray):
+        """Tree-wide element ids and local coordinates of the times ``t`` on
+        edge ``j``'s lead-in; a time in ``[-tau, 0)`` lands in the parent's
+        tail and is measured from the element's left node there."""
+        ids, shift = self._lead[j - 1]
+        i = np.clip(np.searchsorted(self.lead_in[j - 1], t, side="right") - 1, 0, len(ids) - 1)
+        return ids[i], t + shift[i] - self.left[ids[i]]
+
+    def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
+        """Member of the discrete space with the given DOF vector.  With
+        ``phi`` (on ``[-tau, 0]``) the root start carries its ``n`` end
+        derivatives and the history is ``phi``; without it both are zero."""
         dofs = np.asarray(dofs, dtype=complex)
         if dofs.shape != (self.ndof,):
             raise ValueError(f"expected {self.ndof} degrees of freedom")
         n = self.n
-        padded = np.append(dofs, np.zeros(n + 1))  # the root start and index -1 read 0
-        comps = []
-        for xs, shapes, rows in zip(self.mesh.nodes, self.shapes, self.rows):
-            nodal = padded[rows]
-            coefs = np.zeros((len(rows), 2 * n), dtype=complex)
-            for k in range(n):
-                coefs += nodal[:, k, None] * shapes[:, k] + nodal[:, n + k, None] * shapes[:, n + k]
-            comps.append(PiecewisePoly(xs, coefs))
-        history = PiecewisePoly.zero(-self.mesh.tau, 0.0)
-        return TreeFunction(self.mesh.tree, n, tuple(comps), history)
+        phi = PiecewisePoly.zero(-self.mesh.tau, 0.0) if phi is None else phi
+        start = [phi.left_limit(0.0, k) for k in range(n)]
+        nodal = np.concatenate([dofs, start, [0.0]])[self.rows, None]  # index -1 reads the 0
+        # a left and a right shape nearly cancel at high powers: adding each
+        # such pair first keeps the cancellation exact
+        coefs = (nodal[:, :n] * self.shapes[:, :n] + nodal[:, n:] * self.shapes[:, n:]).sum(axis=1)
+        comps = tuple(PiecewisePoly._of(xs, coefs[a:b])
+                      for xs, a, b in zip(self.mesh.nodes, self.offsets, self.offsets[1:]))
+        return TreeFunction(self.mesh.tree, n, comps, phi)
+
+
+def check_history(phi: PiecewisePoly, tau: float) -> None:
+    """Raise :class:`MeshError` unless ``phi`` lives on ``[-tau, 0]``."""
+    a, b = phi.domain
+    if abs(a + tau) > 1e-9 * max(1.0, tau) or abs(b) > 1e-12:
+        raise MeshError(f"history domain [{a}, {b}] does not match [-{tau}, 0]")
 
 
 def history_lift(mesh: DelayMesh, n: int, phi: PiecewisePoly) -> TreeFunction:
-    """The history, carried onto the root edge's first element as nodal data.
-
-    The lift equals ``phi`` on the history window; on the first element of
-    the root edge it is the Hermite polynomial of degree ``2n-1`` with the
-    ``n`` one-sided end derivatives of ``phi`` at the left node and zero
-    data at the right one, and it is zero from that node on.  Adding any
-    member of the constrained space keeps the history and initial data
-    intact, so the discrete minimisation runs over ``lift + span(basis)``.
-    """
-    tree = mesh.tree
-    tau = mesh.tau
-    a, b_ = phi.domain
-    if abs(a + tau) > 1e-9 * max(1.0, tau) or abs(b_) > 1e-12:
-        raise MeshError(f"history domain [{a}, {b_}] does not match [-{tau}, 0]")
-    h = mesh.nodes[0][1]
-    left = _hermite_shapes(n, h)[:n]
-    c = sum(phi.left_limit(0.0, k) * left[k] for k in range(n))
-    comps = [PiecewisePoly.single(0.0, h, c).concat(PiecewisePoly.zero(h, tree.length(1)))]
-    comps += [PiecewisePoly.zero(0.0, tree.length(j)) for j in range(2, tree.m + 1)]
-    return TreeFunction(tree, n, tuple(comps), phi)
+    """The member of the discrete space with history ``phi`` and zero DOFs:
+    on the root edge's first element, the Hermite polynomial with ``phi``'s
+    end derivatives at the left node, and zero from the next node on."""
+    check_history(phi, mesh.tau)
+    basis = Basis(mesh, n)
+    return basis.tree_function(np.zeros(basis.ndof), phi)

@@ -174,9 +174,9 @@ def interpolate(basis, y) -> np.ndarray:
     root start (rows from ``ndof`` on) and the resting tails are skipped."""
     n = basis.n
     out = np.zeros(basis.ndof, dtype=complex)
-    for j, (xs, rows) in enumerate(zip(basis.mesh.nodes, basis.rows), start=1):
+    for j, xs in enumerate(basis.mesh.nodes, start=1):
         p = y.component(j)
-        for e, dofs in enumerate(rows):
+        for e, dofs in enumerate(basis.rows[basis.offsets[j - 1]:basis.offsets[j]]):
             for k in range(n):
                 for dof, value in ((dofs[k], p.right_limit(xs[e], k)),
                                    (dofs[n + k], p.left_limit(xs[e + 1], k))):

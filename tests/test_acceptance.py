@@ -31,7 +31,6 @@ from treedamp.diagnostics import (
     kirchhoff_residual,
     quasi_derivatives,
 )
-from treedamp.meshing import history_lift
 
 import oracles
 
@@ -174,8 +173,7 @@ def test_criterion_5_gram_positive_definite_and_rejections(capsys):
         cs = CoefficientSet.build(tr, 1, tau, bmap, cmap)
         mesh = default_mesh(tr, cs, 2)
         basis = Basis(mesh, 1)
-        lift = history_lift(mesh, 1, PiecewisePoly.constant(-tau, 0.0, 1.0))
-        gram = assemble(basis, lift, cs)
+        gram = assemble(basis, PiecewisePoly.constant(-tau, 0.0, 1.0), cs)
         piv = np.min(np.diag(np.linalg.cholesky(gram.matrix.toarray())).real)
         min_pivot = min(min_pivot, piv)
 

@@ -27,7 +27,7 @@ def _check_against_oracle(tree, coeffs, phi, q):
     mesh = default_mesh(tree, coeffs, q)
     basis = Basis(mesh, coeffs.n)
     lift = history_lift(mesh, coeffs.n, phi)
-    gram = assemble(basis, lift, coeffs)
+    gram = assemble(basis, phi, coeffs)
     assert gram.matrix.shape == (basis.ndof, basis.ndof)
 
     G, f = oracles.dense_gram(basis, lift, coeffs)
@@ -104,7 +104,7 @@ def test_assembly_builds_no_symbolic_operator_image(name, monkeypatch):
     monkeypatch.setattr(expressions, "operator_components", counted_components)
     monkeypatch.setattr(damping, "operator_components", counted_components)
     mesh = default_mesh(cfg.tree, cfg.coeffs, 4)
-    assemble(Basis(mesh, cfg.n), history_lift(mesh, cfg.n, cfg.history), cfg.coeffs)
+    assemble(Basis(mesh, cfg.n), cfg.history, cfg.coeffs)
     assert applied == [] and components == []
 
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)

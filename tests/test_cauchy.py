@@ -182,6 +182,20 @@ def test_round_trip_on_a_benchmark_sized_binary_tree():
     assert gap <= 1e-12
 
 
+def test_history_off_the_delay_window_is_rejected():
+    # a history on [-2, 0] under tau = 1 used to be taken as it stood: the
+    # result then reported tau = 2, so residual_ell applied the wrong delay
+    # and read 0.63 for the very control that produced the trajectory
+    tr = interval(3.0)
+    cs = CoefficientSet.build(tr, 1, 1.0, b={(1, 1): 1.0}, c={(0, 1): 0.5})
+    sol = solve_damping(tr, cs, PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 1.0]), q=4)
+    wide = PiecewisePoly.from_global_coefs(-2.0, 0.0, [1.0, 1.0])
+    with pytest.raises(MeshError, match=r"history domain \[-2.0, 0.0\] does not match \[-1.0, 0\]"):
+        solve_cauchy(tr, cs, wide, sol.control, sol.mesh)
+    with pytest.raises(MeshError, match="history domain"):
+        solve_damping(tr, cs, wide, q=4)
+
+
 def test_solution_is_linear_in_history_and_control():
     tau = 1.0
     tr = interval(3.0)

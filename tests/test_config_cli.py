@@ -317,6 +317,15 @@ def test_cli_convergence_checks_kirchhoff_decay_on_a_star(capsys):
     assert "Kirchhoff residual did not decay" in capsys.readouterr().err
 
 
+def test_cli_convergence_ladder_passes_at_order_three(capsys):
+    # star3: order 3, pivot ratio 2.8e11 at q 64.  One corrected seminormal
+    # step left the q 64 DOFs 1.5e-5 off and its energy above q 32's by
+    # 1.8e-9, so the ladder failed with "energy increased" (exit 4)
+    cfg_path = str(CONFIGS / "star3.json")
+    assert main(["convergence", "--config", cfg_path, "--q", "8,16,32,64"]) == 0
+    assert "energy increased" not in capsys.readouterr().err
+
+
 def test_cli_exit_codes_for_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_minimal_dict(bogus=1)))

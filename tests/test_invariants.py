@@ -1,7 +1,7 @@
 """Invariants of the minimal energy, of its first variation and of the
 damp -> simulate round trip.
 
-Random small trees (depth at most 3), orders 1 and 2, refinement up to 4,
+Random small trees (depth at most 3), orders 1 to 3, refinement up to 4,
 complex lower-order coefficients and histories.  Edge lengths are multiples
 of a quarter delay so that no wavefront lands next to a mesh node.
 """
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from treedamp.cauchy import solve_cauchy
 from treedamp.damping import optimality_check, solve_damping
 from treedamp.expressions import CoefficientSet
+from treedamp.meshing import history_lift
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree
 
@@ -34,7 +35,7 @@ def problems(draw):
         p = draw(st.sampled_from([f for f in range(1, e) if depth[f] < 3]))
         parents[e], depth[e] = p, depth[p] + 1
     lengths = {e: draw(st.sampled_from([2.0, 2.25, 2.5])) for e in parents}
-    n = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=1, max_value=3))
     q = draw(st.integers(min_value=1, max_value=4))
     coefs = {}
     for e in parents:
@@ -130,7 +131,8 @@ def test_sparse_solve_matches_the_dense_oracle_energy(problem):
     # the dense oracle integrates every Gram entry by exact piecewise algebra
     # and solves by a dense Cholesky factorisation
     sol = _solve(problem)
-    want = oracles.dense_energy(sol.basis, sol.lift, sol.coeffs)
+    lift = history_lift(sol.mesh, sol.coeffs.n, sol.y.history)
+    want = oracles.dense_energy(sol.basis, lift, sol.coeffs)
     assert sol.energy == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

@@ -85,7 +85,7 @@ def test_dof_count_single_free_node():
     # elements [0, 1], [1, 2], [2, 3]: the DOF is the right end of the first
     # element and the left end of the second; the root start's known value
     # is numbered ndof = 1, and -1 marks the resting tail
-    assert basis.rows[0].tolist() == [[1, 0], [0, -1], [-1, -1]]
+    assert basis.rows.tolist() == [[1, 0], [0, -1], [-1, -1]]
 
 
 def test_vertex_dof_is_shared():
@@ -95,10 +95,11 @@ def test_vertex_dof_is_shared():
     # the node at the internal vertex is the last node of edge 1 and the
     # first node of edges 2 and 3: the element tables carry the same DOF
     # index on both sides of the vertex
-    p = basis.rows[0][-1][1]
+    offsets = basis.offsets
+    p = basis.rows[offsets[1] - 1][1]
     assert p >= 0
-    assert basis.rows[1][0][0] == p
-    assert basis.rows[2][0][0] == p
+    assert basis.rows[offsets[1]][0] == p
+    assert basis.rows[offsets[2]][0] == p
     e = oracles.unit(basis, p)
     assert e.component(1).left_limit(2.0) == pytest.approx(1.0)
     assert e.component(2).right_limit(0.0) == pytest.approx(1.0)
@@ -136,6 +137,39 @@ def test_tree_function_rejects_wrong_dof_count():
     basis = Basis(build_mesh(interval(3.0), 1.0, 1), 1)
     with pytest.raises(ValueError):
         basis.tree_function(np.zeros(basis.ndof + 1))
+
+
+def test_locate_reads_the_parent_tail_in_its_own_frame():
+    # the parent's tail elements (widths 0.3, 0.2, 0.25, 0.25) differ from
+    # the child's (all 0.25), so a read before the child's start must land
+    # in the parent's element and be measured from that element's left node
+    tr = build_tree({1: 0, 2: 1}, {1: 2.5, 2: 2.0})
+    mesh = build_mesh(tr, 1.0, 3, local_points={1: [1.8]})
+    parent, child = mesh.nodes
+    tail = np.diff(parent)[parent[:-1] >= 1.5]
+    assert not np.isin(np.round(tail, 12), np.round(np.diff(child), 12)).all()
+    basis = Basis(mesh, 2)
+    assert basis.lead_in[1][0] == pytest.approx(-1.0) and basis.lead_in[1][-1] == child[-2]
+
+    cuts = np.append(parent[parent >= 1.5 - 1e-12] - 2.5, child[1:])
+    t = (cuts[:-1, None] + np.diff(cuts)[:, None] * np.array([0.1, 0.5, 0.9])).ravel()
+    ids, s = basis.locate(2, t)
+    before = t < 0.0
+    e = np.searchsorted(parent, t[before] + 2.5) - 1
+    assert np.array_equal(ids[before], basis.offsets[0] + e)
+    assert np.array_equal(s[before], t[before] + 2.5 - parent[e])
+    e = np.searchsorted(child, t[~before]) - 1
+    assert np.array_equal(ids[~before], basis.offsets[1] + e)
+    assert np.array_equal(s[~before], t[~before] - child[e])
+
+    # the element rows found are those the reconstruction builds
+    rng = np.random.default_rng(3)
+    y = basis.tree_function(rng.standard_normal(basis.ndof))
+    table = np.concatenate([c.coefs for c in y.components])
+    got = np.sum(table[ids] * s[:, None] ** np.arange(4), axis=1)
+    want = np.where(before, y.component(1).values(np.where(before, t + 2.5, 0.0)),
+                    y.component(2).values(np.maximum(t, 0.0)))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_history_lift_linear_example():
@@ -194,11 +228,11 @@ def test_mesh_and_basis_invariants(tr, q, n):
     basis = Basis(mesh, n)
     # the element tables number the DOFs 0..ndof-1, each at least once, and
     # the root start's known values ndof..ndof+n-1, on the first element only
-    used = np.unique(np.concatenate([rows.ravel() for rows in basis.rows]))
+    used = np.unique(basis.rows)
     assert np.array_equal(used[used >= 0], np.arange(basis.ndof + n))
-    root = [rows >= basis.ndof for rows in basis.rows]
-    assert root[0][0].tolist() == [True] * n + [False] * n
-    assert sum(int(r.sum()) for r in root) == n
+    root = basis.rows >= basis.ndof
+    assert root[0].tolist() == [True] * n + [False] * n
+    assert int(root.sum()) == n
     # every free DOF produces an admissible function
     if basis.ndof:
         p = basis.ndof // 2
@@ -207,3 +241,25 @@ def test_mesh_and_basis_invariants(tr, q, n):
     # interpolation of the zero function is zero
     z = basis.tree_function(np.zeros(basis.ndof))
     assert np.allclose(oracles.interpolate(basis, z), 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_trees(), st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_tree_function_with_history_is_the_lift_plus_a_perturbation(tr, q, n, coefs, seed):
+    # the trajectory solve_damping builds in one pass is the sum the
+    # benchmark's manufactured trajectories are built from
+    tau = 0.5 * min(tr.lengths)
+    mesh = build_mesh(tr, tau, q)
+    basis = Basis(mesh, n)
+    phi = PiecewisePoly.from_global_coefs(-tau, 0.0, coefs)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(basis.ndof) + 1j * rng.standard_normal(basis.ndof)
+    y = basis.tree_function(x, phi)
+    z = history_lift(mesh, n, phi) + basis.tree_function(x)
+    assert y.history is phi and np.array_equal(z.history.coefs, phi.coefs)
+    for a, b in zip(y.components, z.components):
+        assert np.array_equal(a.breaks, b.breaks)
+        scale = np.max(np.abs(b.coefs), axis=0)  # per power of the local variable
+        assert np.all(np.abs(a.coefs - b.coefs) <= 1e-14 * scale)
