@@ -36,9 +36,9 @@ import math
 
 import numpy as np
 
-from .expressions import CoefficientSet, TreeFunction, apply_operator, check_edge_functions
+from .expressions import CoefficientSet, TreeFunction, check_edge_functions, operator_components
 from .meshing import DelayMesh, MeshError, check_history
-from .piecewise import PiecewisePoly, derivative_powers
+from .piecewise import EdgePieces, PiecewisePoly, _gather, derivative_powers
 from .trees import Tree
 
 
@@ -142,10 +142,18 @@ def solve_cauchy(
 
 
 def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:
-    """Per-edge L2 distance between the applied operator and the control."""
+    """Per-edge L2 distance between the applied operator and the control.
+
+    Both go onto the merged cells of every edge in one gather each, and the
+    squared distances are integrated over one whole-tree table."""
     check_edge_functions(y.tree, control, "control")
-    per_edge = []
-    for j in range(1, y.tree.m + 1):
-        diff = apply_operator(y, coeffs, j) - control[j - 1]
-        per_edge.append(math.sqrt(diff.l2_norm_sq()))
+    ell, ell_c = EdgePieces.of(operator_components(y, coeffs))
+    u, u_c = EdgePieces.of(control)
+    cells = EdgePieces.merged(np.concatenate([ell.break_edge, u.break_edge]),
+                              np.concatenate([ell.breaks, u.breaks]),
+                              np.zeros(ell.m), np.asarray(y.tree.lengths))
+    diff = np.zeros((len(cells.edge), max(ell_c.shape[1], u_c.shape[1])), dtype=complex)
+    diff[:, : ell_c.shape[1]] = _gather(ell_c, ell.edge, ell.left, cells.edge, cells.mid, cells.left)
+    diff[:, : u_c.shape[1]] -= _gather(u_c, u.edge, u.left, cells.edge, cells.mid, cells.left)
+    per_edge = np.sqrt(cells.norms_sq(diff)).tolist()
     return {"per_edge": per_edge, "total": math.sqrt(sum(r * r for r in per_edge))}

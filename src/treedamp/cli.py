@@ -145,8 +145,9 @@ def cmd_damp(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trajectory.csv", cfg, sol.y.components, [f"y{k}" for k in range(cfg.n)])
     _write_csv(out / "control.csv", cfg, sol.control, ["u"])
-    (out / "control.json").write_text(
-        json.dumps(_control_to_dict(cfg, sol.control), indent=2) + "\n")
+    # one edge record per line: without indent json.dumps runs its C encoder
+    records = (json.dumps(e) for e in _control_to_dict(cfg, sol.control)["edges"])
+    (out / "control.json").write_text('{"edges": [\n' + ",\n".join(records) + "\n]}\n")
     diag = solution_report(sol)
     summary = {
         "command": "damp",

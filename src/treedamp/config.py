@@ -31,8 +31,11 @@ class ConfigError(ValueError):
     """Invalid problem file; the message carries the offending field path."""
 
 
-def _fail(path: str, msg: str):
-    raise ConfigError(f"{path}: {msg}")
+def _fail(path: str, msg: str, index=()):
+    """Raise the error of the field ``path`` followed by one ``[i]`` per entry
+    of ``index``; callers pass indices so that a path is formatted only for
+    a check that fails."""
+    raise ConfigError(f"{path}{''.join(f'[{i}]' for i in index)}: {msg}")
 
 
 def _read_json(path):
@@ -47,22 +50,23 @@ def _read_json(path):
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _real(x, path: str) -> float:
+def _real(x, path: str, *index) -> float:
+    """A finite real entry at ``path`` and ``index`` (see :func:`_fail`)."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        _fail(path, f"expected a real number, got {x!r}")
+        _fail(path, f"expected a real number, got {x!r}", index)
     v = float(x)
     if not math.isfinite(v):
-        _fail(path, "number must be finite")
+        _fail(path, "number must be finite", index)
     return v
 
 
-def _num(x, path: str) -> complex:
+def _num(x, path: str, *index) -> complex:
     """A scalar entry: plain real or an [re, im] pair."""
     if isinstance(x, list):
         if len(x) != 2:
-            _fail(path, "complex value must be a two-element [re, im] array")
-        return complex(_real(x[0], path + "[0]"), _real(x[1], path + "[1]"))
-    return complex(_real(x, path), 0.0)
+            _fail(path, "complex value must be a two-element [re, im] array", index)
+        return complex(_real(x[0], path, *index, 0), _real(x[1], path, *index, 1))
+    return complex(_real(x, path, *index), 0.0)
 
 
 def _num_out(z: complex):
@@ -88,17 +92,19 @@ def _parse_piecewise(breaks, pieces, a: float, b: float, path: str) -> Piecewise
     polynomial on [a, b]; the end breakpoints snap onto a and b."""
     if not isinstance(breaks, list):
         _fail(path + ".breaks", "expected a list of breakpoints")
-    breaks = [_real(x, f"{path}.breaks[{i}]") for i, x in enumerate(breaks)]
+    where = path + ".breaks"
+    breaks = [_real(x, where, i) for i, x in enumerate(breaks)]
     if not isinstance(pieces, list) or len(pieces) != len(breaks) - 1:
         _fail(path + ".pieces", f"expected {len(breaks) - 1} pieces for {len(breaks)} breaks")
     tol = 1e-9 * max(1.0, abs(a), abs(b))
     if abs(breaks[0] - a) > tol or abs(breaks[-1] - b) > tol:
         _fail(path + ".breaks", f"breakpoints must span [{a}, {b}]")
     coefs = []
+    where = path + ".pieces"
     for i, piece in enumerate(pieces):
         if not isinstance(piece, list) or not piece:
-            _fail(f"{path}.pieces[{i}]", "expected a non-empty coefficient array")
-        coefs.append(np.array([_num(x, f"{path}.pieces[{i}][{j}]") for j, x in enumerate(piece)]))
+            _fail(where, "expected a non-empty coefficient array", (i,))
+        coefs.append(np.array([_num(x, where, i, j) for j, x in enumerate(piece)]))
     breaks[0], breaks[-1] = a, b
     try:
         return PiecewisePoly(np.array(breaks), coefs)
@@ -116,7 +122,8 @@ def _parse_poly_data(entry: dict, a: float, b: float, path: str) -> PiecewisePol
     if kind == "polynomial":
         if not isinstance(data, list) or not data:
             _fail(path + ".data", "expected a non-empty coefficient array")
-        coefs = [_num(x, f"{path}.data[{i}]") for i, x in enumerate(data)]
+        where = path + ".data"
+        coefs = [_num(x, where, i) for i, x in enumerate(data)]
         return PiecewisePoly.from_global_coefs(a, b, coefs)
     if kind == "piecewise":
         _check_keys(data, {"breaks", "pieces"}, {"breaks", "pieces"}, path + ".data")

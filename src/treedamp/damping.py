@@ -38,7 +38,7 @@ import scipy.sparse.linalg
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
+from .piecewise import EdgePieces, PiecewisePoly, derivative_powers, merge_breaks
 from .trees import Tree
 
 
@@ -302,7 +302,8 @@ def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
     x = gram.solve()
     y = basis.tree_function(x, phi)
     u = tuple(operator_components(y, coeffs))
-    return DampingSolution(y=y, control=u, energy=sum(p.l2_norm_sq() for p in u), dofs=x,
+    pieces, table = EdgePieces.of(u)
+    return DampingSolution(y=y, control=u, energy=sum(pieces.norms_sq(table).tolist()), dofs=x,
                            basis=basis, gram=gram, coeffs=coeffs)
 
 

@@ -15,10 +15,15 @@ quantities diagnostics: their jumps, vertex defects, and weak residuals all
 measure how far the computed trajectory is from the optimality structure,
 and they collapse under refinement exactly when the solver is right.
 
-Differentiation here is symbolic on each polynomial piece.  Jumps at piece
-boundaries are never differentiated; they are recorded, which is the whole
-point: a persistent jump that refinement does not remove reproduces the
-loss-of-smoothness phenomenon of histories with limited regularity.
+All orders live on one whole-tree table per order, laid out on the same
+cells (:class:`~treedamp.piecewise.EdgePieces`): the variation weights of
+every order come from one call, the recursion is column work on those
+aligned tables, and the sup norm of the top order is one batched extremum
+search over its table.  The per-edge functions handed out are views of the
+tables.  Differentiation is symbolic on each polynomial piece.  Jumps at
+piece boundaries are never differentiated; they are recorded, which is the
+whole point: a persistent jump that refinement does not remove reproduces
+the loss-of-smoothness phenomenon of histories with limited regularity.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingSolution, optimality_check
-from .expressions import CoefficientSet, variation_weights
-from .piecewise import PiecewisePoly
+from .expressions import CoefficientSet, _weight_table
+from .piecewise import EdgePieces, PiecewisePoly, _abs_extremes, _poly_der
 
 # A jump is persistent when it changed by less than this share of its size
 # between the two finest levels of a refinement study; a jump the mesh
@@ -58,14 +63,17 @@ def quasi_derivatives(coeffs: CoefficientSet, ells) -> QuasiDerivativeSet:
 
     ``ells`` holds ``L_j y`` at index ``j - 1``, the ``control`` of a
     :class:`~treedamp.damping.DampingSolution`.  Runs the descending
-    recursion on the variation weights, one order at a time for the whole
-    tree, purely symbolically.
+    recursion on the variation weights of every order, laid out on common
+    cells, one whole-tree table per order, purely symbolically.
     """
     n = coeffs.n
-    weights = [variation_weights(coeffs, ells, k) for k in range(n + 1)]
-    functions = {n: weights[n]}
+    cells, weights = _weight_table(coeffs, ells, range(n + 1))
+    tables = {n: weights[:, n]}
     for k in range(n + 1, 2 * n + 1):
-        functions[k] = [w - f.derivative() for w, f in zip(weights[2 * n - k], functions[k - 1])]
+        below = _poly_der(tables[k - 1])
+        tables[k] = weights[:, 2 * n - k].copy()
+        tables[k][:, : below.shape[1]] -= below
+    functions = {k: cells.views(t) for k, t in tables.items()}
     return QuasiDerivativeSet(tree=coeffs.tree, n=n, functions=functions)
 
 
@@ -132,9 +140,11 @@ def equation_residual(qd: QuasiDerivativeSet) -> float:
 
     The exact optimum satisfies ``y^<2n> = 0`` pointwise; the discrete
     trajectory does not, and this quantity decays only weakly.  Reported
-    for inspection, not as a convergence criterion.
+    for inspection, not as a convergence criterion.  One extremum search
+    runs over the pieces of all edges at once.
     """
-    return max(qd.function(2 * qd.n, j).max_abs() for j in range(1, qd.tree.m + 1))
+    pieces, table = EdgePieces.of(qd.functions[2 * qd.n])
+    return float(_abs_extremes(table, pieces.h)[0].max())
 
 
 def match_jump(entries: list, location: tuple, tol: float) -> float:

@@ -8,19 +8,29 @@ The controlled system applies, on every edge ``j``, an operator of order
 where the delayed value is read through the parent edge when ``t < tau``
 (and from the prescribed history on the root edge).  This module holds the
 data types for coefficient families and trajectories plus the exact algebra
-on them: the delayed read (:func:`delayed_part`) and its adjoint, the
-advanced read (:func:`advanced_part`); applying ``L_j``; and, one order
-at a time for the whole tree, the weights of the re-indexed first
-variation (:func:`variation_weights`) that the diagnostics are built on.
+on them after the solve: the control ``L y`` (:func:`operator_components`)
+and the weights of the re-indexed first variation
+(:func:`variation_weights`) that the diagnostics are built on.
+
+Both run on whole-tree piece tables (:class:`~treedamp.piecewise.EdgePieces`)
+in a fixed number of array passes, whatever the number of edges.  Every
+edge's cells are sorted in one pass; the rows a cell needs come in by one
+gather per kind of read: the trajectory at ``t`` and at ``t - tau`` (the
+history, the parent's tail or the edge itself), every coefficient, and for
+the weights the edge's own read at ``t + tau`` and its children's first
+delay windows.  What is left is row-wise convolution and column work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .piecewise import PiecewisePoly, merge_breaks
+from .piecewise import (EdgePieces, PiecewisePoly, _abs_extremes, _convolve, _gather, _poly_der,
+                        merge_breaks)
 from .trees import Tree
 
 
@@ -38,6 +48,24 @@ def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None
         Tj = tree.length(j)
         if abs(a0) > 1e-12 or abs(a1 - Tj) > 1e-12 * max(1.0, Tj):
             raise error(f"{what} on edge {j} has domain [{a0}, {a1}], expected [0, {Tj}]")
+
+
+class _Families(NamedTuple):
+    """The coefficients of a :class:`CoefficientSet` in one table.
+
+    ``table`` has one row per piece of ``cells``, the union of all the
+    coefficients' pieces of an edge, and one column per family ``f``
+    (``b_0..b_n``, then ``c_0..c_n``).  ``present[f, j]`` tells whether the
+    coefficient is not zero, ``widths[f, j]`` is its own table width, and
+    ``breaks`` holds the ``(family, edge, point)`` breaks of the present
+    ones.
+    """
+
+    cells: EdgePieces
+    table: np.ndarray
+    present: np.ndarray
+    widths: np.ndarray
+    breaks: tuple
 
 
 @dataclass(frozen=True)
@@ -73,13 +101,33 @@ class CoefficientSet:
                 raise CoefficientError(f"{name} must have rows k=0..{self.n}")
             for k, row in enumerate(table):
                 check_edge_functions(self.tree, row, f"{name}[{k}]", CoefficientError)
-        for j in range(1, self.tree.m + 1):
-            lead = self.b[self.n][j - 1].min_abs()
-            if lead < self.MIN_LEADING:
-                raise CoefficientError(
-                    f"leading coefficient b_{self.n} on edge {j} reaches |.| = {lead:.3e}; "
-                    "it must stay away from zero"
-                )
+        lead, table = EdgePieces.of(self.b[self.n])
+        least = lead.per_edge(_abs_extremes(table, lead.h)[1], np.inf).min(axis=1)
+        bad = np.flatnonzero(least < self.MIN_LEADING)
+        if bad.size:
+            raise CoefficientError(
+                f"leading coefficient b_{self.n} on edge {bad[0] + 1} reaches "
+                f"|.| = {least[bad[0]]:.3e}; it must stay away from zero"
+            )
+
+    @cached_property
+    def _families(self) -> "_Families":
+        """Every family (``b_0..b_n``, then ``c_0..c_n``) on each edge's
+        common pieces, built on first use."""
+        m, count = self.tree.m, 2 * self.n + 2
+        funcs = [p for family in (self.b, self.c) for row in family for p in row]
+        pieces, table = EdgePieces.of(funcs)
+        cells = EdgePieces.merged(pieces.break_edge % m, pieces.breaks, np.zeros(m),
+                                  np.asarray(self.tree.lengths))
+        rows = _gather(table, pieces.edge, pieces.left,
+                      (np.arange(count)[:, None] * m + cells.edge).ravel(),
+                      np.tile(cells.mid, count), np.tile(cells.left, count))
+        present = np.reshape([p.max_degree > 0 or p.coefs.any() for p in funcs], (count, m))
+        fam, edge = np.divmod(pieces.break_edge, m)
+        live = present[fam, edge]
+        return _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
+                         present, np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
+                         (fam[live], edge[live], pieces.breaks[live]))
 
     @classmethod
     def build(cls, tree: Tree, n: int, tau: float, b: dict, c: dict) -> "CoefficientSet":
@@ -130,6 +178,24 @@ class CoefficientSet:
             arrays.append(self.c[k][j - 1].changes())
         return merge_breaks(arrays, 1e-12 * max(1.0, Tj))[1:-1]
 
+    def _select(self, fams, edges: np.ndarray):
+        """The coefficient families ``fams`` (indices into ``b_0..b_n,
+        c_0..c_n``) on the 0-based ``edges`` (ascending).
+
+        Returns the rows of their common pieces as ``(label, left, table)``,
+        labelled by the edge's position in ``edges`` and with one column of
+        ``table`` per family, and the breaks of the coefficients that are not
+        zero as ``(position, point)``."""
+        cells, table, _, _, (fam, edge, points) = self._families
+        pos = np.full(self.tree.m, -1)
+        pos[edges] = np.arange(len(edges))
+        wanted = np.zeros(2 * self.n + 2, dtype=bool)
+        wanted[list(fams)] = True
+        keep = pos[cells.edge] >= 0
+        rows = pos[cells.edge[keep]], cells.left[keep], table[keep][:, list(fams)]
+        keep = wanted[fam] & (pos[edge] >= 0)
+        return rows, (pos[edge[keep]], points[keep])
+
 
 @dataclass(frozen=True)
 class TreeFunction:
@@ -174,54 +240,158 @@ class TreeFunction:
     __rmul__ = __mul__
 
 
-def delayed_part(y: TreeFunction, j: int) -> PiecewisePoly:
-    """The delayed read ``t -> y_j(t - tau)`` as a function on ``[0, T_j]``."""
-    tau = y.tau
-    Tj = y.tree.length(j)
-    if j == 1:
-        head = y.history.shift(tau)
-    else:
-        p = y.tree.parent_of(j)
-        Tp = y.tree.length(p)
-        head = y.component(p).restrict(Tp - tau, Tp).shift(tau - Tp)
-    return head.concat(y.component(j).restrict(0.0, Tj - tau).shift(tau))
+def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, points):
+    """The cells of the 1-based ``edges`` and the trajectory on them.
 
-
-def advanced_part(g, tree: Tree, tau: float, j: int) -> PiecewisePoly:
-    """The adjoint of :func:`delayed_part` on edge ``j``, on ``[0, l_j]``.
-
-    ``g[nu - 1]`` is a function on ``[0, T_nu]`` per edge ``nu``.  Summed
-    over the edges, the integral of ``delayed_part(y, nu) * conj(g[nu - 1])``
-    equals that of ``y_j * conj(advanced_part(g, tree, tau, j))`` for every
-    ``y`` with zero history: the advanced read ``g_j(t + tau)`` on
-    ``[0, T_j - tau]`` and, on the last delay window of an internal edge,
-    the sum of the children's reads ``g_nu(t - T_j + tau)``.  ``l_j`` is
-    ``T_j`` on internal edges and ``T_j - tau`` on boundary edges, whose
-    last window no delayed read reaches.
+    The cells of edge ``j`` are its nodes, the ``points`` given as ``(edge
+    position, point)`` and, where ``delayed`` holds, its lead-in's breaks
+    shifted by ``tau``: the history's on the root and the parent's tail on
+    every other edge.  Returns the cells, the ``(2 * rows, width)`` table of
+    the trajectory on every cell at ``t`` and then at ``t - tau``, and per
+    edge the widths of those two reads.
     """
-    Tj = tree.length(j)
-    early = g[j - 1].restrict(tau, Tj).shift(-tau)
-    if j > tree.d:
-        return early
-    reads = [g[nu - 1].restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
-    return early.concat(sum(reads[1:], reads[0]))
+    tree, tau = y.tree, y.tau
+    lengths = np.asarray(tree.lengths)
+    par = np.asarray(tree.parent)[edges - 1]
+    heads = [y.history if p == 0 else y.components[p - 1] for p in par]
+    own, own_c = EdgePieces.of(y.components[j - 1] for j in edges)
+    head, head_c = EdgePieces.of(heads)
+    shift = np.where(par == 0, tau, tau - lengths[par - 1])  # head coordinates onto the edge's
+    first = np.zeros(len(own.breaks), dtype=bool)
+    first[own.offsets[:-1] + np.arange(len(edges))] = True
+    from_head = delayed[head.break_edge]
+    from_own = delayed[own.break_edge] & ~first
+    cells = EdgePieces.merged(
+        np.concatenate([own.break_edge, points[0], head.break_edge[from_head],
+                        own.break_edge[from_own]]),
+        np.concatenate([own.breaks, points[1], (head.breaks + shift[head.break_edge])[from_head],
+                        own.breaks[from_own] + tau]),
+        np.zeros(len(edges)), lengths[edges - 1])
+
+    # rows at t - tau: the head pieces a delayed read reaches, then the edge's
+    # own pieces, labelled after the rows at t
+    late = head.left + head.h + shift[head.edge] > 0.0
+    label = np.concatenate([head.edge[late], own.edge])
+    order = np.lexsort((label,))  # stable: head rows first, then the edge's own
+    rows, nh = len(own.edge), int(late.sum())
+    table = np.zeros((2 * rows + nh, max(own_c.shape[1], head_c.shape[1])), dtype=complex)
+    table[:rows, : own_c.shape[1]] = own_c
+    table[rows : rows + nh, : head_c.shape[1]] = head_c[late]
+    table[rows + nh :, : own_c.shape[1]] = own_c
+    table[rows:] = table[rows:][order]
+    left = np.concatenate([(head.left + shift[head.edge])[late], own.left + tau])[order]
+    reads = _gather(table, np.concatenate([own.edge, len(edges) + label[order]]),
+                   np.concatenate([own.left, left]), np.concatenate([cells.edge, len(edges) + cells.edge]),
+                   np.concatenate([cells.mid, cells.mid]), np.concatenate([cells.left, cells.left]))
+    wy = np.array([y.components[j - 1].coefs.shape[1] for j in edges])
+    return cells, reads, wy, np.maximum(wy, [p.coefs.shape[1] for p in heads])
 
 
-def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
-    """The edge operator ``L_j y`` on ``[0, T_j]``."""
-    acc = PiecewisePoly.zero(0.0, y.tree.length(j))
-    delayed = delayed_part(y, j)
-    for k, b, c in coeffs.terms(j):
-        if b is not None:
-            acc = acc + b * y.component(j).derivative(k)
-        if c is not None:
-            acc = acc + c * delayed.derivative(k)
-    return acc
+def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
+    """``L_j y`` for the 1-based ``edges`` (ascending) on one table.
+
+    Returns the layout, the table, and per edge the width the algebra of
+    its terms gives, so that a view has no padding beyond it.
+    """
+    n = coeffs.n
+    (c_label, c_left, c_table), points = coeffs._select(range(2 * n + 2), edges - 1)
+    present = coeffs._families.present[:, edges - 1]
+    cells, reads, wy, wd = _trajectory_reads(y, edges, present[n + 1 :].any(axis=0), points)
+    R = len(cells.edge)
+    coefs = _gather(c_table, c_label, c_left, cells.edge, cells.mid, cells.left)
+    acc = np.zeros((R, 1), dtype=complex)
+    for k in range(n + 1):
+        for f, rows in ((k, reads[:R]), (n + 1 + k, reads[R:])):
+            if present[f].any():
+                term = _convolve(coefs[:, f], _poly_der(rows, k))
+                if term.shape[1] > acc.shape[1]:
+                    acc, term = term, acc
+                acc[:, : term.shape[1]] += term
+
+    k = np.arange(n + 1)[:, None]
+    term_w = coeffs._families.widths[:, edges - 1] - 1 + np.concatenate([np.maximum(wy - k, 1),
+                                                                np.maximum(wd - k, 1)])
+    return cells, acc, np.where(present, term_w, 1).max(axis=0)
 
 
 def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> list:
-    """``[L_1 y, ..., L_m y]`` computed once for reuse."""
-    return [apply_operator(y, coeffs, j) for j in range(1, y.tree.m + 1)]
+    """``[L_1 y, ..., L_m y]``, views of one whole-tree table."""
+    cells, table, widths = _operator_table(y, coeffs, np.arange(1, y.tree.m + 1))
+    return cells.views(table, widths)
+
+
+def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
+    """The edge operator ``L_j y`` on ``[0, T_j]``, from edge ``j``'s own
+    pieces and its lead-in's only."""
+    cells, table, widths = _operator_table(y, coeffs, np.array([j]))
+    return cells.views(table, widths)[0]
+
+
+def _weight_table(coeffs: CoefficientSet, ells, ks):
+    """The weights of ``conj(w^(k))`` for every ``k`` of ``ks`` and every
+    edge, on one set of cells per edge: the layout and a ``(rows, len(ks),
+    width)`` table.
+
+    The products ``conj(b_k) ell`` and ``conj(c_k) ell`` are formed on the
+    control's pieces (refined by the coefficients' breaks, which a control
+    ``L y`` already holds).  The weight cells of edge ``j`` are then those
+    pieces on ``[0, l_j]``, shifted by ``-tau`` for the edge's own read at
+    ``t + tau``, and the children's pieces shifted by ``T_j - tau`` for the
+    last delay window.  One gather brings the own products in, one more
+    the advanced reads, and the children's reads are summed per cell.
+    """
+    tree, tau, n, m = coeffs.tree, coeffs.tau, coeffs.n, coeffs.tree.m
+    ks = list(ks)
+    K = len(ks)
+    lengths = np.asarray(tree.lengths)
+    par = np.asarray(tree.parent)
+    ell, ell_c = EdgePieces.of(ells)
+    everyone = np.arange(m)
+    families = ks + [n + 1 + k for k in ks]  # b_k, then c_k
+    (c_label, c_left, c_table), (c_edge, c_points) = coeffs._select(families, everyone)
+    present = coeffs._families.present[families]
+    zeros = np.zeros(m)
+
+    cells = EdgePieces.merged(np.concatenate([ell.break_edge, c_edge]),
+                              np.concatenate([ell.breaks, c_points]), zeros, lengths)
+    if not np.array_equal(cells.breaks, ell.breaks):
+        ell_c = _gather(ell_c, ell.edge, ell.left, cells.edge, cells.mid, cells.left)
+    coefs = _gather(c_table, c_label, c_left, cells.edge, cells.mid, cells.left)
+    products = _convolve(coefs.conj(), ell_c[:, None])  # (rows, 2K, width)
+
+    active = np.where(everyone < tree.d, lengths, lengths - tau)
+    split = lengths + (-tau)  # the start of the last delay window
+    be = cells.break_edge
+    own = present[:K].any(axis=0)[be]
+    reads = present[K:].any(axis=0)[be]
+    up = reads & (par[be] > 0)  # a child's first window, read by its parent
+    weights = EdgePieces.merged(
+        np.concatenate([be[own], be[reads], everyone, par[be[up]] - 1]),
+        np.concatenate([cells.breaks[own], cells.breaks[reads] + (-tau), split,
+                        cells.breaks[up] + (lengths - tau)[par[be[up]] - 1]]),
+        zeros, active)
+    mid, at, edge = weights.mid, weights.left, weights.edge
+
+    out = _gather(products[:, :K], cells.edge, cells.left, edge, mid, at)
+    early = np.flatnonzero(mid < split[edge])
+    # the last window's cells of an edge close its rows; each child reads
+    # all of its parent's, the children in ascending order
+    late = np.bincount(edge[mid > split[edge]], minlength=m)
+    count = late[par[1:] - 1]
+    cell = np.repeat((weights.offsets[1:] - late)[par[1:] - 1] - (np.cumsum(count) - count), count)
+    cell += np.arange(len(cell))
+    child = np.repeat(everyone[1:], count)
+    has_parent = par[cells.edge] > 0
+    src_label = np.concatenate([cells.edge, m + cells.edge[has_parent]])
+    src_left = np.concatenate([cells.left + (-tau),
+                               cells.left[has_parent]
+                               + (lengths - tau)[par[cells.edge[has_parent]] - 1]])
+    src = np.concatenate([products[:, K:], products[has_parent, K:]])
+    advanced = _gather(src, src_label, src_left, np.concatenate([edge[early], m + child]),
+                      np.concatenate([mid[early], mid[cell]]), np.concatenate([at[early], at[cell]]))
+    acc = np.zeros_like(out)
+    np.add.at(acc, np.concatenate([early, cell]), advanced)
+    return weights, out + acc
 
 
 def variation_weights(coeffs: CoefficientSet, ells, k: int) -> list:
@@ -232,19 +402,10 @@ def variation_weights(coeffs: CoefficientSet, ells, k: int) -> list:
     first variation becomes a sum of integrals over the active windows
     ``[0, l_j]`` of products (weight) * conj(w_j^(k)).  Given the control
     ``ells`` (``L_nu y`` at index ``nu - 1``), the weight is
-    ``conj(b_kj) * ells_j`` on ``[0, l_j]`` plus the advanced read
-    (:func:`advanced_part`) of ``conj(c_k) * ells``.  Each product is formed
-    once per edge; a zero coefficient gives a zero function without one.
+    ``conj(b_kj) * ells_j`` on ``[0, l_j]`` plus the advanced read of
+    ``conj(c_k) * ells``: ``conj(c_kj) ells_j (t + tau)`` on ``[0, T_j -
+    tau]`` and, on the last delay window of an internal edge, the sum over
+    the children ``nu`` of ``conj(c_knu) ells_nu (t - T_j + tau)``.
     """
-    tree, tau = coeffs.tree, coeffs.tau
-    own, read = [], []
-    for j in range(1, tree.m + 1):
-        _, b, c = coeffs.terms(j)[k]
-        zero = PiecewisePoly.zero(0.0, tree.length(j))
-        own.append(zero if b is None else b.conj() * ells[j - 1])
-        read.append(zero if c is None else c.conj() * ells[j - 1])
-    return [
-        own[j - 1].restrict(0.0, tree.length(j) if j <= tree.d else tree.length(j) - tau)
-        + advanced_part(read, tree, tau, j)
-        for j in range(1, tree.m + 1)
-    ]
+    weights, table = _weight_table(coeffs, ells, [k])
+    return weights.views(table[:, 0])

@@ -16,11 +16,18 @@ Every method is whole-table numpy work with no loop over pieces:
 evaluation (one ``searchsorted``, row-wise Horner), differentiation,
 integration, jumps, restriction, shifting, concatenation, and the ring
 operations.  Operands with different breaks are first refined onto the
-merged breaks; only the pieces whose left end moved are re-centred, by one
-batched Taylor shift.  A product convolves row by row with a loop over the
-narrower operand's width.  Only the exact extreme search behind
-:meth:`PiecewisePoly.max_abs` and :meth:`PiecewisePoly.min_abs` runs piece
-by piece, because it finds polynomial roots.
+merged breaks, each new piece re-centred from the old one holding it by
+one batched Taylor shift.  A product convolves row by row with a loop over the
+narrower operand's width.  The exact extremes behind
+:meth:`PiecewisePoly.max_abs` and :meth:`PiecewisePoly.min_abs` take the
+critical points of every row at once, as the eigenvalues of one stack of
+companion matrices per degree.
+
+:class:`EdgePieces` lays out one function per edge of a tree in a single
+table, with per-edge row offsets, so that work after the solve runs on the
+whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
+builds every edge's cells in one sort, and :func:`_gather` moves rows from
+one layout onto another in one more.
 """
 
 from __future__ import annotations
@@ -44,15 +51,16 @@ def _taylor_shift(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Every row of ``c`` re-centred by its own ``dx``: row ``p(s)`` becomes
     the coefficients of ``p(u + dx)`` in powers of ``u = s - dx``.
 
-    Synthetic division applied to all rows at once: ``width - 1`` Horner
-    sweeps over whole coefficient columns, so the work is
-    ``rows * width**2`` and the memory ``rows * width``.
+    Synthetic division applied to all rows at once, in place:
+    ``width - 1`` Horner sweeps over whole coefficient columns, so the work
+    is ``rows * width**2`` and no memory beyond one column.  ``c`` may carry
+    more axes between the rows and the powers.
     """
-    q = c.T.copy()  # one contiguous row per power
+    q = c.T  # one view per power
     for k in range(len(q) - 1):
         for i in range(len(q) - 2, k - 1, -1):
             q[i] += dx * q[i + 1]
-    return q.T
+    return c
 
 
 def _poly_der(c: np.ndarray, k: int = 1) -> np.ndarray:
@@ -86,6 +94,62 @@ def _poly_val(c: np.ndarray, s):
     for k in range(c.shape[-1] - 2, -1, -1):
         acc = acc * s + c[..., k]
     return acc
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of the polynomials along the last axis of ``a`` and
+    ``b`` (leading axes broadcast): a loop over the narrower operand's
+    width, the second one's on a tie."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    lead = np.broadcast(a[..., 0], b[..., 0]).shape
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,), dtype=complex)
+    for k in range(b.shape[-1]):
+        out[..., k : k + a.shape[-1]] += a * b[..., k, None]
+    return out
+
+
+def _integrals(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integral over ``[0, h]`` of every row of ``c``."""
+    width = c.shape[-1]
+    table = np.zeros(c.shape[:-1] + (width + 1,), dtype=complex)
+    table[..., 1:] = c / np.arange(1, width + 1)
+    return _poly_val(table, h)
+
+
+def _abs_extremes(c: np.ndarray, h: np.ndarray):
+    """Per row of ``c``, the largest and the smallest ``|p|`` on ``[0, h]``.
+
+    ``|p|^2 = p * conj(p)`` is a real polynomial in the local variable, so
+    the extremes lie at a piece end or at a real root of its derivative
+    inside the piece.  The roots are those :func:`numpy.roots` finds: the
+    derivative's zero coefficients above its degree (row padding leaves
+    them) and below its lowest power (their roots are 0, an end) are cut
+    off, the rest is a companion matrix, and the rows of one degree share
+    one batched eigenvalue call.  Every root's real part that falls inside
+    the piece is tried, which covers real roots computed with a tiny
+    imaginary part and adds only harmless extra candidates.
+    """
+    at0, at1 = np.abs(_poly_val(c, np.zeros(len(c)))), np.abs(_poly_val(c, h))
+    big, small = np.maximum(at0, at1), np.minimum(at0, at1)
+    if c.shape[1] == 1:  # constants
+        return big, small
+    d = _poly_der(_convolve(c, c.conj()).real)
+    nz = d != 0.0
+    lo = np.argmax(nz, axis=1)
+    deg = np.where(nz.any(axis=1), d.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1) - lo, 0)
+    for D in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees that occur
+        rows = np.flatnonzero(deg == D)
+        p = d[rows[:, None], lo[rows, None] + np.arange(D, -1, -1)]  # descending powers
+        A = np.zeros((len(rows), D, D))
+        A[:, 0] = -p[:, 1:] / p[:, :1]
+        A[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+        s = np.linalg.eigvals(A).real
+        inside = (s > 0.0) & (s < h[rows, None])
+        v = np.abs(_poly_val(c[rows, None, :], s))
+        big[rows] = np.maximum(big[rows], np.where(inside, v, -np.inf).max(axis=1))
+        small[rows] = np.minimum(small[rows], np.where(inside, v, np.inf).min(axis=1))
+    return big, small
 
 
 def merge_breaks(arrays, tol: float) -> np.ndarray:
@@ -159,7 +223,7 @@ class PiecewisePoly:
     @classmethod
     def from_global_coefs(cls, a: float, b: float, coefs) -> "PiecewisePoly":
         """One piece whose coefficients are given in powers of ``t`` itself."""
-        c = np.atleast_1d(np.asarray(coefs, dtype=complex))
+        c = np.array(coefs, dtype=complex, ndmin=1)
         return cls([a, b], _taylor_shift(c[None, :], np.array([a])))
 
     # ------------------------------------------------------------------
@@ -229,7 +293,7 @@ class PiecewisePoly:
         by more than ``SAME_POLY_RTOL`` of their largest coefficient."""
         if self.npieces == 1:
             return self.breaks[1:-1]
-        left = _taylor_shift(self._c[:-1], np.diff(self.breaks[:-1]))
+        left = _taylor_shift(self._c[:-1].copy(), np.diff(self.breaks[:-1]))
         right = self._c[1:]
         scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
         same = np.abs(left - right).max(axis=1) <= SAME_POLY_RTOL * scale
@@ -243,10 +307,7 @@ class PiecewisePoly:
 
     def integral(self) -> complex:
         """Sum of the piece integrals, a running sum in piece order."""
-        width = self._c.shape[1]
-        table = np.zeros((self.npieces, width + 1), dtype=complex)
-        table[:, 1:] = self._c / np.arange(1, width + 1)
-        return complex(np.cumsum(_poly_val(table, np.diff(self.breaks)))[-1])
+        return complex(np.cumsum(_integrals(self._c, np.diff(self.breaks)))[-1])
 
     def l2_norm_sq(self) -> float:
         return float((self * self.conj()).integral().real)
@@ -269,18 +330,14 @@ class PiecewisePoly:
         """Same function on ``breaks``, which refine ``self.breaks`` up to the
         break tolerance; ``self`` itself when they are ``self.breaks``.
 
-        Each new piece copies the row of the old piece holding its midpoint,
-        and the rows whose left end moved are re-centred in one batch.
+        Each new piece copies the row of the old piece holding its midpoint
+        (:func:`_gather` on a single edge), re-centred in one batch.
         """
         if len(breaks) == len(self.breaks) and np.array_equal(breaks, self.breaks):
             return self
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        src = np.clip(np.searchsorted(self.breaks, mids, side="right") - 1, 0, self.npieces - 1)
-        table = self._c[src]
-        dx = breaks[:-1] - self.breaks[src]
-        moved = dx != 0.0
-        if table.shape[1] > 1 and moved.any():
-            table[moved] = _taylor_shift(table[moved], dx[moved])
+        table = _gather(self._c, np.zeros(self.npieces, dtype=int), self.breaks[:-1],
+                       np.zeros(len(breaks) - 1, dtype=int), 0.5 * (breaks[:-1] + breaks[1:]),
+                       breaks[:-1])
         return PiecewisePoly._of(breaks, table)
 
     def restrict(self, a: float, b: float) -> "PiecewisePoly":
@@ -296,7 +353,7 @@ class PiecewisePoly:
         table = self._c[i0 : i1 + 1]
         if breaks[0] != a:  # the first piece now starts at a
             table = table.copy()
-            table[:1] = _taylor_shift(table[:1], np.array([a - breaks[0]]))
+            _taylor_shift(table[:1], np.array([a - breaks[0]]))
         breaks[0], breaks[-1] = a, b
         return PiecewisePoly._of(breaks, table)
 
@@ -363,42 +420,20 @@ class PiecewisePoly:
         if np.isscalar(other):
             return PiecewisePoly._of(self.breaks, self._c * other)
         p, q = self._aligned(other)
-        if p._c.shape[1] < q._c.shape[1]:
-            p, q = q, p
-        wide, narrow = p._c, q._c
-        table = np.zeros((len(wide), wide.shape[1] + narrow.shape[1] - 1), dtype=complex)
-        for k in range(narrow.shape[1]):
-            table[:, k : k + wide.shape[1]] += wide * narrow[:, k, None]
-        return PiecewisePoly._of(p.breaks, table)
+        return PiecewisePoly._of(p.breaks, _convolve(p._c, q._c))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     # ------------------------------------------------------------------
 
-    def _abs_at_extrema(self):
-        """Per piece, ``|p|`` at every point where it can take its extremes.
-
-        On each piece ``|p|^2 = p * conj(p)`` is a real polynomial in the
-        local variable, so its extremes lie at a piece end or at a real root
-        of its derivative inside the piece.  Every root's real part that
-        falls in the piece is tried, which covers real roots computed with a
-        tiny imaginary part and adds only harmless extra candidates.
-        """
-        for c, h in zip(self._c, np.diff(self.breaks)):
-            sq = np.convolve(c, np.conj(c)).real
-            # np.roots drops the leading zeros the row padding leaves
-            crit = np.roots(_poly_der(sq)[::-1]).real if len(sq) > 2 else np.zeros(0)
-            s = np.concatenate([[0.0, h], crit[(crit > 0.0) & (crit < h)]])
-            yield np.abs(_poly_val(c, s))
-
     def max_abs(self) -> float:
         """Exact maximum of ``|p|`` over the domain."""
-        return max(float(np.max(a)) for a in self._abs_at_extrema())
+        return float(_abs_extremes(self._c, np.diff(self.breaks))[0].max())
 
     def min_abs(self) -> float:
         """Exact minimum of ``|p|`` over the domain."""
-        return min(float(np.min(a)) for a in self._abs_at_extrema())
+        return float(_abs_extremes(self._c, np.diff(self.breaks))[1].min())
 
     def __repr__(self):
         a, b = self.domain
@@ -406,3 +441,126 @@ class PiecewisePoly:
             f"PiecewisePoly([{a:g}, {b:g}], pieces={self.npieces}, "
             f"deg<={self.max_degree})"
         )
+
+
+def _gather(table: np.ndarray, edge: np.ndarray, left: np.ndarray,
+           q_edge: np.ndarray, q_t: np.ndarray, q_at: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` moved onto query points, re-centred at ``q_at``.
+
+    The rows are ordered by ``edge`` and, within an edge, by ``left``, the
+    left ends of their pieces.  The row that holds the query ``(q_edge,
+    q_t)`` is the last one of the same edge with ``left <= q_t``, or the
+    edge's first row when there is none.  One ``lexsort`` of rows and
+    queries on ``(edge, t)`` keys, a row sorting before a query at the same
+    point, and a count of the rows sorted before each query find them all;
+    one batched Taylor shift re-centres them.  The keys stay per edge
+    because a coordinate concatenated over the tree would round.  ``table``
+    may carry more axes between the rows and the powers.
+    """
+    rows = len(edge)
+    order = np.lexsort((np.repeat([0, 1], [rows, len(q_t)]), np.concatenate([left, q_t]),
+                        np.concatenate([edge, q_edge])))
+    at = np.flatnonzero(order >= rows)  # where the queries sorted to
+    q = order[at] - rows
+    # the rows keep their order in the sort, so the rows before a query
+    # number one more than the index of the last of them
+    src = np.empty(len(q_t), dtype=np.intp)
+    src[q] = np.maximum(at - np.arange(len(at)) - 1, np.searchsorted(edge, q_edge[q]))
+    out = table[src]
+    dx = q_at - left[src]
+    if table.shape[-1] > 1 and dx.any():
+        _taylor_shift(out, dx)  # a row whose left end stays put gains zeros
+    return out
+
+
+class EdgePieces:
+    """The rows of a whole-tree coefficient table: one function per edge,
+    each cut into pieces.
+
+    Edge ``e`` (0-based, in the layout's order) owns rows
+    ``offsets[e]:offsets[e+1]`` of every table laid out here, and the
+    breaks ``breaks[offsets[e] + e : offsets[e+1] + e + 1]``, its domain
+    ends included.  Per row, ``edge`` is its edge, ``left`` the left end
+    of its piece and ``h`` the piece's width.
+    """
+
+    __slots__ = ("breaks", "offsets", "edge", "break_edge", "left", "h")
+
+    def __init__(self, breaks: np.ndarray, offsets: np.ndarray):
+        self.breaks = breaks
+        self.offsets = offsets
+        edges = np.arange(len(offsets) - 1)
+        counts = offsets[1:] - offsets[:-1]
+        self.edge = edges.repeat(counts)
+        self.break_edge = edges.repeat(counts + 1)  # the edge of every break
+        at = np.arange(len(self.edge)) + self.edge
+        self.left = breaks[at]
+        self.h = breaks[at + 1] - self.left
+
+    @property
+    def m(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def mid(self) -> np.ndarray:
+        return self.left + 0.5 * self.h
+
+    @classmethod
+    def of(cls, funcs) -> tuple:
+        """The layout of ``funcs``, one function per edge, and their
+        coefficients as one table, narrower rows zero-padded."""
+        funcs = list(funcs)
+        tables = [p.coefs for p in funcs]
+        offsets = np.cumsum([0] + [len(c) for c in tables])
+        widths = [c.shape[1] for c in tables]
+        if min(widths) == max(widths):
+            table = np.concatenate(tables)
+        else:
+            width = np.repeat(widths, np.diff(offsets))
+            table = np.zeros((offsets[-1], width.max()), dtype=complex)
+            table[np.arange(width.max()) < width[:, None]] = np.concatenate([c.ravel()
+                                                                             for c in tables])
+        return cls(np.concatenate([p.breaks for p in funcs]), offsets), table
+
+    @classmethod
+    def merged(cls, edge: np.ndarray, points: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> "EdgePieces":
+        """Cells on ``[lo[e], hi[e]]`` for every edge ``e``, sorted in one
+        pass: the edge's ``points`` strictly inside, where a point within
+        ``BREAK_RTOL * max(1, |lo|, |hi|)`` of its predecessor is dropped
+        as :func:`merge_breaks` drops it, and both ends, set exactly."""
+        m = len(lo)
+        inside = (points > lo[edge]) & (points < hi[edge])
+        ids = np.concatenate([edge[inside], np.arange(m), np.arange(m)])
+        pts = np.concatenate([points[inside], lo, hi])
+        order = np.lexsort((pts, ids))
+        ids, pts = ids[order], pts[order]
+        tol = BREAK_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = (ids[1:] != ids[:-1]) | (np.diff(pts) > tol[ids[1:]])
+        pts = pts[keep]
+        ends = np.cumsum(np.bincount(ids[keep], minlength=m))
+        pts[ends - 1] = hi
+        return cls(pts, np.concatenate([[0], ends - np.arange(1, m + 1)]))
+
+    def views(self, table: np.ndarray, widths=None) -> list:
+        """Edge by edge, the function whose coefficients are its rows of
+        ``table`` (their first ``widths[e]`` columns when given), as views."""
+        o, b = self.offsets, self.breaks
+        w = [table.shape[1]] * self.m if widths is None else widths
+        return [PiecewisePoly._of(b[o[e] + e : o[e + 1] + e + 1], table[o[e] : o[e + 1], : w[e]])
+                for e in range(self.m)]
+
+    def per_edge(self, values: np.ndarray, fill=0.0) -> np.ndarray:
+        """The rows' ``values`` as an ``(edges, most pieces)`` array, one edge
+        per line, ``fill`` after its last row."""
+        grid = np.full((self.m, np.diff(self.offsets).max()), fill, dtype=values.dtype)
+        grid[self.edge, np.arange(len(values)) - self.offsets[self.edge]] = values
+        return grid
+
+    def norms_sq(self, table: np.ndarray) -> np.ndarray:
+        """Per edge, the integral of ``|p|^2``: what
+        :meth:`PiecewisePoly.l2_norm_sq` gives for each view, the pieces'
+        integrals summed in piece order."""
+        pieces = _integrals(_convolve(table, table.conj()), self.h)
+        return self.per_edge(pieces).cumsum(axis=1)[:, -1].real

@@ -2,10 +2,12 @@
 
 None of these is on the path of a command.  Each recomputes a quantity the
 solver produces or relies on by exact piecewise-polynomial algebra, without
-the assembly's Gauss grid: the energy and its polarisation straight from
-``L y``, the dense Gram system and its minimal energy, the first variation
-through the re-indexed weights, membership in the perturbation space from
-one-sided limits.
+the assembly's Gauss grid and without the whole-tree piece tables: the
+delayed read and its adjoint, the edge operator and the variation weights as
+chains of per-edge ``PiecewisePoly`` operations, the energy and its
+polarisation straight from ``L y``, the dense Gram system and its minimal
+energy, the first variation through the re-indexed weights, membership in
+the perturbation space from one-sided limits.
 """
 
 from __future__ import annotations
@@ -15,7 +17,76 @@ import math
 import numpy as np
 import scipy.linalg
 
-from treedamp.expressions import operator_components, variation_weights
+from treedamp.piecewise import PiecewisePoly
+
+
+def delayed_part(y, j: int):
+    """The delayed read ``t -> y_j(t - tau)`` as a function on ``[0, T_j]``."""
+    tau = y.tau
+    Tj = y.tree.length(j)
+    if j == 1:
+        head = y.history.shift(tau)
+    else:
+        p = y.tree.parent_of(j)
+        Tp = y.tree.length(p)
+        head = y.component(p).restrict(Tp - tau, Tp).shift(tau - Tp)
+    return head.concat(y.component(j).restrict(0.0, Tj - tau).shift(tau))
+
+
+def advanced_part(g, tree, tau: float, j: int):
+    """The adjoint of :func:`delayed_part` on edge ``j``, on ``[0, l_j]``.
+
+    ``g[nu - 1]`` is a function on ``[0, T_nu]`` per edge ``nu``.  Summed
+    over the edges, the integral of ``delayed_part(y, nu) * conj(g[nu - 1])``
+    equals that of ``y_j * conj(advanced_part(g, tree, tau, j))`` for every
+    ``y`` with zero history: the advanced read ``g_j(t + tau)`` on
+    ``[0, T_j - tau]`` and, on the last delay window of an internal edge,
+    the sum of the children's reads ``g_nu(t - T_j + tau)``.  ``l_j`` is
+    ``T_j`` on internal edges and ``T_j - tau`` on boundary edges, whose
+    last window no delayed read reaches.
+    """
+    Tj = tree.length(j)
+    early = g[j - 1].restrict(tau, Tj).shift(-tau)
+    if j > tree.d:
+        return early
+    reads = [g[nu - 1].restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
+    return early.concat(sum(reads[1:], reads[0]))
+
+
+def apply_operator(y, coeffs, j: int):
+    """The edge operator ``L_j y`` on ``[0, T_j]``, term by term."""
+    acc = PiecewisePoly.zero(0.0, y.tree.length(j))
+    delayed = delayed_part(y, j)
+    for k, b, c in coeffs.terms(j):
+        if b is not None:
+            acc = acc + b * y.component(j).derivative(k)
+        if c is not None:
+            acc = acc + c * delayed.derivative(k)
+    return acc
+
+
+def operator_components(y, coeffs) -> list:
+    """``[L_1 y, ..., L_m y]`` by :func:`apply_operator`."""
+    return [apply_operator(y, coeffs, j) for j in range(1, y.tree.m + 1)]
+
+
+def variation_weights(coeffs, ells, k: int) -> list:
+    """Weights of ``conj(w^(k))`` in the re-indexed first variation, edge
+    ``j``'s at index ``j - 1``, edge by edge: ``conj(b_kj) * ells_j`` on
+    ``[0, l_j]`` plus the advanced read of ``conj(c_k) * ells``.  Each
+    product is formed once per edge; a zero coefficient gives a zero
+    function without one."""
+    tree, tau = coeffs.tree, coeffs.tau
+    own, read = [], []
+    for j in range(1, tree.m + 1):
+        _, b, c = coeffs.terms(j)[k]
+        zero = PiecewisePoly.zero(0.0, tree.length(j))
+        own.append(zero if b is None else b.conj() * ells[j - 1])
+        read.append(zero if c is None else c.conj() * ells[j - 1])
+    return [
+        own[j - 1].restrict(0.0, reduced_length(tree, tau, j)) + advanced_part(read, tree, tau, j)
+        for j in range(1, tree.m + 1)
+    ]
 
 
 def reduced_length(tree, tau: float, j: int) -> float:

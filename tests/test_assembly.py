@@ -87,7 +87,8 @@ def test_binary_tree_with_delayed_reads_and_piecewise_coefficient():
 @pytest.mark.parametrize("name", ["interval.json", "smoothness_loss.json", "star.json"])
 def test_assembly_builds_no_symbolic_operator_image(name, monkeypatch):
     # the basis and the lift reach G and f through the element tables alone;
-    # the only operator images a solve builds are the control's, one per edge
+    # the only operator image a solve builds is the control's, all edges in
+    # one operator_components call on the solved trajectory
     cfg = ProblemConfig.from_file(CONFIGS / name)
     applied, components = [], []
     apply_operator, operator_components = expressions.apply_operator, expressions.operator_components
@@ -97,7 +98,7 @@ def test_assembly_builds_no_symbolic_operator_image(name, monkeypatch):
         return apply_operator(y, coeffs, j)
 
     def counted_components(y, coeffs):
-        components.append(y)
+        components.append((y, coeffs))
         return operator_components(y, coeffs)
 
     monkeypatch.setattr(expressions, "apply_operator", counted_apply)
@@ -108,5 +109,7 @@ def test_assembly_builds_no_symbolic_operator_image(name, monkeypatch):
     assert applied == [] and components == []
 
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
-    assert [j for _, j in applied] == list(range(1, cfg.tree.m + 1))
-    assert all(y is sol.y for y, _ in applied)
+    assert applied == []
+    assert len(components) == 1
+    y, coeffs = components[0]
+    assert y is sol.y and coeffs is cfg.coeffs

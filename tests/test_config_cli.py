@@ -486,6 +486,21 @@ def test_control_exchange_format_is_exact(tmp_path):
         assert diff.max_abs() == 0.0
 
 
+@pytest.mark.parametrize("name", ["star.json", "smoothness_loss.json"])
+def test_damp_control_file_reads_back_bitwise(tmp_path, name):
+    # damp writes one edge record per line; what simulate and verify read
+    # back is the solved control, bit for bit
+    cfg = ProblemConfig.from_file(CONFIGS / name)
+    assert main(["damp", "--config", str(CONFIGS / name), "--out", str(tmp_path), "--q", "4"]) == 0
+    lines = (tmp_path / "control.json").read_text().splitlines()
+    assert len(lines) == cfg.tree.m + 2
+    sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
+    back = _control_from_file(tmp_path / "control.json", cfg)
+    for got, want in zip(back, sol.control):
+        np.testing.assert_array_equal(got.breaks, want.breaks)
+        np.testing.assert_array_equal(got.coefs, want.coefs)
+
+
 def test_trajectory_csv_floats_round_trip(tmp_path):
     cfg_path = str(CONFIGS / "interval.json")
     out = tmp_path / "run"

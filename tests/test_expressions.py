@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treedamp.diagnostics import g_recursion, quasi_derivatives
 from treedamp.piecewise import PiecewisePoly
-from treedamp.trees import interval, star
+from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientError,
     CoefficientSet,
     TreeFunction,
-    advanced_part,
     apply_operator,
-    delayed_part,
+    operator_components,
     variation_weights,
 )
 
 import oracles
+from oracles import advanced_part, delayed_part
 
 
 def test_reduced_length_interval_and_star():
@@ -369,3 +370,116 @@ def test_energy_nonnegative_random(seed):
     J = oracles.energy(y, cs)
     assert J >= 0.0
     assert oracles.energy_product(y, y, cs).real == pytest.approx(J, rel=1e-11, abs=1e-13)
+
+
+# ----------------------------------------------------------------------
+# the whole-tree tables against the edge-by-edge symbolic route
+
+
+def _random_piecewise(rng, a, b, pieces, width):
+    """Complex pieces of random widths up to ``width`` on random breaks,
+    each within a third of a spacing of an equispaced grid."""
+    breaks = np.linspace(a, b, pieces + 1)
+    breaks[1:-1] += (b - a) / pieces * rng.uniform(-1 / 3, 1 / 3, pieces - 1)
+    return PiecewisePoly(breaks, [rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                                  for w in rng.integers(1, width + 1, pieces)])
+
+
+def _random_problem(seed):
+    """A random tree of 1-7 edges with non-uniform lengths, an operator of
+    order 1-3 whose lower coefficients are piecewise, complex or absent, a
+    complex piecewise history and a rough trajectory on random breaks."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 8))
+    parents = {1: 0} | {i: int(rng.integers(1, i)) for i in range(2, m + 1)}
+    tr = build_tree(parents, {i: float(rng.uniform(1.0, 3.0)) for i in parents})
+    tau = float(rng.uniform(0.2, 0.9))
+    b, c = {}, {}
+    for j in range(1, m + 1):
+        Tj = tr.length(j)
+        b[(n, j)] = (1.5 + 0.5j) + 0.2 * _random_piecewise(rng, 0.0, Tj, 1, 2) * (1 / Tj)
+        for k in range(n + 1):
+            for table in (b, c):
+                if (k, j) not in table and rng.random() < 0.7:
+                    table[(k, j)] = _random_piecewise(rng, 0.0, Tj, int(rng.integers(1, 4)), 3)
+    cs = CoefficientSet.build(tr, n, tau, b=b, c=c)
+    comps = tuple(_random_piecewise(rng, 0.0, tr.length(j), int(rng.integers(1, 6)), 2 * n)
+                  for j in range(1, m + 1))
+    y = TreeFunction(tr, n, comps, _random_piecewise(rng, -tau, 0.0, int(rng.integers(1, 3)), 3))
+    return cs, y
+
+
+def _largest(funcs):
+    return max(max(p.max_abs() for p in funcs), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_operator_table_matches_symbolic_route(seed):
+    cs, y = _random_problem(seed)
+    got = operator_components(y, cs)
+    want = oracles.operator_components(y, cs)
+    scale = max(np.abs(p.coefs).max() for p in want)
+    for j, (a, b) in enumerate(zip(got, want), start=1):
+        np.testing.assert_array_equal(a.breaks, b.breaks)
+        assert a.coefs.shape == b.coefs.shape
+        assert np.abs(a.coefs - b.coefs).max() <= 1e-13 * scale
+        single = apply_operator(y, cs, j)
+        np.testing.assert_array_equal(single.breaks, a.breaks)
+        assert np.abs(single.coefs - b.coefs).max() <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_variation_weights_and_quasi_derivatives_match_symbolic_route(seed):
+    cs, y = _random_problem(seed)
+    ells = oracles.operator_components(y, cs)
+    weights = []
+    for k in range(cs.n + 1):
+        got, want = variation_weights(cs, ells, k), oracles.variation_weights(cs, ells, k)
+        weights.append(want)
+        scale = _largest(want)
+        for a, b in zip(got, want):
+            assert a.domain == b.domain
+            assert (a - b).max_abs() <= 1e-12 * scale
+    qd = quasi_derivatives(cs, ells)
+    for j in range(1, cs.tree.m + 1):
+        want = g_recursion([w[j - 1] for w in weights])
+        for k, b in enumerate(want, start=cs.n):
+            scale = _largest([qd.function(k, i) for i in range(1, cs.tree.m + 1)])
+            assert (qd.function(k, j) - b).max_abs() <= 1e-12 * scale
+
+
+def test_gather_picks_the_row_of_a_sliver_cell_deep_in_a_tree():
+    # a chain of eight edges; on the last, at depth 7, a coefficient break
+    # 1e-11 before a jump of the trajectory, and a jump of the parent's tail
+    # whose delayed image lands 1e-11 after a coefficient break: each cell of
+    # width 1e-11 must take the trajectory's row from the right piece
+    tau, length = 0.5, 2.0
+    tr = build_tree({i: i - 1 for i in range(1, 9)}, {i: length for i in range(1, 9)})
+    rng = np.random.default_rng(3)
+    x, eps = 0.7, 1e-11
+
+    def rough(cuts):
+        return PiecewisePoly(np.array([0.0, *cuts, length]),
+                             [rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                              for _ in range(len(cuts) + 1)])
+
+    comps = [rough([1.0]) for _ in range(7)]
+    comps[6] = rough([length - tau + 0.2 + eps])
+    comps.append(rough([x + eps, 1.3]))
+    step = PiecewisePoly(np.array([0.0, x, length]), [np.array([0.5]), np.array([-0.25j])])
+    kink = PiecewisePoly(np.array([0.0, 0.2, length]), [np.array([1.0]), np.array([2.0, 0.5])])
+    cs = CoefficientSet.build(tr, 1, tau, b={(1, j): 1.0 for j in range(1, 9)} | {(0, 8): step},
+                              c={(0, 8): kink})
+    y = TreeFunction(tr, 1, tuple(comps), PiecewisePoly.zero(-tau, 0.0))
+    got = operator_components(y, cs)[7]
+    want = oracles.apply_operator(y, cs, 8)
+    np.testing.assert_array_equal(got.breaks, want.breaks)
+    assert np.any(np.isclose(np.diff(got.breaks), eps, rtol=1e-3))
+    for t in (x + eps / 2, 0.2 + eps / 2):
+        direct = (comps[7].eval(t, 1) + step.eval(t) * comps[7].eval(t)
+                  + kink.eval(t) * oracles.eval_delayed(y, 8, t - tau))
+        assert got.eval(t) == pytest.approx(direct, rel=1e-12)
+        assert want.eval(t) == pytest.approx(direct, rel=1e-12)

@@ -326,3 +326,46 @@ def test_restrict_then_concat_is_refinement(p, x):
     _assert_pieces(left, breaks[: cut + 1], pieces[:cut])
     _assert_pieces(right, breaks[cut:], pieces[cut:])
     _assert_pieces(left.concat(right), breaks, pieces)
+
+
+def _ref_abs_extremes(p):
+    """``(max, min)`` of ``|p|`` piece by piece: the piece ends and every
+    real part of a root of ``d|p|^2/dt`` inside the piece, the roots from
+    one ``np.roots`` call per piece."""
+    values = []
+    for c, h in zip(p.coefs, np.diff(p.breaks)):
+        sq = np.convolve(c, np.conj(c)).real
+        crit = np.roots(_poly_der(sq)[::-1]).real if len(sq) > 2 else np.zeros(0)
+        s = np.concatenate([[0.0, h], crit[(crit > 0.0) & (crit < h)]])
+        values.append(np.abs(_poly_val(c, s)))
+    return max(v.max() for v in values), min(v.min() for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_abs_extremes_match_per_piece_roots(seed):
+    # rows padded with zeros, constant rows, and rows whose d|p|^2/dt has a
+    # double root inside the piece: p = z (1 + w (s - a)^3)
+    rng = np.random.default_rng(seed)
+    npieces = int(rng.integers(1, 6))
+    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, npieces))])
+    coefs = []
+    for h in np.diff(breaks):
+        kind = rng.integers(3)
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        if kind == 0:
+            c = np.zeros(int(rng.integers(1, 6)), dtype=complex)
+            c[0] = z
+        elif kind == 1:
+            w = int(rng.integers(1, 6))
+            c = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+            c[int(rng.integers(1, w + 1)):] = 0.0
+        else:
+            a = rng.uniform(0.2, 0.8) * h
+            w = rng.uniform(0.5, 2.0)
+            c = z * (np.array([1.0, 0.0, 0.0, 0.0]) + w * np.array([-a**3, 3 * a**2, -3 * a, 1.0]))
+        coefs.append(c)
+    p = PiecewisePoly(breaks, coefs)
+    big, small = _ref_abs_extremes(p)
+    assert p.max_abs() == pytest.approx(big, rel=1e-12)
+    assert p.min_abs() == pytest.approx(small, rel=1e-12, abs=1e-15 * big)
