@@ -75,13 +75,20 @@ def solve_cauchy(
     at0, at1 = ends[:, 0], ends[:, 1]
     at_gauss = [derivative_powers(sigma, k, deg) for k in range(n + 1)]
 
+    # every edge's collocation points, and every coefficient on them in one read
+    elements = EdgePieces(np.concatenate(mesh.nodes),
+                          np.cumsum([0] + [len(xs) - 1 for xs in mesh.nodes]))
+    t_all = elements.left[:, None] + elements.h[:, None] * sigma
+    values = coeffs.values(elements.edge.repeat(g), t_all.ravel()).reshape(-1, *t_all.shape)
+
     comps = []
     exits = []  # each edge's state at its far end
     for j in range(1, tree.m + 1):
         xs = mesh.nodes[j - 1]
         h = np.diff(xs)
         E = len(h)
-        t = xs[:-1, None] + h[:, None] * sigma  # (E, g)
+        at = slice(elements.offsets[j - 1], elements.offsets[j])
+        t, b, c = t_all[at], values[: n + 1, at], values[n + 1 :, at]  # t: (E, g)
         inv_h = h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
         # delayed reads before the edge starts go to the history or the parent's tail
         if j == 1:
@@ -94,10 +101,8 @@ def solve_cauchy(
         # every element's collocation matrix: state rows, then the relation at the abscissae
         A = np.zeros((E, deg, deg), dtype=complex)
         A[:, :n] = at0 * inv_h[:, :n, None]
-        terms = coeffs.terms(j)
-        for k, bk, _ in terms:
-            if bk is not None:
-                A[:, n:] += (bk.values(t) * inv_h[:, k, None])[..., None] * at_gauss[k]
+        for k in np.flatnonzero(coeffs.present[: n + 1, j - 1]):
+            A[:, n:] += (b[k] * inv_h[:, k, None])[..., None] * at_gauss[k]
         inv = np.linalg.solve(A, np.eye(deg))
         for _ in range(2):  # refine: the state chain amplifies the inverse's error
             inv += np.einsum("eij,ejk->eik", inv, np.eye(deg) - np.einsum("eij,ejk->eik", A, inv))
@@ -114,12 +119,10 @@ def solve_cauchy(
         before[: last[0]] = True  # the first window reads only the past
         src = np.maximum(np.searchsorted(xs, s, side="right") - 1, 0)
         read = np.zeros((E, g, deg), dtype=complex)  # sum of c_k d^k/dt^k at t - tau in element src
-        for k, _, ck in terms:
-            if ck is not None:
-                cv = ck.values(t)
-                rhs[before] -= cv[before] * past.values(s[before] + shift, k)
-                dk = derivative_powers((s - xs[src]).ravel(), k, deg).reshape(E, g, deg)
-                read += np.where(before, 0.0, cv)[..., None] * dk
+        for k in np.flatnonzero(coeffs.present[n + 1 :, j - 1]):
+            rhs[before] -= c[k][before] * past.values(s[before] + shift, k)
+            dk = derivative_powers((s - xs[src]).ravel(), k, deg).reshape(E, g, deg)
+            read += np.where(before, 0.0, c[k])[..., None] * dk
 
         coef = np.zeros((E, deg), dtype=complex)  # powers of t - xs[e]
         states = np.empty((E, n), dtype=complex)  # the state entering each element

@@ -274,7 +274,8 @@ class ProblemConfig:
 
     def to_dict(self) -> dict:
         """Canonical form: canonical edge order, sorted coefficient records,
-        zero coefficients dropped.  Parsing the output reproduces it."""
+        absent coefficients (:attr:`CoefficientSet.present`) dropped.
+        Parsing the output reproduces it."""
         edges = []
         for j in range(1, self.tree.m + 1):
             pj = self.tree.parent_of(j)
@@ -284,15 +285,11 @@ class ProblemConfig:
                 "length": float(self.tree.length(j)),
             })
         records = []
-        for fam, table in (("b", self.coeffs.b), ("c", self.coeffs.c)):
-            for k in range(self.n + 1):
-                for j in range(1, self.tree.m + 1):
-                    p = table[k][j - 1]
-                    if p.max_abs() == 0.0 and not (fam == "b" and k == self.n):
-                        continue
-                    rec = {"edge": self.edge_ids[j - 1], "family": fam, "k": k}
-                    rec.update(_poly_out(p))
-                    records.append(rec)
+        for f, j in zip(*np.nonzero(self.coeffs.present)):
+            fam, k = divmod(int(f), self.n + 1)
+            rec = {"edge": self.edge_ids[j], "family": "bc"[fam], "k": k}
+            rec.update(_poly_out((self.coeffs.b, self.coeffs.c)[fam][k][j]))
+            records.append(rec)
         records.sort(key=lambda r: (r["family"], r["k"], r["edge"]))
         return {
             "order": self.n,

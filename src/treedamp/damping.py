@@ -7,17 +7,18 @@ Gram matrix of the energy product on basis pairs (Hermitian positive
 definite whenever the leading coefficients stay away from zero) and ``f``
 driven by the history.
 
-Assembly reads the tree-wide element table of
-:class:`~treedamp.meshing.Basis`.  At every Gauss point of edge ``j`` the
-operator row of the basis sums the ``2n`` Hermite shapes of the element
-holding ``t``, weighted by the ``b_k``, and of the element of ``j``'s
-lead-in holding ``t - tau``, weighted by the ``c_k``; each family of reads
-is one lookup per edge and one pass over all points, and its values become
+Assembly runs on the whole tree at once.  One sort builds every edge's
+Gauss cells, which refine the element nodes, the coefficient breakpoints
+and, where a delayed term is present, the lead-in nodes and the history's
+breaks shifted by ``tau``, so the quadrature is exact.  One read of the
+coefficient table gives every ``b_k`` and ``c_k`` at every Gauss point.
+There the operator row of the basis sums the ``2n`` Hermite shapes of the
+element holding ``t``, weighted by the ``b_k``, and of the element of the
+edge's lead-in holding ``t - tau``, weighted by the ``c_k``: two lookups in
+the element table of :class:`~treedamp.meshing.Basis`, whose values become
 entries of ``L`` in the rows of their DOFs.  The root start's ``n`` values,
 which the history fixes, have rows after the DOFs; only the root edge's
-reads before ``tau`` go to the history itself.  Gauss cells refine the
-element nodes, the lead-in nodes and the history's breaks shifted by
-``tau``, and the coefficient breakpoints, so the quadrature is exact.
+reads before ``tau`` go to the history itself.
 
 With ``W`` the Gauss weights, ``G = conj(L) W L^T`` is one sparse product.
 SuperLU factors it with symmetric pivoting, whose pivots are the
@@ -38,7 +39,7 @@ import scipy.sparse.linalg
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import EdgePieces, PiecewisePoly, derivative_powers, merge_breaks
+from .piecewise import EdgePieces, PiecewisePoly, derivative_powers
 from .trees import Tree
 
 
@@ -192,52 +193,35 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     carries one point more than the largest integrand degree per cell, so
     every entry is integrated exactly.
     """
-    tree = basis.mesh.tree
-    n, ndof, tau = basis.n, basis.ndof, coeffs.tau
-    top = 2 * n - 1  # degree of the Hermite shapes
-    terms = [coeffs.terms(j) for j in range(1, tree.m + 1)]
-
-    cells, max_deg = [], 0
-    for j, edge_terms in enumerate(terms, start=1):
-        Tj = tree.length(j)
-        tol = 1e-12 * max(1.0, Tj)
-        sets = [basis.mesh.nodes[j - 1]]
-        for k, b, c in edge_terms:
-            for coef in (b, c):
-                if coef is not None:
-                    sets.append(coef.breaks)
-                    max_deg = max(max_deg, coef.max_degree + top - k)
-            if j == 1 and c is not None:
-                max_deg = max(max_deg, c.max_degree + phi.max_degree - k)
-        if any(c is not None for _, _, c in edge_terms):
-            # delayed reads: the lead-in's nodes (and the history's) shifted by tau
-            heads = [phi.breaks] if j == 1 else []
-            reads = np.concatenate([basis.lead_in[j - 1], *heads]) + tau
-            sets.append(reads[(reads > tol) & (reads < Tj - tol)])
-        cells.append(merge_breaks(sets, tol))
+    mesh, n, ndof, tau = basis.mesh, basis.n, basis.ndof, coeffs.tau
+    m = mesh.tree.m
+    present, (_, fam_edge, fam_breaks) = coeffs.present, coeffs._families.breaks
+    delayed = present[n + 1 :].any(axis=0)  # per edge: a delayed term is present
+    heads = phi.breaks[: len(phi.breaks) * delayed[0]] + tau  # none without a delayed term
+    late = delayed[basis.lead_edge]
+    # the cells refine the nodes, the coefficients' breaks and the delayed reads' ones
+    cells = EdgePieces.merged(
+        np.concatenate([np.repeat(np.arange(m), [len(xs) for xs in mesh.nodes]), fam_edge,
+                        basis.lead_edge[late], np.zeros(len(heads), dtype=int)]),
+        np.concatenate([*mesh.nodes, fam_breaks, basis.lead_in[late] + tau, heads]),
+        np.zeros(m), np.asarray(mesh.tree.lengths))
+    degree = coeffs._families.widths - 1 - np.tile(np.arange(n + 1), 2)[:, None]
+    max_deg = max((degree + 2 * n - 1)[present].max(initial=0),
+                  (degree[n + 1 :, 0] + phi.max_degree)[present[n + 1 :, 0]].max(initial=0))
 
     gx, gw = np.polynomial.legendre.leggauss(max_deg + 1)
-    points = [(x[:-1, None] + 0.5 * np.diff(x)[:, None] * (gx + 1.0)).ravel() for x in cells]
-    weights = np.concatenate([(0.5 * np.diff(x)[:, None] * gw).ravel() for x in cells])
-    Lphi = np.zeros(len(weights), dtype=complex)
-    now, late = [], []  # per edge: (cols, element ids, local coordinates, a_k) of each read
-    start = 0
-    for j, t in enumerate(points, start=1):
-        cols = start + np.arange(len(t))
-        start += len(t)
-        b = np.array([0 * t if bk is None else bk.values(t) for _, bk, _ in terms[j - 1]])
-        now.append((cols, *basis.locate(j, t), b))
-        if all(ck is None for _, _, ck in terms[j - 1]):
-            continue
-        c = np.array([0 * t if ck is None else ck.values(t) for _, _, ck in terms[j - 1]])
-        td = t - tau
-        lead = np.ones(len(t), dtype=bool)
-        if j == 1:  # the root edge reads the history before tau
-            lead = td >= 0.0
-            Lphi[cols[~lead]] = sum(a[~lead] * phi.values(td[~lead], k) for k, a in enumerate(c))
-        late.append((cols[lead], *basis.locate(j, td[lead]), c[:, lead]))
-    triples = [_operator_rows(basis, *(np.concatenate(x, axis=-1) for x in zip(*reads)))
-               for reads in (now, late) if reads]
+    t = (cells.left[:, None] + 0.5 * cells.h[:, None] * (gx + 1.0)).ravel()
+    weights = (0.5 * cells.h[:, None] * gw).ravel()
+    edge = cells.edge.repeat(len(gx))
+    cols = np.arange(len(t))
+    a = coeffs.values(edge, t)  # b_0..b_n, then c_0..c_n
+    td = t - tau
+    history = delayed[edge] & (edge == 0) & (td < 0.0)  # the root edge reads phi before tau
+    late = delayed[edge] & ~history
+    Lphi = np.zeros(len(t), dtype=complex)
+    Lphi[history] = sum(c[history] * phi.values(td[history], k) for k, c in enumerate(a[n + 1 :]))
+    triples = (_operator_rows(basis, cols, *basis.locate(edge, t), a[: n + 1]),
+               _operator_rows(basis, cols[late], *basis.locate(edge[late], td[late]), a[n + 1 :, late]))
     rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
     # a point's delayed read may reach DOFs its own element holds: the
     # conversion from triples sums such duplicates
@@ -249,7 +233,8 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     # G = Lw L^T; its transpose L Lw^T, formed as CSR, stores G as CSC
     Gt = L @ Lw.T
     G = SparseCSC((Gt.data, Gt.indices, Gt.indptr), shape=Gt.shape)
-    return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis, points=points,
+    return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis,
+                      points=np.split(t, cells.offsets[1:-1] * len(gx)),
                       weights=weights, basis_values=L, lift_values=Lphi)
 
 
@@ -275,11 +260,16 @@ class DampingSolution:
 def default_mesh(tree: Tree, coeffs: CoefficientSet, q: int) -> DelayMesh:
     """Mesh used by the solvers: wavefronts from the initial instant and
     from every branching vertex, coefficient breakpoints pinned to nodes."""
-    sources = {0.0}
-    for j in range(1, tree.d + 1):
-        sources.add(tree.depth_offset(j) + tree.length(j))
-    local = {j: coeffs.breakpoints(j) for j in range(1, tree.m + 1)}
-    return build_mesh(tree, coeffs.tau, q, sources=tuple(sorted(sources)), local_points=local)
+    # the branching vertices' times: ancestors summed nearest first, as
+    # Tree.depth_offset sums them, then the edge itself
+    parent, lengths = np.asarray(tree.parent), np.append(tree.lengths, 0.0)  # [-1] reads 0
+    ends, up = np.zeros(tree.d), parent[: tree.d]
+    while up.any():
+        ends, up = ends + lengths[up - 1], np.where(up > 0, parent[up - 1], 0)
+    edge, points = coeffs.breakpoints()
+    local = dict(enumerate(np.split(points, np.searchsorted(edge, np.arange(1, tree.m))), start=1))
+    sources = tuple(np.unique(np.append(0.0, ends + lengths[: tree.d])).tolist())
+    return build_mesh(tree, coeffs.tau, q, sources=sources, local_points=local)
 
 
 def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,

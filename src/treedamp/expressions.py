@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .piecewise import (EdgePieces, PiecewisePoly, _abs_extremes, _convolve, _gather, _poly_der,
-                        merge_breaks)
+from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes, _convolve, _find,
+                        _gather, _poly_der, _taylor_shift)
 from .trees import Tree
 
 
@@ -55,15 +55,13 @@ class _Families(NamedTuple):
 
     ``table`` has one row per piece of ``cells``, the union of all the
     coefficients' pieces of an edge, and one column per family ``f``
-    (``b_0..b_n``, then ``c_0..c_n``).  ``present[f, j]`` tells whether the
-    coefficient is not zero, ``widths[f, j]`` is its own table width, and
-    ``breaks`` holds the ``(family, edge, point)`` breaks of the present
-    ones.
+    (``b_0..b_n``, then ``c_0..c_n``).  ``widths[f, j]`` is the
+    coefficient's own table width, and ``breaks`` holds the ``(family,
+    edge, point)`` breaks of the present ones.
     """
 
     cells: EdgePieces
     table: np.ndarray
-    present: np.ndarray
     widths: np.ndarray
     breaks: tuple
 
@@ -111,23 +109,57 @@ class CoefficientSet:
             )
 
     @cached_property
+    def present(self) -> np.ndarray:
+        """``present[f, j-1]``: whether family ``f`` (``b_0..b_n``, then
+        ``c_0..c_n``) is present on edge ``j``, that is, has a nonzero
+        coefficient.  Every term of an absent one is skipped."""
+        return np.reshape([p.coefs.any() for row in self.b + self.c for p in row],
+                          (2 * self.n + 2, self.tree.m))
+
+    @cached_property
     def _families(self) -> "_Families":
         """Every family (``b_0..b_n``, then ``c_0..c_n``) on each edge's
         common pieces, built on first use."""
         m, count = self.tree.m, 2 * self.n + 2
-        funcs = [p for family in (self.b, self.c) for row in family for p in row]
+        funcs = [p for row in self.b + self.c for p in row]
         pieces, table = EdgePieces.of(funcs)
         cells = EdgePieces.merged(pieces.break_edge % m, pieces.breaks, np.zeros(m),
                                   np.asarray(self.tree.lengths))
         rows = _gather(table, pieces.edge, pieces.left,
                       (np.arange(count)[:, None] * m + cells.edge).ravel(),
                       np.tile(cells.mid, count), np.tile(cells.left, count))
-        present = np.reshape([p.max_degree > 0 or p.coefs.any() for p in funcs], (count, m))
         fam, edge = np.divmod(pieces.break_edge, m)
-        live = present[fam, edge]
+        live = self.present[fam, edge]
         return _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
-                         present, np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
+                         np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
                          (fam[live], edge[live], pieces.breaks[live]))
+
+    def values(self, edge: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Every family at the points ``(edge, t)`` (0-based edges), one row
+        per family: one lookup in the families table, then Horner's rule
+        gathering one power at a time."""
+        cells, table = self._families.cells, self._families.table
+        src = _find(cells.edge, cells.left, edge, t)
+        s, out = t - cells.left[src], np.zeros((table.shape[1], len(t)), dtype=complex)
+        for k in range(table.shape[-1] - 1, -1, -1):
+            out *= s
+            out += table[src, :, k].T
+        return out
+
+    def breakpoints(self) -> tuple:
+        """The interior points where some coefficient switches polynomial,
+        as 0-based edges (ascending) and points.  At every interior break of
+        the common pieces, each family's left row re-centred at its right end
+        is compared with its right row; a break that every family crosses
+        with the same polynomial, to ``SAME_POLY_RTOL`` of their largest
+        coefficient, is left out, so the mesh puts no sliver element there."""
+        cells, table = self._families.cells, self._families.table
+        inner = np.flatnonzero(cells.edge[1:] == cells.edge[:-1])
+        left, right = _taylor_shift(table[inner], cells.h[inner]), table[inner + 1]
+        scale = np.maximum(np.abs(left).max(axis=-1), np.abs(right).max(axis=-1))
+        same = np.abs(left - right).max(axis=-1) <= SAME_POLY_RTOL * scale
+        at = inner[~same.all(axis=1)] + 1
+        return cells.edge[at], cells.left[at]
 
     @classmethod
     def build(cls, tree: Tree, n: int, tau: float, b: dict, c: dict) -> "CoefficientSet":
@@ -158,26 +190,6 @@ class CoefficientSet:
 
         return cls(tree=tree, n=n, tau=tau, b=table(b), c=table(c))
 
-    def terms(self, j: int) -> list:
-        """``(k, b_kj, c_kj)`` for ``k=0..n``; an identically zero coefficient
-        is given as ``None`` so callers can skip its term."""
-
-        def present(p):
-            return p if p.max_degree > 0 or p.coefs.any() else None
-
-        return [(k, present(self.b[k][j - 1]), present(self.c[k][j - 1])) for k in range(self.n + 1)]
-
-    def breakpoints(self, j: int) -> np.ndarray:
-        """Interior points of edge ``j`` where some coefficient switches
-        polynomial.  A break that every coefficient crosses with the same
-        polynomial is left out, so the mesh puts no sliver element there."""
-        Tj = self.tree.length(j)
-        arrays = [np.array([0.0, Tj])]
-        for k in range(self.n + 1):
-            arrays.append(self.b[k][j - 1].changes())
-            arrays.append(self.c[k][j - 1].changes())
-        return merge_breaks(arrays, 1e-12 * max(1.0, Tj))[1:-1]
-
     def _select(self, fams, edges: np.ndarray):
         """The coefficient families ``fams`` (indices into ``b_0..b_n,
         c_0..c_n``) on the 0-based ``edges`` (ascending).
@@ -186,7 +198,7 @@ class CoefficientSet:
         labelled by the edge's position in ``edges`` and with one column of
         ``table`` per family, and the breaks of the coefficients that are not
         zero as ``(position, point)``."""
-        cells, table, _, _, (fam, edge, points) = self._families
+        cells, table, _, (fam, edge, points) = self._families
         pos = np.full(self.tree.m, -1)
         pos[edges] = np.arange(len(edges))
         wanted = np.zeros(2 * self.n + 2, dtype=bool)
@@ -295,7 +307,7 @@ def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
     """
     n = coeffs.n
     (c_label, c_left, c_table), points = coeffs._select(range(2 * n + 2), edges - 1)
-    present = coeffs._families.present[:, edges - 1]
+    present = coeffs.present[:, edges - 1]
     cells, reads, wy, wd = _trajectory_reads(y, edges, present[n + 1 :].any(axis=0), points)
     R = len(cells.edge)
     coefs = _gather(c_table, c_label, c_left, cells.edge, cells.mid, cells.left)
@@ -349,7 +361,7 @@ def _weight_table(coeffs: CoefficientSet, ells, ks):
     everyone = np.arange(m)
     families = ks + [n + 1 + k for k in ks]  # b_k, then c_k
     (c_label, c_left, c_table), (c_edge, c_points) = coeffs._select(families, everyone)
-    present = coeffs._families.present[families]
+    present = coeffs.present[families]
     zeros = np.zeros(m)
 
     cells = EdgePieces.merged(np.concatenate([ell.break_edge, c_edge]),

@@ -10,9 +10,10 @@ the minimisation runs over the free nodal data, with every boundary edge
 resting on its final delay window.
 
 :class:`Basis` owns the element layer: one table of Hermite shapes and
-nodal-data indices for the elements of the whole tree, and per edge a
-lead-in lookup where its delayed reads land.  Reconstruction
-(:meth:`Basis.tree_function`) and Gram assembly read that table.
+nodal-data indices for the elements of the whole tree, and one table of
+every edge's lead-in, where its delayed reads land, searched in one lookup
+for any set of points.  Reconstruction (:meth:`Basis.tree_function`) and
+Gram assembly read these tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import TreeFunction
-from .piecewise import PiecewisePoly, derivative_powers, merge_breaks
+from .piecewise import PiecewisePoly, _find, derivative_powers, merge_breaks
 from .trees import Tree
 
 
@@ -145,9 +146,11 @@ class Basis:
     values ``ndof .. ndof+n-1``, or -1 in a resting tail.
 
     Edge ``j`` reads its delayed values from its lead-in on ``[-tau, T_j)``:
-    the parent's tail elements moved to ``[-tau, 0]``, then its own, whose
-    left nodes are ``lead_in[j-1]``.  The root edge's lead-in starts at 0;
-    before that it reads the history.
+    the parent's tail elements moved to ``[-tau, 0]``, then its own.  The
+    root edge's lead-in starts at 0; before that it reads the history.  All
+    lead-ins form one table ordered by edge: its row ``r`` is an element of
+    the 0-based edge ``lead_edge[r]``'s lead-in whose left node lies at
+    ``lead_in[r]``, in that edge's coordinate.
     """
 
     def __init__(self, mesh: DelayMesh, n: int):
@@ -177,26 +180,31 @@ class Basis:
         self.left = np.concatenate([xs[:-1] for xs in mesh.nodes])
         self.shapes = _hermite_shapes(n, np.concatenate([np.diff(xs) for xs in mesh.nodes]))
 
-        self.lead_in, self._lead = [], []  # per edge; _lead: element ids, shifts to their edge
-        for j in range(1, tree.m + 1):
-            ids = np.arange(self.offsets[j - 1], self.offsets[j])
-            shift = np.zeros(len(ids))
-            if j > 1:
-                p = tree.parent_of(j)
-                Tp = tree.length(p)
-                tail = np.arange(self.offsets[p - 1], self.offsets[p])
-                tail = tail[self.left[tail] >= Tp - mesh.tau - 1e-9 * max(1.0, Tp)]
-                ids, shift = np.append(tail, ids), np.append(np.full(len(tail), Tp), shift)
-            self.lead_in.append(self.left[ids] - shift)
-            self._lead.append((ids, shift))
+        # the lead-ins: on every edge but the root, the parent's tail
+        # elements moved back by the parent's length; then the edge's own
+        T = np.asarray(tree.lengths)
+        par = np.array(tree.parent[1:], dtype=int) - 1  # the parents of edges 2..m, 0-based
+        elem_edge = np.repeat(np.arange(tree.m), np.diff(self.offsets))
+        in_tail = self.left >= (T - mesh.tau - 1e-9 * np.maximum(1.0, T))[elem_edge]
+        size = np.bincount(elem_edge[in_tail], minlength=tree.m)[par]  # the tail each child reads
+        tail = np.arange(size.sum()) + np.repeat(self.offsets[par + 1] - np.cumsum(size), size)
+        edge = np.append(np.repeat(np.arange(1, tree.m), size), elem_edge)
+        order = np.argsort(edge, kind="stable")
+        self.lead_edge = edge[order]
+        self._lead_ids = np.append(tail, np.arange(len(elem_edge)))[order]
+        self._lead_shift = np.append(T[par].repeat(size), np.zeros(len(elem_edge)))[order]
+        self.lead_in = self.left[self._lead_ids] - self._lead_shift
 
-    def locate(self, j: int, t: np.ndarray):
+    def locate(self, edge, t: np.ndarray):
         """Tree-wide element ids and local coordinates of the times ``t`` on
-        edge ``j``'s lead-in; a time in ``[-tau, 0)`` lands in the parent's
-        tail and is measured from the element's left node there."""
-        ids, shift = self._lead[j - 1]
-        i = np.clip(np.searchsorted(self.lead_in[j - 1], t, side="right") - 1, 0, len(ids) - 1)
-        return ids[i], t + shift[i] - self.left[ids[i]]
+        the lead-ins of the 0-based ``edge`` (one per time, or one for all),
+        found by one :func:`~treedamp.piecewise._find`; a time in ``[-tau,
+        0)`` lands in the parent's tail and is measured from the element's
+        left node there."""
+        t = np.asarray(t, dtype=float)
+        i = _find(self.lead_edge, self.lead_in, np.broadcast_to(edge, t.shape), t)
+        ids = self._lead_ids[i]
+        return ids, t + self._lead_shift[i] - self.left[ids]
 
     def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
         """Member of the discrete space with the given DOF vector.  With

@@ -26,8 +26,9 @@ companion matrices per degree.
 :class:`EdgePieces` lays out one function per edge of a tree in a single
 table, with per-edge row offsets, so that work after the solve runs on the
 whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
-builds every edge's cells in one sort, and :func:`_gather` moves rows from
-one layout onto another in one more.
+builds every edge's cells in one sort, :func:`_find` finds the rows that
+hold a set of points in one more, and :func:`_gather` moves those rows
+from one layout onto another.
 """
 
 from __future__ import annotations
@@ -287,18 +288,6 @@ class PiecewisePoly:
         gaps = self._c[1:, 0] - left
         return list(zip(self.breaks[1:-1].tolist(), gaps.tolist()))
 
-    def changes(self) -> np.ndarray:
-        """The interior breakpoints where the function switches polynomial:
-        the left piece, re-centred at the break, differs from the right one
-        by more than ``SAME_POLY_RTOL`` of their largest coefficient."""
-        if self.npieces == 1:
-            return self.breaks[1:-1]
-        left = _taylor_shift(self._c[:-1].copy(), np.diff(self.breaks[:-1]))
-        right = self._c[1:]
-        scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
-        same = np.abs(left - right).max(axis=1) <= SAME_POLY_RTOL * scale
-        return self.breaks[1:-1][~same]
-
     # ------------------------------------------------------------------
     # calculus
 
@@ -443,20 +432,15 @@ class PiecewisePoly:
         )
 
 
-def _gather(table: np.ndarray, edge: np.ndarray, left: np.ndarray,
-           q_edge: np.ndarray, q_t: np.ndarray, q_at: np.ndarray) -> np.ndarray:
-    """Rows of ``table`` moved onto query points, re-centred at ``q_at``.
-
-    The rows are ordered by ``edge`` and, within an edge, by ``left``, the
-    left ends of their pieces.  The row that holds the query ``(q_edge,
-    q_t)`` is the last one of the same edge with ``left <= q_t``, or the
-    edge's first row when there is none.  One ``lexsort`` of rows and
+def _find(edge: np.ndarray, left: np.ndarray, q_edge: np.ndarray, q_t: np.ndarray) -> np.ndarray:
+    """Per query point ``(q_edge, q_t)``, the row that holds it: the last
+    row of the same edge with ``left <= q_t``, or the edge's first row when
+    there is none.  The rows are ordered by ``edge`` and, within an edge,
+    by ``left``, the left ends of their pieces.  One ``lexsort`` of rows and
     queries on ``(edge, t)`` keys, a row sorting before a query at the same
-    point, and a count of the rows sorted before each query find them all;
-    one batched Taylor shift re-centres them.  The keys stay per edge
-    because a coordinate concatenated over the tree would round.  ``table``
-    may carry more axes between the rows and the powers.
-    """
+    point, and a count of the rows sorted before each query find them all.
+    The keys stay per edge because a coordinate concatenated over the tree
+    would round."""
     rows = len(edge)
     order = np.lexsort((np.repeat([0, 1], [rows, len(q_t)]), np.concatenate([left, q_t]),
                         np.concatenate([edge, q_edge])))
@@ -466,6 +450,15 @@ def _gather(table: np.ndarray, edge: np.ndarray, left: np.ndarray,
     # number one more than the index of the last of them
     src = np.empty(len(q_t), dtype=np.intp)
     src[q] = np.maximum(at - np.arange(len(at)) - 1, np.searchsorted(edge, q_edge[q]))
+    return src
+
+
+def _gather(table: np.ndarray, edge: np.ndarray, left: np.ndarray,
+           q_edge: np.ndarray, q_t: np.ndarray, q_at: np.ndarray) -> np.ndarray:
+    """The rows of ``table`` :func:`_find` picks for the query points,
+    re-centred at ``q_at`` by one batched Taylor shift.  ``table`` may carry
+    more axes between the rows and the powers."""
+    src = _find(edge, left, q_edge, q_t)
     out = table[src]
     dx = q_at - left[src]
     if table.shape[-1] > 1 and dx.any():

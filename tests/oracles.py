@@ -4,7 +4,8 @@ None of these is on the path of a command.  Each recomputes a quantity the
 solver produces or relies on by exact piecewise-polynomial algebra, without
 the assembly's Gauss grid and without the whole-tree piece tables: the
 delayed read and its adjoint, the edge operator and the variation weights as
-chains of per-edge ``PiecewisePoly`` operations, the energy and its
+chains of per-edge ``PiecewisePoly`` operations, the coefficient breaks the
+mesh must keep, coefficient by coefficient, the energy and its
 polarisation straight from ``L y``, the dense Gram system and its minimal
 energy, the first variation through the re-indexed weights, membership in
 the perturbation space from one-sided limits.
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from treedamp.piecewise import PiecewisePoly
+from treedamp.piecewise import BREAK_RTOL, SAME_POLY_RTOL, PiecewisePoly, _taylor_shift, merge_breaks
 
 
 def delayed_part(y, j: int):
@@ -53,11 +54,44 @@ def advanced_part(g, tree, tau: float, j: int):
     return early.concat(sum(reads[1:], reads[0]))
 
 
+def terms(coeffs, j: int) -> list:
+    """``(k, b_kj, c_kj)`` for ``k=0..n``; an absent coefficient is given as
+    ``None``.  Multiplying by a zero coefficient would add the lead-in's
+    breaks to ``L y``, so every route here skips its term."""
+    n, present = coeffs.n, coeffs.present[:, j - 1]
+    return [(k, coeffs.b[k][j - 1] if present[k] else None,
+             coeffs.c[k][j - 1] if present[n + 1 + k] else None) for k in range(n + 1)]
+
+
+def changes(p) -> np.ndarray:
+    """The interior breakpoints where ``p`` switches polynomial: the left
+    piece, re-centred at the break, differs from the right one by more
+    than ``SAME_POLY_RTOL`` of their largest coefficient."""
+    if p.npieces == 1:
+        return p.breaks[1:-1]
+    left = _taylor_shift(p.coefs[:-1].copy(), np.diff(p.breaks[:-1]))
+    right = p.coefs[1:]
+    scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
+    same = np.abs(left - right).max(axis=1) <= SAME_POLY_RTOL * scale
+    return p.breaks[1:-1][~same]
+
+
+def breakpoints(coeffs, j: int) -> np.ndarray:
+    """Interior points of edge ``j`` where some coefficient switches
+    polynomial, coefficient by coefficient: every one's :func:`changes`,
+    merged within ``BREAK_RTOL * max(1, T_j)``."""
+    Tj = coeffs.tree.length(j)
+    arrays = [np.array([0.0, Tj])]
+    for row in coeffs.b + coeffs.c:
+        arrays.append(changes(row[j - 1]))
+    return merge_breaks(arrays, BREAK_RTOL * max(1.0, Tj))[1:-1]
+
+
 def apply_operator(y, coeffs, j: int):
     """The edge operator ``L_j y`` on ``[0, T_j]``, term by term."""
     acc = PiecewisePoly.zero(0.0, y.tree.length(j))
     delayed = delayed_part(y, j)
-    for k, b, c in coeffs.terms(j):
+    for k, b, c in terms(coeffs, j):
         if b is not None:
             acc = acc + b * y.component(j).derivative(k)
         if c is not None:
@@ -79,7 +113,7 @@ def variation_weights(coeffs, ells, k: int) -> list:
     tree, tau = coeffs.tree, coeffs.tau
     own, read = [], []
     for j in range(1, tree.m + 1):
-        _, b, c = coeffs.terms(j)[k]
+        _, b, c = terms(coeffs, j)[k]
         zero = PiecewisePoly.zero(0.0, tree.length(j))
         own.append(zero if b is None else b.conj() * ells[j - 1])
         read.append(zero if c is None else c.conj() * ells[j - 1])

@@ -78,7 +78,8 @@ def test_binary_tree_with_delayed_reads_and_piecewise_coefficient():
         np.array([0.0, 0.7, tree.length(e2)]), [np.array([0.2, -0.1j]), np.array([-0.3, 0.05])]
     )
     coeffs = CoefficientSet.build(tree, 2, 1.0, b=b, c=c)
-    assert 0.7 in coeffs.breakpoints(e2)
+    edge, points = coeffs.breakpoints()
+    assert 0.7 in points[edge == e2 - 1]
     phi = PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 0.5 - 0.25j, 0.3])
     basis = _check_against_oracle(tree, coeffs, phi, 2)
     assert basis.ndof > 0

@@ -165,6 +165,22 @@ def test_canonical_form_round_trips_through_a_file(tmp_path):
 # command line
 
 
+def test_an_explicit_zero_coefficient_is_absent():
+    # a zero polynomial of degree one adds no term: the same Gauss grid and
+    # the same energy, and the canonical form drops its record
+    plain = json.loads((CONFIGS / "interval.json").read_text())
+    plain["coefficients"] = [r for r in plain["coefficients"] if r["family"] == "b"]
+    zero = dict(plain, coefficients=plain["coefficients"] + [
+        {"edge": 1, "family": "c", "k": 0, "kind": "polynomial", "data": [0, 0]}])
+    sols = []
+    for d in (plain, zero):
+        cfg = ProblemConfig.from_dict(d)
+        sols.append(solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=8))
+    assert len(sols[1].gram.weights) == len(sols[0].gram.weights) == 48
+    assert sols[1].energy == sols[0].energy
+    assert ProblemConfig.from_dict(zero).to_dict() == ProblemConfig.from_dict(plain).to_dict()
+
+
 def test_cli_damp_verify_simulate_cycle(tmp_path, capsys):
     cfg_path = str(CONFIGS / "interval.json")
     out = tmp_path / "run"

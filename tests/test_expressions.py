@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treedamp.diagnostics import g_recursion, quasi_derivatives
-from treedamp.piecewise import PiecewisePoly
+from treedamp.piecewise import BREAK_RTOL, PiecewisePoly
 from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientError,
@@ -90,7 +90,8 @@ def test_breakpoints_collects_interior_coefficient_breaks():
     tr = interval(2.0)
     b0 = PiecewisePoly(np.array([0.0, 0.7, 2.0]), [np.array([1.0]), np.array([2.0])])
     cs = CoefficientSet.build(tr, 1, 0.5, b={(1, 1): 1.0, (0, 1): b0}, c={})
-    assert list(cs.breakpoints(1)) == [0.7]
+    edge, points = cs.breakpoints()
+    assert list(edge) == [0] and list(points) == [0.7]
 
 
 def test_breakpoints_skip_a_break_that_changes_nothing():
@@ -100,7 +101,55 @@ def test_breakpoints_skip_a_break_that_changes_nothing():
     line = PiecewisePoly(np.array([0.0, 0.7, 2.0]), [np.array([1.0, 2.0]), np.array([2.4, 2.0])])
     step = PiecewisePoly(np.array([0.0, 1.3, 2.0]), [np.array([0.5]), np.array([0.25])])
     cs = CoefficientSet.build(tr, 1, 0.5, b={(1, 1): line}, c={(0, 1): step})
-    assert list(cs.breakpoints(1)) == [1.3]
+    edge, points = cs.breakpoints()
+    assert list(edge) == [0] and list(points) == [1.3]
+
+
+@st.composite
+def broken_coefficient_sets(draw):
+    """Coefficient sets on trees of 1-5 edges whose coefficients break at a
+    few shared points of each edge.  At each break a coefficient keeps its
+    polynomial or adds a constant of at least 0.1; one of the shared points
+    has a twin within ``BREAK_RTOL`` that other families may break at."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    parents = {1: 0} | {e: draw(st.integers(min_value=1, max_value=e - 1)) for e in range(2, m + 1)}
+    tree = build_tree(parents, {e: draw(st.sampled_from([1.0, 2.5, 3.0])) for e in parents})
+    n = draw(st.integers(min_value=1, max_value=3))
+    small = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+    jump = st.sampled_from([0.0, 0.0, 0.1, -0.3j, 0.5])
+    tables = {"b": {}, "c": {}}
+    for j in range(1, m + 1):
+        T = tree.length(j)
+        for fam in ("b", "c"):
+            for k in range(n + 1):
+                lead = fam == "b" and k == n
+                if not lead and not draw(st.booleans()):
+                    continue
+                twin = draw(st.booleans())
+                pool = [0.3 * T, 0.55 * T + (0.4 * BREAK_RTOL * max(1.0, T) if twin else 0.0), 0.8 * T]
+                cuts = sorted(draw(st.sets(st.sampled_from(pool), max_size=3)))
+                coefs = [1.0] if lead else draw(st.lists(small, min_size=1, max_size=3))
+                pieces, breaks = [], [0.0, *cuts, T]
+                for a, b in zip(breaks[:-1], breaks[1:]):
+                    pieces.append(PiecewisePoly.from_global_coefs(a, b, coefs).coefs[0])
+                    coefs = [coefs[0] + draw(jump), *coefs[1:]]
+                tables[fam][(k, j)] = PiecewisePoly(breaks, pieces)
+    return CoefficientSet.build(tree, n, 0.5, b=tables["b"], c=tables["c"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(broken_coefficient_sets())
+def test_breakpoints_match_the_per_coefficient_rule(cs):
+    # one pass over the families table keeps the breaks the per-coefficient
+    # rule keeps; where two families break within BREAK_RTOL, either point
+    # of the pair may stand for it
+    edge, points = cs.breakpoints()
+    assert np.all(np.diff(edge) >= 0)
+    for j in range(1, cs.tree.m + 1):
+        want = oracles.breakpoints(cs, j)
+        got = points[edge == j - 1]
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - want) <= BREAK_RTOL * max(1.0, cs.tree.length(j)))
 
 
 def _tf_interval(coefs_y, coefs_phi, T=3.0, tau=1.0, n=1):

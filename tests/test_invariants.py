@@ -2,8 +2,10 @@
 damp -> simulate round trip.
 
 Random small trees (depth at most 3), orders 1 to 3, refinement up to 4,
-complex lower-order coefficients and histories.  Edge lengths are multiples
-of a quarter delay so that no wavefront lands next to a mesh node.
+complex lower-order coefficients and histories.  Some coefficients are
+piecewise with one interior break, which sometimes changes nothing.  Edge
+lengths and breaks are multiples of a quarter delay so that no wavefront
+lands next to a mesh node.
 """
 
 import numpy as np
@@ -28,7 +30,9 @@ complex_small = st.builds(complex, small, small)
 @st.composite
 def problems(draw):
     """(parents, lengths, order, q, coefficients, history coefficients);
-    edges are labelled 1..m and coefficients keyed by (family, k, label)."""
+    edges are labelled 1..m and coefficients keyed by (family, k, label).
+    A coefficient is (global coefficients, break or None, the constant
+    added from the break on)."""
     m = draw(st.integers(min_value=1, max_value=5))
     parents, depth = {1: 0}, {1: 1}
     for e in range(2, m + 1):
@@ -39,11 +43,13 @@ def problems(draw):
     q = draw(st.integers(min_value=1, max_value=4))
     coefs = {}
     for e in parents:
-        coefs[("b", n, e)] = [1.0]
+        coefs[("b", n, e)] = ([1.0], None, 0.0)
         for k in range(n + 1):
             for fam in ("b", "c") if k < n else ("c",):
                 if draw(st.booleans()):
-                    coefs[(fam, k, e)] = draw(st.lists(complex_small, min_size=1, max_size=2))
+                    coefs[(fam, k, e)] = (draw(st.lists(complex_small, min_size=1, max_size=2)),
+                                          draw(st.sampled_from([None, None, 0.75, 1.25])),
+                                          draw(st.sampled_from([0.0, 0.2, -0.3j])))
     # phi(0) != 0 keeps the lift, and with it the energy, away from zero
     history = draw(st.lists(complex_small, min_size=1, max_size=3).filter(lambda h: abs(h[0]) > 0.05))
     return parents, lengths, n, q, coefs, history
@@ -58,9 +64,16 @@ def _solve(problem, relabel=None, alpha=1.0):
     )
     canon = {label: j for j, label in enumerate(tree.original_ids, start=1)}
     tables = {"b": {}, "c": {}}
-    for (fam, k, e), data in coefs.items():
+    for (fam, k, e), (data, cut, jump) in coefs.items():
         j = canon[name[e]]
-        tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, tree.length(j), data)
+        T = tree.length(j)
+        if cut is None:
+            tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, T, data)
+        else:
+            right = [data[0] + jump, *data[1:]]
+            tables[fam][(k, j)] = PiecewisePoly([0.0, cut, T], [
+                PiecewisePoly.from_global_coefs(0.0, cut, data).coefs[0],
+                PiecewisePoly.from_global_coefs(cut, T, right).coefs[0]])
     cs = CoefficientSet.build(tree, n, TAU, b=tables["b"], c=tables["c"])
     phi = PiecewisePoly.from_global_coefs(-TAU, 0.0, [alpha * h for h in history])
     return solve_damping(tree, cs, phi, q=q)

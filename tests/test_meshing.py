@@ -139,37 +139,59 @@ def test_tree_function_rejects_wrong_dof_count():
         basis.tree_function(np.zeros(basis.ndof + 1))
 
 
-def test_locate_reads_the_parent_tail_in_its_own_frame():
-    # the parent's tail elements (widths 0.3, 0.2, 0.25, 0.25) differ from
-    # the child's (all 0.25), so a read before the child's start must land
-    # in the parent's element and be measured from that element's left node
-    tr = build_tree({1: 0, 2: 1}, {1: 2.5, 2: 2.0})
-    mesh = build_mesh(tr, 1.0, 3, local_points={1: [1.8]})
-    parent, child = mesh.nodes
-    tail = np.diff(parent)[parent[:-1] >= 1.5]
-    assert not np.isin(np.round(tail, 12), np.round(np.diff(child), 12)).all()
-    basis = Basis(mesh, 2)
-    assert basis.lead_in[1][0] == pytest.approx(-1.0) and basis.lead_in[1][-1] == child[-2]
+@st.composite
+def meshed_trees(draw):
+    """A basis on a random tree of 1-6 edges (delay 1): lengths that are no
+    multiples of the delay and an extra node on some edges, so a parent's
+    tail elements and its child's first ones have different widths."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    parents = {1: 0} | {e: draw(st.integers(min_value=1, max_value=e - 1)) for e in range(2, m + 1)}
+    lengths = {e: draw(st.sampled_from([2.0, 2.3, 2.5, 3.1])) for e in parents}
+    extra = {e: [draw(st.sampled_from([0.45, 1.35, 1.8]))] for e in parents if draw(st.booleans())}
+    tr = build_tree(parents, lengths)
+    mesh = build_mesh(tr, 1.0, draw(st.integers(min_value=1, max_value=3)), local_points=extra)
+    return Basis(mesh, draw(st.integers(min_value=1, max_value=3)))
 
-    cuts = np.append(parent[parent >= 1.5 - 1e-12] - 2.5, child[1:])
-    t = (cuts[:-1, None] + np.diff(cuts)[:, None] * np.array([0.1, 0.5, 0.9])).ravel()
-    ids, s = basis.locate(2, t)
-    before = t < 0.0
-    e = np.searchsorted(parent, t[before] + 2.5) - 1
-    assert np.array_equal(ids[before], basis.offsets[0] + e)
-    assert np.array_equal(s[before], t[before] + 2.5 - parent[e])
-    e = np.searchsorted(child, t[~before]) - 1
-    assert np.array_equal(ids[~before], basis.offsets[1] + e)
-    assert np.array_equal(s[~before], t[~before] - child[e])
+
+@settings(max_examples=40, deadline=None)
+@given(meshed_trees())
+def test_locate_reads_the_parent_tail_in_its_own_frame(basis):
+    # every edge's lead-in, queried in one call, against a per-edge
+    # searchsorted: a read before the edge's start lands in the parent's
+    # tail element and is measured from that element's left node
+    tree, nodes = basis.mesh.tree, basis.mesh.nodes
+    edge, t, want_ids, want_s = [], [], [], []
+    for j in range(1, tree.m + 1):
+        ids = np.arange(basis.offsets[j - 1], basis.offsets[j])
+        left, shift = nodes[j - 1][:-1], np.zeros(len(ids))
+        p = tree.parent_of(j)
+        if p:
+            Tp, xp = tree.length(p), nodes[p - 1][:-1]
+            tail = xp >= Tp - 1.0 - 1e-9 * Tp
+            ids = np.append(basis.offsets[p - 1] + np.flatnonzero(tail), ids)
+            left, shift = np.append(xp[tail], left), np.append(np.full(tail.sum(), Tp), shift)
+        cuts = np.append(left - shift, tree.length(j))
+        # on every lead-in element's left node and inside it
+        tj = (cuts[:-1, None] + np.diff(cuts)[:, None] * np.array([0.0, 0.1, 0.5, 0.9])).ravel()
+        i = np.clip(np.searchsorted(cuts[:-1], tj, side="right") - 1, 0, len(ids) - 1)
+        edge.append(np.full(len(tj), j - 1))
+        t.append(tj)
+        want_ids.append(ids[i])
+        want_s.append(tj + shift[i] - left[i])
+    edge, t, want_ids, want_s = map(np.concatenate, (edge, t, want_ids, want_s))
+    ids, s = basis.locate(edge, t)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(s, want_s)
 
     # the element rows found are those the reconstruction builds
     rng = np.random.default_rng(3)
     y = basis.tree_function(rng.standard_normal(basis.ndof))
     table = np.concatenate([c.coefs for c in y.components])
-    got = np.sum(table[ids] * s[:, None] ** np.arange(4), axis=1)
-    want = np.where(before, y.component(1).values(np.where(before, t + 2.5, 0.0)),
-                    y.component(2).values(np.maximum(t, 0.0)))
-    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    got = np.sum(table[ids] * s[:, None] ** np.arange(2 * basis.n), axis=1)
+    parent = np.asarray(tree.parent)[edge]
+    want = np.array([y.component(p).eval(x + tree.length(p)) if x < 0.0 else y.component(e + 1).eval(x)
+                     for e, p, x in zip(edge, parent, t)])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
 def test_history_lift_linear_example():
