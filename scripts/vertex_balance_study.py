@@ -19,6 +19,7 @@ from treedamp.config import ProblemConfig
 from treedamp.expressions import CoefficientSet
 from treedamp.damping import solve_damping
 from treedamp.diagnostics import kirchhoff_residual, quasi_derivatives
+from treedamp.piecewise import PiecewisePoly
 
 
 def scaled_coeffs(cs: CoefficientSet, amp: float) -> CoefficientSet:
@@ -31,9 +32,9 @@ def scaled_coeffs(cs: CoefficientSet, amp: float) -> CoefficientSet:
             if k == cs.n:
                 b[(k, j)] = pb
             elif pb.max_abs() > 0:
-                b[(k, j)] = pb * amp
+                b[(k, j)] = PiecewisePoly(pb.breaks, pb.coefs * amp)
             if pc.max_abs() > 0:
-                c[(k, j)] = pc * amp
+                c[(k, j)] = PiecewisePoly(pc.breaks, pc.coefs * amp)
     return CoefficientSet.build(cs.tree, cs.n, cs.tau, b, c)
 
 

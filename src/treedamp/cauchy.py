@@ -38,7 +38,7 @@ import numpy as np
 
 from .expressions import CoefficientSet, TreeFunction, check_edge_functions, operator_components
 from .meshing import DelayMesh, MeshError, check_history
-from .piecewise import EdgePieces, PiecewisePoly, _gather, derivative_powers
+from .piecewise import EdgePieces, PiecewisePoly, derivative_powers
 from .trees import Tree
 
 
@@ -145,18 +145,9 @@ def solve_cauchy(
 
 
 def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:
-    """Per-edge L2 distance between the applied operator and the control.
-
-    Both go onto the merged cells of every edge in one gather each, and the
-    squared distances are integrated over one whole-tree table."""
+    """Per-edge L2 distance between the applied operator and the control,
+    integrated on their common cells (:meth:`EdgePieces.common`)."""
     check_edge_functions(y.tree, control, "control")
-    ell, ell_c = EdgePieces.of(operator_components(y, coeffs))
-    u, u_c = EdgePieces.of(control)
-    cells = EdgePieces.merged(np.concatenate([ell.break_edge, u.break_edge]),
-                              np.concatenate([ell.breaks, u.breaks]),
-                              np.zeros(ell.m), np.asarray(y.tree.lengths))
-    diff = np.zeros((len(cells.edge), max(ell_c.shape[1], u_c.shape[1])), dtype=complex)
-    diff[:, : ell_c.shape[1]] = _gather(ell_c, ell.edge, ell.left, cells.edge, cells.mid, cells.left)
-    diff[:, : u_c.shape[1]] -= _gather(u_c, u.edge, u.left, cells.edge, cells.mid, cells.left)
-    per_edge = np.sqrt(cells.norms_sq(diff)).tolist()
+    cells, ell, u = EdgePieces.common(operator_components(y, coeffs), control)
+    per_edge = np.sqrt(cells.norms_sq(ell - u)).tolist()
     return {"per_edge": per_edge, "total": math.sqrt(sum(r * r for r in per_edge))}

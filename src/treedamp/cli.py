@@ -30,7 +30,7 @@ from .diagnostics import (continuity_report, detect_persistent_jump, quasi_deriv
                           solution_report)
 from .expressions import CoefficientError
 from .meshing import MeshError
-from .piecewise import PiecewisePoly
+from .piecewise import EdgePieces, PiecewisePoly
 from .trees import TreeStructureError
 
 _VALIDATION_ERRORS = (ConfigError, CoefficientError, MeshError, TreeStructureError)
@@ -116,10 +116,20 @@ def _agrees(stored, fresh, tol: float) -> bool:
     return math.isfinite(a) and abs(a - fresh) <= tol * max(1.0, abs(a))
 
 
+def _mesh_q(args, cfg: ProblemConfig) -> int:
+    """``--q`` when given, else the config's ``solver.q``."""
+    if args.q is None:
+        return cfg.solver.q
+    if args.q < 1:
+        raise ConfigError(f"--q must be a positive integer, got {args.q}")
+    return args.q
+
+
 def cmd_simulate(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
+    q = _mesh_q(args, cfg)
     control = _control_from_file(args.control, cfg)
-    mesh = default_mesh(cfg.tree, cfg.coeffs, args.q or cfg.solver.q)
+    mesh = default_mesh(cfg.tree, cfg.coeffs, q)
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, control, mesh)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +137,7 @@ def cmd_simulate(args) -> int:
     res = residual_ell(y, cfg.coeffs, control)
     summary = {
         "command": "simulate",
-        "q": args.q or cfg.solver.q,
+        "q": q,
         "residual_per_edge": {str(cfg.edge_ids[j - 1]): res["per_edge"][j - 1]
                               for j in range(1, cfg.tree.m + 1)},
         "residual_total": res["total"],
@@ -139,7 +149,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_damp(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
-    q = args.q or cfg.solver.q
+    q = _mesh_q(args, cfg)
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,9 +209,10 @@ def cmd_verify(args) -> int:
 
     control_path = sol_dir / "control.json"
     if control_path.exists():
-        stored_u = _control_from_file(control_path, cfg)
-        scale = max(np.sqrt(sum(u.l2_norm_sq() for u in stored_u)), 1.0)
-        dist = np.sqrt(sum((u - v).l2_norm_sq() for u, v in zip(stored_u, sol.control)))
+        cells, stored_u, fresh_u = EdgePieces.common(_control_from_file(control_path, cfg),
+                                                     sol.control)
+        scale = max(math.sqrt(cells.norms_sq(stored_u).sum()), 1.0)
+        dist = math.sqrt(cells.norms_sq(stored_u - fresh_u).sum())
         if dist > tol * scale:
             failures.append(f"control mismatch: L2 distance {dist:.3e}")
         else:
@@ -284,13 +295,15 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True, help="problem file (JSON)")
     p.add_argument("--control", required=True, help="piecewise control file (JSON)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--q", type=int, default=0, help="override mesh density")
+    p.add_argument("--q", type=int, default=None,
+                   help="mesh density, a positive integer overriding solver.q")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("damp", help="compute the energy-minimal damping control")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--q", type=int, default=None,
+                   help="mesh density, a positive integer overriding solver.q")
     p.set_defaults(fn=cmd_damp)
 
     p = sub.add_parser("verify", help="recompute a stored solution and compare")

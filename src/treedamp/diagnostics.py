@@ -18,23 +18,28 @@ and they collapse under refinement exactly when the solver is right.
 All orders live on one whole-tree table per order, laid out on the same
 cells (:class:`~treedamp.piecewise.EdgePieces`): the variation weights of
 every order come from one call, the recursion is column work on those
-aligned tables, and the sup norm of the top order is one batched extremum
-search over its table.  The per-edge functions handed out are views of the
-tables.  Differentiation is symbolic on each polynomial piece.  Jumps at
-piece boundaries are never differentiated; they are recorded, which is the
-whole point: a persistent jump that refinement does not remove reproduces
-the loss-of-smoothness phenomenon of histories with limited regularity.
+aligned tables, and every diagnostic is one pass over them.  A jump is a
+row's constant term minus the previous row's value at its right end, a
+vertex balance is an edge's last row at its right end minus the sum of its
+children's first constants, and the sup norm of the top order is one
+batched extremum search.  Per-edge functions are views of the tables, made
+only on request; the per-edge algebra that cross-checks these passes
+belongs to the test oracle.  Jumps at piece boundaries are never
+differentiated; they are recorded, which is the whole point: a persistent
+jump that refinement does not remove reproduces the loss-of-smoothness
+phenomenon of histories with limited regularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .damping import DampingSolution, optimality_check
 from .expressions import CoefficientSet, _weight_table
-from .piecewise import EdgePieces, PiecewisePoly, _abs_extremes, _poly_der
+from .piecewise import EdgePieces, PiecewisePoly, _abs_extremes, _poly_der, _poly_val
 
 # A jump is persistent when it changed by less than this share of its size
 # between the two finest levels of a refinement study; a jump the mesh
@@ -44,15 +49,21 @@ PERSISTENT_CHANGE = 0.10
 
 @dataclass(frozen=True)
 class QuasiDerivativeSet:
-    """Quasi-derivatives of orders ``n..2n`` per edge.
+    """Quasi-derivatives of orders ``n..2n`` on the active windows
+    ``[0, l_j]``.
 
-    ``functions[k]`` maps the order ``k`` to the per-edge piecewise
-    polynomials on the active windows ``[0, l_j]``.
+    ``tables[k]`` holds the order ``k`` of every edge on ``cells``;
+    ``functions[k]`` gives them per edge, as views built on first use.
     """
 
     tree: object
     n: int
-    functions: dict
+    cells: EdgePieces
+    tables: dict
+
+    @cached_property
+    def functions(self) -> dict:
+        return {k: self.cells.views(t) for k, t in self.tables.items()}
 
     def function(self, k: int, j: int) -> PiecewisePoly:
         return self.functions[k][j - 1]
@@ -73,23 +84,7 @@ def quasi_derivatives(coeffs: CoefficientSet, ells) -> QuasiDerivativeSet:
         below = _poly_der(tables[k - 1])
         tables[k] = weights[:, 2 * n - k].copy()
         tables[k][:, : below.shape[1]] -= below
-    functions = {k: cells.views(t) for k, t in tables.items()}
-    return QuasiDerivativeSet(tree=coeffs.tree, n=n, functions=functions)
-
-
-def g_recursion(weights: list) -> list:
-    """Descending recursion on an explicit weight table for one edge.
-
-    ``weights[k]`` is the coefficient of ``conj(w^(k))`` for ``k = 0..n``;
-    the return value lists the orders ``n..2n`` in that order.  Kept as a
-    separate, generic implementation so the inline recursion in
-    :func:`quasi_derivatives` can be cross-checked against it.
-    """
-    n = len(weights) - 1
-    out = [weights[n]]
-    for l in range(1, n + 1):
-        out.append(weights[n - l] - out[-1].derivative())
-    return out
+    return QuasiDerivativeSet(tree=coeffs.tree, n=n, cells=cells, tables=tables)
 
 
 def kirchhoff_residual(qd: QuasiDerivativeSet) -> dict:
@@ -97,17 +92,20 @@ def kirchhoff_residual(qd: QuasiDerivativeSet) -> dict:
 
     For every branching vertex ``j`` and order ``k = n..2n-1``, the modulus
     of outgoing value minus the sum of incoming child values, both taken as
-    one-sided limits.  Zero for the exact optimum.
+    one-sided limits: the last row of edge ``j`` at its right end, and the
+    first rows' constant terms.  Zero for the exact optimum.
     """
-    tree = qd.tree
-    out = {}
-    for j in range(1, tree.d + 1):
-        lj = qd.function(qd.n, j).domain[1]
-        for k in range(qd.n, 2 * qd.n):
-            left = qd.function(k, j).left_limit(lj)
-            right = sum(qd.function(k, nu).right_limit(0.0) for nu in tree.children_of(j))
-            out[(j, k)] = abs(left - right)
-    out["max"] = max((v for key, v in out.items() if key != "max"), default=0.0)
+    cells, d, orders = qd.cells, qd.tree.d, range(qd.n, 2 * qd.n)
+    last = cells.offsets[1 : d + 1] - 1
+    parent = np.asarray(qd.tree.parent[1:], dtype=int) - 1  # every edge but the root has one
+    defects = []
+    for k in orders:
+        table = qd.tables[k]
+        into = np.zeros(d, dtype=complex)
+        np.add.at(into, parent, table[cells.offsets[1:-1], 0])
+        defects.append(np.abs(_poly_val(table[last], cells.h[last]) - into).tolist())
+    out = {(j, k): defects[i][j - 1] for j in range(1, d + 1) for i, k in enumerate(orders)}
+    out["max"] = max(out.values(), default=0.0)
     return out
 
 
@@ -120,13 +118,15 @@ def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
     absolute-continuity proxies: under refinement they vanish at the true
     optimum except where the data itself obstructs smoothness.
     """
+    cells = qd.cells
+    inner = np.flatnonzero(cells.edge[1:] == cells.edge[:-1])  # rows with a right neighbour
+    edge, at = (cells.edge[inner + 1] + 1).tolist(), cells.left[inner + 1].tolist()
     report = {}
     for k in range(qd.n, 2 * qd.n):
-        entries = []
-        for j in range(1, qd.tree.m + 1):
-            for t, gap in qd.function(k, j).jumps():
-                if abs(gap) > threshold:
-                    entries.append((j, t, abs(gap)))
+        table = qd.tables[k]
+        gap = np.abs(table[inner + 1, 0] - _poly_val(table[inner], cells.h[inner]))
+        keep = np.flatnonzero(gap > threshold)
+        entries = [(edge[i], at[i], g) for i, g in zip(keep.tolist(), gap[keep].tolist())]
         if entries:
             worst = max(entries, key=lambda e: e[2])
             report[k] = {"max_jump": worst[2], "location": (worst[0], worst[1]), "jumps": entries}
@@ -143,8 +143,7 @@ def equation_residual(qd: QuasiDerivativeSet) -> float:
     for inspection, not as a convergence criterion.  One extremum search
     runs over the pieces of all edges at once.
     """
-    pieces, table = EdgePieces.of(qd.functions[2 * qd.n])
-    return float(_abs_extremes(table, pieces.h)[0].max())
+    return float(_abs_extremes(qd.tables[2 * qd.n], qd.cells.h)[0].max())
 
 
 def match_jump(entries: list, location: tuple, tol: float) -> float:

@@ -238,18 +238,19 @@ class TreeFunction:
         return self.components[j - 1]
 
     def __add__(self, other: "TreeFunction") -> "TreeFunction":
-        comps = tuple(p + q for p, q in zip(self.components, other.components))
-        return TreeFunction(self.tree, self.n, comps, self.history + other.history)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "TreeFunction") -> "TreeFunction":
-        comps = tuple(p - q for p, q in zip(self.components, other.components))
-        return TreeFunction(self.tree, self.n, comps, self.history - other.history)
+        return self._combine(other, np.subtract)
 
-    def __mul__(self, scalar) -> "TreeFunction":
-        comps = tuple(p * scalar for p in self.components)
-        return TreeFunction(self.tree, self.n, comps, self.history * scalar)
-
-    __rmul__ = __mul__
+    def _combine(self, other: "TreeFunction", op) -> "TreeFunction":
+        """``op`` of the two trajectories on their common cells, the
+        history riding along as one more edge."""
+        mine, theirs = self.components + (self.history,), other.components + (other.history,)
+        cells, a, b = EdgePieces.common(mine, theirs)
+        widths = np.maximum([p.coefs.shape[1] for p in mine], [p.coefs.shape[1] for p in theirs])
+        *comps, history = cells.views(op(a, b), widths)
+        return TreeFunction(self.tree, self.n, tuple(comps), history)
 
 
 def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, points):

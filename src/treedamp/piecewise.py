@@ -1,9 +1,10 @@
-"""Piecewise polynomials with complex coefficients on a real interval.
+"""Piecewise polynomials with complex coefficients, one function or one
+per edge of a tree.
 
 Every object in the solver pipeline (coefficients, trajectories, controls,
-quasi-derivatives) is a piecewise polynomial, so the algebra here is kept
-exact: sums and products merge breakpoints, differentiation and integration
-act on coefficient arrays, and no quadrature error enters anywhere.
+quasi-derivatives) is a piecewise polynomial, and the work after the solve
+is exact: products convolve coefficient rows, derivatives and integrals act
+on them, and no quadrature error enters anywhere.
 
 Storage follows SciPy's ``PPoly``: the ``breaks`` plus one complex
 ``(npieces, width)`` table whose row ``i`` holds the coefficients of piece
@@ -12,23 +13,22 @@ keeps evaluation well conditioned for domains far from zero.  Rows are
 zero-padded on the right to a common width, so ``width - 1`` bounds the
 degree of every piece and a piece may list trailing zero coefficients.
 
-Every method is whole-table numpy work with no loop over pieces:
-evaluation (one ``searchsorted``, row-wise Horner), differentiation,
-integration, jumps, restriction, shifting, concatenation, and the ring
-operations.  Operands with different breaks are first refined onto the
-merged breaks, each new piece re-centred from the old one holding it by
-one batched Taylor shift.  A product convolves row by row with a loop over the
-narrower operand's width.  The exact extremes behind
-:meth:`PiecewisePoly.max_abs` and :meth:`PiecewisePoly.min_abs` take the
-critical points of every row at once, as the eigenvalues of one stack of
-companion matrices per degree.
+:class:`PiecewisePoly` is the per-edge exchange type: what the parser
+builds, what the exchange files are written from, and the per-edge view
+of a whole-tree table that the solver hands out.  It evaluates
+(:meth:`~PiecewisePoly.values`, :meth:`~PiecewisePoly.left_limit`) and
+takes its exact sup norm, and nothing more; the per-edge algebra (sums,
+products, restriction, shifts, integrals) belongs to the test oracle.
 
-:class:`EdgePieces` lays out one function per edge of a tree in a single
-table, with per-edge row offsets, so that work after the solve runs on the
-whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
+:class:`EdgePieces` lays out one function per edge in a single table, with
+per-edge row offsets, so that every computation after the solve runs on
+the whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
 builds every edge's cells in one sort, :func:`_find` finds the rows that
 hold a set of points in one more, and :func:`_gather` moves those rows
-from one layout onto another.
+from one layout onto another, re-centring each by one batched Taylor
+shift.  The exact extremes of :func:`_abs_extremes` take the critical
+points of every row at once, as the eigenvalues of one stack of companion
+matrices per degree.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ BREAK_RTOL = 1e-12
 # breakpoint are one polynomial.
 SAME_POLY_RTOL = 1e-13
 
-# Degree past which products are probably a modelling mistake.
+# Degree past which a piecewise polynomial is probably a modelling mistake.
 DEGREE_WARN = 40
 
 
@@ -165,8 +165,7 @@ class PiecewisePoly:
 
     Pieces are half open ``[breaks[i], breaks[i+1])``; the right endpoint of
     the domain belongs to the last piece.  One-sided limits at interior
-    breakpoints are available through :meth:`left_limit` / :meth:`right_limit`,
-    which is what the jump diagnostics are built on.
+    breakpoints are available through :meth:`left_limit` / :meth:`right_limit`.
     """
 
     __slots__ = ("breaks", "_c")
@@ -215,11 +214,6 @@ class PiecewisePoly:
     @classmethod
     def constant(cls, a: float, b: float, value: complex) -> "PiecewisePoly":
         return cls([a, b], [np.array([value])])
-
-    @classmethod
-    def single(cls, a: float, b: float, coefs) -> "PiecewisePoly":
-        """One polynomial piece, coefficients in powers of ``t - a``."""
-        return cls([a, b], [np.asarray(coefs)])
 
     @classmethod
     def from_global_coefs(cls, a: float, b: float, coefs) -> "PiecewisePoly":
@@ -282,147 +276,9 @@ class PiecewisePoly:
             return self.right_limit(self.breaks[0], deriv)
         return self._value_in_piece(self._piece_at(t - self._tol()), t, deriv)
 
-    def jumps(self) -> list[tuple[float, complex]]:
-        """(breakpoint, right minus left limit) at every interior breakpoint."""
-        left = _poly_val(self._c[:-1], np.diff(self.breaks[:-1]))
-        gaps = self._c[1:, 0] - left
-        return list(zip(self.breaks[1:-1].tolist(), gaps.tolist()))
-
-    # ------------------------------------------------------------------
-    # calculus
-
-    def derivative(self, k: int = 1) -> "PiecewisePoly":
-        return PiecewisePoly._of(self.breaks, _poly_der(self._c, k))
-
-    def integral(self) -> complex:
-        """Sum of the piece integrals, a running sum in piece order."""
-        return complex(np.cumsum(_integrals(self._c, np.diff(self.breaks)))[-1])
-
-    def l2_norm_sq(self) -> float:
-        return float((self * self.conj()).integral().real)
-
-    # ------------------------------------------------------------------
-    # reshaping
-
-    def refined(self, extra_breaks) -> "PiecewisePoly":
-        """Same function on a breakpoint set enlarged by ``extra_breaks``;
-        ``self`` itself when no break is new."""
-        tol = self._tol()
-        a, b = self.domain
-        extra = np.asarray(extra_breaks, dtype=float).ravel()
-        extra = extra[(extra > a + tol) & (extra < b - tol)]
-        if not extra.size:
-            return self
-        return self._onto(merge_breaks([self.breaks, extra], tol))
-
-    def _onto(self, breaks: np.ndarray) -> "PiecewisePoly":
-        """Same function on ``breaks``, which refine ``self.breaks`` up to the
-        break tolerance; ``self`` itself when they are ``self.breaks``.
-
-        Each new piece copies the row of the old piece holding its midpoint
-        (:func:`_gather` on a single edge), re-centred in one batch.
-        """
-        if len(breaks) == len(self.breaks) and np.array_equal(breaks, self.breaks):
-            return self
-        table = _gather(self._c, np.zeros(self.npieces, dtype=int), self.breaks[:-1],
-                       np.zeros(len(breaks) - 1, dtype=int), 0.5 * (breaks[:-1] + breaks[1:]),
-                       breaks[:-1])
-        return PiecewisePoly._of(breaks, table)
-
-    def restrict(self, a: float, b: float) -> "PiecewisePoly":
-        tol = self._tol()
-        lo, hi = self.domain
-        if a < lo - tol or b > hi + tol or b - a <= tol:
-            raise ValueError(f"restriction [{a}, {b}] outside domain [{lo}, {hi}]")
-        a = min(max(a, lo), hi)
-        b = min(max(b, lo), hi)
-        i0 = self._piece_at(a + tol)
-        i1 = self._piece_at(b - tol)
-        breaks = self.breaks[i0 : i1 + 2].copy()
-        table = self._c[i0 : i1 + 1]
-        if breaks[0] != a:  # the first piece now starts at a
-            table = table.copy()
-            _taylor_shift(table[:1], np.array([a - breaks[0]]))
-        breaks[0], breaks[-1] = a, b
-        return PiecewisePoly._of(breaks, table)
-
-    def shift(self, dt: float) -> "PiecewisePoly":
-        """Translate the graph: result(t) = self(t - dt)."""
-        return PiecewisePoly._of(self.breaks + dt, self._c)
-
-    def concat(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        tol = max(self._tol(), other._tol())
-        if abs(self.breaks[-1] - other.breaks[0]) > tol:
-            raise ValueError("domains are not adjacent")
-        breaks = np.concatenate([self.breaks, other.breaks[1:]])
-        table = np.zeros((self.npieces + other.npieces, max(self._c.shape[1], other._c.shape[1])),
-                         dtype=complex)
-        table[: self.npieces, : self._c.shape[1]] = self._c
-        table[self.npieces :, : other._c.shape[1]] = other._c
-        return PiecewisePoly._of(breaks, table)
-
-    def conj(self) -> "PiecewisePoly":
-        return PiecewisePoly._of(self.breaks, self._c.conj())
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def _aligned(self, other: "PiecewisePoly"):
-        """Both operands on the merged breaks; each is returned itself when
-        none of the merged breaks is new to it."""
-        if np.array_equal(self.breaks, other.breaks):
-            return self, other
-        tol = max(self._tol(), other._tol())
-        sa, sb = self.domain
-        oa, ob = other.domain
-        if abs(sa - oa) > tol or abs(sb - ob) > tol:
-            raise ValueError(f"domain mismatch: [{sa}, {sb}] vs [{oa}, {ob}]")
-        breaks = merge_breaks([self.breaks, other.breaks], tol)
-        breaks[0], breaks[-1] = self.breaks[0], self.breaks[-1]
-        return self._onto(breaks), other._onto(breaks)
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            other = PiecewisePoly.constant(*self.domain, other)
-        p, q = self._aligned(other)
-        if p._c.shape[1] < q._c.shape[1]:
-            p, q = q, p
-        table = p._c.copy()
-        table[:, : q._c.shape[1]] += q._c
-        return PiecewisePoly._of(p.breaks, table)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return PiecewisePoly._of(self.breaks, -self._c)
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            other = PiecewisePoly.constant(*self.domain, other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return PiecewisePoly._of(self.breaks, self._c * other)
-        p, q = self._aligned(other)
-        return PiecewisePoly._of(p.breaks, _convolve(p._c, q._c))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    # ------------------------------------------------------------------
-
     def max_abs(self) -> float:
         """Exact maximum of ``|p|`` over the domain."""
         return float(_abs_extremes(self._c, np.diff(self.breaks))[0].max())
-
-    def min_abs(self) -> float:
-        """Exact minimum of ``|p|`` over the domain."""
-        return float(_abs_extremes(self._c, np.diff(self.breaks))[1].min())
 
     def __repr__(self):
         a, b = self.domain
@@ -536,6 +392,25 @@ class EdgePieces:
         pts[ends - 1] = hi
         return cls(pts, np.concatenate([[0], ends - np.arange(1, m + 1)]))
 
+    @classmethod
+    def common(cls, a, b) -> tuple:
+        """Two lists of functions, edge by edge on the same domains, on
+        their merged cells: the layout and each list's table on it, both
+        zero-padded to one width.  The domains are those of ``a``; ``b``'s
+        must agree with them to the break tolerance."""
+        (pa, ta), (pb, tb) = cls.of(a), cls.of(b)
+        (lo, hi), (b_lo, b_hi) = ((p.breaks[p.offsets[:-1] + np.arange(p.m)],
+                                   p.breaks[p.offsets[1:] + np.arange(p.m)]) for p in (pa, pb))
+        tol = BREAK_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        if (np.abs(b_lo - lo) > tol).any() or (np.abs(b_hi - hi) > tol).any():
+            raise ValueError("the two functions of an edge live on different domains")
+        cells = cls.merged(np.concatenate([pa.break_edge, pb.break_edge]),
+                           np.concatenate([pa.breaks, pb.breaks]), lo, hi)
+        out = np.zeros((2, len(cells.edge), max(ta.shape[1], tb.shape[1])), dtype=complex)
+        for o, (p, t) in zip(out, ((pa, ta), (pb, tb))):
+            o[:, : t.shape[1]] = _gather(t, p.edge, p.left, cells.edge, cells.mid, cells.left)
+        return cells, out[0], out[1]
+
     def views(self, table: np.ndarray, widths=None) -> list:
         """Edge by edge, the function whose coefficients are its rows of
         ``table`` (their first ``widths[e]`` columns when given), as views."""
@@ -552,8 +427,7 @@ class EdgePieces:
         return grid
 
     def norms_sq(self, table: np.ndarray) -> np.ndarray:
-        """Per edge, the integral of ``|p|^2``: what
-        :meth:`PiecewisePoly.l2_norm_sq` gives for each view, the pieces'
-        integrals summed in piece order."""
+        """Per edge, the integral of ``|p|^2`` over the rows of ``table``,
+        the pieces' integrals summed in piece order."""
         pieces = _integrals(_convolve(table, table.conj()), self.h)
         return self.per_edge(pieces).cumsum(axis=1)[:, -1].real

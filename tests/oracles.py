@@ -4,11 +4,17 @@ None of these is on the path of a command.  Each recomputes a quantity the
 solver produces or relies on by exact piecewise-polynomial algebra, without
 the assembly's Gauss grid and without the whole-tree piece tables: the
 delayed read and its adjoint, the edge operator and the variation weights as
-chains of per-edge ``PiecewisePoly`` operations, the coefficient breaks the
-mesh must keep, coefficient by coefficient, the energy and its
-polarisation straight from ``L y``, the dense Gram system and its minimal
-energy, the first variation through the re-indexed weights, membership in
-the perturbation space from one-sided limits.
+chains of per-edge operations, the coefficient breaks the mesh must keep,
+coefficient by coefficient, the energy and its polarisation straight from
+``L y``, the dense Gram system and its minimal energy, the first variation
+through the re-indexed weights, the generic quasi-derivative recursion,
+membership in the perturbation space from one-sided limits.
+
+The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
+:class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
+evaluates; the sums, products, restrictions, shifts, integrals and jumps
+the routes above are built from are the oracle's own, and the tests of that
+algebra are the tests of the reference.
 """
 
 from __future__ import annotations
@@ -18,7 +24,187 @@ import math
 import numpy as np
 import scipy.linalg
 
-from treedamp.piecewise import BREAK_RTOL, SAME_POLY_RTOL, PiecewisePoly, _taylor_shift, merge_breaks
+from treedamp.expressions import TreeFunction
+from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, PiecewisePoly, _abs_extremes, _convolve,
+                                _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
+                                merge_breaks)
+
+
+class Poly(PiecewisePoly):
+    """:class:`~treedamp.piecewise.PiecewisePoly` with the per-edge algebra
+    the oracle runs on: the ring operations, derivatives, integrals,
+    restriction, shifting, concatenation and jumps, each whole-table numpy
+    work with no loop over pieces.
+
+    Operands with different breaks are first refined onto the merged
+    breaks, each new piece re-centred from the old one holding it by one
+    batched Taylor shift.  Every result is a :class:`Poly` again; the other
+    operand may be any piecewise polynomial.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p) -> "Poly":
+        """``p`` itself as a :class:`Poly`, sharing its table."""
+        return p if isinstance(p, cls) else cls._of(p.breaks, p.coefs)
+
+    @classmethod
+    def single(cls, a: float, b: float, coefs) -> "Poly":
+        """One polynomial piece, coefficients in powers of ``t - a``."""
+        return cls([a, b], [np.asarray(coefs)])
+
+    def jumps(self) -> list:
+        """(breakpoint, right minus left limit) at every interior breakpoint."""
+        left = _poly_val(self._c[:-1], np.diff(self.breaks[:-1]))
+        gaps = self._c[1:, 0] - left
+        return list(zip(self.breaks[1:-1].tolist(), gaps.tolist()))
+
+    def derivative(self, k: int = 1) -> "Poly":
+        return self._of(self.breaks, _poly_der(self._c, k))
+
+    def integral(self) -> complex:
+        """Sum of the piece integrals, a running sum in piece order."""
+        return complex(np.cumsum(_integrals(self._c, np.diff(self.breaks)))[-1])
+
+    def l2_norm_sq(self) -> float:
+        return float((self * self.conj()).integral().real)
+
+    def min_abs(self) -> float:
+        """Exact minimum of ``|p|`` over the domain."""
+        return float(_abs_extremes(self._c, np.diff(self.breaks))[1].min())
+
+    def refined(self, extra_breaks) -> "Poly":
+        """Same function on a breakpoint set enlarged by ``extra_breaks``;
+        ``self`` itself when no break is new."""
+        tol = self._tol()
+        a, b = self.domain
+        extra = np.asarray(extra_breaks, dtype=float).ravel()
+        extra = extra[(extra > a + tol) & (extra < b - tol)]
+        if not extra.size:
+            return self
+        return self._onto(merge_breaks([self.breaks, extra], tol))
+
+    def _onto(self, breaks: np.ndarray) -> "Poly":
+        """Same function on ``breaks``, which refine ``self.breaks`` up to the
+        break tolerance; ``self`` itself when they are ``self.breaks``.  Each
+        new piece copies the row of the old piece holding its midpoint."""
+        if len(breaks) == len(self.breaks) and np.array_equal(breaks, self.breaks):
+            return self
+        table = _gather(self._c, np.zeros(self.npieces, dtype=int), self.breaks[:-1],
+                        np.zeros(len(breaks) - 1, dtype=int), 0.5 * (breaks[:-1] + breaks[1:]),
+                        breaks[:-1])
+        return self._of(breaks, table)
+
+    def restrict(self, a: float, b: float) -> "Poly":
+        tol = self._tol()
+        lo, hi = self.domain
+        if a < lo - tol or b > hi + tol or b - a <= tol:
+            raise ValueError(f"restriction [{a}, {b}] outside domain [{lo}, {hi}]")
+        a = min(max(a, lo), hi)
+        b = min(max(b, lo), hi)
+        i0 = self._piece_at(a + tol)
+        i1 = self._piece_at(b - tol)
+        breaks = self.breaks[i0 : i1 + 2].copy()
+        table = self._c[i0 : i1 + 1]
+        if breaks[0] != a:  # the first piece now starts at a
+            table = table.copy()
+            _taylor_shift(table[:1], np.array([a - breaks[0]]))
+        breaks[0], breaks[-1] = a, b
+        return self._of(breaks, table)
+
+    def shift(self, dt: float) -> "Poly":
+        """Translate the graph: result(t) = self(t - dt)."""
+        return self._of(self.breaks + dt, self._c)
+
+    def concat(self, other) -> "Poly":
+        tol = max(self._tol(), other._tol())
+        if abs(self.breaks[-1] - other.breaks[0]) > tol:
+            raise ValueError("domains are not adjacent")
+        breaks = np.concatenate([self.breaks, other.breaks[1:]])
+        table = np.zeros((self.npieces + other.npieces, max(self._c.shape[1], other.coefs.shape[1])),
+                         dtype=complex)
+        table[: self.npieces, : self._c.shape[1]] = self._c
+        table[self.npieces :, : other.coefs.shape[1]] = other.coefs
+        return self._of(breaks, table)
+
+    def conj(self) -> "Poly":
+        return self._of(self.breaks, self._c.conj())
+
+    def _aligned(self, other):
+        """Both operands on the merged breaks; each is returned itself when
+        none of the merged breaks is new to it."""
+        other = Poly.of(other)
+        if np.array_equal(self.breaks, other.breaks):
+            return self, other
+        tol = max(self._tol(), other._tol())
+        sa, sb = self.domain
+        oa, ob = other.domain
+        if abs(sa - oa) > tol or abs(sb - ob) > tol:
+            raise ValueError(f"domain mismatch: [{sa}, {sb}] vs [{oa}, {ob}]")
+        breaks = merge_breaks([self.breaks, other.breaks], tol)
+        breaks[0], breaks[-1] = self.breaks[0], self.breaks[-1]
+        return self._onto(breaks), other._onto(breaks)
+
+    def __add__(self, other):
+        if np.isscalar(other):
+            other = Poly.constant(*self.domain, other)
+        p, q = self._aligned(other)
+        if p._c.shape[1] < q._c.shape[1]:
+            p, q = q, p
+        table = p._c.copy()
+        table[:, : q._c.shape[1]] += q._c
+        return self._of(p.breaks, table)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __neg__(self):
+        return self._of(self.breaks, -self._c)
+
+    def __sub__(self, other):
+        if np.isscalar(other):
+            other = Poly.constant(*self.domain, other)
+        return self.__add__(-Poly.of(other))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return self._of(self.breaks, self._c * other)
+        p, q = self._aligned(other)
+        return self._of(p.breaks, _convolve(p._c, q._c))
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+
+def poly(p) -> Poly:
+    """Shorthand for :meth:`Poly.of`."""
+    return Poly.of(p)
+
+
+def scaled(y, alpha) -> TreeFunction:
+    """The trajectory ``alpha * y``, history included."""
+    return TreeFunction(y.tree, y.n, tuple(poly(p) * alpha for p in y.components),
+                        poly(y.history) * alpha)
+
+
+def g_recursion(weights: list) -> list:
+    """Descending recursion on an explicit weight table for one edge.
+
+    ``weights[k]`` is the coefficient of ``conj(w^(k))`` for ``k = 0..n``;
+    the return value lists the orders ``n..2n`` in that order.  A separate,
+    generic implementation, so the inline recursion of
+    :func:`treedamp.diagnostics.quasi_derivatives` can be cross-checked
+    against it.
+    """
+    n = len(weights) - 1
+    out = [poly(weights[n])]
+    for l in range(1, n + 1):
+        out.append(poly(weights[n - l]) - out[-1].derivative())
+    return out
 
 
 def delayed_part(y, j: int):
@@ -26,12 +212,12 @@ def delayed_part(y, j: int):
     tau = y.tau
     Tj = y.tree.length(j)
     if j == 1:
-        head = y.history.shift(tau)
+        head = poly(y.history).shift(tau)
     else:
         p = y.tree.parent_of(j)
         Tp = y.tree.length(p)
-        head = y.component(p).restrict(Tp - tau, Tp).shift(tau - Tp)
-    return head.concat(y.component(j).restrict(0.0, Tj - tau).shift(tau))
+        head = poly(y.component(p)).restrict(Tp - tau, Tp).shift(tau - Tp)
+    return head.concat(poly(y.component(j)).restrict(0.0, Tj - tau).shift(tau))
 
 
 def advanced_part(g, tree, tau: float, j: int):
@@ -47,10 +233,10 @@ def advanced_part(g, tree, tau: float, j: int):
     last window no delayed read reaches.
     """
     Tj = tree.length(j)
-    early = g[j - 1].restrict(tau, Tj).shift(-tau)
+    early = poly(g[j - 1]).restrict(tau, Tj).shift(-tau)
     if j > tree.d:
         return early
-    reads = [g[nu - 1].restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
+    reads = [poly(g[nu - 1]).restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
     return early.concat(sum(reads[1:], reads[0]))
 
 
@@ -89,13 +275,13 @@ def breakpoints(coeffs, j: int) -> np.ndarray:
 
 def apply_operator(y, coeffs, j: int):
     """The edge operator ``L_j y`` on ``[0, T_j]``, term by term."""
-    acc = PiecewisePoly.zero(0.0, y.tree.length(j))
+    acc = Poly.zero(0.0, y.tree.length(j))
     delayed = delayed_part(y, j)
     for k, b, c in terms(coeffs, j):
         if b is not None:
-            acc = acc + b * y.component(j).derivative(k)
+            acc = acc + poly(b) * poly(y.component(j)).derivative(k)
         if c is not None:
-            acc = acc + c * delayed.derivative(k)
+            acc = acc + poly(c) * delayed.derivative(k)
     return acc
 
 
@@ -114,9 +300,9 @@ def variation_weights(coeffs, ells, k: int) -> list:
     own, read = [], []
     for j in range(1, tree.m + 1):
         _, b, c = terms(coeffs, j)[k]
-        zero = PiecewisePoly.zero(0.0, tree.length(j))
-        own.append(zero if b is None else b.conj() * ells[j - 1])
-        read.append(zero if c is None else c.conj() * ells[j - 1])
+        zero = Poly.zero(0.0, tree.length(j))
+        own.append(zero if b is None else poly(b).conj() * ells[j - 1])
+        read.append(zero if c is None else poly(c).conj() * ells[j - 1])
     return [
         own[j - 1].restrict(0.0, reduced_length(tree, tau, j)) + advanced_part(read, tree, tau, j)
         for j in range(1, tree.m + 1)
@@ -143,12 +329,12 @@ def eval_delayed(y, j: int, t: float, k: int = 0) -> complex:
 
 def inner(a, b) -> complex:
     """The integral of ``a`` times ``conj(b)`` over their common domain."""
-    return (a * b.conj()).integral()
+    return (poly(a) * poly(b).conj()).integral()
 
 
 def energy(y, coeffs) -> float:
     """The squared L2 norm of ``L y`` over the tree."""
-    return sum(p.l2_norm_sq() for p in operator_components(y, coeffs))
+    return sum(poly(p).l2_norm_sq() for p in operator_components(y, coeffs))
 
 
 def energy_product(y, w, coeffs) -> complex:
@@ -169,7 +355,7 @@ def energy_product_reindexed(y, w, coeffs) -> complex:
     for k in range(coeffs.n + 1):
         for j, weight in enumerate(variation_weights(coeffs, ells, k), start=1):
             lj = reduced_length(y.tree, coeffs.tau, j)
-            total += inner(weight, w.component(j).derivative(k).restrict(0.0, lj))
+            total += inner(weight, poly(w.component(j)).derivative(k).restrict(0.0, lj))
     return complex(total)
 
 
@@ -179,7 +365,7 @@ def smoothness_defect(y) -> float:
     worst = 0.0
     for p in y.components + (y.history,):
         for k in range(y.n):
-            for _, gap in p.derivative(k).jumps():
+            for _, gap in poly(p).derivative(k).jumps():
                 worst = max(worst, abs(gap))
     return worst
 
@@ -212,9 +398,9 @@ def admissibility_report(y, tau: float) -> dict:
     tails = 0.0
     for j in range(tree.d + 1, tree.m + 1):
         Tj = tree.length(j)
-        tails = max(tails, math.sqrt(y.component(j).restrict(Tj - tau, Tj).l2_norm_sq()))
+        tails = max(tails, math.sqrt(poly(y.component(j)).restrict(Tj - tau, Tj).l2_norm_sq()))
     return {
-        "history": math.sqrt(y.history.l2_norm_sq()),
+        "history": math.sqrt(poly(y.history).l2_norm_sq()),
         "start": max(abs(y.component(1).right_limit(0.0, k)) for k in range(y.n)),
         "vertex": vertex_defect(y),
         "tails": tails,
@@ -292,7 +478,7 @@ def interpolate(basis, y) -> np.ndarray:
 
 def trajectory_distance(y, z) -> float:
     """L2 distance between two trajectories over the tree."""
-    return math.sqrt(sum((a - b).l2_norm_sq() for a, b in zip(y.components, z.components)))
+    return math.sqrt(sum((poly(a) - b).l2_norm_sq() for a, b in zip(y.components, z.components)))
 
 
 def weak_residual_symbolic(y, basis, coeffs) -> dict:

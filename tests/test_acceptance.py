@@ -27,7 +27,6 @@ from treedamp.cauchy import residual_ell, solve_cauchy
 from treedamp.diagnostics import (
     continuity_report,
     detect_persistent_jump,
-    g_recursion,
     kirchhoff_residual,
     quasi_derivatives,
 )
@@ -144,7 +143,7 @@ def test_criterion_4_control_round_trips(capsys):
         sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=16)
         z = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, sol.mesh)
         ynorm = np.sqrt(sum(
-            sol.y.component(j).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
+            oracles.poly(sol.y.component(j)).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
         worst_dist = max(worst_dist, oracles.trajectory_distance(z, sol.y) / max(ynorm, 1.0))
         worst_res = max(worst_res, residual_ell(z, cfg.coeffs, sol.control)["total"])
     ok = worst_dist <= 1e-4 and worst_res <= 1e-4
@@ -230,16 +229,16 @@ def test_criterion_7_linearity_in_the_history(capsys):
     phi2 = PiecewisePoly.from_global_coefs(-cfg.tau, 0.0, [0.5, 0.0, -1.0])
     s1 = solve_damping(cfg.tree, cfg.coeffs, phi1, q=8)
     s2 = solve_damping(cfg.tree, cfg.coeffs, phi2, q=8)
-    s_sum = solve_damping(cfg.tree, cfg.coeffs, phi1 + phi2, q=8)
-    s_two = solve_damping(cfg.tree, cfg.coeffs, phi1 * 2.0, q=8)
+    s_sum = solve_damping(cfg.tree, cfg.coeffs, oracles.poly(phi1) + phi2, q=8)
+    s_two = solve_damping(cfg.tree, cfg.coeffs, oracles.poly(phi1) * 2.0, q=8)
 
     def tnorm(y):
         return np.sqrt(sum(
-            y.component(j).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
+            oracles.poly(y.component(j)).l2_norm_sq() for j in range(1, cfg.tree.m + 1)))
 
     scale = max(tnorm(s1.y) + tnorm(s2.y), 1e-30)
     add_err = oracles.trajectory_distance(s_sum.y, s1.y + s2.y) / scale
-    hom_err = oracles.trajectory_distance(s_two.y, s1.y * 2.0) / max(2.0 * tnorm(s1.y), 1e-30)
+    hom_err = oracles.trajectory_distance(s_two.y, oracles.scaled(s1.y, 2.0)) / max(2.0 * tnorm(s1.y), 1e-30)
     energy_err = abs(s_two.energy - 4.0 * s1.energy) / max(s1.energy, 1e-30)
     ok = add_err <= 1e-9 and hom_err <= 1e-9 and energy_err <= 1e-9
     _report(capsys, 7, ok,
@@ -255,7 +254,7 @@ def test_criterion_8_recursion_routes_agree(capsys):
         qd = quasi_derivatives(sol.coeffs, sol.control)
         table = [variation_weights(sol.coeffs, sol.control, k) for k in range(cfg.n + 1)]
         for j in range(1, cfg.tree.m + 1):
-            gs = g_recursion([row[j - 1] for row in table])
+            gs = oracles.g_recursion([row[j - 1] for row in table])
             for k in range(cfg.n, 2 * cfg.n + 1):
                 diff = gs[k - cfg.n] - qd.function(k, j)
                 worst = max(worst, diff.max_abs())

@@ -89,8 +89,8 @@ def _neutral_star():
     v, d = y1.eval(2.0), y1.eval(2.0, 1)  # C^1 across the vertex
     comps = (
         y1,
-        PiecewisePoly.single(0.0, 2.0, [v, d, -0.7, 0.2]),
-        PiecewisePoly.single(0.0, 2.0, [v, d, 0.4j, -0.1]),
+        oracles.Poly.single(0.0, 2.0, [v, d, -0.7, 0.2]),
+        oracles.Poly.single(0.0, 2.0, [v, d, 0.4j, -0.1]),
     )
     y_true = TreeFunction(tr, 2, comps, phi)
     u = tuple(apply_operator(y_true, cs, j) for j in edges)
@@ -211,10 +211,10 @@ def test_solution_is_linear_in_history_and_control():
     a = 2.0 - 1.0j
     y1 = solve_cauchy(tr, cs, phi1, u1, mesh)
     y2 = solve_cauchy(tr, cs, phi2, u2, mesh)
-    phi = phi1 * a + phi2
-    u = (u1[0] * a + u2[0],)
+    phi = oracles.poly(phi1) * a + phi2
+    u = (oracles.poly(u1[0]) * a + u2[0],)
     y = solve_cauchy(tr, cs, phi, u, mesh)
-    assert oracles.trajectory_distance(y, a * y1 + y2) < 1e-10
+    assert oracles.trajectory_distance(y, oracles.scaled(y1, a) + y2) < 1e-10
 
 
 def test_collocation_residual_decays_under_refinement():
@@ -260,7 +260,7 @@ def test_damp_then_resimulate_round_trip():
     z = solve_cauchy(tr, cs, phi, sol.control, sol.mesh)
     assert oracles.trajectory_distance(z, sol.y) < 1e-9
     # and the resimulated trajectory rests on the final delay window
-    tail = z.component(1).restrict(2.0, 3.0)
+    tail = oracles.poly(z.component(1)).restrict(2.0, 3.0)
     assert np.sqrt(tail.l2_norm_sq()) < 1e-9
 
 

@@ -12,6 +12,8 @@ from treedamp.config import ConfigError, ProblemConfig, SolverOptions, _num, _nu
 from treedamp.cli import _control_from_file, _control_to_dict, _write_csv, main
 from treedamp.damping import IndefiniteGramError, solve_damping
 
+import oracles
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -225,6 +227,82 @@ def test_cli_verify_accepts_control_pieces_of_different_lengths(tmp_path, capsys
     capsys.readouterr()
     assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 0
     assert "verification passed" in capsys.readouterr().out
+
+
+def _largest_coefficient(control: dict) -> tuple:
+    """``(edge, piece, power)`` of the control file's coefficient of largest
+    modulus; a complex one is stored as ``[re, im]``."""
+    return max(((e, i, k) for e, edge in enumerate(control["edges"])
+                for i, piece in enumerate(edge["pieces"]) for k in range(len(piece))),
+               key=lambda at: abs(complex(*np.atleast_1d(
+                   control["edges"][at[0]]["pieces"][at[1]][at[2]]))))
+
+
+def test_cli_verify_catches_a_nudged_control_coefficient(tmp_path, capsys):
+    # one coefficient off by 1e-6 of the largest one is the same summary
+    # but another control, far beyond the 1e-9 tolerance
+    cfg_path = str(CONFIGS / "star.json")
+    out = tmp_path / "run"
+    assert main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"]) == 0
+    control_path = out / "control.json"
+    control = json.loads(control_path.read_text())
+    e, i, k = _largest_coefficient(control)
+    piece = control["edges"][e]["pieces"][i]
+    big = abs(complex(*np.atleast_1d(piece[k])))
+    if isinstance(piece[k], list):
+        piece[k][0] += 1e-6 * big
+    else:
+        piece[k] += 1e-6 * big
+    control_path.write_text(json.dumps(control))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "control mismatch" in err
+    assert "FAIL" in err and err.count("FAIL") == 1  # the diagnostics still match
+
+
+def test_cli_verify_accepts_a_control_piece_split_at_an_interior_point(tmp_path, capsys):
+    # the same function with one more break: the piece's right part is
+    # re-centred at the new break
+    cfg_path = str(CONFIGS / "star.json")
+    cfg = ProblemConfig.from_file(CONFIGS / "star.json")
+    out = tmp_path / "run"
+    assert main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"]) == 0
+    control_path = out / "control.json"
+    control = list(_control_from_file(control_path, cfg))
+    u = control[1]
+    cut = u.breaks[1] + 0.37 * (u.breaks[2] - u.breaks[1])
+    split = oracles.poly(u).refined([cut])
+    assert split.npieces == u.npieces + 1 and not np.array_equal(split.coefs[2], u.coefs[1])
+    control[1] = split
+    control_path.write_text(json.dumps(_control_to_dict(cfg, tuple(control))))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 0
+    assert "control matches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", ["0", "-2"])
+@pytest.mark.parametrize("command", ["damp", "simulate"])
+def test_cli_rejects_a_q_below_one(tmp_path, capsys, command, q):
+    # 0 is rejected like any other value below 1, not read as "use solver.q"
+    cfg_path = str(CONFIGS / "interval.json")
+    args = [command, "--config", cfg_path, "--out", str(tmp_path / "o"), "--q", q]
+    if command == "simulate":
+        assert main(["damp", "--config", cfg_path, "--out", str(tmp_path / "d"), "--q", "2"]) == 0
+        args += ["--control", str(tmp_path / "d" / "control.json")]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "--q must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_without_q_solves_at_the_config_q(tmp_path, capsys):
+    cfg_path = str(CONFIGS / "interval.json")
+    assert main(["damp", "--config", cfg_path, "--out", str(tmp_path / "d")]) == 0
+    assert json.loads((tmp_path / "d" / "summary.json").read_text())["q"] == 16
+    assert main(["simulate", "--config", cfg_path, "--control", str(tmp_path / "d" / "control.json"),
+                 "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "summary.json").read_text())["q"] == 16
 
 
 def test_cli_verify_catches_tampered_energy(tmp_path, capsys):
@@ -480,7 +558,7 @@ def test_cli_reports_degenerate_gram_with_mesh_and_conditioning(tmp_path, capsys
         for name in ("tree", "n", "tau"):
             object.__setattr__(bad, name, getattr(coeffs, name))
         for name in ("b", "c"):
-            zero = tuple(tuple(p * 0.0 for p in row) for row in getattr(coeffs, name))
+            zero = tuple(tuple(oracles.poly(p) * 0.0 for p in row) for row in getattr(coeffs, name))
             object.__setattr__(bad, name, zero)
         return solve_damping(tree, bad, phi, **kw)
 
@@ -498,7 +576,7 @@ def test_control_exchange_format_is_exact(tmp_path):
     path.write_text(json.dumps(_control_to_dict(cfg, sol.control)))
     back = _control_from_file(path, cfg)
     for j in range(1, cfg.tree.m + 1):
-        diff = back[j - 1] - sol.control[j - 1]
+        diff = oracles.poly(back[j - 1]) - sol.control[j - 1]
         assert diff.max_abs() == 0.0
 
 

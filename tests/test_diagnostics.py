@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedamp.piecewise import PiecewisePoly
-from treedamp.trees import interval, star
+from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientSet,
     TreeFunction,
@@ -20,7 +21,6 @@ from treedamp.diagnostics import (
     continuity_report,
     detect_persistent_jump,
     equation_residual,
-    g_recursion,
     kirchhoff_residual,
     match_jump,
     quasi_derivatives,
@@ -48,7 +48,7 @@ def test_g_recursion_matches_inline_build():
     ells = operator_components(y, cs)
     qd = quasi_derivatives(cs, ells)
     weights = [variation_weights(cs, ells, k)[0] for k in range(cs.n + 1)]
-    gs = g_recursion(weights)
+    gs = oracles.g_recursion(weights)
     for k in range(cs.n, 2 * cs.n + 1):
         diff = gs[k - cs.n] - qd.function(k, 1)
         assert diff.max_abs() < 1e-12
@@ -151,6 +151,68 @@ def test_kirchhoff_residual_empty_on_interval():
     assert kr == {"max": 0.0}
 
 
+def _piecewise_with_inner_breaks(rng, a, b, width):
+    """Complex pieces of random widths up to ``width``, cut at up to two
+    random points inside ``[a, b]``."""
+    cuts = np.sort(rng.uniform(a + 0.1, b - 0.1, int(rng.integers(0, 3))))
+    breaks = np.concatenate([[a], cuts, [b]])
+    return PiecewisePoly(breaks, [rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                                  for w in rng.integers(1, width + 1, len(breaks) - 1)])
+
+
+def _random_quasi_derivatives(seed):
+    """Quasi-derivatives on a random tree of depth at most 4: order 1-3,
+    lower coefficients present or absent and broken inside the edges, and
+    a control broken inside the edges too."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    parents, depth = {1: 0}, {1: 1}
+    for i in range(2, int(rng.integers(1, 16)) + 1):
+        parents[i] = int(rng.choice([v for v in depth if depth[v] < 4]))
+        depth[i] = depth[parents[i]] + 1
+    tr = build_tree(parents, {i: float(rng.uniform(1.5, 3.0)) for i in parents})
+    tau = float(rng.uniform(0.3, 0.9))
+    b = {(n, j): 1.0 + 0.1 * rng.standard_normal() for j in range(1, tr.m + 1)}
+    c = {}
+    for j in range(1, tr.m + 1):
+        for k in range(n + 1):
+            for table in (b, c):
+                if (k, j) not in table and rng.random() < 0.6:
+                    table[(k, j)] = _piecewise_with_inner_breaks(rng, 0.0, tr.length(j), 3)
+    cs = CoefficientSet.build(tr, n, tau, b=b, c=c)
+    ells = [_piecewise_with_inner_breaks(rng, 0.0, tr.length(j), 2 * n)
+            for j in range(1, tr.m + 1)]
+    return quasi_derivatives(cs, ells)
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-15 * max(1.0, abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_table_passes_match_the_per_edge_limits(seed):
+    qd = _random_quasi_derivatives(seed)
+    tree, n = qd.tree, qd.n
+    report = continuity_report(qd)
+    for k in range(n, 2 * n):
+        want = [(j, t, abs(gap)) for j in range(1, tree.m + 1)
+                for t, gap in oracles.poly(qd.function(k, j)).jumps() if abs(gap) > 0.0]
+        got = report[k]["jumps"]
+        assert [(j, t) for j, t, _ in got] == [(j, t) for j, t, _ in want]
+        assert all(_close(g, w) for (_, _, g), (_, _, w) in zip(got, want))
+    balances = kirchhoff_residual(qd)
+    for j in range(1, tree.d + 1):
+        lj = qd.function(n, j).domain[1]
+        for k in range(n, 2 * n):
+            left = qd.function(k, j).left_limit(lj)
+            right = sum(qd.function(k, nu).right_limit(0.0) for nu in tree.children_of(j))
+            assert _close(balances[(j, k)], abs(left - right))
+    assert len(balances) == tree.d * n + 1
+    top = max(p.max_abs() for p in qd.functions[2 * n])
+    assert _close(equation_residual(qd), top)
+
+
 def test_kirchhoff_residual_decays_at_optimum():
     tr = star([2.0, 2.0, 2.0])
     cs = CoefficientSet.build(
@@ -176,7 +238,7 @@ def test_jump_table_records_known_kink():
     y = TreeFunction(tr, 1, (comp,), PiecewisePoly.constant(-1.0, 0.0, 1.0))
     qd = quasi_derivatives(cs, operator_components(y, cs))
     # y<1> = y', carrying the slope change 2 - (-1) = 3 at t = 0.7
-    entries = qd.function(1, 1).jumps()
+    entries = oracles.poly(qd.function(1, 1)).jumps()
     [(t, gap)] = [(t, g) for t, g in entries if abs(g) > 1e-12]
     assert t == pytest.approx(0.7) and gap == pytest.approx(3.0)
     rep = continuity_report(qd, threshold=1e-12)

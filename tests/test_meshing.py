@@ -18,8 +18,8 @@ def test_hermite_shapes_nodal_conditions(n):
     assert shapes.shape == (2 * n, 2 * n)
     left, right = shapes[:n], shapes[n:]
     for k in range(n):
-        pl = PiecewisePoly.single(0.0, h, left[k])
-        pr = PiecewisePoly.single(0.0, h, right[k])
+        pl = oracles.Poly.single(0.0, h, left[k])
+        pr = oracles.Poly.single(0.0, h, right[k])
         for nu in range(n):
             want_l = 1.0 if nu == k else 0.0
             assert pl.eval(0.0, nu) == pytest.approx(want_l, abs=1e-11)
@@ -204,7 +204,7 @@ def test_history_lift_linear_example():
     assert lift.component(1).eval(0.0) == pytest.approx(1.0)
     assert lift.component(1).eval(0.25) == pytest.approx(0.5)
     assert lift.component(1).left_limit(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert not lift.component(1).restrict(0.5, 3.0).coefs.any()
+    assert not oracles.poly(lift.component(1)).restrict(0.5, 3.0).coefs.any()
     rep = oracles.admissibility_report(lift, 1.0)
     assert rep["tails"] == 0.0 and rep["vertex"] < 1e-12
 
@@ -218,7 +218,7 @@ def test_history_lift_matches_higher_order_data():
         assert lift.component(1).right_limit(0.0, k) == pytest.approx(
             phi.left_limit(0.0, k))
         assert lift.component(1).left_limit(h, k) == pytest.approx(0.0, abs=1e-12)
-    assert not lift.component(1).restrict(h, 3.0).coefs.any()
+    assert not oracles.poly(lift.component(1)).restrict(h, 3.0).coefs.any()
 
 
 def test_history_lift_rejects_mismatched_domain():

@@ -1,4 +1,5 @@
-"""Exact piecewise-polynomial algebra."""
+"""The piecewise-polynomial exchange type, and the exact per-edge algebra
+of the test oracle."""
 
 import math
 
@@ -18,6 +19,7 @@ from treedamp.piecewise import (
 )
 
 import oracles
+from oracles import Poly
 
 
 def test_constructor_rejects_bad_breaks():
@@ -35,7 +37,8 @@ def test_coefs_is_a_read_only_zero_padded_table():
     np.testing.assert_array_equal(p.coefs[0], [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         p.coefs[0, 1] = 5.0
-    assert p.refined(p.breaks) is p
+    q = oracles.poly(p)
+    assert q.refined(q.breaks) is q
 
 
 def test_eval_is_right_continuous_at_interior_break():
@@ -48,14 +51,14 @@ def test_eval_is_right_continuous_at_interior_break():
 
 
 def test_jumps_lists_interior_gaps():
-    p = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
+    p = Poly(np.array([0.0, 1.0, 2.0, 3.0]),
                       [np.array([0.0]), np.array([2.0]), np.array([2.0])])
     [(t, gap)] = [(t, g) for t, g in p.jumps() if abs(g) > 0]
     assert t == 1.0 and gap == 2.0
 
 
 def test_derivative_and_integral_of_cubic():
-    p = PiecewisePoly.from_global_coefs(0.0, 2.0, [1.0, 0.0, 0.0, 1.0])  # 1 + t^3
+    p = Poly.from_global_coefs(0.0, 2.0, [1.0, 0.0, 0.0, 1.0])  # 1 + t^3
     d = p.derivative()
     ts = np.linspace(0.1, 1.9, 7)
     assert np.allclose(d.values(ts), 3 * ts**2)
@@ -64,14 +67,14 @@ def test_derivative_and_integral_of_cubic():
 
 
 def test_shift_translates_graph():
-    p = PiecewisePoly.from_global_coefs(0.0, 1.0, [0.0, 1.0])  # t
+    p = Poly.from_global_coefs(0.0, 1.0, [0.0, 1.0])  # t
     s = p.shift(2.0)
     assert s.domain == (2.0, 3.0)
     assert s.eval(2.5) == pytest.approx(0.5)
 
 
 def test_restrict_and_concat_roundtrip():
-    p = PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 2.0, 1.0])
+    p = Poly.from_global_coefs(0.0, 3.0, [1.0, 2.0, 1.0])
     left, right = p.restrict(0.0, 1.2), p.restrict(1.2, 3.0)
     glued = left.concat(right)
     ts = np.linspace(0.0, 2.99, 17)
@@ -79,14 +82,14 @@ def test_restrict_and_concat_roundtrip():
 
 
 def test_restrict_outside_domain_raises():
-    p = PiecewisePoly.constant(0.0, 1.0, 1.0)
+    p = Poly.constant(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         p.restrict(-0.5, 0.5)
 
 
 def test_product_multiplies_pointwise():
-    p = PiecewisePoly.from_global_coefs(0.0, 1.0, [1.0, 1.0])
-    q = PiecewisePoly(np.array([0.0, 0.5, 1.0]),
+    p = Poly.from_global_coefs(0.0, 1.0, [1.0, 1.0])
+    q = Poly(np.array([0.0, 0.5, 1.0]),
                       [np.array([2.0]), np.array([0.0, 1.0])])
     r = p * q
     ts = np.array([0.1, 0.3, 0.6, 0.9])
@@ -94,36 +97,36 @@ def test_product_multiplies_pointwise():
 
 
 def test_inner_and_l2_norm_are_consistent():
-    p = PiecewisePoly.from_global_coefs(0.0, 2.0, [1.0, 1.0])  # 1 + t
+    p = Poly.from_global_coefs(0.0, 2.0, [1.0, 1.0])  # 1 + t
     assert oracles.inner(p, p).real == pytest.approx(p.l2_norm_sq(), rel=1e-14)
     # <p, q> integrates p * conj(q); here the conjugation flips the sign of i
-    q = PiecewisePoly.constant(0.0, 2.0, 1j)
+    q = Poly.constant(0.0, 2.0, 1j)
     assert oracles.inner(p, q) == pytest.approx(-1j * p.integral())
 
 
 def test_conj_on_complex_coefficients():
-    p = PiecewisePoly.constant(0.0, 1.0, 1.0 + 2.0j)
+    p = Poly.constant(0.0, 1.0, 1.0 + 2.0j)
     assert p.conj().eval(0.5) == 1.0 - 2.0j
 
 
 def test_min_abs_is_exact_between_samples():
     # |t - 0.1| and |(t - 0.37)^2 + 1e-6 i| reach their minima off any sample grid
-    p = PiecewisePoly.from_global_coefs(0.0, 3.0, [-0.1, 1.0])
+    p = Poly.from_global_coefs(0.0, 3.0, [-0.1, 1.0])
     assert p.min_abs() < 1e-15
-    q = PiecewisePoly(
+    q = Poly(
         np.array([0.0, 0.2, 1.0]),
         [np.array([2.0]), np.array([0.17**2 + 1e-6j, -0.34, 1.0])],
     )
     assert q.min_abs() == pytest.approx(1e-6, rel=1e-6)
-    assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).min_abs() == pytest.approx(5.0)
+    assert Poly.constant(0.0, 1.0, -3.0 + 4.0j).min_abs() == pytest.approx(5.0)
 
 
 def test_max_abs_is_exact_between_samples():
     # t(1 - t) peaks at t = 1/2, which no grid of 8 samples on [0, 1] hits
-    p = PiecewisePoly.from_global_coefs(0.0, 1.0, [0.0, 1.0, -1.0])
+    p = Poly.from_global_coefs(0.0, 1.0, [0.0, 1.0, -1.0])
     assert p.max_abs() == pytest.approx(0.25, rel=1e-15)
     assert (1j * p).max_abs() == pytest.approx(0.25, rel=1e-15)
-    assert PiecewisePoly.constant(0.0, 1.0, -3.0 + 4.0j).max_abs() == pytest.approx(5.0)
+    assert Poly.constant(0.0, 1.0, -3.0 + 4.0j).max_abs() == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
@@ -167,7 +170,7 @@ def pw_polys(draw, a=0.0, b=2.0):
         re = draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1))
         im = draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1))
         coefs.append(np.array(re) + 1j * np.array(im))
-    return PiecewisePoly(breaks, coefs)
+    return Poly(breaks, coefs)
 
 
 def _away_from_breaks(t, *polys):
@@ -365,7 +368,7 @@ def test_abs_extremes_match_per_piece_roots(seed):
             w = rng.uniform(0.5, 2.0)
             c = z * (np.array([1.0, 0.0, 0.0, 0.0]) + w * np.array([-a**3, 3 * a**2, -3 * a, 1.0]))
         coefs.append(c)
-    p = PiecewisePoly(breaks, coefs)
+    p = Poly(breaks, coefs)
     big, small = _ref_abs_extremes(p)
     assert p.max_abs() == pytest.approx(big, rel=1e-12)
     assert p.min_abs() == pytest.approx(small, rel=1e-12, abs=1e-15 * big)
