@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import residual_ell, solve_cauchy
-from .config import (ConfigError, ProblemConfig, _check_keys, _parse_piecewise, _piecewise_out,
-                     _read_json)
+from .config import (ConfigError, ProblemConfig, _check_keys, _piecewise_item, _piecewise_out,
+                     _read_json, _tables, _walk_all, _walk_piecewise, _walked)
 from .damping import default_mesh, solve_damping
 from .diagnostics import (continuity_report, detect_persistent_jump, quasi_derivatives,
                           solution_report)
 from .expressions import CoefficientError
 from .meshing import MeshError
-from .piecewise import EdgePieces, PiecewisePoly
+from .piecewise import EdgePieces, _poly_der, _poly_val
 from .trees import TreeStructureError
 
 _VALIDATION_ERRORS = (ConfigError, CoefficientError, MeshError, TreeStructureError)
@@ -40,29 +40,52 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sample_times(p: PiecewisePoly, per_piece: int = 4) -> np.ndarray:
-    """Piece endpoints plus equispaced interior points, for plot-ready CSV."""
-    h = np.diff(p.breaks)[:, None]
-    inner = p.breaks[:-1, None] + h * np.arange(1, per_piece) / per_piece
-    return np.unique(np.concatenate([p.breaks, inner.ravel()]))
+def _csv_samples(funcs, nderiv: int) -> tuple:
+    """Per edge the number of sample rows, and the rows ``t`` then the real
+    and imaginary parts of the function and of its first ``nderiv - 1``
+    derivatives: each piece's left end and three equispaced interior points,
+    then the edge's right end, all from one table.  Every point is evaluated
+    on the row it was made from; a point that rounds onto the next one of
+    its edge is dropped in favour of it, so a sample at a break is read on
+    the piece to its right, and the right end on the last piece."""
+    pieces, table = EdgePieces.of(funcs)
+    ends = pieces.offsets[1:]  # one past every edge's last row
+    t = np.empty((len(pieces.edge), 4))
+    t[:, 0] = pieces.left
+    t[:, 1:] = pieces.left[:, None] + pieces.h[:, None] * np.arange(1, 4) / 4
+    t = np.insert(t.ravel(), 4 * ends, pieces.breaks[ends + np.arange(pieces.m)])
+    row = np.insert(np.arange(len(pieces.edge)).repeat(4), 4 * ends, ends - 1)
+    keep = np.ones(len(t), dtype=bool)
+    keep[:-1] = (t[1:] != t[:-1]) | (pieces.edge[row[1:]] != pieces.edge[row[:-1]])
+    t, row = t[keep], row[keep]
+    s = t - pieces.left[row]
+    cols = [t]
+    for k in range(nderiv):
+        v = _poly_val(_poly_der(table[row], k), s)
+        cols += [v.real, v.imag]
+    return np.bincount(pieces.edge[row], minlength=pieces.m), np.column_stack(cols)
+
+
+def _write_rows(path: Path, edge_ids, counts, rows: np.ndarray, names: list) -> None:
+    """``edge,t`` then the real and imaginary parts of each derivative in
+    ``names``; ``rows`` holds ``counts[e]`` rows of edge ``edge_ids[e]`` in
+    turn.  One ``%`` formats an edge's block, and only that block is ever a
+    Python list."""
+    header = ["edge", "t"] + [f"{part}_{name}" for name in names for part in ("re", "im")]
+    # "%.17g" writes the same text as _fmt, "-0" included
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for eid, a, b in zip(edge_ids, np.cumsum(counts) - counts, np.cumsum(counts)):
+            fh.write((f"{eid}," + fmt) * int(b - a) % tuple(rows[a:b].ravel().tolist()))
 
 
 def _write_csv(path: Path, cfg: ProblemConfig, funcs, names: list) -> None:
     """``edge,t`` then the real and imaginary parts of each edge's function
     and of its derivatives, one derivative per entry of ``names``, one row
     per sample time."""
-    header = ["edge", "t"] + [f"{part}_{name}" for name in names for part in ("re", "im")]
-    lines = [",".join(header)]
-    for eid, p in zip(cfg.edge_ids, funcs):
-        times = _sample_times(p)
-        cols = [times]
-        for k in range(len(names)):
-            v = p.values(times, k)
-            cols += [v.real, v.imag]
-        # one format per row; "%.17g" writes the same text as _fmt, "-0" included
-        row_fmt = f"{eid}," + ",".join(["%.17g"] * len(cols))
-        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    counts, rows = _csv_samples(funcs, len(names))
+    _write_rows(path, cfg.edge_ids, counts, rows, names)
 
 
 def _control_to_dict(cfg: ProblemConfig, control: tuple) -> dict:
@@ -70,28 +93,49 @@ def _control_to_dict(cfg: ProblemConfig, control: tuple) -> dict:
                       for eid, u in zip(cfg.edge_ids, control)]}
 
 
+_EDGE_KEYS = {"id", "breaks", "pieces"}
+
+
 def _control_from_file(path, cfg: ProblemConfig) -> tuple:
-    """The per-edge control of a control file, edge ``j`` at index ``j - 1``."""
+    """The per-edge control of a control file, edge ``j`` at index ``j - 1``.
+
+    An edge record's own fields are checked as it is read, all numbers of
+    the file in one batch after the last; where a check fails, the walk
+    names the first bad field."""
     d = _read_json(path)
     _check_keys(d, {"edges"}, {"edges"}, "control")
     if not isinstance(d["edges"], list):
         raise ConfigError("control.edges: expected a list of edge records")
     canon = {eid: j for j, eid in enumerate(cfg.edge_ids, start=1)}
-    comps = {}
+    slot, items, read = {}, [], []
+
+    def fail(msg):
+        _walk_all(_walk_piecewise, read)
+        raise ConfigError(msg)
+
     for i, e in enumerate(d["edges"]):
         p = f"control.edges[{i}]"
-        _check_keys(e, {"id", "breaks", "pieces"}, {"id", "breaks", "pieces"}, p)
+        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
+            _walk_all(_walk_piecewise, read)
+            _check_keys(e, _EDGE_KEYS, _EDGE_KEYS, p)
         eid = e["id"]
         if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
-            raise ConfigError(f"{p}.id: unknown edge id {eid!r}")
+            fail(f"{p}.id: unknown edge id {eid!r}")
         j = canon[eid]
-        if j in comps:
-            raise ConfigError(f"{p}.id: duplicate edge id {eid}")
-        comps[j] = _parse_piecewise(e["breaks"], e["pieces"], 0.0, cfg.tree.length(j), p)
+        if j in slot:
+            fail(f"{p}.id: duplicate edge id {eid}")
+        slot[j] = len(items)
+        read.append((e["breaks"], e["pieces"], 0.0, cfg.tree.length(j), p))
+        items.append(_piecewise_item(e["breaks"], e["pieces"]))
+        if items[-1] is None:
+            _walked(_walk_piecewise, read)
+    comps = _tables(items, np.zeros(len(items)), np.array([T for *_, T, _ in read]))
+    if comps is None:
+        _walked(_walk_piecewise, read)
     for eid, j in canon.items():
-        if j not in comps:
+        if j not in slot:
             raise ConfigError(f"control file lacks edge id {eid}")
-    return tuple(comps[j] for j in sorted(comps))
+    return tuple(comps[slot[j]] for j in range(1, len(canon) + 1))
 
 
 def _numbers(value) -> list:

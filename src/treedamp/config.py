@@ -11,19 +11,23 @@ zero; the leading ``b`` entry of the full order is mandatory per edge.
 
 Parsing is strict: unknown keys, malformed numbers, and inconsistent
 domains are reported with the full field path, so a mistake in a nested
-piece surfaces as e.g. ``coefficients[2].data.pieces[1][0]``.
+piece surfaces as e.g. ``coefficients[2].data.pieces[1][0]``.  The numbers
+of a file are checked and tabled in one batch; the entry-by-entry walk
+that names the field runs only once a batch check has failed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
 from .expressions import CoefficientSet
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, _taylor_shift
 from .trees import Tree, build_tree
 
 
@@ -54,7 +58,10 @@ def _real(x, path: str, *index) -> float:
     """A finite real entry at ``path`` and ``index`` (see :func:`_fail`)."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(path, f"expected a real number, got {x!r}", index)
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        _fail(path, "number is too large for a float", index)
     if not math.isfinite(v):
         _fail(path, "number must be finite", index)
     return v
@@ -87,9 +94,15 @@ def _check_keys(d: dict, allowed: set, required: set, path: str):
             _fail(path, f"missing required key {key!r}")
 
 
-def _parse_piecewise(breaks, pieces, a: float, b: float, path: str) -> PiecewisePoly:
-    """Breakpoints plus per-piece local coefficients into a piecewise
-    polynomial on [a, b]; the end breakpoints snap onto a and b."""
+# ---------------------------------------------------------------------------
+# The per-entry walk.  It names the first bad field of a record, in document
+# order, and is the only code that knows the messages; the batch checks below
+# run it only after one of them has failed.
+
+
+def _walk_piecewise(breaks, pieces, a: float, b: float, path: str) -> None:
+    """Raise the error of the first bad field of breakpoints plus per-piece
+    local coefficients on [a, b]; the end breakpoints snap onto a and b."""
     if not isinstance(breaks, list):
         _fail(path + ".breaks", "expected a list of breakpoints")
     where = path + ".breaks"
@@ -99,41 +112,191 @@ def _parse_piecewise(breaks, pieces, a: float, b: float, path: str) -> Piecewise
     tol = 1e-9 * max(1.0, abs(a), abs(b))
     if abs(breaks[0] - a) > tol or abs(breaks[-1] - b) > tol:
         _fail(path + ".breaks", f"breakpoints must span [{a}, {b}]")
-    coefs = []
     where = path + ".pieces"
     for i, piece in enumerate(pieces):
         if not isinstance(piece, list) or not piece:
             _fail(where, "expected a non-empty coefficient array", (i,))
-        coefs.append(np.array([_num(x, where, i, j) for j, x in enumerate(piece)]))
+        for j, x in enumerate(piece):
+            _num(x, where, i, j)
+    if len(breaks) < 2:
+        _fail(path, "need at least two breakpoints")
     breaks[0], breaks[-1] = a, b
-    try:
-        return PiecewisePoly(np.array(breaks), coefs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    if any(y <= x for x, y in zip(breaks, breaks[1:])):
+        _fail(path, "breakpoints must be strictly increasing")
 
 
-def _parse_poly_data(entry: dict, a: float, b: float, path: str) -> PiecewisePoly:
-    """One {kind, data} record, its keys already checked, into a piecewise
-    polynomial on [a, b]."""
+def _walk_poly_data(entry: dict, a: float, b: float, path: str) -> None:
+    """Raise the error of the first bad field of a {kind, data} record on
+    [a, b], its keys already checked."""
     kind = entry["kind"]
     data = entry["data"]
     if kind == "constant":
-        return PiecewisePoly.constant(a, b, _num(data, path + ".data"))
-    if kind == "polynomial":
+        _num(data, path + ".data")
+    elif kind == "polynomial":
         if not isinstance(data, list) or not data:
             _fail(path + ".data", "expected a non-empty coefficient array")
-        where = path + ".data"
-        coefs = [_num(x, where, i) for i, x in enumerate(data)]
-        return PiecewisePoly.from_global_coefs(a, b, coefs)
-    if kind == "piecewise":
+        for i, x in enumerate(data):
+            _num(x, path + ".data", i)
+    elif kind == "piecewise":
         _check_keys(data, {"breaks", "pieces"}, {"breaks", "pieces"}, path + ".data")
-        return _parse_piecewise(data["breaks"], data["pieces"], a, b, path + ".data")
-    _fail(path + ".kind", f"unknown kind {kind!r} (constant | polynomial | piecewise)")
+        _walk_piecewise(data["breaks"], data["pieces"], a, b, path + ".data")
+    else:
+        _fail(path + ".kind", f"unknown kind {kind!r} (constant | polynomial | piecewise)")
+
+
+def _walk_all(walk, read: list) -> None:
+    """``walk`` over the argument tuples in ``read``, in turn."""
+    for args in read:
+        walk(*args)
+
+
+def _walked(walk, read: list):
+    """:func:`_walk_all` after a batch check of ``read`` failed, so that the
+    walk raises."""
+    _walk_all(walk, read)
+    raise AssertionError("a batch check failed on data the per-entry walk accepts")
+
+
+# ---------------------------------------------------------------------------
+# Batch checks: every number of a file in one pass, the tables built from
+# the result.  Each accepts exactly what the walk above accepts and returns
+# None where the walk raises.
+
+_CONSTANT, _POLYNOMIAL, _PIECEWISE = range(3)
+_DATA_KEYS = {"breaks", "pieces"}
+
+
+def _all_real(types) -> bool:
+    """Whether every type in ``types`` is one :func:`_real` takes."""
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types)
+
+
+def _reals(values: list, types=None):
+    """``values`` as one float array when each is a finite real number,
+    else None."""
+    if not _all_real(set(map(type, values)) if types is None else types):
+        return None
+    try:
+        x = np.array(values, dtype=float)
+    except OverflowError:  # an integer no float holds
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _complexes(values: list):
+    """``values``, each a real number or an ``[re, im]`` pair of them, as one
+    complex array when every number is finite, else None."""
+    types = set(map(type, values))
+    if not any(issubclass(t, list) for t in types):
+        x = _reals(values, types)
+        return None if x is None else x.astype(complex)
+    is_pair = list(map(isinstance, values, repeat(list)))
+    pairs = list(compress(values, is_pair))
+    if set(map(len, pairs)) != {2}:
+        return None
+    parts = _reals(list(chain.from_iterable(pairs)))
+    if parts is None:
+        return None
+    if len(pairs) == len(values):
+        return parts.view(complex)  # [re, im, re, im, ...]: complex(re, im) bit for bit
+    reals = _reals(list(compress(values, map(operator.not_, is_pair))))
+    if reals is None:
+        return None
+    mask = np.array(is_pair)
+    z = np.empty(len(values), dtype=complex)
+    z[mask] = parts.view(complex)
+    z[~mask] = reals
+    return z
+
+
+def _poly_item(entry: dict):
+    """``(kind, breaks, pieces)`` of a {kind, data} record whose structure
+    is sound, else None: a constant is one piece of one entry, a polynomial
+    one piece of global coefficients, and a piecewise record's lists hold
+    one more break than pieces."""
+    kind, data = entry["kind"], entry["data"]
+    if kind == "constant":
+        return _CONSTANT, None, [[data]]
+    if kind == "polynomial":
+        return (_POLYNOMIAL, None, [data]) if isinstance(data, list) and data else None
+    if kind == "piecewise" and isinstance(data, dict) and data.keys() == _DATA_KEYS:
+        return _piecewise_item(data["breaks"], data["pieces"])
+    return None
+
+
+def _piecewise_item(breaks, pieces):
+    if isinstance(breaks, list) and isinstance(pieces, list) and len(pieces) == len(breaks) - 1:
+        return _PIECEWISE, breaks, pieces
+    return None
+
+
+def _tables(items: list, a: np.ndarray, b: np.ndarray):
+    """One piecewise polynomial per item ``(kind, breaks, pieces)`` of
+    :func:`_poly_item` on ``[a[i], b[i]]``, or None when a number or a
+    breakpoint check fails.
+
+    Every coefficient of every item goes through one :func:`_complexes`
+    and every given breakpoint through one :func:`_reals`.  The items'
+    tables are slices of one array, each as wide as its longest piece with
+    shorter pieces zero-padded; a polynomial's global coefficients are
+    re-centred at ``a`` by one batched Taylor shift per width.
+    """
+    if not items:
+        return []
+    kinds = np.array([kind for kind, _, _ in items], dtype=np.intp)
+    rows = list(chain.from_iterable(pieces for _, _, pieces in items))
+    if not rows or not all(issubclass(t, list) for t in set(map(type, rows))):
+        return None
+    lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    npieces = np.fromiter(map(len, (pieces for _, _, pieces in items)), dtype=np.intp,
+                          count=len(items))
+    if lens.min() < 1 or npieces.min() < 1:
+        return None
+    z = _complexes(list(chain.from_iterable(rows)))
+    given = _reals(list(chain.from_iterable(br for kind, br, _ in items if kind == _PIECEWISE)))
+    if z is None or given is None:
+        return None
+
+    # breakpoints: the given ones where there are, [a, b] elsewhere, ends snapped
+    first = np.cumsum(npieces + 1) - npieces - 1
+    last = first + npieces
+    breaks = np.empty(last[-1] + 1)
+    pw = kinds == _PIECEWISE
+    if pw.any():
+        counts = npieces[pw] + 1
+        at = np.repeat(first[pw] - (np.cumsum(counts) - counts), counts) + np.arange(len(given))
+        breaks[at] = given
+        tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(a[pw])), np.abs(b[pw]))
+        off = (np.abs(breaks[first[pw]] - a[pw]) > tol) | (np.abs(breaks[last[pw]] - b[pw]) > tol)
+        if off.any():
+            return None
+    breaks[first], breaks[last] = a, b
+    step = np.diff(breaks)
+    step[first[1:] - 1] = 1.0  # from one item to the next
+    if (step <= 0).any():
+        return None
+
+    # coefficients: each item's pieces padded to its widest, row after row
+    width = np.maximum.reduceat(lens, np.cumsum(npieces) - npieces)
+    padded = np.repeat(width, npieces)
+    if (padded == lens).all():
+        flat = z
+    else:
+        flat = np.zeros(padded.sum(), dtype=complex)
+        flat[np.repeat(np.cumsum(padded - lens) - (padded - lens), lens) + np.arange(len(z))] = z
+    start = np.cumsum(npieces * width) - npieces * width
+    shift = kinds == _POLYNOMIAL
+    for w in np.unique(width[shift]):
+        sel = shift & (width == w)
+        at = start[sel, None] + np.arange(w)
+        flat[at] = _taylor_shift(flat[at], a[sel])
+    return [PiecewisePoly._of(breaks[i : i + p + 1], flat[s : s + p * w].reshape(p, w))
+            for i, s, p, w in zip(first.tolist(), start.tolist(), npieces.tolist(), width.tolist())]
 
 
 def _piecewise_out(p: PiecewisePoly) -> dict:
-    """``{breaks, pieces}`` of a piecewise polynomial, as
-    :func:`_parse_piecewise` reads them back."""
+    """``{breaks, pieces}`` of a piecewise polynomial, as the parser reads
+    them back."""
     return {
         "breaks": [float(x) for x in p.breaks],
         "pieces": [[_num_out(z) for z in cs] for cs in p.coefs],
@@ -147,6 +310,47 @@ def _poly_out(p: PiecewisePoly) -> dict:
         if cs.size == 1:
             return {"kind": "constant", "data": _num_out(cs[0])}
     return {"kind": "piecewise", "data": _piecewise_out(p)}
+
+
+_RECORD_KEYS = {"edge", "family", "k", "kind", "data"}
+_POLY_KEYS = {"kind", "data"}
+
+
+def _coefficient_records(records: list, n: int, tree: Tree) -> tuple:
+    """The ``(family, k, edge)`` keys, the :func:`_poly_item` of every
+    coefficient record, and the walk arguments of each.  A record's own
+    fields are checked as they are read; a bad one is reported after the
+    numbers of the records before it, which the walk checks first."""
+    canon = {eid: j + 1 for j, eid in enumerate(tree.original_ids)}
+    keys, items, read, seen = [], [], [], set()
+
+    def fail(path, msg):
+        _walk_all(_walk_poly_data, read)
+        _fail(path, msg)
+
+    for i, entry in enumerate(records):
+        path = f"config.coefficients[{i}]"
+        if not (isinstance(entry, dict) and entry.keys() == _RECORD_KEYS):
+            _walk_all(_walk_poly_data, read)
+            _check_keys(entry, _RECORD_KEYS, _RECORD_KEYS, path)
+        eid, fam, k = entry["edge"], entry["family"], entry["k"]
+        if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
+            fail(path + ".edge", f"unknown edge id {eid!r}")
+        if fam not in ("b", "c"):
+            fail(path + ".family", f"family must be 'b' or 'c', got {fam!r}")
+        if isinstance(k, bool) or not isinstance(k, int) or not (0 <= k <= n):
+            fail(path + ".k", f"derivative order must lie in 0..{n}, got {k!r}")
+        j = canon[eid]
+        if (fam, k, j) in seen:
+            fail(path, f"duplicate coefficient ({fam}, k={k}, edge={eid})")
+        seen.add((fam, k, j))
+        read.append((entry, 0.0, tree.length(j), path))
+        item = _poly_item(entry)
+        if item is None:
+            _walked(_walk_poly_data, read)
+        keys.append((fam, k, j))
+        items.append(item)
+    return keys, items, read
 
 
 @dataclass(frozen=True)
@@ -220,30 +424,25 @@ class ProblemConfig:
         if tau >= min(length_map.values()):
             _fail("config.delay", "delay must be smaller than every edge length")
 
-        canon = {eid: j + 1 for j, eid in enumerate(tree.original_ids)}
-        b_map, c_map = {}, {}
         if not isinstance(d["coefficients"], list):
             _fail("config.coefficients", "expected a list of coefficient records")
-        for i, entry in enumerate(d["coefficients"]):
-            path = f"config.coefficients[{i}]"
-            _check_keys(entry, {"edge", "family", "k", "kind", "data"},
-                        {"edge", "family", "k", "kind", "data"}, path)
-            eid = entry["edge"]
-            if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
-                _fail(path + ".edge", f"unknown edge id {eid!r}")
-            fam = entry["family"]
-            if fam not in ("b", "c"):
-                _fail(path + ".family", f"family must be 'b' or 'c', got {fam!r}")
-            k = entry["k"]
-            if isinstance(k, bool) or not isinstance(k, int) or not (0 <= k <= n):
-                _fail(path + ".k", f"derivative order must lie in 0..{n}, got {k!r}")
-            j = canon[eid]
-            key = (k, j)
-            target = b_map if fam == "b" else c_map
-            if key in target:
-                _fail(path, f"duplicate coefficient ({fam}, k={k}, edge={eid})")
-            target[key] = _parse_poly_data(entry, 0.0, tree.length(j), path)
-        for eid, j in canon.items():
+        keys, items, read = _coefficient_records(d["coefficients"], n, tree)
+        # the history's numbers join the records' in one batch; its errors
+        # are reported after those of the coefficient set, as they come later
+        history = d["history"]
+        hist = (_poly_item(history) if isinstance(history, dict) and history.keys() == _POLY_KEYS
+                else None)
+        n_rec = len(items)
+        a, b = np.array([(0.0, T) for _, _, T, _ in read] + [(-tau, 0.0)]).T
+        polys = None if hist is None else _tables(items + [hist], a, b)
+        if polys is None:  # a record's error comes first, the history's after the set's
+            hist, polys = None, _tables(items, a[:n_rec], b[:n_rec])
+            if polys is None:
+                _walked(_walk_poly_data, read)
+        b_map, c_map = {}, {}
+        for (fam, k, j), p in zip(keys, polys):
+            (b_map if fam == "b" else c_map)[k, j] = p
+        for j, eid in enumerate(tree.original_ids, start=1):
             if (n, j) not in b_map:
                 _fail("config.coefficients",
                       f"missing mandatory leading coefficient b, k={n}, edge id {eid}")
@@ -252,8 +451,10 @@ class ProblemConfig:
         except Exception as exc:
             _fail("config.coefficients", str(exc))
 
-        _check_keys(d["history"], {"kind", "data"}, {"kind", "data"}, "config.history")
-        history = _parse_poly_data(d["history"], -tau, 0.0, "config.history")
+        if hist is None:
+            _check_keys(history, _POLY_KEYS, _POLY_KEYS, "config.history")
+            _walked(_walk_poly_data, [(history, -tau, 0.0, "config.history")])
+        history = polys[-1]
 
         solver = SolverOptions()
         if "solver" in d:

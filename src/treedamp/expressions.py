@@ -43,11 +43,14 @@ def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None
     ``j``'s at index ``j - 1`` and on ``[0, T_j]``."""
     if len(funcs) != tree.m:
         raise error(f"{what}: one function per edge required, got {len(funcs)} for {tree.m} edges")
-    for j, p in enumerate(funcs, start=1):
-        a0, a1 = p.domain
-        Tj = tree.length(j)
-        if abs(a0) > 1e-12 or abs(a1 - Tj) > 1e-12 * max(1.0, Tj):
-            raise error(f"{what} on edge {j} has domain [{a0}, {a1}], expected [0, {Tj}]")
+    lo = np.fromiter((p.breaks[0] for p in funcs), dtype=float, count=tree.m)
+    hi = np.fromiter((p.breaks[-1] for p in funcs), dtype=float, count=tree.m)
+    T = np.asarray(tree.lengths)
+    bad = np.flatnonzero((np.abs(lo) > 1e-12) | (np.abs(hi - T) > 1e-12 * np.maximum(1.0, T)))
+    if bad.size:
+        j = int(bad[0]) + 1
+        a0, a1 = funcs[j - 1].domain
+        raise error(f"{what} on edge {j} has domain [{a0}, {a1}], expected [0, {tree.length(j)}]")
 
 
 class _Families(NamedTuple):
@@ -182,7 +185,7 @@ class CoefficientSet:
         def promote(val, j):
             if isinstance(val, PiecewisePoly):
                 return val
-            return PiecewisePoly.constant(0.0, tree.length(j), complex(val))
+            return PiecewisePoly._of(np.array([0.0, tree.length(j)]), np.full((1, 1), complex(val)))
 
         def table(src):
             return tuple(tuple(promote(src.get((k, j), 0.0), j) for j in range(1, tree.m + 1))

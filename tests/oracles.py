@@ -8,7 +8,9 @@ chains of per-edge operations, the coefficient breaks the mesh must keep,
 coefficient by coefficient, the energy and its polarisation straight from
 ``L y``, the dense Gram system and its minimal energy, the first variation
 through the re-indexed weights, the generic quasi-derivative recursion,
-membership in the perturbation space from one-sided limits.
+membership in the perturbation space from one-sided limits; and the file
+formats entry by entry and edge by edge: a piecewise record parsed one
+number at a time, and the CSV sampled one edge at a time.
 
 The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
 :class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
@@ -517,3 +519,40 @@ def energy_dominance_check(sol, trials: int = 100, seed: int = 0) -> dict:
             worst, worst_scale = margin, scale
     return {"min_margin": float(worst), "scale": float(worst_scale),
             "ok": bool(worst >= -1e-10 * worst_scale), "trials": trials}
+
+
+def parse_piecewise(breaks, pieces, a: float, b: float) -> PiecewisePoly:
+    """A piecewise record built entry by entry, as the exchange format
+    defines it: every real ``x`` is ``complex(x, 0.0)``, every ``[re, im]``
+    pair ``complex(re, im)``, the end breakpoints snap onto ``a`` and ``b``,
+    and the public constructor pads ragged pieces."""
+    breaks = [float(x) for x in breaks]
+    breaks[0], breaks[-1] = a, b
+    def num(x):
+        return complex(float(x[0]), float(x[1])) if isinstance(x, list) else complex(float(x), 0.0)
+    return PiecewisePoly(np.array(breaks), [np.array([num(x) for x in piece]) for piece in pieces])
+
+
+def sample_times(p, per_piece: int = 4) -> np.ndarray:
+    """Piece endpoints plus equispaced interior points, sorted, each time
+    once."""
+    h = np.diff(p.breaks)[:, None]
+    inner = p.breaks[:-1, None] + h * np.arange(1, per_piece) / per_piece
+    return np.unique(np.concatenate([p.breaks, inner.ravel()]))
+
+
+def write_csv(path, edge_ids, funcs, names: list) -> None:
+    """The CSV of ``treedamp.cli`` written edge by edge: every edge's
+    :func:`sample_times` evaluated by :meth:`PiecewisePoly.values`, one
+    ``%.17g`` row per time."""
+    header = ["edge", "t"] + [f"{part}_{name}" for name in names for part in ("re", "im")]
+    lines = [",".join(header)]
+    for eid, p in zip(edge_ids, funcs):
+        times = sample_times(p)
+        cols = [times]
+        for k in range(len(names)):
+            v = p.values(times, k)
+            cols += [v.real, v.imag]
+        row_fmt = f"{eid}," + ",".join(["%.17g"] * len(cols))
+        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
+    path.write_text("\n".join(lines) + "\n")

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedamp.config import ConfigError, ProblemConfig, SolverOptions, _num, _num_out
-from treedamp.cli import _control_from_file, _control_to_dict, _write_csv, main
+from treedamp.cli import _control_from_file, _control_to_dict, _write_csv, _write_rows, main
 from treedamp.damping import IndefiniteGramError, solve_damping
+from treedamp.piecewise import PiecewisePoly
 
 import oracles
 
@@ -470,6 +472,55 @@ def _set_edge(**fields):
     pytest.param("config", lambda d: d.update(history={"kind": "piecewise",
                                                        "data": {"breaks": 5, "pieces": []}}),
                  "config.history.data.breaks: expected a list", id="breaks-not-list"),
+    # the cases below reach the whole-file batch checks, which hand every
+    # failure to the per-entry walk for its message
+    pytest.param("control", _set_edge(breaks=[0.0, True, 3.0]),
+                 "control.edges[0].breaks[1]: expected a real number, got True", id="true-break"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [1.0, True]]),
+                 "control.edges[0].pieces[1][1]: expected a real number, got True", id="true-piece"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [[1.0, True]]]),
+                 "control.edges[0].pieces[1][0][1]: expected a real number, got True",
+                 id="true-in-pair"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [float("nan")]]),
+                 "control.edges[0].pieces[1][0]: number must be finite", id="nan-token"),
+    pytest.param("control", _set_edge(breaks=[0.0, float("inf"), 3.0]),
+                 "control.edges[0].breaks[1]: number must be finite", id="infinity-token"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [[1.0, -float("inf")]]]),
+                 "control.edges[0].pieces[1][0][1]: number must be finite", id="infinity-in-pair"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [[1.0]]]),
+                 "control.edges[0].pieces[1][0]: complex value must be a two-element",
+                 id="short-pair"),
+    pytest.param("control", _set_edge(pieces=[[[0.5, 0.0], 1.0, [1.0, 2.0, 3.0]], [0.0]]),
+                 "control.edges[0].pieces[0][2]: complex value must be a two-element",
+                 id="long-pair"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [None]]),
+                 "control.edges[0].pieces[1][0]: expected a real number, got None", id="null-piece"),
+    pytest.param("control", _set_edge(breaks=[0.0, None, 3.0]),
+                 "control.edges[0].breaks[1]: expected a real number, got None", id="null-break"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [[[1.0, 2.0], 3.0]]]),
+                 "control.edges[0].pieces[1][0][0]: expected a real number, got [1.0, 2.0]",
+                 id="pair-in-pair"),
+    pytest.param("control", _set_edge(breaks=[0.0, 1.5, 1.5, 3.0], pieces=[[0.0]] * 3),
+                 "control.edges[0]: breakpoints must be strictly increasing", id="repeated-break"),
+    pytest.param("control", lambda d: d["edges"].extend([dict(d["edges"][0], id=7)])
+                 or d["edges"][0].update(pieces=[[0.0], [True]]),
+                 "control.edges[0].pieces[1][0]: expected a real number, got True",
+                 id="bad-number-before-bad-id"),
+    pytest.param("config", lambda d: d.update(history={"kind": "polynomial", "data": [1.0, True]}),
+                 "config.history.data[1]: expected a real number, got True", id="true-history"),
+    pytest.param("config", lambda d: d["coefficients"][0].update(data=float("nan")),
+                 "config.coefficients[0].data: number must be finite", id="nan-coefficient"),
+    pytest.param("config", lambda d: d["coefficients"].append(
+                     {"edge": 1, "family": "c", "k": 0, "kind": "polynomial", "data": [[0.1]]}),
+                 "config.coefficients[1].data[0]: complex value must be a two-element",
+                 id="short-pair-coefficient"),
+    pytest.param("config", lambda d: d["coefficients"][0].update(data=None)
+                 or d["coefficients"].append(dict(d["coefficients"][0], family="x")),
+                 "config.coefficients[0].data: expected a real number, got None",
+                 id="bad-number-before-bad-family"),
+    pytest.param("config", lambda d: d.update(history={"kind": "constant", "data": True})
+                 or d["coefficients"][0].update(data=0.0),
+                 "leading coefficient b_1 on edge 1 reaches", id="coefficient-set-before-history"),
 ])
 def test_cli_rejects_malformed_piecewise_input(tmp_path, capsys, target, mutate, fragment):
     files = {
@@ -483,6 +534,129 @@ def test_cli_rejects_malformed_piecewise_input(tmp_path, capsys, target, mutate,
                  "--control", str(tmp_path / "control.json"), "--out", str(tmp_path / "out")])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+_HUGE = 10**400  # a JSON integer no float holds
+
+
+@pytest.mark.parametrize("target, mutate, fragment", [
+    pytest.param("config", lambda d: d.update(delay=_HUGE), "config.delay", id="delay"),
+    pytest.param("config", lambda d: d["edges"][0].update(length=_HUGE), "config.edges[0].length",
+                 id="length"),
+    pytest.param("config", lambda d: d["coefficients"][0].update(data=[1.0, _HUGE]),
+                 "config.coefficients[0].data[1]", id="coefficient"),
+    pytest.param("config", lambda d: d.update(history={"kind": "polynomial", "data": [1.0, _HUGE]}),
+                 "config.history.data[1]", id="history"),
+    pytest.param("config", lambda d: d.update(history={"kind": "piecewise", "data": {
+                     "breaks": [-1.0, _HUGE, 0.0], "pieces": [[1.0], [1.0]]}}),
+                 "config.history.data.breaks[1]", id="history-break"),
+    pytest.param("config", lambda d: d.update(solver={"tolerance": _HUGE}),
+                 "config.solver.tolerance", id="tolerance"),
+    pytest.param("control", _set_edge(pieces=[[0.0], [1.0, _HUGE]]),
+                 "control.edges[0].pieces[1][1]", id="control-piece"),
+    pytest.param("control", _set_edge(breaks=[0.0, _HUGE, 3.0]), "control.edges[0].breaks[1]",
+                 id="control-break"),
+])
+def test_cli_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, target, mutate, fragment):
+    files = {
+        "config": _minimal_dict(),
+        "control": {"edges": [{"id": 1, "breaks": [0.0, 1.5, 3.0], "pieces": [[0.0], [1.0, 0.5]]}]},
+    }
+    mutate(files[target])
+    for name, d in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    for command in (["simulate", "--control", str(tmp_path / "control.json")], ["damp"]):
+        if target == "control" and command == ["damp"]:
+            continue
+        code = main(command + ["--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{fragment}: number is too large for a float" in capsys.readouterr().err
+
+
+_TREE = {"order": 1, "delay": 0.5,
+         "edges": [{"id": 1, "parent": 0, "length": 3.0}, {"id": 2, "parent": 1, "length": 2.5},
+                   {"id": 3, "parent": 1, "length": 2.0}]}
+_LENGTHS = {1: 3.0, 2: 2.5, 3: 2.0}
+
+_real_entries = st.one_of(st.floats(-1e6, 1e6), st.integers(-10**6, 10**6))
+_entries = st.one_of(_real_entries, st.lists(_real_entries, min_size=2, max_size=2))
+
+
+@st.composite
+def _piecewise_record(draw, a, b):
+    """Breaks spanning [a, b] up to the snap tolerance, and pieces of mixed
+    reals and [re, im] pairs, of different lengths."""
+    inner = draw(st.lists(st.floats(a, b), max_size=4, unique=True))
+    ends = draw(st.lists(st.floats(-1e-10, 1e-10), min_size=2, max_size=2))
+    breaks = [a + ends[0]] + sorted(x for x in inner if a < x < b) + [b + ends[1]]
+    pieces = draw(st.lists(st.lists(_entries, min_size=1, max_size=4),
+                           min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return breaks, pieces
+
+
+def _assert_bitwise(got, want):
+    assert got.breaks.tobytes() == want.breaks.tobytes()
+    assert got.coefs.shape == want.coefs.shape and got.coefs.dtype == want.coefs.dtype
+    assert got.coefs.tobytes() == want.coefs.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.tuples(*(_piecewise_record(0.0, T) for T in _LENGTHS.values())),
+       order=st.permutations([1, 2, 3]))
+def test_control_parse_matches_the_per_entry_reference(tmp_path_factory, records, order):
+    # mixed real and pair entries, ragged pieces, edges in any order: every
+    # table is bitwise the one the entries give one at a time
+    cfg = ProblemConfig.from_dict(dict(_TREE, coefficients=[
+        {"edge": e, "family": "b", "k": 1, "kind": "constant", "data": 1.0} for e in _LENGTHS],
+        history={"kind": "constant", "data": 1.0}))
+    path = tmp_path_factory.mktemp("control") / "control.json"
+    path.write_text(json.dumps({"edges": [
+        {"id": eid, "breaks": records[eid - 1][0], "pieces": records[eid - 1][1]} for eid in order]}))
+    back = _control_from_file(path, cfg)
+    for j, eid in enumerate(cfg.edge_ids, start=1):
+        _assert_bitwise(back[j - 1], oracles.parse_piecewise(*records[eid - 1], 0.0, _LENGTHS[eid]))
+
+
+@st.composite
+def _poly_record(draw, a, b):
+    kind = draw(st.sampled_from(["constant", "polynomial", "piecewise"]))
+    if kind == "constant":
+        return {"kind": kind, "data": draw(_entries)}
+    if kind == "polynomial":
+        return {"kind": kind, "data": draw(st.lists(_entries, min_size=1, max_size=4))}
+    breaks, pieces = draw(_piecewise_record(a, b))
+    return {"kind": kind, "data": {"breaks": breaks, "pieces": pieces}}
+
+
+def _reference_poly(record, a, b):
+    def num(x):
+        return complex(float(x[0]), float(x[1])) if isinstance(x, list) else complex(float(x), 0.0)
+    kind, data = record["kind"], record["data"]
+    if kind == "constant":
+        return PiecewisePoly.constant(a, b, num(data))
+    if kind == "polynomial":
+        return PiecewisePoly.from_global_coefs(a, b, [num(x) for x in data])
+    return oracles.parse_piecewise(data["breaks"], data["pieces"], a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_tables_match_the_per_entry_reference(data):
+    # every coefficient record and the history, each kind, built in one
+    # batch: bitwise the polynomials the entries give one record at a time
+    records = [{"edge": e, "family": "b", "k": 1, "kind": "constant", "data": 1.0} for e in _LENGTHS]
+    for e, T in _LENGTHS.items():
+        for fam, k in (("b", 0), ("c", 0), ("c", 1)):
+            if data.draw(st.booleans()):
+                records.append({"edge": e, "family": fam, "k": k, **data.draw(_poly_record(0.0, T))})
+    history = data.draw(_poly_record(-0.5, 0.0))
+    cfg = ProblemConfig.from_dict(dict(_TREE, coefficients=records, history=history))
+    _assert_bitwise(cfg.history, _reference_poly(history, -0.5, 0.0))
+    for r in records:
+        j = cfg.edge_ids.index(r["edge"]) + 1
+        got = (cfg.coeffs.b if r["family"] == "b" else cfg.coeffs.c)[r["k"]][j - 1]
+        _assert_bitwise(got, _reference_poly(r, 0.0, _LENGTHS[r["edge"]]))
 
 
 @pytest.mark.parametrize("eid", [True, 1.0])
@@ -616,27 +790,16 @@ def test_trajectory_csv_floats_round_trip(tmp_path):
     assert checked > 10
 
 
-class _FixedSamples:
-    """A stand-in edge function on [0, 1] whose samples are chosen floats."""
-
-    breaks = np.array([0.0, 1.0])
-    table = (
-        np.array([complex(-0.0, 5e-324), complex(3.0, -0.0), complex(1 / 3, 1e300),
-                  complex(-2.5e-310, -7.0), complex(0.1 * 3, 2.0**53)]),
-        np.arange(1.0, 6.0) + 0j,
-    )
-
-    def values(self, ts, k):
-        assert list(ts) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        return self.table[k]
-
-
 def test_trajectory_csv_bytes_are_pinned(tmp_path):
     # 17 significant digits with trailing zeros dropped: negative zero keeps
     # its sign, a subnormal and 1e300 keep every digit, an integral float
-    # has no decimal point
-    cfg = SimpleNamespace(edge_ids=(7,))
-    _write_csv(tmp_path / "trajectory.csv", cfg, [_FixedSamples()], ["y0", "y1"])
+    # has no decimal point; the rows are chosen floats, fed to the layer
+    # that formats the sampled values
+    y0 = np.array([complex(-0.0, 5e-324), complex(3.0, -0.0), complex(1 / 3, 1e300),
+                   complex(-2.5e-310, -7.0), complex(0.1 * 3, 2.0**53)])
+    y1 = np.arange(1.0, 6.0) + 0j
+    rows = np.column_stack([[0.0, 0.25, 0.5, 0.75, 1.0], y0.real, y0.imag, y1.real, y1.imag])
+    _write_rows(tmp_path / "trajectory.csv", (7,), [5], rows, ["y0", "y1"])
     assert (tmp_path / "trajectory.csv").read_bytes() == (
         b"edge,t,re_y0,im_y0,re_y1,im_y1\n"
         b"7,0,-0,4.9406564584124654e-324,1,0\n"
@@ -645,3 +808,35 @@ def test_trajectory_csv_bytes_are_pinned(tmp_path):
         b"7,0.75,-2.5000000000000171e-310,-7,4,0\n"
         b"7,1,0.30000000000000004,9007199254740992,5,0\n"
     )
+
+
+@st.composite
+def _edge_function(draw):
+    """A piecewise polynomial on [0, T] with cells of every scale: some
+    1e-11 wide and some a few ulps wide, where an interior sample can round
+    onto the next break."""
+    T = draw(st.sampled_from([2.0, 3.0, 1e5]))
+    pts = set(draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True), max_size=4)))
+    for x in draw(st.lists(st.floats(0.5, T - 0.5), max_size=2)):
+        pts.add(x)
+        pts.add(x + 1e-11)
+        pts.add(x + draw(st.integers(1, 3)) * np.spacing(x))
+    breaks = np.array([0.0] + sorted(p for p in pts if 0.0 < p < T) + [T])
+    width = draw(st.integers(1, 4))
+    coefs = draw(st.lists(st.lists(st.complex_numbers(max_magnitude=1e3), min_size=width,
+                                   max_size=width),
+                          min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return PiecewisePoly(breaks, coefs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(funcs=st.lists(_edge_function(), min_size=1, max_size=4), nderiv=st.integers(1, 3))
+def test_csv_bytes_equal_the_per_edge_oracle(tmp_path_factory, funcs, nderiv):
+    # edges of different widths, sampled from one table, write the bytes of
+    # the edge-by-edge sampler
+    names = [f"y{k}" for k in range(nderiv)]
+    edge_ids = tuple(range(3, 3 + len(funcs)))
+    out = tmp_path_factory.mktemp("csv")
+    _write_csv(out / "table.csv", SimpleNamespace(edge_ids=edge_ids), funcs, names)
+    oracles.write_csv(out / "oracle.csv", edge_ids, funcs, names)
+    assert (out / "table.csv").read_bytes() == (out / "oracle.csv").read_bytes()
