@@ -6,28 +6,28 @@ part of the same edge that lies at least one delay span in the past.  Edges
 in canonical order always have their parent finished first, and each edge
 starts from the state (derivatives ``0..n-1``) its parent ended with.
 
-Each element is integrated by collocation: the restriction of the solution
-is one polynomial matched to the running state at the left end and to the
-differential relation at ``max(3, n + 1)`` interior Gauss points, so its
-local degree ``n + max(3, n + 1) - 1`` is at least ``2n``.  Polynomial data
-of at most that degree is reproduced exactly.  The trajectories of ``damp``
-are Hermite polynomials of degree ``2n - 1`` on the same elements, which is
-what makes control round trips (damp, then resimulate) reproduce the
-variational trajectory to roundoff.
+Each element is integrated by collocation (Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations*, 2003): the solution there is one
+polynomial matched to the running state at the left end and to the relation
+at ``g = max(3, n + 1)`` interior Gauss points, of local degree at least
+``2n``, so the degree-``(2n - 1)`` trajectories of ``damp`` on the same
+elements re-simulate to roundoff (control round trips).
 
-The work is batched per edge.  Every element's collocation matrix depends
-only on the element, so one ``(elements, deg, deg)`` stack is built and
-inverted at once (then refined twice), which splits each element's
-coefficients into ``x_e = P_e state + Q_e rhs_e``.  The edge is then swept
-in delay windows: the greedy runs of elements, each starting at a node
-``x_a`` and holding the elements whose right ends lie within ``x_a + tau``.
-Every read at ``t - tau`` inside a window lands before ``x_a``, in the
-history, the parent's tail or a finished window, whether or not the mesh
-has nodes at multiples of ``tau``; so the window's right sides are one
-gather and one batched product.  What stays element by element is the
-``n``-vector state chain, ``state <- B_e x_e = (B P)_e state + (B Q)_e
-rhs_e`` with ``B_e`` the end derivatives.  Elements wider than the delay
-are rejected, since their reads would reach the element itself.
+Every element-local step runs once over the tree's element table.  The
+collocation matrix is ``[[D, 0], [C1, C2]]``, ``D = diag(k!/h^k)`` the state
+rows, so only the ``(elements, g, g)`` stack ``C2`` is inverted (and refined
+twice) to split each element's coefficients into ``x_e = P_e state + Q_e
+rhs_e``.  The right-hand sides (the control, less the history's delayed
+terms) and the rows of the other delayed reads come from one lookup each: a
+read before the edge or in its first delay window lands in the parent's
+element holding ``s + T_parent``, any other one in an earlier element of the
+edge.  Per edge there remains the sweep of delay windows, the greedy runs of
+elements each starting at a node ``x_a`` and ending within ``x_a + tau``:
+every read in a window lands in a finished element, so the window is one
+gather from the tree's coefficient table and a few batched products, and
+inside it the ``n``-vector state chain ``state <- (B P)_e state + (B Q)_e
+rhs_e``, ``B_e`` the end derivatives.  Elements wider than the delay are
+rejected, since their reads would reach the element itself.
 """
 
 from __future__ import annotations
@@ -36,112 +36,112 @@ import math
 
 import numpy as np
 
-from .expressions import CoefficientSet, TreeFunction, check_edge_functions, operator_components
+from .expressions import (CoefficientSet, TreeFunction, check_edge_functions, check_edge_spans,
+                          operator_components)
 from .meshing import DelayMesh, MeshError, check_history
-from .piecewise import EdgePieces, PiecewisePoly, derivative_powers
+from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers
 from .trees import Tree
 
 
-def solve_cauchy(
-    tree: Tree,
-    coeffs: CoefficientSet,
-    phi: PiecewisePoly,
-    control: tuple,
-    mesh: DelayMesh,
-) -> TreeFunction:
+def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control: tuple,
+                 mesh: DelayMesh) -> TreeFunction:
     """Integrate the controlled system forward from the history ``phi``.
 
     ``control`` holds the input on edge ``j``, a function on ``[0, T_j]``,
     at index ``j - 1``.  ``mesh`` supplies the element partition of every
-    edge; an element wider than the delay raises :class:`MeshError`, since
-    its delayed reads would reach the element itself, and so does a history
-    that does not live on ``[-tau, 0]``.
+    edge, one node array per edge spanning ``[0, T_j]``; an element wider
+    than the delay raises :class:`MeshError`, since its delayed reads would
+    reach the element itself, and so do a mesh that does not match the tree
+    and a history that does not live on ``[-tau, 0]``.
     """
     check_edge_functions(tree, control, "control")
-    n = coeffs.n
-    tau = coeffs.tau
+    check_edge_spans(tree, mesh.nodes, "mesh", MeshError, "node array")
+    n, tau = coeffs.n, coeffs.tau
     check_history(phi, tau)
     reach = tau * (1 + 1e-9)  # the slack DelayMesh.check allows
     if mesh.max_width() > reach:
         raise MeshError(f"element width {mesh.max_width()} exceeds the delay {tau}")
-    # Gauss points per element: the local degree n + g - 1 is then at least
-    # 2n, above the degree 2n - 1 of the trajectories damp computes
-    g = max(3, n + 1)
-    deg = n + g  # local coefficients per element
-    gauss, _ = np.polynomial.legendre.leggauss(g)
-    sigma = 0.5 * (gauss + 1.0)  # collocation abscissae on [0, 1]
-    # derivatives 0..n-1 of the powers of sigma at the element ends, 0..n at the abscissae
-    ends = np.array([derivative_powers([0.0, 1.0], k, deg) for k in range(n)])
-    at0, at1 = ends[:, 0], ends[:, 1]
-    at_gauss = [derivative_powers(sigma, k, deg) for k in range(n + 1)]
+    g = max(3, n + 1)  # Gauss points per element
+    deg = n + g  # local coefficients per element, in powers of sigma = (t - left)/h
+    sigma = 0.5 * (np.polynomial.legendre.leggauss(g)[0] + 1.0)
+    at1 = np.array([derivative_powers([1.0], k, deg)[0] for k in range(n)])  # k < n, at 1
+    at_gauss = np.array([derivative_powers(sigma, k, deg) for k in range(n + 1)])  # at sigma
+    fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
 
-    # every edge's collocation points, and every coefficient on them in one read
-    elements = EdgePieces(np.concatenate(mesh.nodes),
-                          np.cumsum([0] + [len(xs) - 1 for xs in mesh.nodes]))
-    t_all = elements.left[:, None] + elements.h[:, None] * sigma
-    values = coeffs.values(elements.edge.repeat(g), t_all.ravel()).reshape(-1, *t_all.shape)
+    # the tree's elements, their collocation points and every coefficient there
+    nodes = np.concatenate(mesh.nodes)
+    el = EdgePieces(nodes, np.cumsum([0] + [len(xs) - 1 for xs in mesh.nodes]))
+    E, rows = len(el.edge), np.arange(len(el.edge))
+    t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
+    values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
+    inv_h = el.h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
+    # the window from row a holds rows a..stop[a]-1: right ends within left[a] + reach
+    reach_to = el.left + reach
+    r = _find(el.edge, el.left, el.edge, reach_to)
+    end = el.offsets[1:][el.edge]
+    stop = np.maximum(r + ((r == end - 1) & (nodes[end + el.edge] <= reach_to)), rows + 1)
 
-    comps = []
-    exits = []  # each edge's state at its far end
+    # reads before the edge or in its first window go to the history (root) or
+    # to the parent's element holding s + T_parent, the rest to the edge's own
+    par = np.asarray(tree.parent)[el.edge]
+    s = t - tau
+    before = (s < 0.0) | (rows < stop[el.offsets[:-1]][el.edge])[:, None]
+    up, hist = before & (par > 0)[:, None], before & (par == 0)[:, None]
+    s_at = s + np.where(up, np.asarray(tree.lengths)[par - 1, None], 0.0)
+    src = _find(el.edge, el.left, np.where(up, par[:, None] - 1, el.edge[:, None]).ravel(),
+                s_at.ravel()).reshape(E, g)
+    z = np.empty((E, deg), dtype=complex)  # per element: the entering state, then the rhs
+    rhs = z[:, n:]
+    cp, ctab = EdgePieces.of(control)
+    at = _find(cp.edge, cp.left, el.edge.repeat(g), t.ravel())
+    rhs[:] = _poly_val(ctab[at], t.ravel() - cp.left[at]).reshape(E, g)
+    del cp, ctab, at
+    for k in np.flatnonzero(coeffs.present[n + 1 :, 0]):
+        rhs[hist] -= values[n + 1 + k][hist] * phi.values(s[hist], k)
+    values[n + 1 :, hist] = 0.0
+    dx = (s_at - el.left[src]).ravel()
+    read = np.zeros((E, g, deg), dtype=complex)  # sum of c_k d^k/dt^k at s_at in element src
+    for k in np.flatnonzero(coeffs.present[n + 1 :].any(axis=1)):
+        dk = derivative_powers(dx, k, deg).reshape(E, g, deg)
+        read.real += values[n + 1 + k].real[..., None] * dk  # real parts: no complex copy of dk
+        read.imag += values[n + 1 + k].imag[..., None] * dk
+    # the collocation rows [C1, C2] of [[D, 0], [C1, C2]], D = diag(k!/h^k) the state rows
+    values[: n + 1] *= inv_h.T[: n + 1, :, None]
+    C1 = np.einsum("kep,kpi->epi", values[: n + 1], at_gauss[..., :n])
+    C2 = np.einsum("kep,kpi->epi", values[: n + 1], at_gauss[..., n:])
+    del values, t, s, s_at, dx
+
+    inv = np.linalg.solve(C2, np.eye(g))
+    for _ in range(2):  # refine: the state chain amplifies the inverse's error
+        inv += inv @ (np.eye(g) - C2 @ inv)
+    d_inv = el.h[:, None] ** np.arange(n) / fact  # D^-1
+    K = np.empty((E, g, deg), dtype=complex)  # x_e[n:] = K_e z_e = P_e state + Q_e rhs_e
+    K[..., n:] = inv
+    K[..., :n] = -(inv @ (C1 * d_inv[:, None]))
+    del C1, C2, inv
+    B = at1 * inv_h[:, :n, None]  # the end state is B_e x_e
+    BP = B[..., :n] * d_inv[:, None] + B[..., n:] @ K[..., :n]
+    BQ = B[..., n:] @ K[..., n:]
+    K *= inv_h[:, n:, None]  # onto powers of t - left
+
+    coef = np.zeros((E, deg), dtype=complex)  # powers of t - left
+    exits = [np.array([phi.left_limit(0.0, k) for k in range(n)])]  # state at each edge's end
+    stop, offsets = stop.tolist(), el.offsets.tolist()
     for j in range(1, tree.m + 1):
-        xs = mesh.nodes[j - 1]
-        h = np.diff(xs)
-        E = len(h)
-        at = slice(elements.offsets[j - 1], elements.offsets[j])
-        t, b, c = t_all[at], values[: n + 1, at], values[n + 1 :, at]  # t: (E, g)
-        inv_h = h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
-        # delayed reads before the edge starts go to the history or the parent's tail
-        if j == 1:
-            past, shift = phi, 0.0
-            state = np.array([phi.left_limit(0.0, k) for k in range(n)])
-        else:
-            p = tree.parent_of(j)
-            past, shift, state = comps[p - 1], tree.length(p), exits[p - 1]
-
-        # every element's collocation matrix: state rows, then the relation at the abscissae
-        A = np.zeros((E, deg, deg), dtype=complex)
-        A[:, :n] = at0 * inv_h[:, :n, None]
-        for k in np.flatnonzero(coeffs.present[: n + 1, j - 1]):
-            A[:, n:] += (b[k] * inv_h[:, k, None])[..., None] * at_gauss[k]
-        inv = np.linalg.solve(A, np.eye(deg))
-        for _ in range(2):  # refine: the state chain amplifies the inverse's error
-            inv += np.einsum("eij,ejk->eik", inv, np.eye(deg) - np.einsum("eij,ejk->eik", A, inv))
-        P, Q = inv[..., :n], inv[..., n:]  # x_e = P_e state + Q_e rhs_e
-        BI = np.einsum("eij,ejk->eik", at1 * inv_h[:, :n, None], inv)  # the end state is B_e x_e
-        BP, BQ = BI[..., :n], BI[..., n:]
-
-        # the window starting at node a ends at node last[a]
-        last = np.maximum(np.searchsorted(xs, xs[:-1] + reach, side="right") - 1,
-                          np.arange(1, E + 1))
-        rhs = control[j - 1].values(t)
-        s = t - tau
-        before = s < 0.0
-        before[: last[0]] = True  # the first window reads only the past
-        src = np.maximum(np.searchsorted(xs, s, side="right") - 1, 0)
-        read = np.zeros((E, g, deg), dtype=complex)  # sum of c_k d^k/dt^k at t - tau in element src
-        for k in np.flatnonzero(coeffs.present[n + 1 :, j - 1]):
-            rhs[before] -= c[k][before] * past.values(s[before] + shift, k)
-            dk = derivative_powers((s - xs[src]).ravel(), k, deg).reshape(E, g, deg)
-            read += np.where(before, 0.0, c[k])[..., None] * dk
-
-        coef = np.zeros((E, deg), dtype=complex)  # powers of t - xs[e]
-        states = np.empty((E, n), dtype=complex)  # the state entering each element
-        a = 0
-        while a < E:
-            w = slice(a, last[a])
+        state, a = exits[tree.parent_of(j)], offsets[j - 1]
+        while a < offsets[j]:
+            w = slice(a, stop[a])
             if a:
                 rhs[w] -= np.einsum("epi,epi->ep", read[w], coef[np.minimum(src[w], a - 1)])
             carry = np.einsum("eij,ej->ei", BQ[w], rhs[w])
-            for e in range(a, last[a]):
-                states[e] = state
+            for e in range(a, stop[a]):
+                z[e, :n] = state
                 state = BP[e] @ state + carry[e - a]
-            x = np.einsum("eij,ej->ei", P[w], states[w]) + np.einsum("eij,ej->ei", Q[w], rhs[w])
-            coef[w] = x * inv_h[w]
-            a = last[a]
-        comps.append(PiecewisePoly._of(xs, coef))
+            coef[w, :n] = z[w, :n] / fact
+            coef[w, n:] = np.einsum("eij,ej->ei", K[w], z[w])
+            a = stop[a]
         exits.append(state)
-
-    return TreeFunction(tree, n, tuple(comps), phi)
+    return TreeFunction(tree, n, tuple(el.views(coef)), phi)
 
 
 def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:

@@ -41,16 +41,23 @@ class CoefficientError(ValueError):
 def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None:
     """Raise ``error`` unless ``funcs`` holds one function per edge, edge
     ``j``'s at index ``j - 1`` and on ``[0, T_j]``."""
-    if len(funcs) != tree.m:
-        raise error(f"{what}: one function per edge required, got {len(funcs)} for {tree.m} edges")
-    lo = np.fromiter((p.breaks[0] for p in funcs), dtype=float, count=tree.m)
-    hi = np.fromiter((p.breaks[-1] for p in funcs), dtype=float, count=tree.m)
+    check_edge_spans(tree, [p.breaks for p in funcs], what, error)
+
+
+def check_edge_spans(tree: Tree, points, what: str, error=ValueError, item="function") -> None:
+    """Raise ``error`` unless ``points`` holds one sorted array per edge
+    (the breaks of an ``item``), edge ``j``'s at index ``j - 1`` and running
+    from 0 to ``T_j`` to the break tolerance."""
+    if len(points) != tree.m:
+        raise error(f"{what}: one {item} per edge required, got {len(points)} for {tree.m} edges")
+    lo = np.fromiter((p[0] for p in points), dtype=float, count=tree.m)
+    hi = np.fromiter((p[-1] for p in points), dtype=float, count=tree.m)
     T = np.asarray(tree.lengths)
     bad = np.flatnonzero((np.abs(lo) > 1e-12) | (np.abs(hi - T) > 1e-12 * np.maximum(1.0, T)))
     if bad.size:
         j = int(bad[0]) + 1
-        a0, a1 = funcs[j - 1].domain
-        raise error(f"{what} on edge {j} has domain [{a0}, {a1}], expected [0, {tree.length(j)}]")
+        raise error(f"{what} on edge {j} has domain [{lo[j - 1]}, {hi[j - 1]}], "
+                    f"expected [0, {tree.length(j)}]")
 
 
 class _Families(NamedTuple):

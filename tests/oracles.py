@@ -10,7 +10,10 @@ coefficient by coefficient, the energy and its polarisation straight from
 through the re-indexed weights, the generic quasi-derivative recursion,
 membership in the perturbation space from one-sided limits; and the file
 formats entry by entry and edge by edge: a piecewise record parsed one
-number at a time, and the CSV sampled one edge at a time.
+number at a time, and the CSV sampled one edge at a time.  The forward
+simulation is the one route that is not exact: the package's collocation,
+with one collocation stack and one delay-window sweep per edge instead of
+the whole tree's element table.
 
 The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
 :class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
@@ -27,9 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from treedamp.expressions import TreeFunction
-from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, PiecewisePoly, _abs_extremes, _convolve,
-                                _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
-                                merge_breaks)
+from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes,
+                                _convolve, _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
+                                derivative_powers, merge_breaks)
 
 
 class Poly(PiecewisePoly):
@@ -481,6 +484,96 @@ def interpolate(basis, y) -> np.ndarray:
 def trajectory_distance(y, z) -> float:
     """L2 distance between two trajectories over the tree."""
     return math.sqrt(sum((poly(a) - b).l2_norm_sq() for a, b in zip(y.components, z.components)))
+
+
+def solve_cauchy(tree, coeffs, phi, control, mesh) -> TreeFunction:
+    """Forward simulation edge by edge, the reference for
+    :func:`treedamp.cauchy.solve_cauchy`: per edge, one inverted ``(elements,
+    deg, deg)`` collocation stack (refined twice), delayed reads before the
+    edge or in its first delay window evaluated on the history or on the
+    parent's finished component, and a sweep of the edge's delay windows
+    with the ``n``-vector state chain element by element."""
+    n = coeffs.n
+    tau = coeffs.tau
+    reach = tau * (1 + 1e-9)
+    # Gauss points per element: the local degree n + g - 1 is then at least
+    # 2n, above the degree 2n - 1 of the trajectories damp computes
+    g = max(3, n + 1)
+    deg = n + g  # local coefficients per element
+    gauss, _ = np.polynomial.legendre.leggauss(g)
+    sigma = 0.5 * (gauss + 1.0)  # collocation abscissae on [0, 1]
+    # derivatives 0..n-1 of the powers of sigma at the element ends, 0..n at the abscissae
+    ends = np.array([derivative_powers([0.0, 1.0], k, deg) for k in range(n)])
+    at0, at1 = ends[:, 0], ends[:, 1]
+    at_gauss = [derivative_powers(sigma, k, deg) for k in range(n + 1)]
+
+    # every edge's collocation points, and every coefficient on them in one read
+    elements = EdgePieces(np.concatenate(mesh.nodes),
+                          np.cumsum([0] + [len(xs) - 1 for xs in mesh.nodes]))
+    t_all = elements.left[:, None] + elements.h[:, None] * sigma
+    values = coeffs.values(elements.edge.repeat(g), t_all.ravel()).reshape(-1, *t_all.shape)
+
+    comps = []
+    exits = []  # each edge's state at its far end
+    for j in range(1, tree.m + 1):
+        xs = mesh.nodes[j - 1]
+        h = np.diff(xs)
+        E = len(h)
+        at = slice(elements.offsets[j - 1], elements.offsets[j])
+        t, b, c = t_all[at], values[: n + 1, at], values[n + 1 :, at]  # t: (E, g)
+        inv_h = h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
+        # delayed reads before the edge starts go to the history or the parent's tail
+        if j == 1:
+            past, shift = phi, 0.0
+            state = np.array([phi.left_limit(0.0, k) for k in range(n)])
+        else:
+            p = tree.parent_of(j)
+            past, shift, state = comps[p - 1], tree.length(p), exits[p - 1]
+
+        # every element's collocation matrix: state rows, then the relation at the abscissae
+        A = np.zeros((E, deg, deg), dtype=complex)
+        A[:, :n] = at0 * inv_h[:, :n, None]
+        for k in np.flatnonzero(coeffs.present[: n + 1, j - 1]):
+            A[:, n:] += (b[k] * inv_h[:, k, None])[..., None] * at_gauss[k]
+        inv = np.linalg.solve(A, np.eye(deg))
+        for _ in range(2):  # refine: the state chain amplifies the inverse's error
+            inv += np.einsum("eij,ejk->eik", inv, np.eye(deg) - np.einsum("eij,ejk->eik", A, inv))
+        P, Q = inv[..., :n], inv[..., n:]  # x_e = P_e state + Q_e rhs_e
+        BI = np.einsum("eij,ejk->eik", at1 * inv_h[:, :n, None], inv)  # the end state is B_e x_e
+        BP, BQ = BI[..., :n], BI[..., n:]
+
+        # the window starting at node a ends at node last[a]
+        last = np.maximum(np.searchsorted(xs, xs[:-1] + reach, side="right") - 1,
+                          np.arange(1, E + 1))
+        rhs = control[j - 1].values(t)
+        s = t - tau
+        before = s < 0.0
+        before[: last[0]] = True  # the first window reads only the past
+        src = np.maximum(np.searchsorted(xs, s, side="right") - 1, 0)
+        read = np.zeros((E, g, deg), dtype=complex)  # sum of c_k d^k/dt^k at t - tau in element src
+        for k in np.flatnonzero(coeffs.present[n + 1 :, j - 1]):
+            rhs[before] -= c[k][before] * past.values(s[before] + shift, k)
+            dk = derivative_powers((s - xs[src]).ravel(), k, deg).reshape(E, g, deg)
+            read += np.where(before, 0.0, c[k])[..., None] * dk
+
+        coef = np.zeros((E, deg), dtype=complex)  # powers of t - xs[e]
+        states = np.empty((E, n), dtype=complex)  # the state entering each element
+        a = 0
+        while a < E:
+            w = slice(a, last[a])
+            if a:
+                rhs[w] -= np.einsum("epi,epi->ep", read[w], coef[np.minimum(src[w], a - 1)])
+            carry = np.einsum("eij,ej->ei", BQ[w], rhs[w])
+            for e in range(a, last[a]):
+                states[e] = state
+                state = BP[e] @ state + carry[e - a]
+            x = np.einsum("eij,ej->ei", P[w], states[w]) + np.einsum("eij,ej->ei", Q[w], rhs[w])
+            coef[w] = x * inv_h[w]
+            a = last[a]
+        comps.append(PiecewisePoly._of(xs, coef))
+        exits.append(state)
+
+    return TreeFunction(tree, n, tuple(comps), phi)
 
 
 def weak_residual_symbolic(y, basis, coeffs) -> dict:

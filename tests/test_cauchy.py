@@ -1,5 +1,7 @@
 """Forward integration by the method of steps."""
 
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,12 @@ from treedamp.expressions import CoefficientSet, TreeFunction, apply_operator
 from treedamp.meshing import Basis, DelayMesh, MeshError, build_mesh, history_lift
 from treedamp.damping import default_mesh, solve_damping
 from treedamp.cauchy import residual_ell, solve_cauchy
+from treedamp.cli import main
 
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _zero_control(tr):
@@ -131,6 +137,47 @@ def test_mesh_wider_than_the_delay_is_rejected():
         solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, wide)
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, sol.mesh)
     assert residual_ell(y, cfg.coeffs, sol.control)["total"] < 1e-12
+
+
+@pytest.mark.parametrize("cut, match", [
+    (lambda nodes: nodes[:2], "mesh: one node array per edge required, got 2 for 3 edges"),
+    (lambda nodes: (nodes[0][:-1],) + nodes[1:],
+     r"mesh on edge 1 has domain \[0.0, 1.75\], expected \[0, 2.0\]"),
+], ids=["edge-missing", "edge-short"])
+def test_mesh_not_matching_the_tree_is_rejected_up_front(cut, match):
+    # one node array too few used to end in a bare IndexError, and an edge
+    # whose nodes stop short ran the whole sweep before the trajectory's
+    # domain check caught it
+    cfg = ProblemConfig.from_file(CONFIGS / "star.json")
+    mesh = default_mesh(cfg.tree, cfg.coeffs, 4)
+    bad = DelayMesh(cfg.tree, cfg.coeffs.tau, 4, cut(mesh.nodes))
+    with pytest.raises(MeshError, match=match):
+        solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, _zero_control(cfg.tree), bad)
+
+
+# geometric mean, over the 40 order-2 simulate cases of the benchmark's seeds
+# 1-20, of the round-trip distance its check reads: 8.852e-14 for the sweep
+# of tests/oracles.py, 7.74e-14 for the whole-tree one
+ROUND_TRIP_GEOMEAN_MAX = 8.86e-14
+
+
+def test_benchmark_round_trips_keep_their_accuracy(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    dist = []
+    for seed in range(1, 21):
+        for case in workloads.simulate_cases(seed, ROOT, tmp_path):
+            if case.expect["order"] == 2:
+                out = tmp_path / f"{seed}-{case.id}"
+                assert main(case.argv + ["--out", str(out)]) == 0
+                d, problems = workloads.check_simulate(out, case.expect)
+                assert not problems
+                dist.append(d)
+    assert len(dist) == 40
+    assert math.exp(np.mean(np.log(dist))) <= ROUND_TRIP_GEOMEAN_MAX
 
 
 def _samples(y, n):

@@ -1,5 +1,6 @@
 """Invariants of the minimal energy, of its first variation and of the
-damp -> simulate round trip.
+damp -> simulate round trip, and the forward simulation against its
+edge-by-edge oracle.
 
 Random small trees (depth at most 3), orders 1 to 3, refinement up to 4,
 complex lower-order coefficients and histories.  Some coefficients are
@@ -106,22 +107,36 @@ def test_energy_scales_with_the_history(problem, alpha):
     assert scaled == pytest.approx(abs(4.0 * alpha) ** 2 * _energy(problem), rel=1e-11, abs=0.0)
 
 
+def _gap(y, z):
+    """The largest gap between ``y`` and ``z`` in derivatives ``0..n-1`` at
+    the breaks and midpoints of ``y``'s pieces, and the largest of ``y``."""
+    size = gap = 0.0
+    for a, b in zip(y.components, z.components):
+        ts = np.concatenate([a.breaks, (a.breaks[:-1] + a.breaks[1:]) / 2])
+        for k in range(y.n):
+            want = a.values(ts, k)
+            size = max(size, np.max(np.abs(want)))
+            gap = max(gap, np.max(np.abs(b.values(ts, k) - want)))
+    return gap, size
+
+
 @settings(max_examples=80, deadline=None)
 @given(problems())
 def test_damping_then_simulating_reproduces_the_trajectory(problem):
     sol = _solve(problem)
-    tree = sol.mesh.tree
-    back = solve_cauchy(tree, sol.coeffs, sol.y.history, sol.control, sol.mesh)
-    size = gap = 0.0
-    for j in range(1, tree.m + 1):
-        y, z = sol.y.component(j), back.component(j)
-        xs = y.breaks
-        ts = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2])
-        for k in range(sol.coeffs.n):
-            want = y.values(ts, k)
-            size = max(size, np.max(np.abs(want)))
-            gap = max(gap, np.max(np.abs(z.values(ts, k) - want)))
+    back = solve_cauchy(sol.mesh.tree, sol.coeffs, sol.y.history, sol.control, sol.mesh)
+    gap, size = _gap(sol.y, back)
     assert gap <= 1e-9 * size
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_forward_simulation_matches_the_edge_by_edge_oracle(problem):
+    # the whole-tree element table against the per-edge collocation sweep
+    sol = _solve(problem)
+    args = (sol.mesh.tree, sol.coeffs, sol.y.history, sol.control, sol.mesh)
+    gap, size = _gap(oracles.solve_cauchy(*args), solve_cauchy(*args))
+    assert gap <= 1e-12 * size
 
 
 @settings(max_examples=20, deadline=None)
