@@ -13,7 +13,7 @@ at ``g = max(3, n + 1)`` interior Gauss points, of local degree at least
 ``2n``, so the degree-``(2n - 1)`` trajectories of ``damp`` on the same
 elements re-simulate to roundoff (control round trips).
 
-Every element-local step runs once over the tree's element table.  The
+Every element-local step runs once over the mesh's element table.  The
 collocation matrix is ``[[D, 0], [C1, C2]]``, ``D = diag(k!/h^k)`` the state
 rows, so only the ``(elements, g, g)`` stack ``C2`` is inverted (and refined
 twice) to split each element's coefficients into ``x_e = P_e state + Q_e
@@ -69,8 +69,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
 
     # the tree's elements, their collocation points and every coefficient there
-    nodes = np.concatenate(mesh.nodes)
-    el = EdgePieces(nodes, np.cumsum([0] + [len(xs) - 1 for xs in mesh.nodes]))
+    el = mesh.elements
     E, rows = len(el.edge), np.arange(len(el.edge))
     t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
     values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
@@ -79,7 +78,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     reach_to = el.left + reach
     r = _find(el.edge, el.left, el.edge, reach_to)
     end = el.offsets[1:][el.edge]
-    stop = np.maximum(r + ((r == end - 1) & (nodes[end + el.edge] <= reach_to)), rows + 1)
+    stop = np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
 
     # reads before the edge or in its first window go to the history (root) or
     # to the parent's element holding s + T_parent, the rest to the edge's own

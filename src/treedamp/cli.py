@@ -228,8 +228,8 @@ def cmd_verify(args) -> int:
     if not isinstance(summary, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     q = summary.get("q", cfg.solver.q)
-    if isinstance(q, bool) or not isinstance(q, int):
-        raise ConfigError(f"{path}: q must be an integer, got {q!r}")
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise ConfigError(f"{path}: q must be an integer of at least 1, got {q!r}")
     tol = cfg.solver.tolerance
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     diag = solution_report(sol)

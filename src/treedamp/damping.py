@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import EdgePieces, PiecewisePoly, derivative_powers
+from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers
 from .trees import Tree
 
 
@@ -86,18 +86,19 @@ class GramSystem:
     """Normal equations of the discrete minimisation.
 
     ``basis_values`` is the sparse ndof x nquad table of ``L w_p`` at the
-    Gauss points (``points`` per edge, ``weights`` flat over all edges in
-    edge order) and ``lift_values`` is the image of the history's zero-DOF
-    member there (:func:`~treedamp.meshing.history_lift`).  ``matrix`` is
-    the sparse Gram matrix ``conj(L) W L^T``: ``matrix[p, r]`` is the energy
-    product of basis function ``r`` against basis function ``p``.  ``rhs``
-    is minus the product of that member against each basis function.
+    Gauss points (``points``, on the 0-based edges ``edge``, flat in edge
+    order, with ``weights``) and ``lift_values`` is the image of the
+    history's zero-DOF member there (:func:`~treedamp.meshing.history_lift`).
+    ``matrix`` is the sparse Gram matrix ``conj(L) W L^T``: ``matrix[p, r]``
+    is the energy product of basis function ``r`` against basis function
+    ``p``; ``rhs`` is minus the product of that member against each one.
     """
 
     matrix: SparseCSC
     rhs: np.ndarray
     basis: Basis
-    points: list
+    points: np.ndarray
+    edge: np.ndarray
     weights: np.ndarray
     basis_values: SparseCSR
     lift_values: np.ndarray
@@ -194,17 +195,16 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     every entry is integrated exactly.
     """
     mesh, n, ndof, tau = basis.mesh, basis.n, basis.ndof, coeffs.tau
-    m = mesh.tree.m
-    present, (_, fam_edge, fam_breaks) = coeffs.present, coeffs._families.breaks
+    el, present, (_, fam_edge, fam_breaks) = mesh.elements, coeffs.present, coeffs._families.breaks
     delayed = present[n + 1 :].any(axis=0)  # per edge: a delayed term is present
     heads = phi.breaks[: len(phi.breaks) * delayed[0]] + tau  # none without a delayed term
     late = delayed[basis.lead_edge]
     # the cells refine the nodes, the coefficients' breaks and the delayed reads' ones
     cells = EdgePieces.merged(
-        np.concatenate([np.repeat(np.arange(m), [len(xs) for xs in mesh.nodes]), fam_edge,
-                        basis.lead_edge[late], np.zeros(len(heads), dtype=int)]),
-        np.concatenate([*mesh.nodes, fam_breaks, basis.lead_in[late] + tau, heads]),
-        np.zeros(m), np.asarray(mesh.tree.lengths))
+        np.concatenate([el.break_edge, fam_edge, basis.lead_edge[late],
+                        np.zeros(len(heads), dtype=int)]),
+        np.concatenate([el.breaks, fam_breaks, basis.lead_in[late] + tau, heads]),
+        np.zeros(el.m), np.asarray(mesh.tree.lengths))
     degree = coeffs._families.widths - 1 - np.tile(np.arange(n + 1), 2)[:, None]
     max_deg = max((degree + 2 * n - 1)[present].max(initial=0),
                   (degree[n + 1 :, 0] + phi.max_degree)[present[n + 1 :, 0]].max(initial=0))
@@ -233,8 +233,7 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     # G = Lw L^T; its transpose L Lw^T, formed as CSR, stores G as CSC
     Gt = L @ Lw.T
     G = SparseCSC((Gt.data, Gt.indices, Gt.indptr), shape=Gt.shape)
-    return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis,
-                      points=np.split(t, cells.offsets[1:-1] * len(gx)),
+    return GramSystem(matrix=G, rhs=-(Lw @ Lphi), basis=basis, points=t, edge=edge,
                       weights=weights, basis_values=L, lift_values=Lphi)
 
 
@@ -260,16 +259,9 @@ class DampingSolution:
 def default_mesh(tree: Tree, coeffs: CoefficientSet, q: int) -> DelayMesh:
     """Mesh used by the solvers: wavefronts from the initial instant and
     from every branching vertex, coefficient breakpoints pinned to nodes."""
-    # the branching vertices' times: ancestors summed nearest first, as
-    # Tree.depth_offset sums them, then the edge itself
-    parent, lengths = np.asarray(tree.parent), np.append(tree.lengths, 0.0)  # [-1] reads 0
-    ends, up = np.zeros(tree.d), parent[: tree.d]
-    while up.any():
-        ends, up = ends + lengths[up - 1], np.where(up > 0, parent[up - 1], 0)
-    edge, points = coeffs.breakpoints()
-    local = dict(enumerate(np.split(points, np.searchsorted(edge, np.arange(1, tree.m))), start=1))
-    sources = tuple(np.unique(np.append(0.0, ends + lengths[: tree.d])).tolist())
-    return build_mesh(tree, coeffs.tau, q, sources=sources, local_points=local)
+    ends = (tree.offsets + tree.lengths)[: tree.d]  # the branching vertices' times
+    sources = tuple(np.unique(np.append(0.0, ends)).tolist())
+    return build_mesh(tree, coeffs.tau, q, sources=sources, local_points=coeffs.breakpoints())
 
 
 def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
@@ -308,7 +300,9 @@ def optimality_check(sol: DampingSolution) -> dict:
     if sol.basis.ndof == 0:
         return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
     gram = sol.gram
-    resid = gram.products(np.concatenate([u.values(t) for u, t in zip(sol.control, gram.points)]))
+    pieces, table = EdgePieces.of(sol.control)
+    at = _find(pieces.edge, pieces.left, gram.edge, gram.points)
+    resid = gram.products(_poly_val(table[at], gram.points - pieces.left[at]))
     norms = np.sqrt(np.abs(gram.matrix.diagonal().real))
     ynorm = np.sqrt(max(sol.energy, 0.0))
     scale = norms * ynorm

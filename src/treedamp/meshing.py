@@ -9,22 +9,23 @@ through the nodal data of the root start (``phi``'s ``n`` end derivatives);
 the minimisation runs over the free nodal data, with every boundary edge
 resting on its final delay window.
 
-:class:`Basis` owns the element layer: one table of Hermite shapes and
-nodal-data indices for the elements of the whole tree, and one table of
-every edge's lead-in, where its delayed reads land, searched in one lookup
-for any set of points.  Reconstruction (:meth:`Basis.tree_function`) and
-Gram assembly read these tables.
+:func:`build_mesh` places the nodes of the whole tree in a fixed number
+of array passes, and the mesh lays its elements out once, as one table
+(:attr:`DelayMesh.elements`).  :class:`Basis` adds the Hermite shapes and
+nodal-data indices of every element, and one table of every edge's
+lead-in, where its delayed reads land, searched in one lookup for any set
+of points.  Reconstruction, Gram assembly and simulation read these tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .expressions import TreeFunction
-from .piecewise import PiecewisePoly, _find, derivative_powers, merge_breaks
+from .piecewise import EdgePieces, PiecewisePoly, _find, derivative_powers
 from .trees import Tree
 
 
@@ -57,74 +58,92 @@ class DelayMesh:
     """Per-edge node sets aligned with the delay stepping structure.
 
     ``nodes[j-1]`` is the sorted node array of edge ``j`` (first entry 0,
-    last entry ``T_j``)."""
+    last entry ``T_j``); :attr:`elements` lays them out as one table."""
 
     tree: Tree
     tau: float
     q: int
     nodes: tuple
 
+    @cached_property
+    def elements(self) -> EdgePieces:
+        """One table of the elements, edge ``j - 1`` holding ``nodes[j-1]``'s."""
+        sizes = np.fromiter(map(len, self.nodes), int, len(self.nodes))
+        return EdgePieces(np.concatenate(self.nodes), np.append(0, np.cumsum(sizes - 1)))
+
     def max_width(self) -> float:
-        return max(float(np.max(np.diff(xs))) for xs in self.nodes)
+        return float(self.elements.h.max())
 
     def min_width(self) -> float:
-        return min(float(np.min(np.diff(xs))) for xs in self.nodes)
+        return float(self.elements.h.min())
 
     def check(self):
         """Assert the structural invariants; returns self for chaining."""
         if self.max_width() > self.tau / self.q * (1 + 1e-9):
             raise MeshError("element width exceeds tau/q")
-        for j in range(1, self.tree.m + 1):
-            Tj = self.tree.length(j)
-            xs = self.nodes[j - 1]
-            tol = 1e-9 * max(1.0, Tj)
-            for must in (0.0, Tj - self.tau, Tj):
-                if np.min(np.abs(xs - must)) > tol:
-                    raise MeshError(f"mandatory node {must} missing on edge {j}")
+        el, T = self.elements, np.asarray(self.tree.lengths)
+        must = np.stack([np.zeros(len(T)), T - self.tau, T])  # per edge: 0, T_j - tau, T_j
+        gap = np.minimum.reduceat(np.abs(el.breaks - must[:, el.break_edge]),
+                                  el.offsets[:-1] + np.arange(el.m), axis=1)
+        bad = np.argwhere((gap > 1e-9 * np.maximum(1.0, T)).T)  # (edge, node), edge by edge
+        if len(bad):
+            j, k = bad[0]
+            raise MeshError(f"mandatory node {must[k, j]} missing on edge {j + 1}")
         return self
 
 
-def build_mesh(tree: Tree, tau: float, q: int, sources=(0.0,),
-               local_points: dict | None = None) -> DelayMesh:
+def build_mesh(tree: Tree, tau: float, q: int, sources=(0.0,), local_points=((), ())) -> DelayMesh:
     """Delay-aligned mesh with elements no wider than ``tau/q``.
 
     ``sources`` are global times (distance from the root along the path)
     whose forward images ``source + k*tau`` become nodes wherever they land;
     the default single source is the initial instant of the root edge.
-    ``local_points`` maps an edge index to extra mandatory local nodes, used
-    by the solvers to pin coefficient breakpoints onto element boundaries.
+    ``local_points``, a pair of 0-based edges and local points (as
+    :meth:`~treedamp.expressions.CoefficientSet.breakpoints` gives them),
+    adds mandatory nodes, used by the solvers to pin coefficient breakpoints
+    onto element boundaries.  Per edge, these points, 0, ``T_j - tau`` and
+    ``T_j`` are sorted, a point within ``1e-12 * max(1, offset + T_j)`` of its
+    predecessor is dropped, and every gap is cut into equal elements.
     """
     if q < 1 or int(q) != q:
         raise MeshError(f"refinement parameter must be a positive integer, got {q}")
     if not (0.0 < tau < min(tree.lengths)):
         raise MeshError(f"delay {tau} must lie in (0, min edge length)")
 
-    all_nodes = []
-    for j in range(1, tree.m + 1):
-        Tj = tree.length(j)
-        offset = tree.depth_offset(j)
-        tol = 1e-12 * max(1.0, offset + Tj)
-        fronts = set()
-        for g in sources:
-            k = max(math.ceil((offset - g) / tau - 1e-9), 0)
-            while g + k * tau <= offset + Tj + tol:
-                t = g + k * tau - offset
-                if -tol <= t <= Tj + tol:
-                    fronts.add(min(max(t, 0.0), Tj))
-                k += 1
-        mandatory = {0.0, Tj, Tj - tau} | fronts
-        if local_points and j in local_points:
-            mandatory |= {float(t) for t in local_points[j] if 0.0 < t < Tj}
-        base = merge_breaks([sorted(mandatory)], tol)
-        xs = [base[0]]
-        hmax = tau / q
-        for a, b in zip(base[:-1], base[1:]):
-            nseg = max(1, math.ceil((b - a) / hmax - 1e-9))
-            xs.extend(a + (b - a) * np.arange(1, nseg + 1) / nseg)
-        xs = np.array(xs)
-        xs[0], xs[-1] = 0.0, Tj
-        all_nodes.append(xs)
-    return DelayMesh(tree, float(tau), int(q), tuple(all_nodes)).check()
+    m, T, offset = tree.m, np.asarray(tree.lengths), tree.offsets
+    tol = 1e-12 * np.maximum(1.0, offset + T)
+    # per edge and source g, the images g + k tau - offset from the first one
+    # at the edge's start (to within 1e-9 tau) on, max T / tau + 3 of them,
+    # enough to pass every edge's end; only those strictly inside an edge
+    # can add a node, since 0 and T_j are nodes already
+    g = np.asarray(sources, dtype=float)
+    k = np.maximum(np.ceil((offset[:, None] - g) / tau - 1e-9), 0.0)[..., None]
+    t = g[:, None] + (k + np.arange(int(T.max() / tau) + 3)) * tau - offset[:, None, None]
+    hit = (t > 0.0) & (t < T[:, None, None])
+    edge, t = np.nonzero(hit)[0], t[hit]
+
+    # with 0, T - tau, T and the local points strictly inside, sorted per edge
+    le, lp = np.asarray(local_points[0], dtype=int), np.asarray(local_points[1], dtype=float)
+    inside = (lp > 0.0) & (lp < T[le])
+    ids = np.concatenate([np.tile(np.arange(m), 3), edge, le[inside]])
+    pts = np.concatenate([np.zeros(m), T - tau, T, t, lp[inside]])
+    order = np.lexsort((pts, ids))
+    ids, pts = ids[order], pts[order]
+    keep = np.append(True, (ids[1:] != ids[:-1]) | (np.diff(pts) > tol[ids[1:]]))
+    ids, pts = ids[keep], pts[keep]
+
+    # every gap between kept points cut into equal elements no wider than tau/q
+    gap = np.flatnonzero(ids[1:] == ids[:-1])
+    a, width = pts[gap], pts[gap + 1] - pts[gap]
+    nseg = np.maximum(1, np.ceil(width / (tau / q) - 1e-9)).astype(int)
+    at = np.repeat(np.arange(len(gap)), nseg)
+    i = np.arange(len(at)) - np.repeat(np.cumsum(nseg) - nseg, nseg) + 1
+    offsets = np.append(0, np.cumsum(np.bincount(ids[gap], weights=nseg, minlength=m))).astype(int)
+    nodes = a[at] + width[at] * i / nseg[at]  # every node but the edges' first ones
+    nodes[offsets[1:] - 1] = T
+    nodes = np.insert(nodes, offsets[:-1], 0.0)
+    return DelayMesh(tree, float(tau), int(q),
+                     tuple(np.split(nodes, offsets[1:-1] + np.arange(1, m)))).check()
 
 
 class Basis:
@@ -137,13 +156,15 @@ class Basis:
     history fixes, or when it lies in the resting tail ``[T_j - tau, T_j]``
     of a boundary edge.
 
-    One element table describes the whole tree.  Elements are numbered
-    edge by edge in canonical order, edge ``j`` holding ids
-    ``offsets[j-1]:offsets[j]``.  Element ``e`` starts at ``left[e]`` in its
-    edge's coordinate, ``shapes[e]`` is its ``2n x 2n`` shape matrix (see
+    The mesh's element table (:attr:`DelayMesh.elements`) describes the
+    whole tree: edge ``j`` holds its element ids ``offsets[j-1]:offsets[j]``
+    and element ``e`` starts at its ``left[e]``, in the edge's coordinate.
+    ``shapes[e]`` is the element's ``2n x 2n`` shape matrix (see
     :func:`_hermite_shapes`) and ``rows[e]`` holds the ``2n`` indices of its
     left then right nodal data: a DOF below ``ndof``, the root start's known
-    values ``ndof .. ndof+n-1``, or -1 in a resting tail.
+    values ``ndof .. ndof+n-1``, or -1 in a resting tail.  Node ``e + 1`` is
+    the right end of element ``e``, and an edge's first left end is its
+    parent's last right end (node 0, the root start, for the root edge).
 
     Edge ``j`` reads its delayed values from its lead-in on ``[-tau, T_j)``:
     the parent's tail elements moved to ``[-tau, 0]``, then its own.  The
@@ -158,42 +179,34 @@ class Basis:
             raise MeshError("order must be >= 1")
         self.mesh = mesh
         self.n = n
-        tree = mesh.tree
+        tree, el = mesh.tree, mesh.elements
+        E, T, par = len(el.edge), np.asarray(tree.lengths), np.asarray(tree.parent)
+        tail_from = T - mesh.tau - 1e-9 * np.maximum(1.0, T)
 
-        gid = []  # per edge: global node id for each local node
-        free = [False]  # per gid; the root start is known from the history
-        for j in range(1, tree.m + 1):
-            xs = mesh.nodes[j - 1]
-            Tj = tree.length(j)
-            tail_from = Tj - mesh.tau - 1e-9 * max(1.0, Tj)
-            first = 0 if j == 1 else gid[tree.parent_of(j) - 1][-1]
-            gid.append(np.append(first, len(free) + np.arange(len(xs) - 1)))
-            free += [not (tree.is_boundary(j) and t >= tail_from) for t in xs[1:]]
-
-        free = np.array(free)
+        # per node: free unless it is the root start or in a boundary edge's tail
+        right = el.breaks[np.arange(E) + el.edge + 1]
+        free = np.append(False, (el.edge < tree.d) | (right < tail_from[el.edge]))
         self.ndof = n * int(free.sum())
-        first_dof = np.where(free, n * (np.cumsum(free) - 1), -1)  # per gid: DOF of derivative 0
+        first_dof = np.where(free, n * (np.cumsum(free) - 1), -1)  # per node: DOF of derivative 0
         first_dof[0] = self.ndof
-        d = first_dof[np.concatenate([np.stack([g[:-1], g[1:]], 1) for g in gid])][..., None]
-        self.rows = np.where(d >= 0, d + np.arange(n), -1).reshape(len(d), 2 * n)
-        self.offsets = np.cumsum([0] + [len(g) - 1 for g in gid])
-        self.left = np.concatenate([xs[:-1] for xs in mesh.nodes])
-        self.shapes = _hermite_shapes(n, np.concatenate([np.diff(xs) for xs in mesh.nodes]))
+        left_node = np.arange(E)
+        left_node[el.offsets[:-1]] = el.offsets[par]
+        d = first_dof[np.stack([left_node, np.arange(1, E + 1)], 1)][..., None]
+        self.rows = np.where(d >= 0, d + np.arange(n), -1).reshape(E, 2 * n)
+        self.shapes = _hermite_shapes(n, el.h)
 
         # the lead-ins: on every edge but the root, the parent's tail
         # elements moved back by the parent's length; then the edge's own
-        T = np.asarray(tree.lengths)
-        par = np.array(tree.parent[1:], dtype=int) - 1  # the parents of edges 2..m, 0-based
-        elem_edge = np.repeat(np.arange(tree.m), np.diff(self.offsets))
-        in_tail = self.left >= (T - mesh.tau - 1e-9 * np.maximum(1.0, T))[elem_edge]
-        size = np.bincount(elem_edge[in_tail], minlength=tree.m)[par]  # the tail each child reads
-        tail = np.arange(size.sum()) + np.repeat(self.offsets[par + 1] - np.cumsum(size), size)
-        edge = np.append(np.repeat(np.arange(1, tree.m), size), elem_edge)
+        par = par[1:] - 1  # the parents of edges 2..m, 0-based
+        in_tail = el.left >= tail_from[el.edge]
+        size = np.bincount(el.edge[in_tail], minlength=tree.m)[par]  # the tail each child reads
+        tail = np.arange(size.sum()) + np.repeat(el.offsets[par + 1] - np.cumsum(size), size)
+        edge = np.append(np.repeat(np.arange(1, tree.m), size), el.edge)
         order = np.argsort(edge, kind="stable")
         self.lead_edge = edge[order]
-        self._lead_ids = np.append(tail, np.arange(len(elem_edge)))[order]
-        self._lead_shift = np.append(T[par].repeat(size), np.zeros(len(elem_edge)))[order]
-        self.lead_in = self.left[self._lead_ids] - self._lead_shift
+        self._lead_ids = np.append(tail, np.arange(E))[order]
+        self._lead_shift = np.append(T[par].repeat(size), np.zeros(E))[order]
+        self.lead_in = el.left[self._lead_ids] - self._lead_shift
 
     def locate(self, edge, t: np.ndarray):
         """Tree-wide element ids and local coordinates of the times ``t`` on
@@ -204,7 +217,7 @@ class Basis:
         t = np.asarray(t, dtype=float)
         i = _find(self.lead_edge, self.lead_in, np.broadcast_to(edge, t.shape), t)
         ids = self._lead_ids[i]
-        return ids, t + self._lead_shift[i] - self.left[ids]
+        return ids, t + self._lead_shift[i] - self.mesh.elements.left[ids]
 
     def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
         """Member of the discrete space with the given DOF vector.  With
@@ -220,9 +233,7 @@ class Basis:
         # a left and a right shape nearly cancel at high powers: adding each
         # such pair first keeps the cancellation exact
         coefs = (nodal[:, :n] * self.shapes[:, :n] + nodal[:, n:] * self.shapes[:, n:]).sum(axis=1)
-        comps = tuple(PiecewisePoly._of(xs, coefs[a:b])
-                      for xs, a, b in zip(self.mesh.nodes, self.offsets, self.offsets[1:]))
-        return TreeFunction(self.mesh.tree, n, comps, phi)
+        return TreeFunction(self.mesh.tree, n, tuple(self.mesh.elements.views(coefs)), phi)
 
 
 def check_history(phi: PiecewisePoly, tau: float) -> None:

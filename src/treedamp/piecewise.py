@@ -153,13 +153,6 @@ def _abs_extremes(c: np.ndarray, h: np.ndarray):
     return big, small
 
 
-def merge_breaks(arrays, tol: float) -> np.ndarray:
-    """Union of breakpoint arrays with coincident points coalesced: a point
-    within ``tol`` of its predecessor in sorted order is dropped."""
-    pts = np.sort(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays]))
-    return pts[np.concatenate(([True], np.diff(pts) > tol))]
-
-
 class PiecewisePoly:
     """Complex piecewise polynomial on ``[breaks[0], breaks[-1]]``.
 
@@ -376,8 +369,8 @@ class EdgePieces:
                hi: np.ndarray) -> "EdgePieces":
         """Cells on ``[lo[e], hi[e]]`` for every edge ``e``, sorted in one
         pass: the edge's ``points`` strictly inside, where a point within
-        ``BREAK_RTOL * max(1, |lo|, |hi|)`` of its predecessor is dropped
-        as :func:`merge_breaks` drops it, and both ends, set exactly."""
+        ``BREAK_RTOL * max(1, |lo|, |hi|)`` of its predecessor in sorted
+        order is dropped, and both ends, set exactly."""
         m = len(lo)
         inside = (points > lo[edge]) & (points < hi[edge])
         ids = np.concatenate([edge[inside], np.arange(m), np.arange(m)])

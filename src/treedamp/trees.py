@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class TreeStructureError(ValueError):
     """Raised when the parent map does not describe a rooted tree."""
@@ -69,18 +71,15 @@ class Tree:
     def is_boundary(self, j: int) -> bool:
         return j > self.d
 
-    def path_to_root(self, j: int) -> list:
-        """Edge indices from ``j`` down to the root edge, inclusive."""
-        if not 1 <= j <= self.m:
-            raise TreeStructureError(f"edge index {j} out of range 1..{self.m}")
-        path = [j]
-        while self.parent[path[-1] - 1] != 0:
-            path.append(self.parent[path[-1] - 1])
-        return path
-
-    def depth_offset(self, j: int) -> float:
-        """Total length of the strict ancestors of edge ``j``."""
-        return sum(self.lengths[i - 1] for i in self.path_to_root(j)[1:])
+    @property
+    def offsets(self) -> np.ndarray:
+        """Per edge (0-based), the total length of its strict ancestors,
+        summed nearest ancestor first: one pass per level of the tree."""
+        parent, lengths = np.asarray(self.parent), np.append(self.lengths, 0.0)  # [-1] reads 0
+        out, up = np.zeros(self.m), parent
+        while up.any():
+            out, up = out + lengths[up - 1], np.where(up > 0, parent[up - 1], 0)
+        return out
 
 
 def build_tree(parent_map: dict, length_map: dict) -> Tree:

@@ -8,7 +8,9 @@ chains of per-edge operations, the coefficient breaks the mesh must keep,
 coefficient by coefficient, the energy and its polarisation straight from
 ``L y``, the dense Gram system and its minimal energy, the first variation
 through the re-indexed weights, the generic quasi-derivative recursion,
-membership in the perturbation space from one-sided limits; and the file
+membership in the perturbation space from one-sided limits, the delay
+mesh edge by edge (every source tried on every edge) and its DOF numbering
+node by node; and the file
 formats entry by entry and edge by edge: a piecewise record parsed one
 number at a time, and the CSV sampled one edge at a time.  The forward
 simulation is the one route that is not exact: the package's collocation,
@@ -32,7 +34,15 @@ import scipy.linalg
 from treedamp.expressions import TreeFunction
 from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes,
                                 _convolve, _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
-                                derivative_powers, merge_breaks)
+                                derivative_powers)
+from treedamp.meshing import DelayMesh
+
+
+def merge_breaks(arrays, tol: float) -> np.ndarray:
+    """Union of breakpoint arrays with coincident points coalesced: a point
+    within ``tol`` of its predecessor in sorted order is dropped."""
+    pts = np.sort(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays]))
+    return pts[np.concatenate(([True], np.diff(pts) > tol))]
 
 
 class Poly(PiecewisePoly):
@@ -470,15 +480,86 @@ def interpolate(basis, y) -> np.ndarray:
     root start (rows from ``ndof`` on) and the resting tails are skipped."""
     n = basis.n
     out = np.zeros(basis.ndof, dtype=complex)
+    offsets = basis.mesh.elements.offsets
     for j, xs in enumerate(basis.mesh.nodes, start=1):
         p = y.component(j)
-        for e, dofs in enumerate(basis.rows[basis.offsets[j - 1]:basis.offsets[j]]):
+        for e, dofs in enumerate(basis.rows[offsets[j - 1]:offsets[j]]):
             for k in range(n):
                 for dof, value in ((dofs[k], p.right_limit(xs[e], k)),
                                    (dofs[n + k], p.left_limit(xs[e + 1], k))):
                     if 0 <= dof < basis.ndof:
                         out[dof] = value
     return out
+
+
+def depth_offset(tree, j: int) -> float:
+    """Total length of the strict ancestors of edge ``j``, nearest first."""
+    total, p = 0, tree.parent_of(j)
+    while p:
+        total, p = total + tree.length(p), tree.parent_of(p)
+    return total
+
+
+def build_mesh(tree, tau: float, q: int, sources=(0.0,), local_points=((), ())) -> DelayMesh:
+    """The delay mesh edge by edge, the reference for
+    :func:`treedamp.meshing.build_mesh`: every source's images stepped one
+    by one onto every edge, merged with the edge's mandatory points as sets,
+    every gap split on its own.  ``local_points`` is a pair of 0-based edges
+    and points."""
+    local = {}
+    for e, t in zip(*local_points):
+        local.setdefault(int(e) + 1, []).append(t)
+    all_nodes = []
+    for j in range(1, tree.m + 1):
+        Tj = tree.length(j)
+        offset = depth_offset(tree, j)
+        tol = 1e-12 * max(1.0, offset + Tj)
+        fronts = set()
+        for g in sources:
+            k = max(math.ceil((offset - g) / tau - 1e-9), 0)
+            while g + k * tau <= offset + Tj + tol:
+                t = g + k * tau - offset
+                if -tol <= t <= Tj + tol:
+                    fronts.add(min(max(t, 0.0), Tj))
+                k += 1
+        mandatory = {0.0, Tj, Tj - tau} | fronts
+        mandatory |= {float(t) for t in local.get(j, ()) if 0.0 < t < Tj}
+        base = merge_breaks([sorted(mandatory)], tol)
+        xs = [base[0]]
+        hmax = tau / q
+        for a, b in zip(base[:-1], base[1:]):
+            nseg = max(1, math.ceil((b - a) / hmax - 1e-9))
+            xs.extend(a + (b - a) * np.arange(1, nseg + 1) / nseg)
+        xs = np.array(xs)
+        xs[0], xs[-1] = 0.0, Tj
+        all_nodes.append(xs)
+    return DelayMesh(tree, float(tau), int(q), tuple(all_nodes))
+
+
+def dof_numbering(mesh, n: int):
+    """``(rows, ndof)`` of :class:`~treedamp.meshing.Basis` numbered node by
+    node: edge by edge, each edge's first node is its parent's last one and
+    every further node gets the next id, free unless it sits in a boundary
+    edge's resting tail."""
+    tree = mesh.tree
+    gid = []  # per edge: global node id for each local node
+    free = [False]  # per gid; the root start is known from the history
+    for j in range(1, tree.m + 1):
+        xs = mesh.nodes[j - 1]
+        Tj = tree.length(j)
+        tail_from = Tj - mesh.tau - 1e-9 * max(1.0, Tj)
+        first = 0 if j == 1 else gid[tree.parent_of(j) - 1][-1]
+        gid.append([first] + [len(free) + i for i in range(len(xs) - 1)])
+        free += [not (tree.is_boundary(j) and t >= tail_from) for t in xs[1:]]
+    ndof = n * sum(free)
+    first, count = [], 0  # per gid: the DOF of derivative 0, -1 when fixed
+    for f in free:
+        first.append(n * count if f else -1)
+        count += f
+    first[0] = ndof
+    rows = [[first[v] + k if first[v] >= 0 else -1 for v in (a, b) for k in range(n)]
+            for g in gid for a, b in zip(g[:-1], g[1:])]
+    return np.array(rows, dtype=int).reshape(-1, 2 * n), ndof
 
 
 def trajectory_distance(y, z) -> float:

@@ -367,6 +367,22 @@ def test_cli_verify_rejects_a_stored_q_that_is_not_an_integer(tmp_path, capsys, 
     assert "summary.json: q must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", [0, -3])
+def test_cli_verify_rejects_a_stored_q_below_one(tmp_path, capsys, q):
+    # a stored q of 0 or less used to reach build_mesh, whose message
+    # does not say that the number came from summary.json
+    cfg_path = str(CONFIGS / "interval.json")
+    out = tmp_path / "run"
+    main(["damp", "--config", cfg_path, "--out", str(out), "--q", "2"])
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["q"] = q
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 2
+    assert f"summary.json: q must be an integer of at least 1, got {q}" in capsys.readouterr().err
+
+
 def test_cli_convergence_table(tmp_path, capsys):
     cfg_path = str(CONFIGS / "interval.json")
     assert main(["convergence", "--config", cfg_path, "--q", "2,4,8,16"]) == 0

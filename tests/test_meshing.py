@@ -1,5 +1,7 @@
 """Delay-aligned meshes and the constrained Hermite space."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,7 +73,7 @@ def test_mesh_rejects_bad_parameters():
 
 def test_mesh_local_points_become_nodes():
     tr = interval(2.0)
-    mesh = build_mesh(tr, 0.5, 2, local_points={1: [0.33]})
+    mesh = build_mesh(tr, 0.5, 2, local_points=([0], [0.33]))
     assert np.min(np.abs(mesh.nodes[0] - 0.33)) < 1e-12
 
 
@@ -95,7 +97,7 @@ def test_vertex_dof_is_shared():
     # the node at the internal vertex is the last node of edge 1 and the
     # first node of edges 2 and 3: the element tables carry the same DOF
     # index on both sides of the vertex
-    offsets = basis.offsets
+    offsets = basis.mesh.elements.offsets
     p = basis.rows[offsets[1] - 1][1]
     assert p >= 0
     assert basis.rows[offsets[1]][0] == p
@@ -123,7 +125,7 @@ def test_interpolate_inverts_tree_function():
     # elements of many different widths, some equal only up to roundoff: at
     # n = 3 one shape table shared by nearly equal widths misses by ~1e-9
     tr = build_tree({1: 0, 2: 1, 3: 1, 4: 2}, {1: 2.3, 2: 1.7, 3: 2.9, 4: 1.1})
-    mesh = build_mesh(tr, 0.6, 2, sources=(0.0, 0.37), local_points={2: [0.77], 3: [1.3]})
+    mesh = build_mesh(tr, 0.6, 2, sources=(0.0, 0.37), local_points=([1, 2], [0.77, 1.3]))
     assert len({round(h, 12) for xs in mesh.nodes for h in np.diff(xs)}) > 4
     for n in (1, 2, 3):
         basis = Basis(mesh, n)
@@ -147,9 +149,10 @@ def meshed_trees(draw):
     m = draw(st.integers(min_value=1, max_value=6))
     parents = {1: 0} | {e: draw(st.integers(min_value=1, max_value=e - 1)) for e in range(2, m + 1)}
     lengths = {e: draw(st.sampled_from([2.0, 2.3, 2.5, 3.1])) for e in parents}
-    extra = {e: [draw(st.sampled_from([0.45, 1.35, 1.8]))] for e in parents if draw(st.booleans())}
+    extra = {e - 1: draw(st.sampled_from([0.45, 1.35, 1.8])) for e in parents if draw(st.booleans())}
     tr = build_tree(parents, lengths)
-    mesh = build_mesh(tr, 1.0, draw(st.integers(min_value=1, max_value=3)), local_points=extra)
+    mesh = build_mesh(tr, 1.0, draw(st.integers(min_value=1, max_value=3)),
+                      local_points=(list(extra), list(extra.values())))
     return Basis(mesh, draw(st.integers(min_value=1, max_value=3)))
 
 
@@ -159,16 +162,16 @@ def test_locate_reads_the_parent_tail_in_its_own_frame(basis):
     # every edge's lead-in, queried in one call, against a per-edge
     # searchsorted: a read before the edge's start lands in the parent's
     # tail element and is measured from that element's left node
-    tree, nodes = basis.mesh.tree, basis.mesh.nodes
+    tree, nodes, offsets = basis.mesh.tree, basis.mesh.nodes, basis.mesh.elements.offsets
     edge, t, want_ids, want_s = [], [], [], []
     for j in range(1, tree.m + 1):
-        ids = np.arange(basis.offsets[j - 1], basis.offsets[j])
+        ids = np.arange(offsets[j - 1], offsets[j])
         left, shift = nodes[j - 1][:-1], np.zeros(len(ids))
         p = tree.parent_of(j)
         if p:
             Tp, xp = tree.length(p), nodes[p - 1][:-1]
             tail = xp >= Tp - 1.0 - 1e-9 * Tp
-            ids = np.append(basis.offsets[p - 1] + np.flatnonzero(tail), ids)
+            ids = np.append(offsets[p - 1] + np.flatnonzero(tail), ids)
             left, shift = np.append(xp[tail], left), np.append(np.full(tail.sum(), Tp), shift)
         cuts = np.append(left - shift, tree.length(j))
         # on every lead-in element's left node and inside it
@@ -192,6 +195,58 @@ def test_locate_reads_the_parent_tail_in_its_own_frame(basis):
     want = np.array([y.component(p).eval(x + tree.length(p)) if x < 0.0 else y.component(e + 1).eval(x)
                      for e, p, x in zip(edge, parent, t)])
     assert np.allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@st.composite
+def mesh_inputs(draw):
+    """A tree of 1-7 edges with irregular lengths, a delay, and sources and
+    local points that crowd the merge: besides the branching vertices' times,
+    extra sources anywhere and next to those times, and local points on an
+    image, on ``T - tau`` or on ``T``, or 0.5 or 2 merge tolerances
+    (``1e-12 * max(1, offset + T)``) to either side of one."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    parents = {1: 0} | {e: draw(st.integers(min_value=1, max_value=e - 1)) for e in range(2, m + 1)}
+    lengths = {e: draw(st.floats(min_value=1.0, max_value=3.0)) for e in parents}
+    tr = build_tree(parents, lengths)
+    tau = draw(st.floats(min_value=0.2, max_value=0.95)) * min(tr.lengths)
+    T, offset = np.asarray(tr.lengths), tr.offsets
+    tol = 1e-12 * np.maximum(1.0, offset + T)
+    shifts = st.sampled_from([0.0, -2.0, -0.5, 0.5, 2.0])
+    times = (offset + T)[: tr.d]
+    sources = [0.0] + times.tolist()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if len(times) and draw(st.booleans()):
+            g = times[draw(st.integers(min_value=0, max_value=len(times) - 1))]
+            sources.append(g + draw(shifts) * 1e-12 * max(1.0, g))
+        else:
+            sources.append(draw(st.floats(min_value=0.0, max_value=float((offset + T).max()))))
+    edge, points = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        e = draw(st.integers(min_value=0, max_value=tr.m - 1))
+        g = sources[draw(st.integers(min_value=0, max_value=len(sources) - 1))]
+        image = g + max(math.ceil((offset[e] - g) / tau), 0) * tau - offset[e]
+        at = draw(st.sampled_from([image, T[e] - tau, T[e], draw(st.floats(0.0, float(T[e])))]))
+        edge.append(e)
+        points.append(at + draw(shifts) * tol[e])
+    return tr, tau, draw(st.integers(min_value=1, max_value=3)), tuple(sources), (edge, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_inputs())
+def test_mesh_and_dof_numbering_match_the_per_edge_reference(case):
+    # the array passes place every node and number every DOF exactly as the
+    # per-edge set arithmetic and the node-by-node loop of the reference do
+    tr, tau, q, sources, local = case
+    mesh = build_mesh(tr, tau, q, sources=sources, local_points=local)
+    ref = oracles.build_mesh(tr, tau, q, sources=sources, local_points=local)
+    assert len(mesh.nodes) == len(ref.nodes)
+    for got, want in zip(mesh.nodes, ref.nodes):
+        assert got.tobytes() == want.tobytes()
+    for n in (1, 2, 3):
+        basis = Basis(mesh, n)
+        rows, ndof = oracles.dof_numbering(ref, n)
+        assert basis.ndof == ndof
+        assert basis.rows.shape == rows.shape and np.array_equal(basis.rows, rows)
 
 
 def test_history_lift_linear_example():

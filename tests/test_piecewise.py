@@ -15,11 +15,10 @@ from treedamp.piecewise import (
     _poly_der,
     _poly_val,
     derivative_powers,
-    merge_breaks,
 )
 
 import oracles
-from oracles import Poly
+from oracles import Poly, merge_breaks
 
 
 def test_constructor_rejects_bad_breaks():

@@ -36,14 +36,22 @@ def test_canonical_order_puts_internal_edges_first():
         assert tr.parent_of(j) < j
 
 
-def test_depth_offset_and_path():
+def _path_to_root(tr, j):
+    """Edge indices from ``j`` down to the root edge, inclusive."""
+    path = [j]
+    while tr.parent_of(path[-1]) != 0:
+        path.append(tr.parent_of(path[-1]))
+    return path
+
+
+def test_offsets_sum_the_ancestors_nearest_first():
     pm = {1: 0, 2: 1, 3: 2, 4: 2}
     lm = {1: 2.0, 2: 3.0, 3: 1.0, 4: 5.0}
     tr = build_tree(pm, lm)
     j_deep = tr.original_ids.index(4) + 1
-    assert tr.depth_offset(j_deep) == pytest.approx(5.0)
-    path = tr.path_to_root(j_deep)
-    assert [tr.original_ids[i - 1] for i in path] == [4, 2, 1]
+    assert [tr.original_ids[i - 1] for i in _path_to_root(tr, j_deep)] == [4, 2, 1]
+    assert tr.offsets[j_deep - 1] == 5.0
+    assert tr.offsets.tolist() == [0.0, 2.0, 5.0, 5.0]
 
 
 def test_rejects_multiple_roots():
@@ -81,12 +89,6 @@ def test_star_needs_two_edges():
         star([1.0])
 
 
-def test_path_to_root_range_check():
-    tr = interval(1.0)
-    with pytest.raises(TreeStructureError):
-        tr.path_to_root(2)
-
-
 @st.composite
 def random_parent_maps(draw):
     """Random rooted tree on labels 1..m with shuffled labelling."""
@@ -119,12 +121,12 @@ def test_canonical_invariants(data):
     assert sorted(tr.original_ids) == sorted(pm)
     for j, lab in enumerate(tr.original_ids, start=1):
         assert tr.length(j) == pytest.approx(lm[lab])
-    # every path terminates at the root edge
+    # every path terminates at the root edge, and the offsets are the sums
+    # of the strict ancestors' lengths, nearest first, to the last bit
     for j in range(1, tr.m + 1):
-        path = tr.path_to_root(j)
+        path = _path_to_root(tr, j)
         assert tr.parent_of(path[-1]) == 0
-        assert tr.depth_offset(j) == pytest.approx(
-            sum(tr.length(i) for i in path[1:]))
+        assert tr.offsets[j - 1] == sum(tr.length(i) for i in path[1:])
 
 
 @settings(max_examples=60, deadline=None)
