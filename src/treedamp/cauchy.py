@@ -52,7 +52,8 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     edge, one node array per edge spanning ``[0, T_j]``; an element wider
     than the delay raises :class:`MeshError`, since its delayed reads would
     reach the element itself, and so do a mesh that does not match the tree
-    and a history that does not live on ``[-tau, 0]``.
+    and a history that does not live on ``[-tau, 0]``.  A trajectory that
+    overflows raises :class:`numpy.linalg.LinAlgError`.
     """
     check_edge_functions(tree, control, "control")
     check_edge_spans(tree, mesh.nodes, "mesh", MeshError, "node array")
@@ -140,6 +141,10 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
             coef[w, n:] = np.einsum("eij,ej->ei", K[w], z[w])
             a = stop[a]
         exits.append(state)
+    bad = ~np.isfinite(coef).all(axis=1)
+    if bad.any():
+        eid = tree.original_ids[el.edge[bad.argmax()]]
+        raise np.linalg.LinAlgError(f"the simulated trajectory overflowed on edge id {eid}")
     return TreeFunction(tree, n, tuple(el.views(coef)), phi)
 
 

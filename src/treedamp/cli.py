@@ -4,12 +4,12 @@ Four workflows over JSON problem files: ``simulate`` integrates the system
 forward under a given control, ``damp`` computes the energy-minimal
 control, ``verify`` recomputes a stored solution and checks it, and
 ``convergence`` runs a refinement ladder.  Results land in an output
-directory as CSV (trajectory, control samples), an exact piecewise control
-exchange file, and a JSON summary.
+directory as CSV (trajectory, control samples), the exact piecewise control
+file and a JSON summary; :mod:`treedamp.config` reads and writes the files.
 
 Exit codes: 0 success, 2 invalid input (parse or validation), 3 numerical
-failure (indefinite or singular system), 4 failed verification or a broken
-convergence assertion.
+failure (indefinite or singular system, a result that overflows), 4 failed
+verification or a broken convergence assertion.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import residual_ell, solve_cauchy
-from .config import (ConfigError, ProblemConfig, _check_keys, _piecewise_item, _piecewise_out,
-                     _read_json, _tables, _walk_all, _walk_piecewise, _walked)
+from .config import ConfigError, ProblemConfig, control_from_file, control_text, read_json
 from .damping import default_mesh, solve_damping
 from .diagnostics import (continuity_report, detect_persistent_jump, quasi_derivatives,
                           solution_report)
@@ -34,10 +33,6 @@ from .piecewise import EdgePieces, _poly_der, _poly_val
 from .trees import TreeStructureError
 
 _VALIDATION_ERRORS = (ConfigError, CoefficientError, MeshError, TreeStructureError)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _csv_samples(funcs, nderiv: int) -> tuple:
@@ -72,7 +67,7 @@ def _write_rows(path: Path, edge_ids, counts, rows: np.ndarray, names: list) -> 
     turn.  One ``%`` formats an edge's block, and only that block is ever a
     Python list."""
     header = ["edge", "t"] + [f"{part}_{name}" for name in names for part in ("re", "im")]
-    # "%.17g" writes the same text as _fmt, "-0" included
+    # "%.17g" writes the same text as f"{x:.17g}", "-0" included
     fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -86,56 +81,6 @@ def _write_csv(path: Path, cfg: ProblemConfig, funcs, names: list) -> None:
     per sample time."""
     counts, rows = _csv_samples(funcs, len(names))
     _write_rows(path, cfg.edge_ids, counts, rows, names)
-
-
-def _control_to_dict(cfg: ProblemConfig, control: tuple) -> dict:
-    return {"edges": [{"id": eid, **_piecewise_out(u)}
-                      for eid, u in zip(cfg.edge_ids, control)]}
-
-
-_EDGE_KEYS = {"id", "breaks", "pieces"}
-
-
-def _control_from_file(path, cfg: ProblemConfig) -> tuple:
-    """The per-edge control of a control file, edge ``j`` at index ``j - 1``.
-
-    An edge record's own fields are checked as it is read, all numbers of
-    the file in one batch after the last; where a check fails, the walk
-    names the first bad field."""
-    d = _read_json(path)
-    _check_keys(d, {"edges"}, {"edges"}, "control")
-    if not isinstance(d["edges"], list):
-        raise ConfigError("control.edges: expected a list of edge records")
-    canon = {eid: j for j, eid in enumerate(cfg.edge_ids, start=1)}
-    slot, items, read = {}, [], []
-
-    def fail(msg):
-        _walk_all(_walk_piecewise, read)
-        raise ConfigError(msg)
-
-    for i, e in enumerate(d["edges"]):
-        p = f"control.edges[{i}]"
-        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
-            _walk_all(_walk_piecewise, read)
-            _check_keys(e, _EDGE_KEYS, _EDGE_KEYS, p)
-        eid = e["id"]
-        if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
-            fail(f"{p}.id: unknown edge id {eid!r}")
-        j = canon[eid]
-        if j in slot:
-            fail(f"{p}.id: duplicate edge id {eid}")
-        slot[j] = len(items)
-        read.append((e["breaks"], e["pieces"], 0.0, cfg.tree.length(j), p))
-        items.append(_piecewise_item(e["breaks"], e["pieces"]))
-        if items[-1] is None:
-            _walked(_walk_piecewise, read)
-    comps = _tables(items, np.zeros(len(items)), np.array([T for *_, T, _ in read]))
-    if comps is None:
-        _walked(_walk_piecewise, read)
-    for eid, j in canon.items():
-        if j not in slot:
-            raise ConfigError(f"control file lacks edge id {eid}")
-    return tuple(comps[slot[j]] for j in range(1, len(canon) + 1))
 
 
 def _numbers(value) -> list:
@@ -160,6 +105,15 @@ def _agrees(stored, fresh, tol: float) -> bool:
     return math.isfinite(a) and abs(a - fresh) <= tol * max(1.0, abs(a))
 
 
+def _write_summary(out: Path, summary: dict) -> None:
+    """``summary.json`` in ``out``; a number that is not finite is a
+    numerical failure, and the file is not written."""
+    if not all(map(math.isfinite, _numbers(summary))):
+        raise np.linalg.LinAlgError("a result overflowed: the summary holds a number that is "
+                                    "not finite")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+
+
 def _mesh_q(args, cfg: ProblemConfig) -> int:
     """``--q`` when given, else the config's ``solver.q``."""
     if args.q is None:
@@ -172,7 +126,7 @@ def _mesh_q(args, cfg: ProblemConfig) -> int:
 def cmd_simulate(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     q = _mesh_q(args, cfg)
-    control = _control_from_file(args.control, cfg)
+    control = control_from_file(args.control, cfg)
     mesh = default_mesh(cfg.tree, cfg.coeffs, q)
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, control, mesh)
     out = Path(args.out)
@@ -186,7 +140,7 @@ def cmd_simulate(args) -> int:
                               for j in range(1, cfg.tree.m + 1)},
         "residual_total": res["total"],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_summary(out, summary)
     print(f"simulated {cfg.tree.m} edges, equation residual {res['total']:.3e}")
     return 0
 
@@ -199,9 +153,7 @@ def cmd_damp(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trajectory.csv", cfg, sol.y.components, [f"y{k}" for k in range(cfg.n)])
     _write_csv(out / "control.csv", cfg, sol.control, ["u"])
-    # one edge record per line: without indent json.dumps runs its C encoder
-    records = (json.dumps(e) for e in _control_to_dict(cfg, sol.control)["edges"])
-    (out / "control.json").write_text('{"edges": [\n' + ",\n".join(records) + "\n]}\n")
+    (out / "control.json").write_text(control_text(cfg, sol.control))
     diag = solution_report(sol)
     summary = {
         "command": "damp",
@@ -211,7 +163,7 @@ def cmd_damp(args) -> int:
         "tolerance": cfg.solver.tolerance,
         **diag,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_summary(out, summary)
     print(f"energy J = {sol.energy:.12g}  (ndof {sol.dofs.size}, q {q})")
     print(f"optimality residual {diag['optimality']:.3e}, "
           f"Kirchhoff max {diag['kirchhoff_max']:.3e}")
@@ -224,7 +176,7 @@ def cmd_verify(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     sol_dir = Path(args.solution)
     path = sol_dir / "summary.json"
-    summary = _read_json(path)
+    summary = read_json(path)
     if not isinstance(summary, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     q = summary.get("q", cfg.solver.q)
@@ -253,7 +205,7 @@ def cmd_verify(args) -> int:
 
     control_path = sol_dir / "control.json"
     if control_path.exists():
-        cells, stored_u, fresh_u = EdgePieces.common(_control_from_file(control_path, cfg),
+        cells, stored_u, fresh_u = EdgePieces.common(control_from_file(control_path, cfg),
                                                      sol.control)
         scale = max(math.sqrt(cells.norms_sq(stored_u).sum()), 1.0)
         dist = math.sqrt(cells.norms_sq(stored_u - fresh_u).sum())
@@ -299,7 +251,7 @@ def cmd_convergence(args) -> int:
         row = {"q": q, **solution_report(sol, qd)}
         rows.append(row)
         levels.append(continuity_report(qd, threshold=tol)[top])
-        cells = [str(q), str(row["ndof"]), _fmt(row["energy"]),
+        cells = [str(q), str(row["ndof"]), f"{row['energy']:.17g}",
                  f"{row['optimality']:.6e}", f"{row['kirchhoff_max']:.6e}"]
         cells += [f"{row['continuity'][k]:.6e}" for k in orders]
         print(",".join(cells))
@@ -329,38 +281,42 @@ def cmd_convergence(args) -> int:
     return code
 
 
-def main(argv=None) -> int:
+_Q = {"type": int, "required": False,
+      "help": "mesh density, a positive integer overriding solver.q"}
+# per subcommand: its function, its help and its options, each required
+# unless its keyword arguments say otherwise
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate forward under a given control",
+                 {"--config": {"help": "problem file (JSON)"},
+                  "--control": {"help": "piecewise control file (JSON)"},
+                  "--out": {"help": "output directory"}, "--q": _Q}),
+    "damp": (cmd_damp, "compute the energy-minimal damping control",
+             {"--config": {}, "--out": {}, "--q": _Q}),
+    "verify": (cmd_verify, "recompute a stored solution and compare",
+               {"--config": {}, "--solution": {"help": "directory written by damp"}}),
+    "convergence": (cmd_convergence, "run a refinement ladder",
+                    {"--config": {}, "--q": {"help": "comma-separated q list, e.g. 1,2,4,8"}}),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="treedamp",
         description="Energy-optimal damping of delay systems on metric trees.")
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, (fn, about, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for flag, kw in options.items():
+            p.add_argument(flag, **{"required": True, **kw})
+        p.set_defaults(fn=fn)
+    return ap
 
-    p = sub.add_parser("simulate", help="integrate forward under a given control")
-    p.add_argument("--config", required=True, help="problem file (JSON)")
-    p.add_argument("--control", required=True, help="piecewise control file (JSON)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--q", type=int, default=None,
-                   help="mesh density, a positive integer overriding solver.q")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("damp", help="compute the energy-minimal damping control")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--q", type=int, default=None,
-                   help="mesh density, a positive integer overriding solver.q")
-    p.set_defaults(fn=cmd_damp)
+_PARSER = _parser()  # built once: main runs in process, call after call
 
-    p = sub.add_parser("verify", help="recompute a stored solution and compare")
-    p.add_argument("--config", required=True)
-    p.add_argument("--solution", required=True, help="directory written by damp")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("convergence", help="run a refinement ladder")
-    p.add_argument("--config", required=True)
-    p.add_argument("--q", required=True, help="comma-separated q list, e.g. 1,2,4,8")
-    p.set_defaults(fn=cmd_convergence)
-
-    args = ap.parse_args(argv)
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except _VALIDATION_ERRORS as exc:

@@ -1,4 +1,5 @@
-"""Problem definitions as plain JSON files.
+"""Problem and control files as plain JSON; this module is the one reader
+of both, and writes the control file.
 
 A problem file fixes the operator order, the delay, the tree, the
 coefficient families, the history segment, and solver options.  Numbers
@@ -11,9 +12,12 @@ zero; the leading ``b`` entry of the full order is mandatory per edge.
 
 Parsing is strict: unknown keys, malformed numbers, and inconsistent
 domains are reported with the full field path, so a mistake in a nested
-piece surfaces as e.g. ``coefficients[2].data.pieces[1][0]``.  The numbers
-of a file are checked and tabled in one batch; the entry-by-entry walk
-that names the field runs only once a batch check has failed.
+piece surfaces as e.g. ``coefficients[2].data.pieces[1][0]``.  A control
+file lists per edge its ``id``, ``breaks`` and ``pieces``, each edge read by
+the rules of a ``piecewise`` record.  The coefficient records, the history
+and the control edges are all read by :func:`_read_records`: the numbers of
+a record list are checked and tabled in one batch, and the entry-by-entry
+walk that names the field runs only once a check has failed.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _fail(path: str, msg: str, index=()):
     raise ConfigError(f"{path}{''.join(f'[{i}]' for i in index)}: {msg}")
 
 
-def _read_json(path):
+def read_json(path):
     """The JSON document in ``path``; an unreadable or malformed file is a
     :class:`ConfigError` naming the file and the position."""
     try:
@@ -89,7 +93,7 @@ def _check_keys(d: dict, allowed: set, required: set, path: str):
     for key in d:
         if key not in allowed:
             _fail(path, f"unknown key {key!r} (allowed: {sorted(allowed)})")
-    for key in required:
+    for key in sorted(required):
         if key not in d:
             _fail(path, f"missing required key {key!r}")
 
@@ -100,9 +104,11 @@ def _check_keys(d: dict, allowed: set, required: set, path: str):
 # run it only after one of them has failed.
 
 
-def _walk_piecewise(breaks, pieces, a: float, b: float, path: str) -> None:
-    """Raise the error of the first bad field of breakpoints plus per-piece
-    local coefficients on [a, b]; the end breakpoints snap onto a and b."""
+def _walk_piecewise(data: dict, a: float, b: float, path: str) -> None:
+    """Raise the error of the first bad field of the breakpoints plus per-piece
+    local coefficients of ``data`` on [a, b], its keys already checked; the
+    end breakpoints snap onto a and b."""
+    breaks, pieces = data["breaks"], data["pieces"]
     if not isinstance(breaks, list):
         _fail(path + ".breaks", "expected a list of breakpoints")
     where = path + ".breaks"
@@ -138,23 +144,10 @@ def _walk_poly_data(entry: dict, a: float, b: float, path: str) -> None:
         for i, x in enumerate(data):
             _num(x, path + ".data", i)
     elif kind == "piecewise":
-        _check_keys(data, {"breaks", "pieces"}, {"breaks", "pieces"}, path + ".data")
-        _walk_piecewise(data["breaks"], data["pieces"], a, b, path + ".data")
+        _check_keys(data, _DATA_KEYS, _DATA_KEYS, path + ".data")
+        _walk_piecewise(data, a, b, path + ".data")
     else:
         _fail(path + ".kind", f"unknown kind {kind!r} (constant | polynomial | piecewise)")
-
-
-def _walk_all(walk, read: list) -> None:
-    """``walk`` over the argument tuples in ``read``, in turn."""
-    for args in read:
-        walk(*args)
-
-
-def _walked(walk, read: list):
-    """:func:`_walk_all` after a batch check of ``read`` failed, so that the
-    walk raises."""
-    _walk_all(walk, read)
-    raise AssertionError("a batch check failed on data the per-entry walk accepts")
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +213,21 @@ def _poly_item(entry: dict):
     if kind == "polynomial":
         return (_POLYNOMIAL, None, [data]) if isinstance(data, list) and data else None
     if kind == "piecewise" and isinstance(data, dict) and data.keys() == _DATA_KEYS:
-        return _piecewise_item(data["breaks"], data["pieces"])
+        return _piecewise_item(data)
     return None
 
 
-def _piecewise_item(breaks, pieces):
+def _piecewise_item(data: dict):
+    """:func:`_poly_item` of the ``breaks`` and ``pieces`` of ``data``."""
+    breaks, pieces = data["breaks"], data["pieces"]
     if isinstance(breaks, list) and isinstance(pieces, list) and len(pieces) == len(breaks) - 1:
         return _PIECEWISE, breaks, pieces
     return None
 
 
-def _tables(items: list, a: np.ndarray, b: np.ndarray):
+def _tables(items: list, spans: list):
     """One piecewise polynomial per item ``(kind, breaks, pieces)`` of
-    :func:`_poly_item` on ``[a[i], b[i]]``, or None when a number or a
+    :func:`_poly_item` on its span ``(a, b)``, or None when a number or a
     breakpoint check fails.
 
     Every coefficient of every item goes through one :func:`_complexes`
@@ -243,6 +238,7 @@ def _tables(items: list, a: np.ndarray, b: np.ndarray):
     """
     if not items:
         return []
+    a, b = np.array(spans, dtype=float).T
     kinds = np.array([kind for kind, _, _ in items], dtype=np.intp)
     rows = list(chain.from_iterable(pieces for _, _, pieces in items))
     if not rows or not all(issubclass(t, list) for t in set(map(type, rows))):
@@ -314,43 +310,42 @@ def _poly_out(p: PiecewisePoly) -> dict:
 
 _RECORD_KEYS = {"edge", "family", "k", "kind", "data"}
 _POLY_KEYS = {"kind", "data"}
+_EDGE_KEYS = {"id", "breaks", "pieces"}
 
 
-def _coefficient_records(records: list, n: int, tree: Tree) -> tuple:
-    """The ``(family, k, edge)`` keys, the :func:`_poly_item` of every
-    coefficient record, and the walk arguments of each.  A record's own
-    fields are checked as they are read; a bad one is reported after the
-    numbers of the records before it, which the walk checks first."""
-    canon = {eid: j + 1 for j, eid in enumerate(tree.original_ids)}
-    keys, items, read, seen = [], [], [], set()
+def _read_records(records: list, path: str, keys: set, check, walk) -> tuple:
+    """The piecewise polynomials of ``records`` and their indices by slot,
+    record ``i`` at the field path ``path.format(i)`` with the keys ``keys``.
 
-    def fail(path, msg):
-        _walk_all(_walk_poly_data, read)
-        _fail(path, msg)
-
-    for i, entry in enumerate(records):
-        path = f"config.coefficients[{i}]"
-        if not (isinstance(entry, dict) and entry.keys() == _RECORD_KEYS):
-            _walk_all(_walk_poly_data, read)
-            _check_keys(entry, _RECORD_KEYS, _RECORD_KEYS, path)
-        eid, fam, k = entry["edge"], entry["family"], entry["k"]
-        if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
-            fail(path + ".edge", f"unknown edge id {eid!r}")
-        if fam not in ("b", "c"):
-            fail(path + ".family", f"family must be 'b' or 'c', got {fam!r}")
-        if isinstance(k, bool) or not isinstance(k, int) or not (0 <= k <= n):
-            fail(path + ".k", f"derivative order must lie in 0..{n}, got {k!r}")
-        j = canon[eid]
-        if (fam, k, j) in seen:
-            fail(path, f"duplicate coefficient ({fam}, k={k}, edge={eid})")
-        seen.add((fam, k, j))
-        read.append((entry, 0.0, tree.length(j), path))
-        item = _poly_item(entry)
-        if item is None:
-            _walked(_walk_poly_data, read)
-        keys.append((fam, k, j))
-        items.append(item)
-    return keys, items, read
+    A record's keys and its own fields are checked as it is read:
+    ``check(record, where, slots)`` returns its slot, its :func:`_poly_item`
+    and its domain ``(a, b)``, given the slots of the records before it.
+    All numbers are checked in one :func:`_tables` batch after the last
+    record.  Where a check fails, ``walk(record, a, b, where)`` runs over
+    the records read so far, in document order, to raise the error of the
+    first bad number before that of the check.
+    """
+    slots, items, read, error = {}, [], [], None
+    try:
+        for i, record in enumerate(records):
+            where = path.format(i)
+            if not (isinstance(record, dict) and record.keys() == keys):
+                _check_keys(record, keys, keys, where)
+            slot, item, span = check(record, where, slots)
+            slots[slot] = len(items)
+            items.append(item)
+            read.append((record, *span, where))
+            if item is None:
+                break
+        else:
+            tables = _tables(items, [args[1:3] for args in read])
+            if tables is not None:
+                return slots, tables
+    except ConfigError as exc:
+        error = exc
+    for args in read:
+        walk(*args)
+    raise error or AssertionError("a batch check failed on data the per-entry walk accepts")
 
 
 @dataclass(frozen=True)
@@ -359,13 +354,6 @@ class SolverOptions:
 
     q: int = 8
     tolerance: float = 1e-9
-
-    def validated(self) -> "SolverOptions":
-        if self.q < 1:
-            _fail("solver.q", "q must be a positive integer")
-        if not (self.tolerance > 0):
-            _fail("solver.tolerance", "tolerance must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -426,21 +414,25 @@ class ProblemConfig:
 
         if not isinstance(d["coefficients"], list):
             _fail("config.coefficients", "expected a list of coefficient records")
-        keys, items, read = _coefficient_records(d["coefficients"], n, tree)
-        # the history's numbers join the records' in one batch; its errors
-        # are reported after those of the coefficient set, as they come later
-        history = d["history"]
-        hist = (_poly_item(history) if isinstance(history, dict) and history.keys() == _POLY_KEYS
-                else None)
-        n_rec = len(items)
-        a, b = np.array([(0.0, T) for _, _, T, _ in read] + [(-tau, 0.0)]).T
-        polys = None if hist is None else _tables(items + [hist], a, b)
-        if polys is None:  # a record's error comes first, the history's after the set's
-            hist, polys = None, _tables(items, a[:n_rec], b[:n_rec])
-            if polys is None:
-                _walked(_walk_poly_data, read)
+        canon = {eid: j for j, eid in enumerate(tree.original_ids, start=1)}
+
+        def record(entry, where, seen):
+            eid, fam, k = entry["edge"], entry["family"], entry["k"]
+            if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
+                _fail(where + ".edge", f"unknown edge id {eid!r}")
+            if fam not in ("b", "c"):
+                _fail(where + ".family", f"family must be 'b' or 'c', got {fam!r}")
+            if isinstance(k, bool) or not isinstance(k, int) or not (0 <= k <= n):
+                _fail(where + ".k", f"derivative order must lie in 0..{n}, got {k!r}")
+            j = canon[eid]
+            if (fam, k, j) in seen:
+                _fail(where, f"duplicate coefficient ({fam}, k={k}, edge={eid})")
+            return (fam, k, j), _poly_item(entry), (0.0, tree.length(j))
+
+        slots, polys = _read_records(d["coefficients"], "config.coefficients[{}]", _RECORD_KEYS,
+                                    record, _walk_poly_data)
         b_map, c_map = {}, {}
-        for (fam, k, j), p in zip(keys, polys):
+        for (fam, k, j), p in zip(slots, polys):
             (b_map if fam == "b" else c_map)[k, j] = p
         for j, eid in enumerate(tree.original_ids, start=1):
             if (n, j) not in b_map:
@@ -450,41 +442,35 @@ class ProblemConfig:
             coeffs = CoefficientSet.build(tree, n, tau, b_map, c_map)
         except Exception as exc:
             _fail("config.coefficients", str(exc))
+        # the history's errors come after those of the coefficient set
+        _, (history,) = _read_records([d["history"]], "config.history", _POLY_KEYS,
+                                      lambda h, where, _: (None, _poly_item(h), (-tau, 0.0)),
+                                      _walk_poly_data)
 
-        if hist is None:
-            _check_keys(history, _POLY_KEYS, _POLY_KEYS, "config.history")
-            _walked(_walk_poly_data, [(history, -tau, 0.0, "config.history")])
-        history = polys[-1]
-
-        solver = SolverOptions()
-        if "solver" in d:
-            s = d["solver"]
-            _check_keys(s, {"q", "tolerance"}, set(), "config.solver")
-            q = s.get("q", solver.q)
-            if isinstance(q, bool) or not isinstance(q, int):
-                _fail("config.solver.q", f"q must be an integer, got {q!r}")
-            solver = SolverOptions(
-                q=q,
-                tolerance=_real(s.get("tolerance", solver.tolerance), "config.solver.tolerance"),
-            ).validated()
-        return cls(n=n, tau=tau, tree=tree, coeffs=coeffs, history=history, solver=solver)
+        s = d.get("solver", {})
+        _check_keys(s, {"q", "tolerance"}, set(), "config.solver")
+        q = s.get("q", SolverOptions.q)
+        if isinstance(q, bool) or not isinstance(q, int):
+            _fail("config.solver.q", f"q must be an integer, got {q!r}")
+        tol = _real(s.get("tolerance", SolverOptions.tolerance), "config.solver.tolerance")
+        if q < 1:
+            _fail("config.solver.q", "q must be a positive integer")
+        if tol <= 0:
+            _fail("config.solver.tolerance", "tolerance must be positive")
+        return cls(n=n, tau=tau, tree=tree, coeffs=coeffs, history=history,
+                   solver=SolverOptions(q=q, tolerance=tol))
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":
-        return cls.from_dict(_read_json(path))
+        return cls.from_dict(read_json(path))
 
     def to_dict(self) -> dict:
         """Canonical form: canonical edge order, sorted coefficient records,
         absent coefficients (:attr:`CoefficientSet.present`) dropped.
         Parsing the output reproduces it."""
-        edges = []
-        for j in range(1, self.tree.m + 1):
-            pj = self.tree.parent_of(j)
-            edges.append({
-                "id": self.edge_ids[j - 1],
-                "parent": 0 if pj == 0 else self.edge_ids[pj - 1],
-                "length": float(self.tree.length(j)),
-            })
+        ids = (0,) + self.edge_ids  # the root's parent is 0
+        edges = [{"id": ids[j], "parent": ids[self.tree.parent_of(j)],
+                  "length": float(self.tree.length(j))} for j in range(1, self.tree.m + 1)]
         records = []
         for f, j in zip(*np.nonzero(self.coeffs.present)):
             fam, k = divmod(int(f), self.n + 1)
@@ -500,3 +486,40 @@ class ProblemConfig:
             "history": _poly_out(self.history),
             "solver": {"q": self.solver.q, "tolerance": self.solver.tolerance},
         }
+
+
+def control_from_file(path, cfg: ProblemConfig) -> tuple:
+    """The per-edge control of a control file, edge ``j`` at index ``j - 1``:
+    every edge id of ``cfg`` once, each edge a ``piecewise`` record on
+    ``[0, T_j]``."""
+    d = read_json(path)
+    _check_keys(d, {"edges"}, {"edges"}, "control")
+    if not isinstance(d["edges"], list):
+        _fail("control.edges", "expected a list of edge records")
+    canon = {eid: j for j, eid in enumerate(cfg.edge_ids, start=1)}
+
+    def edge(e, where, seen):
+        eid = e["id"]
+        if isinstance(eid, bool) or not isinstance(eid, int) or eid not in canon:
+            _fail(where + ".id", f"unknown edge id {eid!r}")
+        j = canon[eid]
+        if j in seen:
+            _fail(where + ".id", f"duplicate edge id {eid}")
+        return j, _piecewise_item(e), (0.0, cfg.tree.length(j))
+
+    slots, comps = _read_records(d["edges"], "control.edges[{}]", _EDGE_KEYS, edge,
+                                 _walk_piecewise)
+    for eid, j in canon.items():
+        if j not in slots:
+            raise ConfigError(f"control file lacks edge id {eid}")
+    return tuple(comps[slots[j]] for j in range(1, len(canon) + 1))
+
+
+def control_text(cfg: ProblemConfig, control: tuple) -> str:
+    """The control file of the per-edge ``control``, edge ``j`` at index
+    ``j - 1``, one edge record per line: :func:`control_from_file` reads it
+    back exactly."""
+    # without indent json.dumps runs its C encoder
+    records = (json.dumps({"id": eid, **_piecewise_out(u)})
+               for eid, u in zip(cfg.edge_ids, control))
+    return '{"edges": [\n' + ",\n".join(records) + "\n]}\n"

@@ -30,6 +30,7 @@ solution on the assembly grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -271,7 +272,9 @@ def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
     The trajectory is the member of the constrained Hermite space with
     history ``phi`` whose free nodal data solve the Gram system; the
     induced control is the edge operator applied to the trajectory, and the
-    reported energy is its squared norm.
+    reported energy is its squared norm.  A solution whose energy is not
+    finite (the trajectory or the control overflowed) raises
+    :class:`numpy.linalg.LinAlgError`.
     """
     for j in range(tree.d + 1, tree.m + 1):
         if tree.length(j) < 2 * coeffs.tau:
@@ -285,8 +288,11 @@ def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
     y = basis.tree_function(x, phi)
     u = tuple(operator_components(y, coeffs))
     pieces, table = EdgePieces.of(u)
-    return DampingSolution(y=y, control=u, energy=sum(pieces.norms_sq(table).tolist()), dofs=x,
-                           basis=basis, gram=gram, coeffs=coeffs)
+    energy = sum(pieces.norms_sq(table).tolist())
+    if not math.isfinite(energy):  # an overflow in y reaches u through b_n y^(n)
+        raise np.linalg.LinAlgError(f"the optimal trajectory overflowed: its energy is {energy}")
+    return DampingSolution(y=y, control=u, energy=energy, dofs=x, basis=basis, gram=gram,
+                           coeffs=coeffs)
 
 
 def optimality_check(sol: DampingSolution) -> dict:

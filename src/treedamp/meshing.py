@@ -111,6 +111,9 @@ def build_mesh(tree: Tree, tau: float, q: int, sources=(0.0,), local_points=((),
         raise MeshError(f"delay {tau} must lie in (0, min edge length)")
 
     m, T, offset = tree.m, np.asarray(tree.lengths), tree.offsets
+    count = float(np.sum(T / tau * q))  # no edge has fewer than T_j q / tau elements
+    if count > np.iinfo(np.intp).max:
+        raise MeshError(f"a mesh of at least {count:.6g} elements is more than an array can index")
     tol = 1e-12 * np.maximum(1.0, offset + T)
     # per edge and source g, the images g + k tau - offset from the first one
     # at the edge's start (to within 1e-9 tau) on, max T / tau + 3 of them,

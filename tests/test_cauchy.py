@@ -355,3 +355,14 @@ def test_control_with_wrong_edge_count_is_rejected(lengths, match):
         solve_cauchy(tr, cs, phi, bad, mesh)
     with pytest.raises(ValueError, match=match):
         residual_ell(y, cs, bad)
+
+
+def test_an_overflowing_trajectory_is_a_numerical_failure():
+    # b_1 = 1e308 overflows the collocation rows on the root edge: the
+    # solver names the edge instead of returning a trajectory of nan
+    tr = interval(3.0)
+    coeffs = CoefficientSet.build(tr, 1, 1.0, b={(1, 1): 1e308}, c={})
+    phi = PiecewisePoly.constant(-1.0, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="trajectory overflowed on edge id 1"):
+            solve_cauchy(tr, coeffs, phi, _zero_control(tr), build_mesh(tr, 1.0, 4))

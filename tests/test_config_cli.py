@@ -1,7 +1,12 @@
 """Problem-file parsing and the command-line workflows."""
 
+import copy
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,8 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treedamp.config import ConfigError, ProblemConfig, SolverOptions, _num, _num_out
-from treedamp.cli import _control_from_file, _control_to_dict, _write_csv, _write_rows, main
+import treedamp
+import treedamp.config as config_mod
+from treedamp.config import (ConfigError, ProblemConfig, SolverOptions, _num, _num_out,
+                             control_from_file, control_text)
+from treedamp.cli import _write_csv, _write_rows, main
 from treedamp.damping import IndefiniteGramError, solve_damping
 from treedamp.piecewise import PiecewisePoly
 
@@ -120,6 +128,41 @@ def test_validation_reports_field_paths(mutate, fragment):
     with pytest.raises(ConfigError, match=None) as err:
         ProblemConfig.from_dict(d)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"q": 0}, "config.solver.q: q must be a positive integer"),
+    ({"tolerance": 0.0}, "config.solver.tolerance: tolerance must be positive"),
+])
+def test_solver_messages_carry_the_config_prefix(solver, message):
+    with pytest.raises(ConfigError) as err:
+        ProblemConfig.from_dict(_minimal_dict(solver=solver))
+    assert str(err.value) == message
+
+
+def test_missing_key_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    # two keys missing: the first in sorted order is named, under any
+    # PYTHONHASHSEED
+    (tmp_path / "config.json").write_text(json.dumps(_minimal_dict()))
+    (tmp_path / "control.json").write_text(json.dumps({"edges": [{"id": 1}]}))
+    script = """if True:
+        import sys
+        from treedamp.config import ConfigError, ProblemConfig, control_from_file
+        cfg = ProblemConfig.from_file(sys.argv[1] + "/config.json")
+        for read in (lambda: ProblemConfig.from_dict(dict(cfg.to_dict(), edges=[{"length": 2.0}])),
+                     lambda: control_from_file(sys.argv[1] + "/control.json", cfg)):
+            try:
+                read()
+            except ConfigError as exc:
+                print(exc)
+        """
+    src = str(Path(treedamp.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                           text=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
+            for seed in ("1", "2")]
+    assert outs == ["config.edges[0]: missing required key 'id'\n"
+                    "control.edges[0]: missing required key 'breaks'\n"] * 2
 
 
 def test_piecewise_pieces_must_match_breaks():
@@ -271,13 +314,13 @@ def test_cli_verify_accepts_a_control_piece_split_at_an_interior_point(tmp_path,
     out = tmp_path / "run"
     assert main(["damp", "--config", cfg_path, "--out", str(out), "--q", "3"]) == 0
     control_path = out / "control.json"
-    control = list(_control_from_file(control_path, cfg))
+    control = list(control_from_file(control_path, cfg))
     u = control[1]
     cut = u.breaks[1] + 0.37 * (u.breaks[2] - u.breaks[1])
     split = oracles.poly(u).refined([cut])
     assert split.npieces == u.npieces + 1 and not np.array_equal(split.coefs[2], u.coefs[1])
     control[1] = split
-    control_path.write_text(json.dumps(_control_to_dict(cfg, tuple(control))))
+    control_path.write_text(control_text(cfg, tuple(control)))
     capsys.readouterr()
     assert main(["verify", "--config", cfg_path, "--solution", str(out)]) == 0
     assert "control matches" in capsys.readouterr().out
@@ -629,7 +672,7 @@ def test_control_parse_matches_the_per_entry_reference(tmp_path_factory, records
     path = tmp_path_factory.mktemp("control") / "control.json"
     path.write_text(json.dumps({"edges": [
         {"id": eid, "breaks": records[eid - 1][0], "pieces": records[eid - 1][1]} for eid in order]}))
-    back = _control_from_file(path, cfg)
+    back = control_from_file(path, cfg)
     for j, eid in enumerate(cfg.edge_ids, start=1):
         _assert_bitwise(back[j - 1], oracles.parse_piecewise(*records[eid - 1], 0.0, _LENGTHS[eid]))
 
@@ -673,6 +716,119 @@ def test_config_tables_match_the_per_entry_reference(data):
         j = cfg.edge_ids.index(r["edge"]) + 1
         got = (cfg.coeffs.b if r["family"] == "b" else cfg.coeffs.c)[r["k"]][j - 1]
         _assert_bitwise(got, _reference_poly(r, 0.0, _LENGTHS[r["edge"]]))
+
+
+_MUTATED_PROBLEM = dict(_TREE, coefficients=[
+    {"edge": 1, "family": "b", "k": 1, "kind": "constant", "data": 1.0},
+    {"edge": 2, "family": "b", "k": 1, "kind": "polynomial", "data": [1.0, 0.0, 0.01]},
+    {"edge": 3, "family": "b", "k": 1, "kind": "piecewise",
+     "data": {"breaks": [0.0, 1.0, 2.0], "pieces": [[1.0], [1.0, [0.0, 0.1]]]}},
+    {"edge": 1, "family": "c", "k": 0, "kind": "constant", "data": [0.25, -0.5]},
+    {"edge": 3, "family": "b", "k": 0, "kind": "piecewise",
+     "data": {"breaks": [0.0, 0.5, 1.25, 2.0], "pieces": [[0.5], [2, 0.5], [[1.0, 1.0]]]}},
+], history={"kind": "piecewise", "data": {"breaks": [-0.5, -0.25, 0.0],
+                                          "pieces": [[1.0, 0.5], [1.125, [0.5, 0.25]]]}})
+_MUTATED_CONTROL = {"edges": [
+    {"id": 2, "breaks": [0.0, 1.0, 2.5], "pieces": [[0.0, 1.0], [[1.0, -1.0], 0.5, 0.25]]},
+    {"id": 1, "breaks": [0.0, 3.0], "pieces": [[1.0, 2.0, 3.0]]},
+    {"id": 3, "breaks": [0.0, 0.5, 1.0, 1.5, 2.0], "pieces": [[1], [2], [3], [4]]},
+]}
+_ODD_VALUES = [True, None, "x", float("nan"), float("inf"), _HUGE, [], {}, [1.0], [1.0, 2.0, 3.0],
+               [[1.0, 2.0]], [1.0, True], -1, 0, 1, 2, 3, 7, 1.5, -0.0, 2.5, 3.0 + 1e-10,
+               "polynomial", "piecewise", "c", [0.0, 1.0, 0.5, 3.0], [[0.0], [1.0]]]
+
+
+def _mutated(doc: dict, rng: random.Random, root: str) -> dict:
+    """``doc`` with one to three seeded changes under ``doc[root]``: a value
+    replaced by an odd one, a key dropped or added, a list entry repeated,
+    dropped or swapped with another."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        if root not in doc:
+            break
+        at, stack = [], [((root,), doc[root])]
+        while stack:  # every field under root, with its path
+            path, value = stack.pop()
+            at.append(path)
+            items = value.items() if isinstance(value, dict) else (
+                enumerate(value) if isinstance(value, list) else ())
+            stack += [(path + (k,), v) for k, v in items]
+        path = rng.choice(at)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        last, op = path[-1], rng.random()
+        if op < 0.6:
+            parent[last] = copy.deepcopy(rng.choice(_ODD_VALUES))
+        elif isinstance(parent, dict):
+            if op < 0.8:
+                del parent[last]
+            else:
+                parent[rng.choice(["bogus", "id", "kind", "breaks"])] = 1
+        elif op < 0.75:
+            parent.insert(rng.randrange(len(parent) + 1), copy.deepcopy(parent[last]))
+        elif op < 0.9:
+            del parent[last]
+        else:
+            i = rng.randrange(len(parent))
+            parent[i], parent[last] = parent[last], parent[i]
+    return doc
+
+
+def _document_order_records(records, path, keys, check, walk):
+    """The rule of ``config._read_records`` without its batch: each record's
+    keys, its own fields and then the walk of its numbers, in document
+    order, and its polynomial built entry by entry."""
+    slots, polys = {}, []
+    for i, record in enumerate(records):
+        where = path.format(i)
+        config_mod._check_keys(record, keys, keys, where)
+        slot, item, (a, b) = check(record, where, slots)
+        walk(record, a, b, where)
+        assert item is not None  # the walk accepts only records of sound structure
+        slots[slot] = len(polys)
+        polys.append(_reference_poly(record, a, b) if "kind" in record
+                     else oracles.parse_piecewise(record["breaks"], record["pieces"], a, b))
+    return slots, polys
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_record_reader_equals_the_document_order_pass(tmp_path, monkeypatch, seed):
+    # seeded mutations of a problem's coefficient records and history and
+    # of a control file's edges: the batched reader raises exactly the
+    # error of the unbatched pass and accepts exactly what it accepts, with
+    # bitwise the same tables
+    rng = random.Random(seed)
+    cfg = ProblemConfig.from_dict(_MUTATED_PROBLEM)
+    path = tmp_path / "control.json"
+    outcomes = set()
+
+    def read(doc):
+        try:
+            if "order" not in doc:
+                path.write_text(json.dumps(doc))
+                return control_from_file(path, cfg)
+            got = ProblemConfig.from_dict(doc)
+            return [got.history] + [p for fam in (got.coeffs.b, got.coeffs.c)
+                                    for row in fam for p in row]
+        except ConfigError as exc:
+            return str(exc)
+
+    for i in range(250):
+        doc = (_mutated(_MUTATED_PROBLEM, rng, rng.choice(["coefficients", "history"]))
+               if i % 2 else _mutated(_MUTATED_CONTROL, rng, "edges"))
+        with monkeypatch.context() as m:
+            m.setattr(config_mod, "_read_records", _document_order_records)
+            want = read(doc)
+        got = read(doc)
+        outcomes.add(isinstance(want, str))
+        if isinstance(want, str):
+            assert got == want, doc
+        else:
+            assert not isinstance(got, str), (got, doc)
+            for p, r in zip(got, want, strict=True):
+                _assert_bitwise(p, r)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("eid", [True, 1.0])
@@ -724,6 +880,55 @@ def test_cli_damp_ignores_a_coefficient_break_that_changes_nothing(tmp_path, del
     assert energies[1] == pytest.approx(energies[0], rel=1e-12)
 
 
+def test_cli_simulate_reports_an_overflow_as_a_numerical_failure(tmp_path, capsys):
+    # b_1 = 1e308 on a star's root edge overflows the forward solve: exit 3
+    # naming the overflow, and no summary or trajectory full of nan
+    d = json.loads((CONFIGS / "star.json").read_text())
+    assert main(["damp", "--config", str(CONFIGS / "star.json"), "--out", str(tmp_path / "d"),
+                 "--q", "4"]) == 0
+    d["coefficients"][0]["data"] = 1e308
+    (tmp_path / "big.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--config", str(tmp_path / "big.json"), "--control",
+                   str(tmp_path / "d" / "control.json"), "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert "numerical failure: the simulated trajectory overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_simulate_writes_no_summary_that_is_not_finite(tmp_path, capsys):
+    # a control of 1e200 is simulated to a finite trajectory whose squared
+    # equation residual overflows
+    (tmp_path / "big.json").write_text(json.dumps(
+        {"edges": [{"id": 1, "breaks": [0.0, 3.0], "pieces": [[1e200]]}]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--config", str(CONFIGS / "interval.json"), "--control",
+                   str(tmp_path / "big.json"), "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert "a result overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.json").exists()
+
+
+def test_cli_damp_reports_a_mesh_no_array_can_index(tmp_path, capsys):
+    d = json.loads((CONFIGS / "interval.json").read_text())
+    d["edges"][0]["length"] = 1e300
+    (tmp_path / "long.json").write_text(json.dumps(d))
+    assert main(["damp", "--config", str(tmp_path / "long.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "error: a mesh of at least 1.6e+301 elements" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    import treedamp.cli as cli_mod
+
+    def rebuilt(*a, **kw):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli_mod.argparse, "ArgumentParser", rebuilt)
+    assert main(["convergence", "--config", str(CONFIGS / "interval.json"), "--q", "2,x"]) == 2
+    assert "--q expects a comma-separated integer list" in capsys.readouterr().err
+
+
 def test_cli_maps_numerical_failure_to_exit_3(tmp_path, capsys, monkeypatch):
     import treedamp.cli as cli_mod
 
@@ -763,8 +968,8 @@ def test_control_exchange_format_is_exact(tmp_path):
     cfg = ProblemConfig.from_file(CONFIGS / "interval.json")
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=3)
     path = tmp_path / "control.json"
-    path.write_text(json.dumps(_control_to_dict(cfg, sol.control)))
-    back = _control_from_file(path, cfg)
+    path.write_text(control_text(cfg, sol.control))
+    back = control_from_file(path, cfg)
     for j in range(1, cfg.tree.m + 1):
         diff = oracles.poly(back[j - 1]) - sol.control[j - 1]
         assert diff.max_abs() == 0.0
@@ -779,7 +984,7 @@ def test_damp_control_file_reads_back_bitwise(tmp_path, name):
     lines = (tmp_path / "control.json").read_text().splitlines()
     assert len(lines) == cfg.tree.m + 2
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
-    back = _control_from_file(tmp_path / "control.json", cfg)
+    back = control_from_file(tmp_path / "control.json", cfg)
     for got, want in zip(back, sol.control):
         np.testing.assert_array_equal(got.breaks, want.breaks)
         np.testing.assert_array_equal(got.coefs, want.coefs)

@@ -1,6 +1,7 @@
 """Constrained quadratic minimisation of the control cost."""
 
 import dataclasses
+import json
 import re
 import sys
 import tracemalloc
@@ -322,3 +323,14 @@ def test_second_order_problem_runs_and_is_optimal():
     assert sol.energy > 0.0
     assert optimality_check(sol)["max_rel"] < 1e-9
     assert oracles.smoothness_defect(sol.y) < 1e-9  # C^1 trial space
+
+
+def test_an_overflowing_solution_is_a_numerical_failure():
+    # a history of 1e308 overflows the trajectory's coefficients: the
+    # solver names the overflow instead of returning energy nan
+    d = json.loads((CONFIGS / "interval.json").read_text())
+    d["history"] = {"kind": "polynomial", "data": [1e308, 1e308]}
+    cfg = ProblemConfig.from_dict(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="optimal trajectory overflowed"):
+            solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)

@@ -1,6 +1,7 @@
 """Delay-aligned meshes and the constrained Hermite space."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ def test_mesh_rejects_bad_parameters():
         build_mesh(tr, 0.5, 0)
     with pytest.raises(MeshError):
         build_mesh(tr, 2.5, 2)
+
+
+@pytest.mark.parametrize("lengths, q, count", [([1e300], 16, "1.6e+301"),
+                                               ([1e18, 1e18, 1e18, 1e18, 1e18], 2, "1e+19")])
+def test_mesh_too_large_to_index_is_a_mesh_error(lengths, q, count):
+    # past np.intp's maximum no array can hold the nodes: the error names
+    # the element count before anything is allocated
+    tr = star(lengths) if len(lengths) > 1 else interval(lengths[0])
+    with pytest.raises(MeshError, match=re.escape(f"at least {count} elements")):
+        build_mesh(tr, 1.0, q)
 
 
 def test_mesh_local_points_become_nodes():
