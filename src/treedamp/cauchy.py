@@ -18,10 +18,11 @@ collocation matrix is ``[[D, 0], [C1, C2]]``, ``D = diag(k!/h^k)`` the state
 rows, so only the ``(elements, g, g)`` stack ``C2`` is inverted (and refined
 twice) to split each element's coefficients into ``x_e = P_e state + Q_e
 rhs_e``.  The right-hand sides (the control, less the history's delayed
-terms) and the rows of the other delayed reads come from one lookup each: a
-read before the edge or in its first delay window lands in the parent's
-element holding ``s + T_parent``, any other one in an earlier element of the
-edge.  Per edge there remains the sweep of delay windows, the greedy runs of
+terms) and the rows of the other delayed reads come from one lookup each on
+the mesh's lead-ins (:func:`~treedamp.expressions.lead_ins`): a read before
+the edge or in its first delay window lands in the parent's tail element
+holding ``s + T_parent``, any other one in an earlier element of the edge.
+Per edge there remains the sweep of delay windows, the greedy runs of
 elements each starting at a node ``x_a`` and ending within ``x_a + tau``:
 every read in a window lands in a finished element, so the window is one
 gather from the tree's coefficient table and a few batched products, and
@@ -56,7 +57,9 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     overflows raises :class:`numpy.linalg.LinAlgError`.
     """
     check_edge_functions(tree, control, "control")
-    check_edge_spans(tree, mesh.nodes, "mesh", MeshError, "node array")
+    el = mesh.elements
+    ends = np.stack([el.offsets[:-1], el.offsets[1:]], 1) + np.arange(el.m)[:, None]  # end nodes
+    check_edge_spans(tree, el.breaks[ends], "mesh", MeshError, "node array")
     n, tau = coeffs.n, coeffs.tau
     check_history(phi, tau)
     reach = tau * (1 + 1e-9)  # the slack DelayMesh.check allows
@@ -70,7 +73,6 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
 
     # the tree's elements, their collocation points and every coefficient there
-    el = mesh.elements
     E, rows = len(el.edge), np.arange(len(el.edge))
     t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
     values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
@@ -82,14 +84,15 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     stop = np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
 
     # reads before the edge or in its first window go to the history (root) or
-    # to the parent's element holding s + T_parent, the rest to the edge's own
-    par = np.asarray(tree.parent)[el.edge]
+    # to the parent's tail element holding s + T_parent, the rest to the
+    # edge's own: a lookup on the lead-ins in the frame the read comes from
+    (lead, lead_src, shift), par = mesh.lead_ins, np.asarray(tree.parent)[el.edge]
     s = t - tau
     before = (s < 0.0) | (rows < stop[el.offsets[:-1]][el.edge])[:, None]
     up, hist = before & (par > 0)[:, None], before & (par == 0)[:, None]
     s_at = s + np.where(up, np.asarray(tree.lengths)[par - 1, None], 0.0)
-    src = _find(el.edge, el.left, np.where(up, par[:, None] - 1, el.edge[:, None]).ravel(),
-                s_at.ravel()).reshape(E, g)
+    src = lead_src[_find(2 * lead + (shift == 0), el.left[lead_src],
+                         (2 * el.edge[:, None] + ~up).ravel(), s_at.ravel())].reshape(E, g)
     z = np.empty((E, deg), dtype=complex)  # per element: the entering state, then the rhs
     rhs = z[:, n:]
     cp, ctab = EdgePieces.of(control)

@@ -238,6 +238,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--q expects a comma-separated integer list, got {args.q!r}")
     if not qs or any(q < 1 for q in qs):
         raise ConfigError(f"--q entries must be positive integers, got {args.q!r}")
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        raise ConfigError(f"--q must strictly increase along the ladder, got {args.q!r}")
     tol = cfg.solver.tolerance
     orders = [str(k) for k in range(cfg.n, 2 * cfg.n)]
     top = 2 * cfg.n - 1
@@ -318,7 +320,8 @@ _PARSER = _parser()  # built once: main runs in process, call after call
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report these
+            return args.fn(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ breaks shifted by ``tau``, so the quadrature is exact.  One read of the
 coefficient table gives every ``b_k`` and ``c_k`` at every Gauss point.
 There the operator row of the basis sums the ``2n`` Hermite shapes of the
 element holding ``t``, weighted by the ``b_k``, and of the element of the
-edge's lead-in holding ``t - tau``, weighted by the ``c_k``: two lookups in
-the element table of :class:`~treedamp.meshing.Basis`, whose values become
+edge's lead-in holding ``t - tau``, weighted by the ``c_k``: two lookups
+(:meth:`~treedamp.meshing.Basis.locate`), whose values become
 entries of ``L`` in the rows of their DOFs.  The root start's ``n`` values,
 which the history fixes, have rows after the DOFs; only the root edge's
 reads before ``tau`` go to the history itself.
@@ -199,12 +199,12 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     el, present, (_, fam_edge, fam_breaks) = mesh.elements, coeffs.present, coeffs._families.breaks
     delayed = present[n + 1 :].any(axis=0)  # per edge: a delayed term is present
     heads = phi.breaks[: len(phi.breaks) * delayed[0]] + tau  # none without a delayed term
-    late = delayed[basis.lead_edge]
+    lead, src, shift = mesh.lead_ins
+    late = delayed[lead]
     # the cells refine the nodes, the coefficients' breaks and the delayed reads' ones
     cells = EdgePieces.merged(
-        np.concatenate([el.break_edge, fam_edge, basis.lead_edge[late],
-                        np.zeros(len(heads), dtype=int)]),
-        np.concatenate([el.breaks, fam_breaks, basis.lead_in[late] + tau, heads]),
+        np.concatenate([el.break_edge, fam_edge, lead[late], np.zeros(len(heads), dtype=int)]),
+        np.concatenate([el.breaks, fam_breaks, (el.left[src] - shift)[late] + tau, heads]),
         np.zeros(el.m), np.asarray(mesh.tree.lengths))
     degree = coeffs._families.widths - 1 - np.tile(np.arange(n + 1), 2)[:, None]
     max_deg = max((degree + 2 * n - 1)[present].max(initial=0),

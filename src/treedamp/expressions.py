@@ -6,19 +6,20 @@ The controlled system applies, on every edge ``j``, an operator of order
     (L_j y)(t) = sum_k [ b_kj(t) y_j^(k)(t) + c_kj(t) y_j^(k)(t - tau) ],
 
 where the delayed value is read through the parent edge when ``t < tau``
-(and from the prescribed history on the root edge).  This module holds the
-data types for coefficient families and trajectories plus the exact algebra
-on them after the solve: the control ``L y`` (:func:`operator_components`)
-and the weights of the re-indexed first variation
-(:func:`variation_weights`) that the diagnostics are built on.
+(and from the prescribed history on the root edge): the one delay rule,
+:func:`lead_ins`, which the mesh, the basis and the simulation read too.
+This module holds the data types for coefficient families and trajectories
+plus the exact algebra on them after the solve: the control ``L y``
+(:func:`operator_components`) and the weights of the re-indexed first
+variation (:func:`variation_weights`) that the diagnostics are built on.
 
 Both run on whole-tree piece tables (:class:`~treedamp.piecewise.EdgePieces`)
 in a fixed number of array passes, whatever the number of edges.  Every
 edge's cells are sorted in one pass; the rows a cell needs come in by one
-gather per kind of read: the trajectory at ``t`` and at ``t - tau`` (the
-history, the parent's tail or the edge itself), every coefficient, and for
-the weights the edge's own read at ``t + tau`` and its children's first
-delay windows.  What is left is row-wise convolution and column work.
+gather per kind of read: the trajectory at ``t`` and at ``t - tau`` (its
+lead-in), every coefficient, and for the weights the delayed products
+coming back to where the lead-ins land.  What is left is row-wise
+convolution and column work.
 """
 
 from __future__ import annotations
@@ -41,18 +42,16 @@ class CoefficientError(ValueError):
 def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None:
     """Raise ``error`` unless ``funcs`` holds one function per edge, edge
     ``j``'s at index ``j - 1`` and on ``[0, T_j]``."""
-    check_edge_spans(tree, [p.breaks for p in funcs], what, error)
+    check_edge_spans(tree, [p.domain for p in funcs], what, error)
 
 
-def check_edge_spans(tree: Tree, points, what: str, error=ValueError, item="function") -> None:
-    """Raise ``error`` unless ``points`` holds one sorted array per edge
-    (the breaks of an ``item``), edge ``j``'s at index ``j - 1`` and running
-    from 0 to ``T_j`` to the break tolerance."""
-    if len(points) != tree.m:
-        raise error(f"{what}: one {item} per edge required, got {len(points)} for {tree.m} edges")
-    lo = np.fromiter((p[0] for p in points), dtype=float, count=tree.m)
-    hi = np.fromiter((p[-1] for p in points), dtype=float, count=tree.m)
-    T = np.asarray(tree.lengths)
+def check_edge_spans(tree: Tree, ends, what: str, error=ValueError, item="function") -> None:
+    """Raise ``error`` unless ``ends`` holds the first and last breaks of
+    one ``item`` per edge, edge ``j``'s at index ``j - 1``, running from 0
+    to ``T_j`` to the break tolerance."""
+    if len(ends) != tree.m:
+        raise error(f"{what}: one {item} per edge required, got {len(ends)} for {tree.m} edges")
+    (lo, hi), T = np.asarray(ends, dtype=float).T, np.asarray(tree.lengths)
     bad = np.flatnonzero((np.abs(lo) > 1e-12) | (np.abs(hi - T) > 1e-12 * np.maximum(1.0, T)))
     if bad.size:
         j = int(bad[0]) + 1
@@ -263,51 +262,60 @@ class TreeFunction:
         return TreeFunction(self.tree, self.n, tuple(comps), history)
 
 
+def lead_ins(pieces: EdgePieces, head: np.ndarray, end: np.ndarray, tau: float) -> tuple:
+    """Where the delayed reads of the layout's first ``len(head)`` edges
+    land, the one delay rule of the method of steps: a read at ``s = t -
+    tau < 0`` lands before edge ``e``, in the pieces of layout edge
+    ``head[e]`` (the parent, the history on the root, -1 for none) moved
+    back by its ``end`` (its length; 0 for the history), any other one in
+    the edge's own pieces.  Returns, ordered by edge, each lead-in row's
+    edge, layout row and shift: the head's pieces whose right end lies
+    after ``end - tau``, then all of the edge's own, with shift 0.
+    """
+    own = pieces.offsets[len(head)]  # the rows of the reading edges
+    right = pieces.breaks[np.arange(len(pieces.edge)) + pieces.edge + 1]
+    late = np.bincount(pieces.edge[right > (end - tau)[pieces.edge]], minlength=pieces.m)
+    reader = np.flatnonzero(head >= 0)
+    size = late[head[reader]]  # the tail each reader reads: its head's last rows
+    tail = np.arange(size.sum()) + np.repeat(pieces.offsets[head[reader] + 1] - np.cumsum(size), size)
+    edge = np.append(np.repeat(reader, size), pieces.edge[:own])
+    order = np.argsort(edge, kind="stable")
+    return (edge[order], np.append(tail, np.arange(own))[order],
+            np.append(end[head[reader]].repeat(size), np.zeros(own))[order])
+
+
 def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, points):
-    """The cells of the 1-based ``edges`` and the trajectory on them.
+    """The cells of the 1-based ``edges`` (ascending) and the trajectory on
+    them, laid out after the heads that are not among them (the history, a
+    parent), whose :func:`lead_ins` serve the reads at ``t - tau``.
 
     The cells of edge ``j`` are its nodes, the ``points`` given as ``(edge
-    position, point)`` and, where ``delayed`` holds, its lead-in's breaks
-    shifted by ``tau``: the history's on the root and the parent's tail on
-    every other edge.  Returns the cells, the ``(2 * rows, width)`` table of
-    the trajectory on every cell at ``t`` and then at ``t - tau``, and per
-    edge the widths of those two reads.
+    position, point)`` and, where ``delayed`` holds, the right ends of its
+    lead-in's pieces moved onto ``t``.  Returns the cells, the ``(2 * rows,
+    width)`` table of the trajectory on every cell at ``t`` and then at ``t
+    - tau``, and per edge the widths of those two reads.
     """
-    tree, tau = y.tree, y.tau
-    lengths = np.asarray(tree.lengths)
+    tree, tau, k = y.tree, y.tau, len(edges)
+    lengths = np.append(0.0, tree.lengths)  # index 0: the history, moved back by nothing
     par = np.asarray(tree.parent)[edges - 1]
-    heads = [y.history if p == 0 else y.components[p - 1] for p in par]
-    own, own_c = EdgePieces.of(y.components[j - 1] for j in edges)
-    head, head_c = EdgePieces.of(heads)
-    shift = np.where(par == 0, tau, tau - lengths[par - 1])  # head coordinates onto the edge's
-    first = np.zeros(len(own.breaks), dtype=bool)
-    first[own.offsets[:-1] + np.arange(len(edges))] = True
-    from_head = delayed[head.break_edge]
-    from_own = delayed[own.break_edge] & ~first
-    cells = EdgePieces.merged(
-        np.concatenate([own.break_edge, points[0], head.break_edge[from_head],
-                        own.break_edge[from_own]]),
-        np.concatenate([own.breaks, points[1], (head.breaks + shift[head.break_edge])[from_head],
-                        own.breaks[from_own] + tau]),
-        np.zeros(len(edges)), lengths[edges - 1])
-
-    # rows at t - tau: the head pieces a delayed read reaches, then the edge's
-    # own pieces, labelled after the rows at t
-    late = head.left + head.h + shift[head.edge] > 0.0
-    label = np.concatenate([head.edge[late], own.edge])
-    order = np.lexsort((label,))  # stable: head rows first, then the edge's own
-    rows, nh = len(own.edge), int(late.sum())
-    table = np.zeros((2 * rows + nh, max(own_c.shape[1], head_c.shape[1])), dtype=complex)
-    table[:rows, : own_c.shape[1]] = own_c
-    table[rows : rows + nh, : head_c.shape[1]] = head_c[late]
-    table[rows + nh :, : own_c.shape[1]] = own_c
-    table[rows:] = table[rows:][order]
-    left = np.concatenate([(head.left + shift[head.edge])[late], own.left + tau])[order]
-    reads = _gather(table, np.concatenate([own.edge, len(edges) + label[order]]),
-                   np.concatenate([own.left, left]), np.concatenate([cells.edge, len(edges) + cells.edge]),
+    order = np.concatenate([edges, np.setdiff1d(par, edges)])
+    funcs = (y.history,) + y.components
+    pieces, table = EdgePieces.of(funcs[i] for i in order)
+    at = np.zeros(tree.m + 1, dtype=int)
+    at[order] = np.arange(len(order))
+    edge, src, shift = lead_ins(pieces, at[par], lengths[order], tau)
+    own, use = pieces.offsets[k], delayed[edge]
+    right = pieces.breaks[src + pieces.edge[src] + 1] + (tau - shift)  # on t, as the cells are
+    cells = EdgePieces.merged(np.concatenate([pieces.break_edge[: own + k], points[0], edge[use]]),
+                              np.concatenate([pieces.breaks[: own + k], points[1], right[use]]),
+                              np.zeros(k), lengths[edges])
+    reads = _gather(np.concatenate([table[:own], table[src]]),
+                   np.concatenate([pieces.edge[:own], k + edge]),
+                   np.concatenate([pieces.left[:own], pieces.left[src] + (tau - shift)]),
+                   np.concatenate([cells.edge, k + cells.edge]),
                    np.concatenate([cells.mid, cells.mid]), np.concatenate([cells.left, cells.left]))
-    wy = np.array([y.components[j - 1].coefs.shape[1] for j in edges])
-    return cells, reads, wy, np.maximum(wy, [p.coefs.shape[1] for p in heads])
+    wy = np.array([funcs[j].coefs.shape[1] for j in edges])
+    return cells, reads, wy, np.maximum(wy, [funcs[p].coefs.shape[1] for p in par])
 
 
 def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
@@ -393,27 +401,18 @@ def _weight_table(coeffs: CoefficientSet, ells, ks):
         np.concatenate([cells.breaks[own], cells.breaks[reads] + (-tau), split,
                         cells.breaks[up] + (lengths - tau)[par[be[up]] - 1]]),
         zeros, active)
-    mid, at, edge = weights.mid, weights.left, weights.edge
-
-    out = _gather(products[:, :K], cells.edge, cells.left, edge, mid, at)
-    early = np.flatnonzero(mid < split[edge])
-    # the last window's cells of an edge close its rows; each child reads
-    # all of its parent's, the children in ascending order
-    late = np.bincount(edge[mid > split[edge]], minlength=m)
-    count = late[par[1:] - 1]
-    cell = np.repeat((weights.offsets[1:] - late)[par[1:] - 1] - (np.cumsum(count) - count), count)
-    cell += np.arange(len(cell))
-    child = np.repeat(everyone[1:], count)
-    has_parent = par[cells.edge] > 0
-    src_label = np.concatenate([cells.edge, m + cells.edge[has_parent]])
-    src_left = np.concatenate([cells.left + (-tau),
-                               cells.left[has_parent]
-                               + (lengths - tau)[par[cells.edge[has_parent]] - 1]])
-    src = np.concatenate([products[:, K:], products[has_parent, K:]])
-    advanced = _gather(src, src_label, src_left, np.concatenate([edge[early], m + child]),
-                      np.concatenate([mid[early], mid[cell]]), np.concatenate([at[early], at[cell]]))
+    out = _gather(products[:, :K], cells.edge, cells.left, weights.edge, weights.mid, weights.left)
+    # each edge's delayed products come back to where its reads land, its
+    # lead-in: its own cells before its last window, its parent's in that
+    # window, each moved into the frame of the cell it comes back to
+    edge, cell, shift = lead_ins(weights, par - 1, lengths, tau)
+    back = np.flatnonzero((shift > 0) | (weights.mid[cell] < split[edge]))
+    edge, cell = edge[back] + m * (shift[back] > 0), cell[back]
+    src_left = np.concatenate([cells.left + (-tau), cells.left + (lengths - tau)[par[cells.edge] - 1]])
+    advanced = _gather(np.concatenate([products[:, K:]] * 2), np.append(cells.edge, m + cells.edge),
+                      src_left, edge, weights.mid[cell], weights.left[cell])
     acc = np.zeros_like(out)
-    np.add.at(acc, np.concatenate([early, cell]), advanced)
+    np.add.at(acc, cell, advanced)
     return weights, out + acc
 
 

@@ -10,11 +10,13 @@ the minimisation runs over the free nodal data, with every boundary edge
 resting on its final delay window.
 
 :func:`build_mesh` places the nodes of the whole tree in a fixed number
-of array passes, and the mesh lays its elements out once, as one table
-(:attr:`DelayMesh.elements`).  :class:`Basis` adds the Hermite shapes and
-nodal-data indices of every element, and one table of every edge's
-lead-in, where its delayed reads land, searched in one lookup for any set
-of points.  Reconstruction, Gram assembly and simulation read these tables.
+of array passes and keeps them as one table of elements
+(:attr:`DelayMesh.elements`).  Where an edge's delayed reads land, its
+lead-in, the mesh takes from :func:`~treedamp.expressions.lead_ins`, the
+delay rule that the trajectories and the weights read too, and searches it
+in one lookup for any set of points (:meth:`Basis.locate`).
+:class:`Basis` adds the Hermite shapes and nodal-data indices of every
+element.  Reconstruction, Gram assembly and simulation read these tables.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expressions import TreeFunction
+from .expressions import TreeFunction, lead_ins
 from .piecewise import EdgePieces, PiecewisePoly, _find, derivative_powers
 from .trees import Tree
 
@@ -55,21 +57,35 @@ def _hermite_shapes(n: int, h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DelayMesh:
-    """Per-edge node sets aligned with the delay stepping structure.
-
-    ``nodes[j-1]`` is the sorted node array of edge ``j`` (first entry 0,
-    last entry ``T_j``); :attr:`elements` lays them out as one table."""
+    """Per-edge node sets aligned with the delay stepping structure, kept as
+    one table: edge ``j - 1`` of :attr:`elements` holds edge ``j``'s
+    elements, their nodes sorted from 0 to ``T_j``.  Edge ``j`` reads its
+    delayed values from its :attr:`lead_ins` on ``[-tau, T_j)``: on every
+    edge but the root, the parent's tail elements moved back to ``[-tau,
+    0]``, then its own; the root edge reads the history before 0."""
 
     tree: Tree
     tau: float
     q: int
-    nodes: tuple
+    elements: EdgePieces
+
+    @classmethod
+    def from_nodes(cls, tree: Tree, tau: float, q: int, nodes) -> "DelayMesh":
+        """The mesh of one sorted node array per edge, edge ``j``'s at ``j - 1``."""
+        sizes = np.fromiter(map(len, nodes), int, len(nodes))
+        return cls(tree, tau, q, EdgePieces(np.concatenate(nodes), np.append(0, np.cumsum(sizes - 1))))
+
+    @property
+    def nodes(self) -> tuple:
+        """Edge ``j``'s node array at index ``j - 1``, views of the table."""
+        el = self.elements
+        return tuple(el.breaks[el.offsets[e] + e : el.offsets[e + 1] + e + 1] for e in range(el.m))
 
     @cached_property
-    def elements(self) -> EdgePieces:
-        """One table of the elements, edge ``j - 1`` holding ``nodes[j-1]``'s."""
-        sizes = np.fromiter(map(len, self.nodes), int, len(self.nodes))
-        return EdgePieces(np.concatenate(self.nodes), np.append(0, np.cumsum(sizes - 1)))
+    def lead_ins(self) -> tuple:
+        """The elements' :func:`~treedamp.expressions.lead_ins`."""
+        tree = self.tree
+        return lead_ins(self.elements, np.asarray(tree.parent) - 1, np.asarray(tree.lengths), self.tau)
 
     def max_width(self) -> float:
         return float(self.elements.h.max())
@@ -145,8 +161,7 @@ def build_mesh(tree: Tree, tau: float, q: int, sources=(0.0,), local_points=((),
     nodes = a[at] + width[at] * i / nseg[at]  # every node but the edges' first ones
     nodes[offsets[1:] - 1] = T
     nodes = np.insert(nodes, offsets[:-1], 0.0)
-    return DelayMesh(tree, float(tau), int(q),
-                     tuple(np.split(nodes, offsets[1:-1] + np.arange(1, m)))).check()
+    return DelayMesh(tree, float(tau), int(q), EdgePieces(nodes, offsets)).check()
 
 
 class Basis:
@@ -168,13 +183,6 @@ class Basis:
     values ``ndof .. ndof+n-1``, or -1 in a resting tail.  Node ``e + 1`` is
     the right end of element ``e``, and an edge's first left end is its
     parent's last right end (node 0, the root start, for the root edge).
-
-    Edge ``j`` reads its delayed values from its lead-in on ``[-tau, T_j)``:
-    the parent's tail elements moved to ``[-tau, 0]``, then its own.  The
-    root edge's lead-in starts at 0; before that it reads the history.  All
-    lead-ins form one table ordered by edge: its row ``r`` is an element of
-    the 0-based edge ``lead_edge[r]``'s lead-in whose left node lies at
-    ``lead_in[r]``, in that edge's coordinate.
     """
 
     def __init__(self, mesh: DelayMesh, n: int):
@@ -198,29 +206,16 @@ class Basis:
         self.rows = np.where(d >= 0, d + np.arange(n), -1).reshape(E, 2 * n)
         self.shapes = _hermite_shapes(n, el.h)
 
-        # the lead-ins: on every edge but the root, the parent's tail
-        # elements moved back by the parent's length; then the edge's own
-        par = par[1:] - 1  # the parents of edges 2..m, 0-based
-        in_tail = el.left >= tail_from[el.edge]
-        size = np.bincount(el.edge[in_tail], minlength=tree.m)[par]  # the tail each child reads
-        tail = np.arange(size.sum()) + np.repeat(el.offsets[par + 1] - np.cumsum(size), size)
-        edge = np.append(np.repeat(np.arange(1, tree.m), size), el.edge)
-        order = np.argsort(edge, kind="stable")
-        self.lead_edge = edge[order]
-        self._lead_ids = np.append(tail, np.arange(E))[order]
-        self._lead_shift = np.append(T[par].repeat(size), np.zeros(E))[order]
-        self.lead_in = el.left[self._lead_ids] - self._lead_shift
-
     def locate(self, edge, t: np.ndarray):
         """Tree-wide element ids and local coordinates of the times ``t`` on
         the lead-ins of the 0-based ``edge`` (one per time, or one for all),
         found by one :func:`~treedamp.piecewise._find`; a time in ``[-tau,
         0)`` lands in the parent's tail and is measured from the element's
         left node there."""
+        (lead, src, shift), left = self.mesh.lead_ins, self.mesh.elements.left
         t = np.asarray(t, dtype=float)
-        i = _find(self.lead_edge, self.lead_in, np.broadcast_to(edge, t.shape), t)
-        ids = self._lead_ids[i]
-        return ids, t + self._lead_shift[i] - self.mesh.elements.left[ids]
+        i = _find(lead, left[src] - shift, np.broadcast_to(edge, t.shape), t)
+        return src[i], t + shift[i] - left[src[i]]
 
     def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
         """Member of the discrete space with the given DOF vector.  With

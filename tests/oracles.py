@@ -533,7 +533,7 @@ def build_mesh(tree, tau: float, q: int, sources=(0.0,), local_points=((), ())) 
         xs = np.array(xs)
         xs[0], xs[-1] = 0.0, Tj
         all_nodes.append(xs)
-    return DelayMesh(tree, float(tau), int(q), tuple(all_nodes))
+    return DelayMesh.from_nodes(tree, float(tau), int(q), tuple(all_nodes))
 
 
 def dof_numbering(mesh, n: int):
@@ -560,6 +560,28 @@ def dof_numbering(mesh, n: int):
     rows = [[first[v] + k if first[v] >= 0 else -1 for v in (a, b) for k in range(n)]
             for g in gid for a, b in zip(g[:-1], g[1:])]
     return np.array(rows, dtype=int).reshape(-1, 2 * n), ndof
+
+
+def lead_ins(breaks, tree, tau: float):
+    """Edge by edge, where the delayed reads land, the reference for
+    :func:`treedamp.expressions.lead_ins`: the pieces whose right end lies
+    after ``T_p - tau`` of the parent ``p`` (of the history, ``breaks[m]``
+    when given, on the root, with ``T_p`` 0), then all of the edge's own.
+    ``breaks[j-1]`` holds edge ``j``'s breaks; rows are numbered in that
+    order.  Returns the reading edges (0-based), the rows and the shifts."""
+    first = np.cumsum([0] + [len(b) - 1 for b in breaks])
+    edge, rows, shift = [], [], []
+    for j in range(1, tree.m + 1):
+        p = tree.parent_of(j)
+        head, T = (p - 1, tree.length(p)) if p else (tree.m, 0.0)
+        reads = []
+        if head < len(breaks):
+            reads = [(first[head] + i, T) for i, b in enumerate(breaks[head][1:]) if b > T - tau]
+        reads += [(first[j - 1] + i, 0.0) for i in range(len(breaks[j - 1]) - 1)]
+        edge += [j - 1] * len(reads)
+        rows += [r for r, _ in reads]
+        shift += [t for _, t in reads]
+    return np.array(edge), np.array(rows), np.array(shift)
 
 
 def trajectory_distance(y, z) -> float:

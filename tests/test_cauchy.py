@@ -121,7 +121,7 @@ def test_neutral_star_is_exact_on_meshes_not_aligned_with_the_delay(nodes):
     # straddle t = tau, where a window reads both the history or parent and
     # its own edge; the last mesh also puts b_0's break at 0.7 inside an element
     tr, cs, y_true, u = _neutral_star()
-    mesh = DelayMesh(tr, cs.tau, 1, (np.array(nodes),) * tr.m)
+    mesh = DelayMesh.from_nodes(tr, cs.tau, 1, (np.array(nodes),) * tr.m)
     y = solve_cauchy(tr, cs, y_true.history, u, mesh)
     assert oracles.trajectory_distance(y, y_true) < 1e-11
     assert residual_ell(y, cs, u)["total"] < 1e-11
@@ -132,7 +132,7 @@ def test_mesh_wider_than_the_delay_is_rejected():
     # t - tau and give a wrong trajectory without an error
     cfg = ProblemConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "interval.json")
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=4)
-    wide = DelayMesh(cfg.tree, cfg.coeffs.tau, 1, (np.array([0.0, 1.7, 3.0]),))
+    wide = DelayMesh.from_nodes(cfg.tree, cfg.coeffs.tau, 1, (np.array([0.0, 1.7, 3.0]),))
     with pytest.raises(MeshError, match="element width 1.7 exceeds the delay 1.0"):
         solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, wide)
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, sol.control, sol.mesh)
@@ -150,7 +150,7 @@ def test_mesh_not_matching_the_tree_is_rejected_up_front(cut, match):
     # domain check caught it
     cfg = ProblemConfig.from_file(CONFIGS / "star.json")
     mesh = default_mesh(cfg.tree, cfg.coeffs, 4)
-    bad = DelayMesh(cfg.tree, cfg.coeffs.tau, 4, cut(mesh.nodes))
+    bad = DelayMesh.from_nodes(cfg.tree, cfg.coeffs.tau, 4, cut(mesh.nodes))
     with pytest.raises(MeshError, match=match):
         solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, _zero_control(cfg.tree), bad)
 
@@ -366,3 +366,28 @@ def test_an_overflowing_trajectory_is_a_numerical_failure():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match="trajectory overflowed on edge id 1"):
             solve_cauchy(tr, coeffs, phi, _zero_control(tr), build_mesh(tr, 1.0, 4))
+
+
+def test_basis_and_simulation_read_the_same_parent_element_off_the_delay_grid():
+    # no node at T - tau = 1.5 on the root: a child's read of parent time
+    # 1.55 lies in [1.3, 1.7], the element the lead-ins of the basis (which
+    # once held [1.7, 2.0] only, read at -0.15) and of the simulation share
+    tau, parent = 0.5, [0.0, 0.4, 0.8, 1.3, 1.7, 2.0]
+    tr = star([2.0, 2.0, 2.0])
+    leaf = np.array([0.0, 0.25, 0.5, 0.9, 1.3, 1.7, 2.0])
+    mesh = DelayMesh.from_nodes(tr, tau, 1, (np.array(parent), leaf, leaf))
+    ids, s = Basis(mesh, 1).locate(1, np.array([-0.45]))
+    assert ids.tolist() == [3]
+    assert s[0] == pytest.approx(0.25, abs=1e-15)
+
+    # y' + y = 0 on the root, whose collocated pieces differ at 1.55 by far
+    # more than roundoff; y' = -y(t - tau) read off the root on the leaves
+    cs = CoefficientSet.build(tr, 1, tau, b={(1, j): 1.0 for j in range(1, 4)} | {(0, 1): 1.0},
+                              c={(0, 2): 1.0, (0, 3): 1.0})
+    phi = PiecewisePoly.constant(-tau, 0.0, 1.0)
+    y = solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)
+    root = y.component(1)
+    at, beyond = (np.polynomial.polynomial.polyval(1.55 - parent[e], root.coefs[e]) for e in (3, 4))
+    assert abs(at - beyond) > 1e-6
+    want = oracles.solve_cauchy(tr, cs, phi, _zero_control(tr), mesh)  # reads the root at 1.55 in [1.3, 1.7]
+    assert oracles.trajectory_distance(y, want) < 1e-13

@@ -464,12 +464,47 @@ def test_cli_convergence_flags_rough_history(capsys):
 
 def test_cli_convergence_checks_kirchhoff_decay_on_a_star(capsys):
     # the only tree config with a branching vertex: the Kirchhoff residual
-    # must shrink from the coarsest to the finest level
+    # must shrink from the coarsest to the finest level; from q 1 to q 2 it
+    # stays at 1.92e-5
     cfg_path = str(CONFIGS / "star.json")
     assert main(["convergence", "--config", cfg_path, "--q", "2,4,8"]) == 0
     assert "Kirchhoff" not in capsys.readouterr().err
-    assert main(["convergence", "--config", cfg_path, "--q", "8,2"]) == 4
+    assert main(["convergence", "--config", cfg_path, "--q", "1,2"]) == 4
     assert "Kirchhoff residual did not decay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, ladder", [("interval", "8,4"), ("star", "4,4")])
+def test_cli_convergence_ladder_that_does_not_increase_is_invalid_input(name, ladder, capsys):
+    # a falling ladder used to end in "energy increased" and a repeated
+    # level in "Kirchhoff residual did not decay" (exit 4), after solving
+    # every level
+    assert main(["convergence", "--config", str(CONFIGS / f"{name}.json"), "--q", ladder]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --q must strictly increase along the ladder, got '{ladder}'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{tmp}/big.json", "--control", "{tmp}/d/control.json", "--out", "{tmp}/s"],
+    ["damp", "--config", "{tmp}/phi.json", "--out", "{tmp}/o"],
+], ids=["simulate-b1-1e308", "damp-history-1e308"])
+def test_cli_overflow_prints_only_its_own_error_line(argv, tmp_path):
+    # numpy's overflow warnings, with the source line that raised them, used
+    # to come before the program's own message on stderr
+    d = json.loads((CONFIGS / "star.json").read_text())
+    assert main(["damp", "--config", str(CONFIGS / "star.json"), "--out", str(tmp_path / "d")]) == 0
+    d["coefficients"][0]["data"] = 1e308
+    (tmp_path / "big.json").write_text(json.dumps(d))
+    d = json.loads((CONFIGS / "interval.json").read_text())
+    d["history"] = {"kind": "polynomial", "data": [1e308, 1e308]}
+    (tmp_path / "phi.json").write_text(json.dumps(d))
+    src = str(Path(treedamp.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "treedamp.cli"] + [a.format(tmp=tmp_path) for a in argv],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 3
+    assert run.stderr.startswith("numerical failure: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("overflowed on edge id 1\n"
+                                                                if argv[0] == "simulate" else "nan\n")
 
 
 def test_cli_convergence_ladder_passes_at_order_three(capsys):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treedamp.diagnostics import quasi_derivatives
-from treedamp.piecewise import BREAK_RTOL, PiecewisePoly
+from treedamp.piecewise import BREAK_RTOL, EdgePieces, PiecewisePoly
 from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientError,
     CoefficientSet,
     TreeFunction,
     apply_operator,
+    lead_ins,
     operator_components,
     variation_weights,
 )
@@ -534,3 +535,39 @@ def test_gather_picks_the_row_of_a_sliver_cell_deep_in_a_tree():
                   + kink.eval(t) * oracles.eval_delayed(y, 8, t - tau))
         assert got.eval(t) == pytest.approx(direct, rel=1e-12)
         assert want.eval(t) == pytest.approx(direct, rel=1e-12)
+
+
+@st.composite
+def lead_in_layouts(draw):
+    """A random tree, a delay and one break array per edge (plus the
+    history's when drawn): every parent's pieces straddle ``T - tau`` or
+    end within 1e-12 of it."""
+    m = draw(st.integers(1, 6))
+    parent = [0] + [draw(st.integers(1, j - 1)) for j in range(2, m + 1)]
+    tau = draw(st.floats(0.2, 1.0))
+    lengths = [tau + draw(st.floats(0.1, 2.5)) for _ in range(m)]
+    tree = build_tree({j: parent[j - 1] for j in range(1, m + 1)}, dict(enumerate(lengths, start=1)))
+    breaks = []
+    for j in range(1, tree.m + 1):
+        T = tree.length(j)
+        inner = set(draw(st.lists(st.floats(0.01, 0.99), max_size=4)))
+        near = draw(st.sampled_from([None, -1e-12, -4e-13, 0.0, 4e-13, 1e-12]))
+        if near is not None and tree.children_of(j):
+            inner.add((T - tau + near) / T)
+        breaks.append(np.array([0.0, *sorted(T * x for x in inner), T]))
+    if draw(st.booleans()):
+        cuts = draw(st.sets(st.floats(0.01, 0.99), max_size=2))
+        breaks.append(np.array([-tau, *sorted(-tau * x for x in cuts), 0.0]))
+    return tree, tau, breaks
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead_in_layouts())
+def test_lead_ins_match_the_per_edge_reference(layout):
+    tree, tau, breaks = layout
+    pieces = EdgePieces(np.concatenate(breaks), np.cumsum([0] + [len(b) - 1 for b in breaks]))
+    history = len(breaks) > tree.m
+    head = np.where(np.asarray(tree.parent) > 0, np.asarray(tree.parent) - 1, tree.m if history else -1)
+    got = lead_ins(pieces, head, np.append(tree.lengths, [0.0] * history), tau)
+    for a, b in zip(got, oracles.lead_ins(breaks, tree, tau)):
+        np.testing.assert_array_equal(a, b)
