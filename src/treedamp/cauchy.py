@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .expressions import (CoefficientSet, TreeFunction, check_edge_functions, check_edge_spans,
                           operator_components)
@@ -67,7 +68,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
         raise MeshError(f"element width {mesh.max_width()} exceeds the delay {tau}")
     g = max(3, n + 1)  # Gauss points per element
     deg = n + g  # local coefficients per element, in powers of sigma = (t - left)/h
-    sigma = 0.5 * (np.polynomial.legendre.leggauss(g)[0] + 1.0)
+    sigma = 0.5 * (leggauss(g)[0] + 1.0)
     at1 = np.array([derivative_powers([1.0], k, deg)[0] for k in range(n)])  # k < n, at 1
     at_gauss = np.array([derivative_powers(sigma, k, deg) for k in range(n + 1)])  # at sigma
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
@@ -77,11 +78,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
     values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
     inv_h = el.h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
-    # the window from row a holds rows a..stop[a]-1: right ends within left[a] + reach
-    reach_to = el.left + reach
-    r = _find(el.edge, el.left, el.edge, reach_to)
-    end = el.offsets[1:][el.edge]
-    stop = np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
+    stop = mesh.window_stops  # the window from row a holds rows a..stop[a]-1
 
     # reads before the edge or in its first window go to the history (root) or
     # to the parent's tail element holding s + T_parent, the rest to the

@@ -22,12 +22,13 @@ aligned tables, and every diagnostic is one pass over them.  A jump is a
 row's constant term minus the previous row's value at its right end, a
 vertex balance is an edge's last row at its right end minus the sum of its
 children's first constants, and the sup norm of the top order is one
-batched extremum search.  Per-edge functions are views of the tables, made
-only on request; the per-edge algebra that cross-checks these passes
-belongs to the test oracle.  Jumps at piece boundaries are never
-differentiated; they are recorded, which is the whole point: a persistent
-jump that refinement does not remove reproduces the loss-of-smoothness
-phenomenon of histories with limited regularity.
+batched extremum search over the rows that a coefficient bound cannot rule
+out.  Per-edge functions are views of the tables, made only on request;
+the per-edge algebra that cross-checks these passes belongs to the test
+oracle.  Jumps at piece boundaries are never differentiated; they are
+recorded, which is the whole point: a persistent jump that refinement does
+not remove reproduces the loss-of-smoothness phenomenon of histories with
+limited regularity.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .damping import DampingSolution, optimality_check
 from .expressions import CoefficientSet, _weight_table
-from .piecewise import EdgePieces, PiecewisePoly, _abs_extremes, _poly_der, _poly_val
+from .piecewise import EdgePieces, PiecewisePoly, _poly_der, _poly_val, _sup_abs
 
 # A jump is persistent when it changed by less than this share of its size
 # between the two finest levels of a refinement study; a jump the mesh
@@ -141,9 +142,10 @@ def equation_residual(qd: QuasiDerivativeSet) -> float:
     The exact optimum satisfies ``y^<2n> = 0`` pointwise; the discrete
     trajectory does not, and this quantity decays only weakly.  Reported
     for inspection, not as a convergence criterion.  One extremum search
-    runs over the pieces of all edges at once.
+    runs over the pieces of all edges at once, on those whose coefficient
+    bound reaches the largest end value (:func:`~treedamp.piecewise._sup_abs`).
     """
-    return float(_abs_extremes(qd.tables[2 * qd.n], qd.cells.h)[0].max())
+    return _sup_abs(qd.tables[2 * qd.n], qd.cells.h)
 
 
 def match_jump(entries: list, location: tuple, tol: float) -> float:

@@ -87,6 +87,19 @@ class DelayMesh:
         tree = self.tree
         return lead_ins(self.elements, np.asarray(tree.parent) - 1, np.asarray(tree.lengths), self.tau)
 
+    @cached_property
+    def window_stops(self) -> np.ndarray:
+        """Per element ``a``, the end (exclusive) of the delay window that
+        starts at it: the elements from ``a`` on whose right ends lie within
+        ``left[a] + tau`` (to the ``1e-9`` slack :meth:`check` allows), at
+        least ``a`` itself.  Following them from an edge's first element
+        gives the edge's greedy windows."""
+        el, rows = self.elements, np.arange(len(self.elements.edge))
+        reach_to = el.left + self.tau * (1 + 1e-9)
+        r = _find(el.edge, el.left, el.edge, reach_to)
+        end = el.offsets[1:][el.edge]
+        return np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
+
     def max_width(self) -> float:
         return float(self.elements.h.max())
 
@@ -211,11 +224,14 @@ class Basis:
         the lead-ins of the 0-based ``edge`` (one per time, or one for all),
         found by one :func:`~treedamp.piecewise._find`; a time in ``[-tau,
         0)`` lands in the parent's tail and is measured from the element's
-        left node there."""
+        left node there.  A 2-D ``t`` holds one row of times per element
+        sought, found by the row's first time: one id per row."""
         (lead, src, shift), left = self.mesh.lead_ins, self.mesh.elements.left
         t = np.asarray(t, dtype=float)
-        i = _find(lead, left[src] - shift, np.broadcast_to(edge, t.shape), t)
-        return src[i], t + shift[i] - left[src[i]]
+        first = t[:, 0] if t.ndim == 2 else t
+        i = _find(lead, left[src] - shift, np.broadcast_to(edge, first.shape), first)
+        at = i[:, None] if t.ndim == 2 else i
+        return src[i], t + shift[at] - left[src[at]]
 
     def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
         """Member of the discrete space with the given DOF vector.  With

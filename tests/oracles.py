@@ -6,8 +6,10 @@ the assembly's Gauss grid and without the whole-tree piece tables: the
 delayed read and its adjoint, the edge operator and the variation weights as
 chains of per-edge operations, the coefficient breaks the mesh must keep,
 coefficient by coefficient, the energy and its polarisation straight from
-``L y``, the dense Gram system and its minimal energy, the first variation
-through the re-indexed weights, the generic quasi-derivative recursion,
+``L y``, the dense Gram system and its minimal energy (the one quantity
+integrated on Gauss points, the oracle's own, from the control's values),
+the first variation through the re-indexed weights, the generic
+quasi-derivative recursion,
 membership in the perturbation space from one-sided limits, the delay
 mesh edge by edge (every source tried on every edge) and its DOF numbering
 node by node; and the file
@@ -444,8 +446,17 @@ def dense_gram(basis, lift, coeffs):
     pair, and an edge where either image is identically zero contributes
     exactly zero.  The lift rides along as the last function.
     """
-    nd = basis.ndof
-    ells = [operator_components(u, coeffs) for u in [unit(basis, p) for p in range(nd)] + [lift]]
+    return _gram_of([operator_components(u, coeffs) for u in _members(basis, lift)])
+
+
+def _members(basis, lift) -> list:
+    """Every basis function, then the lift."""
+    return [unit(basis, p) for p in range(basis.ndof)] + [lift]
+
+
+def _gram_of(ells) -> tuple:
+    """:func:`dense_gram` from the operator images of :func:`_members`."""
+    nd = len(ells) - 1
     live = [{j for j, e in enumerate(ell) if any(c.any() for c in e.coefs)} for ell in ells]
 
     def product(a, b):  # energy_product of function a against function b
@@ -456,20 +467,83 @@ def dense_gram(basis, lift, coeffs):
     return G, f
 
 
+def control_values(y, coeffs, j: int, t: np.ndarray) -> np.ndarray:
+    """``L_j y`` at the times ``t`` of edge ``j``, term by term from the
+    values of ``y`` there and at ``t - tau`` (:func:`eval_delayed`'s rule);
+    no polynomial of ``L_j y`` is formed."""
+    own, d = y.component(j), t - coeffs.tau
+    early = d < 0.0
+    if j == 1:
+        head, at = y.history, d
+    else:
+        p = y.tree.parent_of(j)
+        head, at = y.component(p), d + y.tree.length(p)
+    out = np.zeros(len(t), dtype=complex)
+    for k, b, c in terms(coeffs, j):
+        if b is not None:
+            out += b.values(t) * own.values(t, k)
+        if c is not None:
+            read = np.where(early, head.values(np.where(early, at, head.breaks[0]), k),
+                            own.values(np.where(early, 0.0, d), k))
+            out += c.values(t) * read
+    return out
+
+
+def _lift_parts(basis, lift) -> list:
+    """The lift as ``(weight, function)`` pairs that sum to it: the history
+    read alone, then each Hermite shape of the root start, weighted by the
+    history's end derivative.  A shape is a row of the basis's table, so
+    no weighted sum of shapes is rounded into a polynomial."""
+    phi, tree, n, root = lift.history, lift.tree, lift.n, lift.component(1)
+    assert list(basis.rows[0, :n]) == list(range(basis.ndof, basis.ndof + n))
+    zeros = tuple(PiecewisePoly.zero(0.0, tree.length(j)) for j in range(1, tree.m + 1))
+    parts = [(1.0, TreeFunction(tree, n, zeros, phi))]
+    for k in range(n):
+        table = np.zeros((root.npieces, 2 * n), dtype=complex)
+        table[0] = basis.shapes[0, k]
+        shape = TreeFunction(tree, n, (PiecewisePoly(root.breaks, table),) + zeros[1:],
+                             PiecewisePoly.zero(*phi.domain))
+        parts.append((phi.left_limit(0.0, k), shape))
+    return parts
+
+
 def dense_energy(basis, lift, coeffs) -> float:
     """The minimal energy on ``lift + span(basis)`` from :func:`dense_gram`,
-    solved by a dense Cholesky factorisation."""
-    G, f = dense_gram(basis, lift, coeffs)
+    solved by a dense Cholesky factorisation.
+
+    The energy is integrated on Gauss points of the pieces of every
+    member's ``L y``, exact for their degree, from the control's values
+    there: the :func:`control_values` of each basis function and of each
+    of :func:`_lift_parts`, weighted and summed point by point.  Summing
+    the weighted shapes into the control's local-power coefficients first,
+    as ``L y`` does, reads up to about 1e-12 relative off the exact minimum
+    on order-3 trees."""
+    members = _members(basis, lift)
+    ells = [operator_components(u, coeffs) for u in members]
+    G, f = _gram_of(ells)
     x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), f) if basis.ndof else f
-    return energy(lift + basis.tree_function(x), coeffs)
+    parts = list(zip(x, members[:-1])) + _lift_parts(basis, lift)
+    total = 0.0
+    for j, images in enumerate(zip(*ells), start=1):  # the lift's image has its parts' breaks
+        breaks = np.unique(np.concatenate([p.breaks for p in images]))
+        gx, gw = np.polynomial.legendre.leggauss(max(p.max_degree for p in images) + 1)
+        h = np.diff(breaks)[:, None]
+        t = (breaks[:-1, None] + 0.5 * h * (gx + 1.0)).ravel()
+        u = sum(w * control_values(y, coeffs, j, t) for w, y in parts)
+        total += float((0.5 * h * gw).ravel() @ (u.real ** 2 + u.imag ** 2))
+    return total
 
 
 def least_squares_dofs(gram) -> np.ndarray:
     """The minimiser of ``|W^(1/2) (L phi + L^T x)|`` by LAPACK's dense
     SVD-based least-squares solve.  It never forms ``G``, so its error grows
     with the condition number of the weighted images, not with its square."""
-    sw = np.sqrt(gram.weights)
-    A = gram.basis_values.toarray().T * sw[:, None]
+    sw, ndof = np.sqrt(gram.weights), gram.matrix.ndof
+    slots = gram.basis_values.T  # (points, slots), the slots' DOFs repeated per point of a cell
+    rows = np.repeat(gram.matrix.at, len(slots) // len(gram.matrix.at), axis=0)
+    A = np.zeros((len(slots), ndof + 1), dtype=complex)
+    np.add.at(A, (np.arange(len(slots))[:, None], rows), slots)
+    A = A[:, :ndof] * sw[:, None]
     return np.linalg.lstsq(A, -sw * gram.lift_values, rcond=None)[0]
 
 

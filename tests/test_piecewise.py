@@ -12,8 +12,10 @@ from numpy.polynomial import polynomial as npoly
 from treedamp.piecewise import (
     BREAK_RTOL,
     PiecewisePoly,
+    _abs_extremes,
     _poly_der,
     _poly_val,
+    _sup_abs,
     derivative_powers,
 )
 
@@ -371,3 +373,39 @@ def test_abs_extremes_match_per_piece_roots(seed):
     big, small = _ref_abs_extremes(p)
     assert p.max_abs() == pytest.approx(big, rel=1e-12)
     assert p.min_abs() == pytest.approx(small, rel=1e-12, abs=1e-15 * big)
+
+
+coef = st.integers(min_value=-20, max_value=20).map(lambda k: k / 10)  # no roundoff-sized terms
+
+
+@st.composite
+def peaked_rows(draw):
+    """A table of rows on ``[0, h]``, some random, one peaking inside: ``a (1
+    - (s - m)^2 / w^2)``, plus a small tail, whose maximum ``|a|`` at ``m``
+    lies above both its ends (``w > 0.8 h / sqrt(2)``) and above every
+    random row (at most 190 on ``[0, 2]``).  No coefficient is roundoff-sized
+    next to the others: the companion search does not resolve those."""
+    h = draw(st.floats(min_value=0.05, max_value=2.0))
+    rows = draw(st.lists(st.lists(st.builds(complex, coef, coef), min_size=1, max_size=6),
+                         min_size=0, max_size=6))
+    m = h * draw(st.floats(min_value=0.2, max_value=0.8))
+    a = draw(st.floats(min_value=200.0, max_value=1e4)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    w = h * draw(st.floats(min_value=0.6, max_value=1.0))
+    peak = a * np.array([1.0 - m * m / w**2, 2.0 * m / w**2, -1.0 / w**2])
+    tail = [complex(draw(coef), draw(coef)) * 1e-3 for _ in range(draw(st.integers(0, 3)))]
+    rows.insert(draw(st.integers(0, len(rows))), list(peak) + tail)
+    width = max(map(len, rows))
+    table = np.array([r + [0.0] * (width - len(r)) for r in rows], dtype=complex)
+    return table, np.full(len(table), h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(peaked_rows())
+def test_bounded_sup_equals_the_full_search(rows):
+    # the rows a coefficient bound keeps below the largest end value are not
+    # searched; the sup is still the full search's, bit for bit
+    c, h = rows
+    full = _abs_extremes(c, h)[0].max()
+    ends = np.maximum(np.abs(c[:, 0]), np.abs(_poly_val(c, h))).max()
+    assert full > ends  # the maximum is interior
+    assert _sup_abs(c, h) == full
