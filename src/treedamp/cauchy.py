@@ -9,7 +9,8 @@ starts from the state (derivatives ``0..n-1``) its parent ended with.
 Each element is integrated by collocation (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, 2003): the solution there is one
 polynomial matched to the running state at the left end and to the relation
-at ``g = max(3, n + 1)`` interior Gauss points, of local degree at least
+at ``g = max(3, n + 1)`` interior Gauss-Legendre points
+(:func:`~treedamp.piecewise.gauss_legendre`), of local degree at least
 ``2n``, so the degree-``(2n - 1)`` trajectories of ``damp`` on the same
 elements re-simulate to roundoff (control round trips).
 
@@ -36,12 +37,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .expressions import (CoefficientSet, TreeFunction, check_edge_functions, check_edge_spans,
                           operator_components)
 from .meshing import DelayMesh, MeshError, check_history
-from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers
+from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers, gauss_legendre
 from .trees import Tree
 
 
@@ -68,7 +68,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
         raise MeshError(f"element width {mesh.max_width()} exceeds the delay {tau}")
     g = max(3, n + 1)  # Gauss points per element
     deg = n + g  # local coefficients per element, in powers of sigma = (t - left)/h
-    sigma = 0.5 * (leggauss(g)[0] + 1.0)
+    sigma = 0.5 * (gauss_legendre(g)[0] + 1.0)
     at1 = np.array([derivative_powers([1.0], k, deg)[0] for k in range(n)])  # k < n, at 1
     at_gauss = np.array([derivative_powers(sigma, k, deg) for k in range(n + 1)])  # at sigma
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)

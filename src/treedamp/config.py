@@ -31,7 +31,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .expressions import CoefficientSet
-from .piecewise import PiecewisePoly, _taylor_shift
+from .piecewise import PiecewisePoly, _taylor_shift, _unique
 from .trees import Tree, build_tree
 
 
@@ -282,7 +282,7 @@ def _tables(items: list, spans: list):
         flat[np.repeat(np.cumsum(padded - lens) - (padded - lens), lens) + np.arange(len(z))] = z
     start = np.cumsum(npieces * width) - npieces * width
     shift = kinds == _POLYNOMIAL
-    for w in np.unique(width[shift]):
+    for w in _unique(width[shift]):
         sel = shift & (width == w)
         at = start[sel, None] + np.arange(w)
         flat[at] = _taylor_shift(flat[at], a[sel])

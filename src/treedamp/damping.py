@@ -12,8 +12,11 @@ every edge's Gauss cells, which refine the element nodes, the coefficient
 breakpoints and, where a delayed term is present, the lead-in nodes and the
 history's breaks shifted by ``tau``, so the quadrature is exact and each
 cell lies in one element and reads its delayed values from one lead-in
-element (:meth:`~treedamp.meshing.Basis.locate`).  One read of the
-coefficient table gives every ``b_k`` and ``c_k`` at every Gauss point.
+element (:meth:`~treedamp.meshing.Basis.locate`).  Every cell carries the
+same Gauss-Legendre rule, one point more than the largest integrand degree,
+from :func:`~treedamp.piecewise.gauss_legendre`, which computes it once
+per point count.  One read of the coefficient table gives every ``b_k``
+and ``c_k`` at every Gauss point.
 There the operator row of the basis has ``4n`` slots: the ``2n`` Hermite
 shapes of the cell's element, weighted by the ``b_k``, then the ``2n`` of
 its lead-in element at ``t - tau``, weighted by the ``c_k``.  The slots
@@ -48,11 +51,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers
+from .piecewise import (EdgePieces, PiecewisePoly, _find, _poly_val, _unique, derivative_powers,
+                        gauss_legendre)
 from .trees import Tree
 
 
@@ -199,15 +202,15 @@ class _Fronts:
         nodes = np.where(rows[:, ::n] >= 0, rows[:, ::n] // n, -1)
         last = nodes.max(axis=1)
         up = (nodes >= 0) & (last[:, None] >= 0)
-        r, v = np.divmod(np.unique(node_run[np.broadcast_to(last[:, None], nodes.shape)[up]] * N
-                                   + nodes[up]), N)
+        r, v = np.divmod(_unique(node_run[np.broadcast_to(last[:, None], nodes.shape)[up]] * N
+                                 + nodes[up]), N)
         pairs = []
         while len(r):  # one step up the runs per pass
             r, v = r[r != node_run[v]], v[r != node_run[v]]
             pairs.append(r * N + v)
             r = parent[r]
             r, v = r[r >= 0], v[r >= 0]
-        pairs = np.unique(np.concatenate(pairs))
+        pairs = _unique(np.concatenate(pairs))
         pstart = np.searchsorted(pairs // N, np.arange(len(first)))
         b = np.diff(np.append(pstart, len(pairs)))  # boundary nodes per run
 
@@ -379,7 +382,10 @@ class GramSystem:
             rhs = np.zeros((B, K, F), dtype=complex)
             rhs[:, np.arange(K), np.arange(K)] = 1.0
             rhs[:, :, K:] = -P[:, K:].conj().swapaxes(1, 2)
-            M = np.linalg.solve(P[:, :K], rhs)
+            try:
+                M = np.linalg.solve(P[:, :K], rhs)
+            except np.linalg.LinAlgError:  # the factor passed, but LU meets an exact zero
+                raise self._indefinite("the factor is singular", np.concatenate(pivots)) from None
             np.add.at(acc, update_at, (P[:, K:] @ M[:, :, K:]).ravel())
             steps.append((front, -M[:, :, K:].conj().swapaxes(1, 2), M))
         return steps, np.concatenate(pivots)
@@ -478,7 +484,7 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
     max_deg = max((degree + 2 * n - 1)[present].max(initial=0),
                   (degree[n + 1 :, 0] + phi.max_degree)[present[n + 1 :, 0]].max(initial=0))
 
-    gx, gw = leggauss(max_deg + 1)
+    gx, gw = gauss_legendre(max_deg + 1)
     t = cells.left[:, None] + 0.5 * cells.h[:, None] * (gx + 1.0)  # (cells, points)
     weights = 0.5 * cells.h[:, None] * gw
     a = coeffs.values(cells.edge.repeat(len(gx)), t.ravel()).reshape(-1, *t.shape)  # b_0..b_n, c_0..c_n
@@ -529,7 +535,7 @@ def default_mesh(tree: Tree, coeffs: CoefficientSet, q: int) -> DelayMesh:
     """Mesh used by the solvers: wavefronts from the initial instant and
     from every branching vertex, coefficient breakpoints pinned to nodes."""
     ends = (tree.offsets + tree.lengths)[: tree.d]  # the branching vertices' times
-    sources = tuple(np.unique(np.append(0.0, ends)).tolist())
+    sources = tuple(_unique(np.append(0.0, ends)).tolist())
     return build_mesh(tree, coeffs.tau, q, sources=sources, local_points=coeffs.breakpoints())
 
 

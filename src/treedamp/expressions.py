@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes, _convolve, _find,
-                        _gather, _poly_der, _taylor_shift)
+                        _gather, _poly_der, _taylor_shift, _unique)
 from .trees import Tree
 
 
@@ -298,7 +298,9 @@ def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, p
     tree, tau, k = y.tree, y.tau, len(edges)
     lengths = np.append(0.0, tree.lengths)  # index 0: the history, moved back by nothing
     par = np.asarray(tree.parent)[edges - 1]
-    order = np.concatenate([edges, np.setdiff1d(par, edges)])
+    heads = np.ones(tree.m + 1, dtype=bool)
+    heads[edges] = False
+    order = np.concatenate([edges, _unique(par[heads[par]])])
     funcs = (y.history,) + y.components
     pieces, table = EdgePieces.of(funcs[i] for i in order)
     at = np.zeros(tree.m + 1, dtype=int)

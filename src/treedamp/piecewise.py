@@ -30,10 +30,18 @@ shift.  The exact extremes of :func:`_abs_extremes` take the critical
 points of every row at once, as the eigenvalues of one stack of companion
 matrices per degree; :func:`_sup_abs` first drops the rows that a bound
 on their coefficients keeps below the largest end value.
+
+Two helpers keep the package on numpy's core: :func:`_unique`, one sort for
+the distinct values where :func:`numpy.unique` would load ``numpy.ma``, and
+:func:`gauss_legendre`, the Gauss-Legendre rule by Newton's method on the
+Legendre recurrence, computed once per point count, where
+:func:`numpy.polynomial.legendre.leggauss` would load ``numpy.polynomial``
+and run an eigensolver on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -47,6 +55,48 @@ SAME_POLY_RTOL = 1e-13
 
 # Degree past which a piecewise polynomial is probably a modelling mistake.
 DEGREE_WARN = 40
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened, as :func:`numpy.unique`
+    gives them for finite values: one sort, then every value that differs
+    from its predecessor."""
+    s = np.sort(a, axis=None)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
+
+
+@functools.cache
+def gauss_legendre(k: int) -> tuple:
+    """The ``k``-point Gauss-Legendre rule on ``[-1, 1]``: nodes ascending
+    and weights, read-only and computed once per ``k``.
+
+    Newton's method on the three-term recurrence of ``P_k`` (Hale &
+    Townsend 2013) refines Tricomi's estimates of the roots until a step
+    falls below ``1e-12``, past which quadratic convergence leaves roundoff
+    only; the weights are ``2 / ((1 - x^2) P_k'(x)^2)``.  The rule is
+    finished as :func:`numpy.polynomial.legendre.leggauss` finishes its own:
+    nodes and weights symmetrised, weights scaled to sum to 2.
+    """
+    i = np.arange(k, 0, -1)
+    x = (1.0 - (1.0 - 1.0 / k) / (8.0 * k * k)) * np.cos(np.pi * (4 * i - 1) / (4 * k + 2))
+    done = False
+    while True:  # Newton steps, then one more pass for P_k' at the roots
+        p_prev, p = np.ones_like(x), x  # P_{j-1}, P_j at j = 1
+        for j in range(1, k):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = k * (p_prev - x * p) / (1.0 - x * x)
+        if done:
+            break
+        step = p / dp
+        x = x - step
+        done = np.abs(step).max() <= 1e-12
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _taylor_shift(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -128,16 +178,21 @@ def _abs_extremes(c: np.ndarray, h: np.ndarray):
     derivative's zero coefficients above its degree (row padding leaves
     them) and below its lowest power (their roots are 0, an end) are cut
     off, the rest is a companion matrix, and the rows of one degree share
-    one batched eigenvalue call.  Every root's real part that falls inside
-    the piece is tried, which covers real roots computed with a tiny
-    imaginary part and adds only harmless extra candidates.
+    one batched eigenvalue call.  A term ``d_k s^k`` whose size on ``[0,
+    h]``, ``|d_k| h^k``, is at most eps times the row's largest counts as
+    zero: it moves the derivative by roundoff only, and as the leading
+    coefficient it would divide the companion matrix.  Every root's real
+    part that falls inside the piece is tried, which covers real roots
+    computed with a tiny imaginary part and adds only harmless extra
+    candidates.
     """
     at0, at1 = np.abs(_poly_val(c, np.zeros(len(c)))), np.abs(_poly_val(c, h))
     big, small = np.maximum(at0, at1), np.minimum(at0, at1)
     if c.shape[1] == 1:  # constants
         return big, small
     d = _poly_der(_convolve(c, c.conj()).real)
-    nz = d != 0.0
+    size = np.abs(d) * h[:, None] ** np.arange(d.shape[1])  # the terms' sizes on [0, h]
+    nz = size > np.finfo(float).eps * size.max(axis=1, keepdims=True)
     lo = np.argmax(nz, axis=1)
     deg = np.where(nz.any(axis=1), d.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1) - lo, 0)
     for D in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees that occur

@@ -2,8 +2,8 @@
 
 The front solve is checked against a dense solve of the scattered matrix on
 generated trees, the cells' row sets against a point-by-point lookup, the
-refusal of a numerically singular system on a sliver element, and the
-package's imports.
+refusal of a numerically singular system on a sliver element, and what
+the commands load.
 """
 
 import json
@@ -154,9 +154,33 @@ def test_a_numerically_singular_gram_system_is_refused(tmp_path, capsys, delta):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_the_package_imports_no_scipy():
-    # the same check as CI's step, in a fresh interpreter
-    code = "import treedamp.cli, sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+# runs one command in a fresh interpreter, then fails if the package or the
+# call loaded scipy, numpy.ma or numpy.polynomial; modules a bare ``import
+# numpy`` loads do not count (numpy 1.x loads numpy.ma and numpy.polynomial
+# itself, numpy 2.x numpy.matrixlib)
+_LOADS_NOTHING_HEAVY = """
+import sys
+import numpy
+before = set(sys.modules)
+from treedamp.cli import main
+code = main(sys.argv[1:])
+heavy = [m for m in set(sys.modules) - before if m.split(".")[0] == "scipy"
+         or m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"])]
+sys.exit(code or (f"loaded {sorted(heavy)}" if heavy else 0))
+"""
+
+
+def test_the_package_imports_no_scipy(tmp_path):
+    # after each command, in its own interpreter, neither scipy nor numpy.ma
+    # nor numpy.polynomial is loaded
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    for name in ("star", "star3"):
+        cfg, out = str(CONFIGS / f"{name}.json"), tmp_path / name
+        for args in (["damp", "--config", cfg, "--out", str(out / "damp")],
+                     ["verify", "--config", cfg, "--solution", str(out / "damp")],
+                     ["simulate", "--config", cfg, "--control", str(out / "damp" / "control.json"),
+                      "--out", str(out / "sim")],
+                     ["convergence", "--config", cfg, "--q", "2,4"]):
+            run = subprocess.run([sys.executable, "-c", _LOADS_NOTHING_HEAVY, *args], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, (args[0], name, run.stderr)

@@ -2,6 +2,7 @@
 of the test oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from treedamp.piecewise import (
     _poly_der,
     _poly_val,
     _sup_abs,
+    _unique,
     derivative_powers,
+    gauss_legendre,
 )
 
 import oracles
@@ -409,3 +412,43 @@ def test_bounded_sup_equals_the_full_search(rows):
     ends = np.maximum(np.abs(c[:, 0]), np.abs(_poly_val(c, h))).max()
     assert full > ends  # the maximum is interior
     assert _sup_abs(c, h) == full
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-8, 1e-30, 1e-182, 1e-300])
+def test_abs_extremes_ignore_a_roundoff_sized_leading_term(eps):
+    # 150 + 200 s - 200 s^2 peaks at 200 (s = 0.5); a tiny s^3 term must not
+    # become the companion matrix's divisor
+    c = np.array([[150.0, 200.0, -200.0, eps]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big, small = _abs_extremes(c, np.array([1.0]))
+    assert big[0] == pytest.approx(200.0, rel=1e-9)
+    assert small[0] == pytest.approx(150.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3, 1, 2, 3, 1]), np.array([0.5, -1.0, 0.5, 2.0]), np.zeros(0), np.array([[4, 4], [1, 7]]),
+])
+def test_unique_is_numpys(values):
+    got, want = _unique(values), np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_gauss_legendre_matches_leggauss(k):
+    x, w = gauss_legendre(k)
+    want_x, want_w = np.polynomial.legendre.leggauss(k)
+    assert np.abs(x - want_x).max() <= 2.5e-16
+    assert np.abs(w - want_w).max() <= 5e-15
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # relative to 2: one unit in the last place above 2 is 4.4e-16
+    assert abs(w.sum() - 2.0) <= 4e-16 * 2.0
+    for d in range(2 * k):
+        assert (w * x**d).sum() == pytest.approx(2.0 / (d + 1) if d % 2 == 0 else 0.0, abs=1e-14)
+
+
+def test_gauss_legendre_is_cached_read_only():
+    x, w = gauss_legendre(7)
+    assert not x.flags.writeable and not w.flags.writeable
+    again = gauss_legendre(7)
+    assert again[0] is x and again[1] is w
