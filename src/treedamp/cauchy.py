@@ -23,8 +23,9 @@ terms) and the rows of the other delayed reads come from one lookup each on
 the mesh's lead-ins (:func:`~treedamp.expressions.lead_ins`): a read before
 the edge or in its first delay window lands in the parent's tail element
 holding ``s + T_parent``, any other one in an earlier element of the edge.
-Per edge there remains the sweep of delay windows, the greedy runs of
-elements each starting at a node ``x_a`` and ending within ``x_a + tau``:
+There remains one sweep of the mesh's delay windows (greedy runs of
+elements from a node ``x_a`` to within ``x_a + tau``), each from the state
+its parent window ended with (:attr:`~treedamp.meshing.DelayMesh.windows`):
 every read in a window lands in a finished element, so the window is one
 gather from the tree's coefficient table and a few batched products, and
 inside it the ``n``-vector state chain ``state <- (B P)_e state + (B Q)_e
@@ -74,18 +75,18 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
 
     # the tree's elements, their collocation points and every coefficient there
-    E, rows = len(el.edge), np.arange(len(el.edge))
+    E = len(el.edge)
     t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
     values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
     inv_h = el.h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
-    stop = mesh.window_stops  # the window from row a holds rows a..stop[a]-1
+    window, first, end, parent, _ = mesh.windows
 
     # reads before the edge or in its first window go to the history (root) or
     # to the parent's tail element holding s + T_parent, the rest to the
     # edge's own: a lookup on the lead-ins in the frame the read comes from
     (lead, lead_src, shift), par = mesh.lead_ins, np.asarray(tree.parent)[el.edge]
     s = t - tau
-    before = (s < 0.0) | (rows < stop[el.offsets[:-1]][el.edge])[:, None]
+    before = (s < 0.0) | (window == window[el.offsets[:-1]][el.edge])[:, None]
     up, hist = before & (par > 0)[:, None], before & (par == 0)[:, None]
     s_at = s + np.where(up, np.asarray(tree.lengths)[par - 1, None], 0.0)
     src = lead_src[_find(2 * lead + (shift == 0), el.left[lead_src],
@@ -125,22 +126,19 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     K *= inv_h[:, n:, None]  # onto powers of t - left
 
     coef = np.zeros((E, deg), dtype=complex)  # powers of t - left
-    exits = [np.array([phi.left_limit(0.0, k) for k in range(n)])]  # state at each edge's end
-    stop, offsets = stop.tolist(), el.offsets.tolist()
-    for j in range(1, tree.m + 1):
-        state, a = exits[tree.parent_of(j)], offsets[j - 1]
-        while a < offsets[j]:
-            w = slice(a, stop[a])
-            if a:
-                rhs[w] -= np.einsum("epi,epi->ep", read[w], coef[np.minimum(src[w], a - 1)])
-            carry = np.einsum("eij,ej->ei", BQ[w], rhs[w])
-            for e in range(a, stop[a]):
-                z[e, :n] = state
-                state = BP[e] @ state + carry[e - a]
-            coef[w, :n] = z[w, :n] / fact
-            coef[w, n:] = np.einsum("eij,ej->ei", K[w], z[w])
-            a = stop[a]
-        exits.append(state)
+    exits = np.empty((len(first) + 1, n), dtype=complex)  # state at each window's end
+    exits[-1] = [phi.left_limit(0.0, k) for k in range(n)]  # the root start's, parent -1
+    for i, (a, b, p) in enumerate(zip(first.tolist(), end.tolist(), parent.tolist())):
+        w, state = slice(a, b), exits[p]
+        if a:
+            rhs[w] -= np.einsum("epi,epi->ep", read[w], coef[np.minimum(src[w], a - 1)])
+        carry = np.einsum("eij,ej->ei", BQ[w], rhs[w])
+        for e in range(a, b):
+            z[e, :n] = state
+            state = BP[e] @ state + carry[e - a]
+        coef[w, :n] = z[w, :n] / fact
+        coef[w, n:] = np.einsum("eij,ej->ei", K[w], z[w])
+        exits[i] = state
     bad = ~np.isfinite(coef).all(axis=1)
     if bad.any():
         eid = tree.original_ids[el.edge[bad.argmax()]]

@@ -16,23 +16,23 @@ piece surfaces as e.g. ``coefficients[2].data.pieces[1][0]``.  A control
 file lists per edge its ``id``, ``breaks`` and ``pieces``, each edge read by
 the rules of a ``piecewise`` record.  The coefficient records, the history
 and the control edges are all read by :func:`_read_records`: the numbers of
-a record list are checked and tabled in one batch, and the entry-by-entry
-walk that names the field runs only once a check has failed.
+a record list are checked and tabled in one batch, where a real ``x`` is
+read as the pair ``[x, 0]``, and the entry-by-entry walk that names the
+field runs only once a check has failed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain
 
 import numpy as np
 
-from .expressions import CoefficientSet
+from .expressions import CoefficientError, CoefficientSet
 from .piecewise import PiecewisePoly, _taylor_shift, _unique
-from .trees import Tree, build_tree
+from .trees import Tree, TreeStructureError, build_tree
 
 
 class ConfigError(ValueError):
@@ -113,6 +113,8 @@ def _walk_piecewise(data: dict, a: float, b: float, path: str) -> None:
         _fail(path + ".breaks", "expected a list of breakpoints")
     where = path + ".breaks"
     breaks = [_real(x, where, i) for i, x in enumerate(breaks)]
+    if len(breaks) < 2:
+        _fail(path, "need at least two breakpoints")
     if not isinstance(pieces, list) or len(pieces) != len(breaks) - 1:
         _fail(path + ".pieces", f"expected {len(breaks) - 1} pieces for {len(breaks)} breaks")
     tol = 1e-9 * max(1.0, abs(a), abs(b))
@@ -124,8 +126,6 @@ def _walk_piecewise(data: dict, a: float, b: float, path: str) -> None:
             _fail(where, "expected a non-empty coefficient array", (i,))
         for j, x in enumerate(piece):
             _num(x, where, i, j)
-    if len(breaks) < 2:
-        _fail(path, "need at least two breakpoints")
     breaks[0], breaks[-1] = a, b
     if any(y <= x for x, y in zip(breaks, breaks[1:])):
         _fail(path, "breakpoints must be strictly increasing")
@@ -159,15 +159,11 @@ _CONSTANT, _POLYNOMIAL, _PIECEWISE = range(3)
 _DATA_KEYS = {"breaks", "pieces"}
 
 
-def _all_real(types) -> bool:
-    """Whether every type in ``types`` is one :func:`_real` takes."""
-    return all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types)
-
-
-def _reals(values: list, types=None):
+def _reals(values: list):
     """``values`` as one float array when each is a finite real number,
     else None."""
-    if not _all_real(set(map(type, values)) if types is None else types):
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, values))):
         return None
     try:
         x = np.array(values, dtype=float)
@@ -178,28 +174,13 @@ def _reals(values: list, types=None):
 
 def _complexes(values: list):
     """``values``, each a real number or an ``[re, im]`` pair of them, as one
-    complex array when every number is finite, else None."""
-    types = set(map(type, values))
-    if not any(issubclass(t, list) for t in types):
-        x = _reals(values, types)
-        return None if x is None else x.astype(complex)
-    is_pair = list(map(isinstance, values, repeat(list)))
-    pairs = list(compress(values, is_pair))
-    if set(map(len, pairs)) != {2}:
-        return None
-    parts = _reals(list(chain.from_iterable(pairs)))
-    if parts is None:
-        return None
-    if len(pairs) == len(values):
-        return parts.view(complex)  # [re, im, re, im, ...]: complex(re, im) bit for bit
-    reals = _reals(list(compress(values, map(operator.not_, is_pair))))
-    if reals is None:
-        return None
-    mask = np.array(is_pair)
-    z = np.empty(len(values), dtype=complex)
-    z[mask] = parts.view(complex)
-    z[~mask] = reals
-    return z
+    complex array when every number is finite, else None.  A real ``x`` is
+    the pair ``[x, 0.0]`` (any other list, as ``(v, 0.0)``, fails the type
+    check), so one :func:`_reals` array ``[re, im, re, im, ...]`` viewed as
+    complex holds them all, bit for bit ``complex(re, im)``."""
+    parts = _reals(list(chain.from_iterable(v if type(v) is list and len(v) == 2 else (v, 0.0)
+                                            for v in values)))
+    return None if parts is None else parts.view(complex)
 
 
 def _poly_item(entry: dict):
@@ -231,10 +212,10 @@ def _tables(items: list, spans: list):
     breakpoint check fails.
 
     Every coefficient of every item goes through one :func:`_complexes`
-    and every given breakpoint through one :func:`_reals`.  The items'
-    tables are slices of one array, each as wide as its longest piece with
-    shorter pieces zero-padded; a polynomial's global coefficients are
-    re-centred at ``a`` by one batched Taylor shift per width.
+    and every given breakpoint through one :func:`_reals`.  Each piece is a
+    row of one zero-padded ``(pieces, widest)`` table, each item a view of
+    its rows as wide as its longest piece; a polynomial's global
+    coefficients are re-centred at ``a`` by one batched Taylor shift per width.
     """
     if not items:
         return []
@@ -258,35 +239,27 @@ def _tables(items: list, spans: list):
     last = first + npieces
     breaks = np.empty(last[-1] + 1)
     pw = kinds == _PIECEWISE
-    if pw.any():
-        counts = npieces[pw] + 1
-        at = np.repeat(first[pw] - (np.cumsum(counts) - counts), counts) + np.arange(len(given))
-        breaks[at] = given
-        tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(a[pw])), np.abs(b[pw]))
-        off = (np.abs(breaks[first[pw]] - a[pw]) > tol) | (np.abs(breaks[last[pw]] - b[pw]) > tol)
-        if off.any():
-            return None
+    breaks[np.repeat(pw, npieces + 1)] = given
+    tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(a[pw])), np.abs(b[pw]))
+    off = (np.abs(breaks[first[pw]] - a[pw]) > tol) | (np.abs(breaks[last[pw]] - b[pw]) > tol)
+    if off.any():
+        return None
     breaks[first], breaks[last] = a, b
     step = np.diff(breaks)
     step[first[1:] - 1] = 1.0  # from one item to the next
     if (step <= 0).any():
         return None
 
-    # coefficients: each item's pieces padded to its widest, row after row
-    width = np.maximum.reduceat(lens, np.cumsum(npieces) - npieces)
-    padded = np.repeat(width, npieces)
-    if (padded == lens).all():
-        flat = z
-    else:
-        flat = np.zeros(padded.sum(), dtype=complex)
-        flat[np.repeat(np.cumsum(padded - lens) - (padded - lens), lens) + np.arange(len(z))] = z
-    start = np.cumsum(npieces * width) - npieces * width
+    # coefficients: piece by piece, each row zero-padded to the widest piece
+    table = np.zeros((len(rows), lens.max()), dtype=complex)
+    table[np.arange(table.shape[1]) < lens[:, None]] = z
+    start = np.cumsum(npieces) - npieces
+    width = np.maximum.reduceat(lens, start)
     shift = kinds == _POLYNOMIAL
     for w in _unique(width[shift]):
         sel = shift & (width == w)
-        at = start[sel, None] + np.arange(w)
-        flat[at] = _taylor_shift(flat[at], a[sel])
-    return [PiecewisePoly._of(breaks[i : i + p + 1], flat[s : s + p * w].reshape(p, w))
+        table[start[sel], :w] = _taylor_shift(table[start[sel], :w], a[sel])
+    return [PiecewisePoly._of(breaks[i : i + p + 1], table[s : s + p, :w])
             for i, s, p, w in zip(first.tolist(), start.tolist(), npieces.tolist(), width.tolist())]
 
 
@@ -407,7 +380,7 @@ class ProblemConfig:
             length_map[eid] = L
         try:
             tree = build_tree(parent_map, length_map)
-        except Exception as exc:
+        except TreeStructureError as exc:
             _fail("config.edges", str(exc))
         if tau >= min(length_map.values()):
             _fail("config.delay", "delay must be smaller than every edge length")
@@ -440,7 +413,7 @@ class ProblemConfig:
                       f"missing mandatory leading coefficient b, k={n}, edge id {eid}")
         try:
             coeffs = CoefficientSet.build(tree, n, tau, b_map, c_map)
-        except Exception as exc:
+        except CoefficientError as exc:
             _fail("config.coefficients", str(exc))
         # the history's errors come after those of the coefficient set
         _, (history,) = _read_records([d["history"]], "config.history", _POLY_KEYS,

@@ -148,15 +148,14 @@ class CellBlocks:
 class _Fronts:
     """The multifrontal layout of a Gram system along the tree's tau-runs.
 
-    A run is a greedy delay window of an edge (:attr:`DelayMesh.window_stops`)
-    and owns the free nodes at its elements' right ends; the runs without
-    one, in boundary edges' resting tails, take no part.  A run's parent is
-    the run that owns the left node of its first element.  Every cell
-    couples the nodes of its element and of its lead-in element, all on one
-    path to the root, and is taken up by the run of the last of them; a run
-    then couples to every node that a cell taken up in its subtree reaches
-    above it: its front's boundary.  The runs factor deepest first, one
-    depth at a time.
+    A run is a delay window (:attr:`DelayMesh.windows`) that owns free
+    nodes, at its elements' right ends; the windows without one, in boundary
+    edges' resting tails, are leaves and take no part, so a run's parent and
+    depth are its window's.  Every cell couples the nodes of its element and
+    of its lead-in element, all on one path to the root, and is taken up by
+    the run of the last of them; a run then couples to every node that a
+    cell taken up in its subtree reaches above it: its front's boundary.
+    The runs factor deepest first, one depth at a time.
 
     The layout counts nodes, each an ``n x n`` block of DOFs.  Per depth the
     fronts are padded to a common size, ``K`` own nodes, then the
@@ -172,30 +171,18 @@ class _Fronts:
     """
 
     def __init__(self, basis: Basis, rows: np.ndarray):
-        mesh, n, ndof = basis.mesh, basis.n, basis.ndof
-        el, stop, N = mesh.elements, mesh.window_stops, ndof // n
-        at = el.offsets[:-1][np.diff(el.offsets) > 0]
-        start = np.zeros(len(el.edge), dtype=bool)
-        while len(at):  # one window of every edge per pass
-            start[at], nxt = True, stop[at]
-            at = nxt[nxt < el.offsets[1:][el.edge[at]]]
-        window = np.cumsum(start) - 1
+        n, ndof = basis.n, basis.ndof
+        N, (window, _, _, wparent, wdepth) = ndof // n, basis.mesh.windows
         right = basis.rows[:, n]  # each element's right node, by its first DOF
         free = (right >= 0) & (right < ndof)
-        # the runs with a free node, in node order
-        new_run = np.diff(window[free], prepend=-1) > 0
-        node_run = np.cumsum(new_run) - 1
-        first = np.flatnonzero(new_run)  # each run's first node
-        k = np.diff(np.append(first, N))  # and its number
-        left = basis.rows[np.flatnonzero(start)[window[free][first]], 0]
-        parent = np.where((left >= 0) & (left < ndof), node_run[np.minimum(left, ndof - 1) // n], -1)
-        depth = np.zeros(len(first), dtype=int)
-        while True:  # one depth per pass
-            deeper = np.where(parent >= 0, depth[parent] + 1, 0)
-            if np.array_equal(deeper, depth):
-                break
-            depth = deeper
-        gen = depth.max() - depth
+        # the runs, in node order: the windows with a free node, whose ancestors all have one
+        is_run = np.bincount(window[free], minlength=len(wparent)) > 0
+        run_of, runs = np.cumsum(is_run) - 1, np.flatnonzero(is_run)
+        node_run = run_of[window[free]]
+        k = np.bincount(node_run)  # each run's number of nodes
+        first = np.cumsum(k) - k  # and its first one
+        parent = np.where(wparent[runs] >= 0, run_of[wparent[runs]], -1)
+        gen = wdepth[runs].max() - wdepth[runs]
 
         # each cell's nodes, taken up by the run of the last one and passed up
         # the runs to the one that owns them: the (run, boundary node) pairs
@@ -428,7 +415,8 @@ class GramSystem:
         Gauss points feeds one more solve with the same factor.  The steps
         stop at the first correction that is not below half the previous
         one, which is the roundoff floor, and is not applied; still
-        contracting after ``CSNE_MAX_STEPS`` steps raises ``LinAlgError``.
+        contracting after ``CSNE_MAX_STEPS`` steps, and above the roundoff
+        of ``x``, raises ``LinAlgError``.
         """
         if self.matrix.ndof == 0:
             # fully clamped space: the history's zero-DOF member is the only candidate
@@ -445,6 +433,8 @@ class GramSystem:
             if not size < prev / 2:
                 return x
             x += dx
+        if size <= np.finfo(float).eps * np.linalg.norm(x):  # converged below roundoff
+            return x
         raise np.linalg.LinAlgError(
             f"corrected seminormal steps still contracting after {CSNE_MAX_STEPS}: pivot "
             f"ratio {ratio:.3e}, last relative correction {size / np.linalg.norm(x):.3e}")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes, _convolve, _find,
+from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_min, _convolve, _find,
                         _gather, _poly_der, _taylor_shift, _unique)
 from .trees import Tree
 
@@ -109,7 +109,7 @@ class CoefficientSet:
             for k, row in enumerate(table):
                 check_edge_functions(self.tree, row, f"{name}[{k}]", CoefficientError)
         lead, table = EdgePieces.of(self.b[self.n])
-        least = lead.per_edge(_abs_extremes(table, lead.h)[1], np.inf).min(axis=1)
+        least = lead.per_edge(_abs_min(table, lead.h), np.inf).min(axis=1)
         bad = np.flatnonzero(least < self.MIN_LEADING)
         if bad.size:
             raise CoefficientError(

@@ -14,9 +14,11 @@ of array passes and keeps them as one table of elements
 (:attr:`DelayMesh.elements`).  Where an edge's delayed reads land, its
 lead-in, the mesh takes from :func:`~treedamp.expressions.lead_ins`, the
 delay rule that the trajectories and the weights read too, and searches it
-in one lookup for any set of points (:meth:`Basis.locate`).
-:class:`Basis` adds the Hermite shapes and nodal-data indices of every
-element.  Reconstruction, Gram assembly and simulation read these tables.
+in one lookup for any set of points (:meth:`Basis.locate`).  Its delay
+windows form one tree (:attr:`DelayMesh.windows`), which the simulation
+sweeps and the Gram factorisation eliminates.  :class:`Basis` adds the
+Hermite shapes and nodal-data indices of every element.  Reconstruction,
+Gram assembly and simulation read these tables.
 """
 
 from __future__ import annotations
@@ -88,17 +90,32 @@ class DelayMesh:
         return lead_ins(self.elements, np.asarray(tree.parent) - 1, np.asarray(tree.lengths), self.tau)
 
     @cached_property
-    def window_stops(self) -> np.ndarray:
-        """Per element ``a``, the end (exclusive) of the delay window that
-        starts at it: the elements from ``a`` on whose right ends lie within
-        ``left[a] + tau`` (to the ``1e-9`` slack :meth:`check` allows), at
-        least ``a`` itself.  Following them from an edge's first element
-        gives the edge's greedy windows."""
+    def windows(self) -> tuple:
+        """The tree of delay windows ``(of, first, end, parent, depth)``: an
+        edge's greedy runs of elements, each from the one after the last
+        window's on, whose right ends lie within its left node plus ``tau``
+        (to the ``1e-9`` slack :meth:`check` allows), at least one.  ``of``
+        is each element's window; per window, in element order, its first
+        element, the one after its last, its parent (the window before it
+        on the edge or the parent edge's last, -1 for the root's first) and
+        its depth.  A parent comes before its children."""
         el, rows = self.elements, np.arange(len(self.elements.edge))
         reach_to = el.left + self.tau * (1 + 1e-9)
         r = _find(el.edge, el.left, el.edge, reach_to)
         end = el.offsets[1:][el.edge]
-        return np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
+        stop = np.maximum(r + ((r == end - 1) & (el.breaks[end + el.edge] <= reach_to)), rows + 1)
+        start, at = np.zeros(len(rows), dtype=bool), el.offsets[:-1][np.diff(el.offsets) > 0]
+        while len(at):  # one window of every edge per pass
+            start[at], at = True, stop[at]
+            at = at[at < end[at - 1]]
+        of, first = np.cumsum(start) - 1, np.flatnonzero(start)
+        prev = rows - 1  # per element, the one before it: on its edge, or the parent's last
+        prev[el.offsets[:-1]] = el.offsets[np.asarray(self.tree.parent)] - 1
+        parent = np.append(of, -1)[prev[first]]  # -1 before the root
+        depth = [0] * len(first) + [-1]  # the depth of parent -1 is -1
+        for w, p in enumerate(parent.tolist()):
+            depth[w] = depth[p] + 1
+        return of, first, stop[first], parent, np.array(depth[:-1])
 
     def max_width(self) -> float:
         return float(self.elements.h.max())

@@ -28,8 +28,9 @@ hold a set of points in one more, and :func:`_gather` moves those rows
 from one layout onto another, re-centring each by one batched Taylor
 shift.  The exact extremes of :func:`_abs_extremes` take the critical
 points of every row at once, as the eigenvalues of one stack of companion
-matrices per degree; :func:`_sup_abs` first drops the rows that a bound
-on their coefficients keeps below the largest end value.
+matrices per degree (:func:`_abs_min` adds the rows' zeros);
+:func:`_sup_abs` first drops the rows that a bound on their coefficients
+keeps below the largest end value.
 
 Two helpers keep the package on numpy's core: :func:`_unique`, one sort for
 the distinct values where :func:`numpy.unique` would load ``numpy.ma``, and
@@ -169,28 +170,20 @@ def _integrals(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _poly_val(table, h)
 
 
-def _abs_extremes(c: np.ndarray, h: np.ndarray):
-    """Per row of ``c``, the largest and the smallest ``|p|`` on ``[0, h]``.
-
-    ``|p|^2 = p * conj(p)`` is a real polynomial in the local variable, so
-    the extremes lie at a piece end or at a real root of its derivative
-    inside the piece.  The roots are those :func:`numpy.roots` finds: the
-    derivative's zero coefficients above its degree (row padding leaves
-    them) and below its lowest power (their roots are 0, an end) are cut
-    off, the rest is a companion matrix, and the rows of one degree share
-    one batched eigenvalue call.  A term ``d_k s^k`` whose size on ``[0,
-    h]``, ``|d_k| h^k``, is at most eps times the row's largest counts as
-    zero: it moves the derivative by roundoff only, and as the leading
-    coefficient it would divide the companion matrix.  Every root's real
-    part that falls inside the piece is tried, which covers real roots
-    computed with a tiny imaginary part and adds only harmless extra
-    candidates.
-    """
-    at0, at1 = np.abs(_poly_val(c, np.zeros(len(c)))), np.abs(_poly_val(c, h))
-    big, small = np.maximum(at0, at1), np.minimum(at0, at1)
-    if c.shape[1] == 1:  # constants
-        return big, small
-    d = _poly_der(_convolve(c, c.conj()).real)
+def _roots_inside(d: np.ndarray, h: np.ndarray):
+    """Per degree that occurs, the rows of ``d`` (ascending powers, real or
+    complex) of that degree, the real parts of their roots and which lie
+    inside ``(0, h)``: the roots :func:`numpy.roots` finds.  The zero
+    coefficients above a row's degree (row padding leaves them) and below
+    its lowest power (their roots are 0, an end) are cut off, the rest is a
+    companion matrix, and the rows of one degree share one batched
+    eigenvalue call.  A term ``d_k s^k`` whose size on ``[0, h]``, ``|d_k|
+    h^k``, is at most eps times the row's largest counts as zero: it moves
+    the row by roundoff only, and as the leading coefficient it would
+    divide the companion matrix.  A root's real part stands for the root,
+    which covers real roots computed with a tiny imaginary part."""
+    if d.shape[1] < 2:  # constants have none
+        return
     size = np.abs(d) * h[:, None] ** np.arange(d.shape[1])  # the terms' sizes on [0, h]
     nz = size > np.finfo(float).eps * size.max(axis=1, keepdims=True)
     lo = np.argmax(nz, axis=1)
@@ -198,15 +191,42 @@ def _abs_extremes(c: np.ndarray, h: np.ndarray):
     for D in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees that occur
         rows = np.flatnonzero(deg == D)
         p = d[rows[:, None], lo[rows, None] + np.arange(D, -1, -1)]  # descending powers
-        A = np.zeros((len(rows), D, D))
+        A = np.zeros((len(rows), D, D), dtype=d.dtype)
         A[:, 0] = -p[:, 1:] / p[:, :1]
         A[:, np.arange(1, D), np.arange(D - 1)] = 1.0
         s = np.linalg.eigvals(A).real
-        inside = (s > 0.0) & (s < h[rows, None])
+        yield rows, s, (s > 0.0) & (s < h[rows, None])
+
+
+def _abs_extremes(c: np.ndarray, h: np.ndarray):
+    """Per row of ``c``, the largest and the smallest ``|p|`` on ``[0, h]``.
+
+    ``|p|^2 = p * conj(p)`` is a real polynomial in the local variable, so
+    the extremes lie at a piece end or at a real root of its derivative
+    inside the piece (:func:`_roots_inside`), which adds only harmless
+    extra candidates.  At a double zero of ``p`` the derivative has a triple
+    root, resolved only to about ``eps^(1/3)``; :func:`_abs_min` adds it.
+    """
+    at0, at1 = np.abs(_poly_val(c, np.zeros(len(c)))), np.abs(_poly_val(c, h))
+    big, small = np.maximum(at0, at1), np.minimum(at0, at1)
+    if c.shape[1] == 1:  # constants
+        return big, small
+    for rows, s, inside in _roots_inside(_poly_der(_convolve(c, c.conj()).real), h):
         v = np.abs(_poly_val(c[rows, None, :], s))
         big[rows] = np.maximum(big[rows], np.where(inside, v, -np.inf).max(axis=1))
         small[rows] = np.minimum(small[rows], np.where(inside, v, np.inf).min(axis=1))
     return big, small
+
+
+def _abs_min(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per row of ``c``, the smallest ``|p|`` on ``[0, h]``: that of
+    :func:`_abs_extremes`, also tried at the real parts of ``p``'s own roots
+    inside the piece, so that a zero of any multiplicity reads as zero."""
+    small = _abs_extremes(c, h)[1]
+    for rows, s, inside in _roots_inside(c, h):
+        v = np.abs(_poly_val(c[rows, None, :], s))
+        small[rows] = np.minimum(small[rows], np.where(inside, v, np.inf).min(axis=1))
+    return small
 
 
 def _sup_abs(c: np.ndarray, h: np.ndarray) -> float:

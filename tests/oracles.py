@@ -11,8 +11,8 @@ integrated on Gauss points, the oracle's own, from the control's values),
 the first variation through the re-indexed weights, the generic
 quasi-derivative recursion,
 membership in the perturbation space from one-sided limits, the delay
-mesh edge by edge (every source tried on every edge) and its DOF numbering
-node by node; and the file
+mesh edge by edge (every source tried on every edge), its DOF numbering
+node by node and its delay windows element by element; and the file
 formats entry by entry and edge by edge: a piecewise record parsed one
 number at a time, and the CSV sampled one edge at a time.  The forward
 simulation is the one route that is not exact: the package's collocation,
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from treedamp.expressions import TreeFunction
-from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_extremes,
+from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_min,
                                 _convolve, _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
                                 derivative_powers)
 from treedamp.meshing import DelayMesh
@@ -89,7 +89,7 @@ class Poly(PiecewisePoly):
 
     def min_abs(self) -> float:
         """Exact minimum of ``|p|`` over the domain."""
-        return float(_abs_extremes(self._c, np.diff(self.breaks))[1].min())
+        return float(_abs_min(self._c, np.diff(self.breaks)).min())
 
     def refined(self, extra_breaks) -> "Poly":
         """Same function on a breakpoint set enlarged by ``extra_breaks``;
@@ -634,6 +634,36 @@ def dof_numbering(mesh, n: int):
     rows = [[first[v] + k if first[v] >= 0 else -1 for v in (a, b) for k in range(n)]
             for g in gid for a, b in zip(g[:-1], g[1:])]
     return np.array(rows, dtype=int).reshape(-1, 2 * n), ndof
+
+
+def windows(mesh):
+    """The delay windows edge by edge, the reference for
+    :attr:`treedamp.meshing.DelayMesh.windows`: from an edge's first
+    element on, a window takes the next element while that element's right
+    node lies within the window's left node plus ``tau`` (to the ``1e-9``
+    slack), and at least one; its parent is the window before it on the
+    edge, or the parent edge's last window.  Returns ``(of, first, end,
+    parent, depth)``."""
+    tree, reach = mesh.tree, mesh.tau * (1 + 1e-9)
+    of, first, end, parent, depth = [], [], [], [], []
+    last = {0: -1}  # per edge: its last window, -1 before the root
+    e0 = 0  # the edge's first element
+    for j in range(1, tree.m + 1):
+        xs = mesh.nodes[j - 1]
+        p, a = last[tree.parent_of(j)], 0
+        while a < len(xs) - 1:
+            b = a + 1
+            while b < len(xs) - 1 and xs[b + 1] <= xs[a] + reach:
+                b += 1
+            of += [len(first)] * (b - a)
+            first.append(e0 + a)
+            end.append(e0 + b)
+            parent.append(p)
+            depth.append(depth[p] + 1 if p >= 0 else 0)
+            p, a = len(first) - 1, b
+        last[j] = p
+        e0 += len(xs) - 1
+    return tuple(np.array(v, dtype=int) for v in (of, first, end, parent, depth))
 
 
 def lead_ins(breaks, tree, tau: float):

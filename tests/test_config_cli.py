@@ -140,6 +140,27 @@ def test_solver_messages_carry_the_config_prefix(solver, message):
     assert str(err.value) == message
 
 
+def _edge(eid, parent):
+    return {"id": eid, "parent": parent, "length": 3.0}
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([], "config.edges: expected a non-empty edge list"),
+    ([_edge(0, 0)], "config.edges[0].id: edge id must be a positive integer, got 0"),
+    ([_edge(True, 0)], "config.edges[0].id: edge id must be a positive integer, got True"),
+    ([_edge(1, -1)], "config.edges[0].parent: parent must be 0 or an edge id, got -1"),
+    ([_edge(1, 0), _edge(2, 7)], "config.edges: edge 2 references unknown parent 7"),
+    ([_edge(1, 0), _edge(2, 0)], "config.edges: expected exactly one root edge, found 2"),
+    ([_edge(1, 0), _edge(2, 3), _edge(3, 2)],
+     "config.edges: edges not reachable from the root: ['2', '3']"),
+])
+def test_edge_list_messages(edges, message):
+    # the checks of the edge records, then the tree's own (TreeStructureError)
+    with pytest.raises(ConfigError) as err:
+        ProblemConfig.from_dict(_minimal_dict(edges=edges))
+    assert str(err.value) == message
+
+
 def test_missing_key_messages_do_not_depend_on_the_hash_seed(tmp_path):
     # two keys missing: the first in sorted order is named, under any
     # PYTHONHASHSEED
@@ -561,6 +582,18 @@ def _set_edge(**fields):
                  "control.edges[0].id: unknown edge id", id="unknown-edge"),
     pytest.param("control", _set_edge(breaks=[0.0, 1.5, 2.5]),
                  "control.edges[0].breaks: breakpoints must span", id="short-domain"),
+    pytest.param("control", _set_edge(breaks=[], pieces=[]),
+                 "control.edges[0]: need at least two breakpoints", id="no-breaks"),
+    pytest.param("control", _set_edge(breaks=[0.0], pieces=[[1.0]]),
+                 "control.edges[0]: need at least two breakpoints", id="one-break"),
+    pytest.param("config", lambda d: d["coefficients"].append(
+                     {"edge": 1, "family": "c", "k": 0, "kind": "piecewise",
+                      "data": {"breaks": [], "pieces": [[1.0]]}}),
+                 "config.coefficients[1].data: need at least two breakpoints",
+                 id="coefficient-without-breaks"),
+    pytest.param("config", lambda d: d.update(history={"kind": "piecewise",
+                                                       "data": {"breaks": [0.0], "pieces": []}}),
+                 "config.history.data: need at least two breakpoints", id="history-one-break"),
     pytest.param("config", lambda d: d.update(history=5),
                  "config.history: expected an object", id="history-not-object"),
     pytest.param("config", lambda d: d.update(history={"kind": "piecewise",
@@ -883,6 +916,21 @@ def test_cli_rejects_leading_coefficient_with_interior_zero(tmp_path, capsys):
     bad.write_text(json.dumps(_minimal_dict(coefficients=[lead])))
     assert main(["damp", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "away from zero" in capsys.readouterr().err
+
+
+def test_cli_rejects_leading_coefficient_with_a_double_zero(tmp_path, capsys):
+    # b_1 = (t - 1.5)^2 touches zero inside the edge: |b_1|^2 has a triple
+    # critical point there, which the roots of its derivative resolve only
+    # to about eps^(1/3), so the zeros of b_1 itself are tried too
+    d = json.loads((CONFIGS / "interval.json").read_text())
+    d["coefficients"][0] = {"edge": 1, "family": "b", "k": 1, "kind": "polynomial",
+                            "data": [2.25, -3, 1]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["damp", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "leading coefficient b_1 on edge 1 reaches |.| = 0.000e+00" in err
+    assert not (tmp_path / "o").exists()
 
 
 def _break_config(delta):

@@ -241,6 +241,19 @@ def test_seminormal_steps_reach_least_squares_accuracy_at_order_three():
     assert np.linalg.norm(sol.dofs - want) <= 1e-8 * np.linalg.norm(want)
 
 
+def test_seminormal_steps_that_fall_below_roundoff_return():
+    # here the optimum lies in the discrete space, so every corrected
+    # seminormal step keeps halving the one before, down to 1.8e-22 of the
+    # DOFs after ten; those DOFs are the least-squares ones, not a failure
+    tree = interval(2.25)
+    lead = {(1, 1): PiecewisePoly.constant(0.0, 2.25, 1.0)}
+    c1 = PiecewisePoly([0.0, 1.25, 2.25], [[0.5], [0.5 - 0.3j]])
+    cs = CoefficientSet.build(tree, 1, 1.0, b=lead, c={(1, 1): c1})
+    sol = solve_damping(tree, cs, PiecewisePoly.constant(-1.0, 0.0, 0.2890625j), q=1)
+    want = oracles.least_squares_dofs(sol.gram)
+    assert np.linalg.norm(sol.dofs - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_seminormal_steps_still_contracting_at_the_limit_raise(monkeypatch, tmp_path, capsys):
     # the first correction always contracts, so a limit of one step is
     # reached on any problem; the error names the conditioning, and is not

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree, interval, star
-from treedamp.meshing import Basis, MeshError, _hermite_shapes, build_mesh, history_lift
+from treedamp.meshing import Basis, DelayMesh, MeshError, _hermite_shapes, build_mesh, history_lift
 
 import oracles
 
@@ -285,6 +285,38 @@ def test_history_lift_matches_higher_order_data():
             phi.left_limit(0.0, k))
         assert lift.component(1).left_limit(h, k) == pytest.approx(0.0, abs=1e-12)
     assert not oracles.poly(lift.component(1)).restrict(h, 3.0).coefs.any()
+
+
+@st.composite
+def window_meshes(draw):
+    """A tree of 1-7 edges whose lengths are no multiples of a delay that
+    is no power of two, and a mesh on it: the solvers' at q 1 to 3 or, built
+    by hand, random nodes plus, on every edge, a node a delay after its
+    start to within 0.5 or 2 of the windows' 1e-9 relative slack, exactly on
+    its end, or exactly a delay."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    parents = {1: 0} | {e: draw(st.integers(min_value=1, max_value=e - 1)) for e in range(2, m + 1)}
+    tau = draw(st.sampled_from([0.7, 0.45, 1 / 3]))
+    lengths = {e: tau * draw(st.floats(min_value=1.2, max_value=4.0)) for e in parents}
+    tr = build_tree(parents, lengths)
+    if draw(st.booleans()):
+        return build_mesh(tr, tau, draw(st.integers(min_value=1, max_value=3)))
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    nodes = []
+    for T in tr.lengths:
+        at = tau * (1 + draw(st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, 2e-9])))
+        inner = T * np.array(draw(st.lists(unit, max_size=8)))
+        nodes.append(np.unique(np.concatenate([[0.0, at, T], inner])))
+    return DelayMesh.from_nodes(tr, tau, 1, nodes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window_meshes())
+def test_window_tree_matches_the_per_edge_reference(mesh):
+    # every window, its elements, its parent and its depth as the greedy
+    # walk of each edge in turn finds them
+    for got, want in zip(mesh.windows, oracles.windows(mesh), strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_history_lift_rejects_mismatched_domain():

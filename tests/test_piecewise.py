@@ -14,6 +14,7 @@ from treedamp.piecewise import (
     BREAK_RTOL,
     PiecewisePoly,
     _abs_extremes,
+    _abs_min,
     _poly_der,
     _poly_val,
     _sup_abs,
@@ -424,6 +425,20 @@ def test_abs_extremes_ignore_a_roundoff_sized_leading_term(eps):
         big, small = _abs_extremes(c, np.array([1.0]))
     assert big[0] == pytest.approx(200.0, rel=1e-9)
     assert small[0] == pytest.approx(150.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("coefs, h, least", [
+    ([2.25, -3.0, 1.0], 3.0, 0.0),  # (s - 1.5)^2
+    ([0.25, -1.0, 1.0], 1.0, 0.0),  # (s - 0.5)^2
+    ([2.25 + 1e-6, -3.0, 1.0], 3.0, 1e-6),  # (s - 1.5)^2 + 1e-6
+    (list((0.6 - 0.8j) * np.array([1.44, -2.4, 1.0])), 2.0, 0.0),  # a complex double zero at 1.2
+])
+def test_abs_min_finds_the_minimum_at_a_double_zero(coefs, h, least):
+    # where p has a double zero, d|p|^2/ds has a triple root, which the
+    # companion eigenvalues resolve only to about eps^(1/3) (|p| 5.1e-11 in
+    # the first row); the zeros of p itself give the minimum to roundoff
+    c = np.array([coefs], dtype=complex)
+    assert _abs_min(c, np.array([h]))[0] == pytest.approx(least, rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.parametrize("values", [
