@@ -8,8 +8,8 @@ directory as CSV (trajectory, control samples), the exact piecewise control
 file and a JSON summary; :mod:`treedamp.config` reads and writes the files.
 
 Exit codes: 0 success, 2 invalid input (parse or validation), 3 numerical
-failure (indefinite or singular system, a result that overflows), 4 failed
-verification or a broken convergence assertion.
+failure (indefinite or singular system, a result that overflows, running
+out of memory), 4 failed verification or a broken convergence assertion.
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError as exc:  # includes IndefiniteGramError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a problem too large for the memory at hand; numpy names the allocation
+        print(f"out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 3
 
 

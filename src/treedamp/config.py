@@ -213,9 +213,10 @@ def _tables(items: list, spans: list):
 
     Every coefficient of every item goes through one :func:`_complexes`
     and every given breakpoint through one :func:`_reals`.  Each piece is a
-    row of one zero-padded ``(pieces, widest)`` table, each item a view of
-    its rows as wide as its longest piece; a polynomial's global
-    coefficients are re-centred at ``a`` by one batched Taylor shift per width.
+    row as wide as its item's longest piece, zero-padded, and each item a
+    ``(pieces, width)`` view of one buffer of all rows, so no piece is padded
+    past its own item's width; a polynomial's global coefficients are
+    re-centred at ``a`` by one batched Taylor shift per width.
     """
     if not items:
         return []
@@ -250,17 +251,22 @@ def _tables(items: list, spans: list):
     if (step <= 0).any():
         return None
 
-    # coefficients: piece by piece, each row zero-padded to the widest piece
-    table = np.zeros((len(rows), lens.max()), dtype=complex)
-    table[np.arange(table.shape[1]) < lens[:, None]] = z
+    # coefficients: each piece a row as wide as its item's longest piece, the
+    # rows back to back in one buffer, zero-padded; each item a view of its own
     start = np.cumsum(npieces) - npieces
     width = np.maximum.reduceat(lens, start)
+    size = width * npieces
+    at = np.cumsum(size) - size  # each item's place in the buffer
+    pad = np.repeat(width, npieces) - lens
+    flat = np.zeros(at[-1] + size[-1], dtype=complex)
+    flat[np.arange(len(z)) + np.repeat(np.cumsum(pad) - pad, lens)] = z
     shift = kinds == _POLYNOMIAL
     for w in _unique(width[shift]):
         sel = shift & (width == w)
-        table[start[sel], :w] = _taylor_shift(table[start[sel], :w], a[sel])
-    return [PiecewisePoly._of(breaks[i : i + p + 1], table[s : s + p, :w])
-            for i, s, p, w in zip(first.tolist(), start.tolist(), npieces.tolist(), width.tolist())]
+        coefs_at = at[sel, None] + np.arange(w)
+        flat[coefs_at] = _taylor_shift(flat[coefs_at], a[sel])
+    return [PiecewisePoly._of(breaks[i : i + p + 1], flat[o : o + p * w].reshape(p, w))
+            for i, o, p, w in zip(first.tolist(), at.tolist(), npieces.tolist(), width.tolist())]
 
 
 def _piecewise_out(p: PiecewisePoly) -> dict:

@@ -34,8 +34,10 @@ sweeps too.  The factorisation is multifrontal (Duff & Reid 1983): the runs
 are eliminated children before parents, deepest first and one batch per
 depth, each from a dense front of its own DOFs and the earlier ones that
 its cells and its descendants couple it to, which lie within about ``tau``
-before it.  The fronts' Cholesky pivots are the definiteness test, and a
-pivot ratio of ``1/eps`` or more is refused as numerically singular.
+before it.  The fronts' Cholesky pivots are the definiteness test.  A
+scaled pivot ``pivot_j / G_jj``, the share of DOF ``j``'s diagonal that the
+elimination left, is free of the DOFs' scale and shows the digits lost; a
+spread of ``1/eps`` or more is refused as numerically singular.
 
 *Corrected seminormal steps* (Bjorck 1987) with the same factor recover the
 accuracy that forming ``G`` squared away.  The solution's energy is
@@ -61,20 +63,16 @@ from .trees import Tree
 
 class IndefiniteGramError(np.linalg.LinAlgError):
     """The Gram matrix failed the positive-definite factorisation, or its
-    pivots spread so far that it is numerically singular.
+    scaled pivots spread so far that it is numerically singular.
 
-    The message reports the pivot ratio of the factor, a condition estimate
-    (from the extreme eigenvalues up to ``EIGEN_REPORT_NDOF`` unknowns) and
-    the smallest element width: a leading coefficient near zero and a sliver
-    element both make the energy form degenerate."""
+    The message reports the scaled pivot ratio, the largest over the
+    smallest ``pivot_j / G_jj`` of the pivots formed, how many were formed,
+    and the smallest element width: a leading coefficient near zero and a
+    sliver element both make the energy form degenerate."""
 
 
-# Largest number of unknowns for which a failed factorisation also reports
-# the extreme eigenvalues of the Gram matrix, from a dense copy.
-EIGEN_REPORT_NDOF = 1000
-
-# A factor whose largest pivot is this many times its smallest one has lost
-# every digit of the smallest: the system is numerically singular.
+# A factor whose largest scaled pivot is this many times its smallest one has
+# lost every digit of the smallest: the system is numerically singular.
 PIVOT_RATIO_MAX = 1.0 / np.finfo(float).eps
 
 # Corrected seminormal steps run while each correction is less than half the
@@ -325,30 +323,29 @@ class GramSystem:
         np.add.at(acc, fr.cell_at.ravel(), (B - B.conj().swapaxes(1, 2)).ravel())
         return float(np.abs(acc[: fr.size]).max(initial=0.0))
 
-    def _indefinite(self, reason: str, pivots=None) -> IndefiniteGramError:
-        ndof = self.matrix.shape[0]
-        parts = [f"Gram matrix is not positive definite: {reason}"]
-        cond = np.inf
-        if pivots is not None:
-            size = np.abs(pivots)
-            cond = size.max() / size.min() if size.min() > 0 else np.inf
-            parts.append(f"pivot ratio {cond:.3e}")
-        if ndof <= EIGEN_REPORT_NDOF:
-            eig = np.linalg.eigvalsh(self.matrix.toarray())
-            lo, hi = abs(eig[0]), abs(eig[-1])
-            cond = hi / lo if lo > 0 else np.inf
-            parts.append(f"eigenvalues from {eig[0]:.3e} to {eig[-1]:.3e}")
-        parts.append(f"condition estimate {cond:.3e}, smallest element width "
-                     f"h_min = {self.basis.mesh.min_width():.3e}; a leading coefficient "
-                     "near zero or a sliver element makes the energy form degenerate")
-        return IndefiniteGramError(", ".join(parts))
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """``G_jj``, the energy of each basis function."""
+        return self.matrix.diagonal().real
+
+    def _health(self, scaled: np.ndarray) -> str:
+        """The spread of the scaled pivots formed (1 for none) and h_min, for a message."""
+        ratio = scaled.max() / scaled.min() if len(scaled) else 1.0
+        return (f"scaled pivot ratio {ratio:.3e} over {len(scaled)} of {self.matrix.ndof} pivots, "
+                f"smallest element width h_min = {self.basis.mesh.min_width():.3e}")
+
+    def _indefinite(self, reason: str, scaled: np.ndarray) -> IndefiniteGramError:
+        return IndefiniteGramError(
+            f"Gram matrix is not positive definite: {reason}; {self._health(scaled)}; a leading "
+            "coefficient near zero or a sliver element makes the energy form degenerate")
 
     def _factor(self) -> tuple:
-        """The fronts' eliminations, depth by depth, and the pivots.
+        """The fronts' eliminations, depth by depth, and the scaled pivots.
 
         Each front's own block ``A`` is the definiteness test, by its
-        Cholesky factor, whose squared diagonal are the pivots.  One solve
-        gives ``M = A^-1 [I, -A_12]``, which maps the front's right-hand
+        Cholesky factor, whose squared diagonal are the pivots; each over
+        its DOF's ``G_jj`` is a scaled pivot, in (0, 1] up to roundoff.  One
+        solve gives ``M = A^-1 [I, -A_12]``, which maps the front's right-hand
         side and its boundary's solution onto its own DOFs; ``A_21 A^-1``,
         the conjugate transpose of ``-M``'s last columns, carries the
         right-hand side onto the boundary, and ``A_21`` times those columns
@@ -364,8 +361,9 @@ class GramSystem:
             try:
                 L = np.linalg.cholesky(P[:, :K])
             except np.linalg.LinAlgError:
-                raise self._failed(P[:, :K], own, pivots) from None
-            pivots.append(L.diagonal(axis1=1, axis2=2).real[own] ** 2)
+                raise self._indefinite("its Cholesky factor failed",
+                                       np.concatenate([np.zeros(0), *pivots])) from None
+            pivots.append(L.diagonal(axis1=1, axis2=2).real[own] ** 2 / self.diagonal[front[:, :K][own]])
             rhs = np.zeros((B, K, F), dtype=complex)
             rhs[:, np.arange(K), np.arange(K)] = 1.0
             rhs[:, :, K:] = -P[:, K:].conj().swapaxes(1, 2)
@@ -376,20 +374,6 @@ class GramSystem:
             np.add.at(acc, update_at, (P[:, K:] @ M[:, :, K:]).ravel())
             steps.append((front, -M[:, :, K:].conj().swapaxes(1, 2), M))
         return steps, np.concatenate(pivots)
-
-    def _failed(self, A: np.ndarray, own: np.ndarray, pivots: list) -> IndefiniteGramError:
-        """The error for fronts ``A`` whose Cholesky factorisation failed,
-        from their pivots without pivoting and the ones before them."""
-        A, d = A.copy(), np.empty(A.shape[:2], dtype=complex)
-        with np.errstate(all="ignore"):
-            for i in range(A.shape[1]):
-                d[:, i] = A[:, i, i]
-                A[:, i + 1 :, i + 1 :] -= A[:, i + 1 :, i, None] / d[:, i, None, None] * A[:, None, i, i + 1 :]
-        d = d[own]
-        if np.any(d == 0.0):
-            return self._indefinite("the factor is singular")
-        return self._indefinite("a pivot is not real and positive",
-                                np.concatenate(pivots + [d[np.isfinite(d)]]))
 
     @staticmethod
     def _substitute(steps: list, b: np.ndarray) -> np.ndarray:
@@ -407,10 +391,10 @@ class GramSystem:
         """The minimiser of the discrete energy over the perturbation space.
 
         The fronts along the tau-runs factor ``G`` (:meth:`_factor`); a
-        pivot that is not positive fails the definiteness test, and pivots
-        spread over ``PIVOT_RATIO_MAX`` or more are refused as numerically
-        singular, both as :class:`IndefiniteGramError`.  Steps of the
-        corrected seminormal equations then recover the accuracy that
+        pivot that is not positive fails the definiteness test, and scaled
+        pivots spread over ``PIVOT_RATIO_MAX`` or more are refused as
+        numerically singular, both as :class:`IndefiniteGramError`.  Steps
+        of the corrected seminormal equations then recover the accuracy that
         forming ``G`` squared away: the residual ``L phi + L^T x`` at the
         Gauss points feeds one more solve with the same factor.  The steps
         stop at the first correction that is not below half the previous
@@ -421,10 +405,9 @@ class GramSystem:
         if self.matrix.ndof == 0:
             # fully clamped space: the history's zero-DOF member is the only candidate
             return np.zeros(0, dtype=complex)
-        steps, piv = self._factor()
-        ratio = piv.max() / piv.min()
-        if ratio >= PIVOT_RATIO_MAX:
-            raise self._indefinite("its pivots spread over 1/eps, so it is numerically singular", piv)
+        steps, scaled = self._factor()
+        if scaled.max() >= PIVOT_RATIO_MAX * scaled.min():
+            raise self._indefinite("its scaled pivots spread over 1/eps: it is numerically singular", scaled)
         x = self._substitute(steps, self.rhs)
         size = np.inf
         for _ in range(CSNE_MAX_STEPS):
@@ -436,8 +419,8 @@ class GramSystem:
         if size <= np.finfo(float).eps * np.linalg.norm(x):  # converged below roundoff
             return x
         raise np.linalg.LinAlgError(
-            f"corrected seminormal steps still contracting after {CSNE_MAX_STEPS}: pivot "
-            f"ratio {ratio:.3e}, last relative correction {size / np.linalg.norm(x):.3e}")
+            f"corrected seminormal steps still contracting after {CSNE_MAX_STEPS}: last relative "
+            f"correction {size / np.linalg.norm(x):.3e}, {self._health(scaled)}")
 
 
 def _operator_slots(basis: Basis, ids: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -573,7 +556,7 @@ def optimality_check(sol: DampingSolution) -> dict:
     pieces, table = EdgePieces.of(sol.control)
     at = _find(pieces.edge, pieces.left, gram.edge, gram.points)
     resid = gram.products(_poly_val(table[at], gram.points - pieces.left[at]))
-    norms = np.sqrt(np.abs(gram.matrix.diagonal().real))
+    norms = np.sqrt(np.abs(gram.diagonal))
     ynorm = np.sqrt(max(sol.energy, 0.0))
     scale = norms * ynorm
     rel = np.abs(resid) / np.where(scale > 0, scale, 1.0)

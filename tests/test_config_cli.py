@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -529,7 +530,7 @@ def test_cli_overflow_prints_only_its_own_error_line(argv, tmp_path):
 
 
 def test_cli_convergence_ladder_passes_at_order_three(capsys):
-    # star3: order 3, pivot ratio 2.8e11 at q 64.  One corrected seminormal
+    # star3: order 3, scaled pivot ratio 3.1e9 at q 64.  One corrected seminormal
     # step left the q 64 DOFs 1.5e-5 off and its energy above q 32's by
     # 1.8e-9, so the ladder failed with "energy increased" (exit 4)
     cfg_path = str(CONFIGS / "star3.json")
@@ -743,6 +744,27 @@ def test_control_parse_matches_the_per_entry_reference(tmp_path_factory, records
     back = control_from_file(path, cfg)
     for j, eid in enumerate(cfg.edge_ids, start=1):
         _assert_bitwise(back[j - 1], oracles.parse_piecewise(*records[eid - 1], 0.0, _LENGTHS[eid]))
+
+
+@pytest.mark.filterwarnings("ignore:piecewise polynomial degree 999")
+def test_control_parse_memory_grows_with_each_edge_own_widest_piece(tmp_path):
+    # 2000 one-coefficient pieces on edge 1 and one 1000-coefficient piece on
+    # edge 2: padded to the file's widest piece, edge 1's table alone took
+    # 2000 x 1000 complex numbers, 30.6 MiB
+    cfg = ProblemConfig.from_file(CONFIGS / "star.json")
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps({"edges": [
+        {"id": 1, "breaks": np.linspace(0.0, 2.0, 2001).tolist(), "pieces": [[0.5]] * 2000},
+        {"id": 2, "breaks": [0.0, 2.0], "pieces": [[1e-3] * 1000]},
+        {"id": 3, "breaks": [0.0, 2.0], "pieces": [[0.0]]}]}))
+    tracemalloc.start()
+    try:
+        back = control_from_file(path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.coefs.shape for p in back] == [(2000, 1), (1, 1000), (1, 1)]
+    assert peak < 2 * 2**20
 
 
 @st.composite
@@ -1025,6 +1047,24 @@ def test_cli_maps_numerical_failure_to_exit_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array with shape "
+                                     "(2000000002,) and data type float64", ""])
+def test_cli_maps_running_out_of_memory_to_exit_3(tmp_path, capsys, monkeypatch, message):
+    # a delay of 1e-9 asks build_mesh for two billion nodes; the error is
+    # forced here, so that no test makes that allocation
+    import treedamp.cli as cli_mod
+
+    def boom(*a, **kw):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_mod, "solve_damping", boom)
+    rc = main(["damp", "--config", str(CONFIGS / "interval.json"), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"out of memory: {message or 'MemoryError'}\n"
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
 def test_cli_reports_degenerate_gram_with_mesh_and_conditioning(tmp_path, capsys, monkeypatch):
     # every coefficient forged to zero past validation: the real solver
     # fails to factorise, and the message names h_min and the conditioning
@@ -1044,7 +1084,7 @@ def test_cli_reports_degenerate_gram_with_mesh_and_conditioning(tmp_path, capsys
     rc = main(["damp", "--config", str(CONFIGS / "interval.json"), "--out", str(tmp_path / "o")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "h_min = " in err and "condition estimate" in err
+    assert "h_min = " in err and "scaled pivot ratio" in err
 
 
 def test_control_exchange_format_is_exact(tmp_path):
