@@ -217,8 +217,7 @@ def cmd_verify(args) -> int:
         failures.append("control.json missing from solution directory")
 
     print(f"optimality residual {diag['optimality']:.3e}, "
-          f"Kirchhoff max {diag['kirchhoff_max']:.3e}, "
-          f"hermiticity defect {diag['hermiticity']:.3e}")
+          f"Kirchhoff max {diag['kirchhoff_max']:.3e}")
     if diag["optimality"] > 1e-8:
         failures.append(f"optimality residual {diag['optimality']:.3e} above 1e-8")
 

@@ -34,13 +34,17 @@ sweeps too.  The factorisation is multifrontal (Duff & Reid 1983): the runs
 are eliminated children before parents, deepest first and one batch per
 depth, each from a dense front of its own DOFs and the earlier ones that
 its cells and its descendants couple it to, which lie within about ``tau``
-before it.  The fronts' Cholesky pivots are the definiteness test.  A
-scaled pivot ``pivot_j / G_jj``, the share of DOF ``j``'s diagonal that the
-elimination left, is free of the DOFs' scale and shows the digits lost; a
-spread of ``1/eps`` or more is refused as numerically singular.
+before it.  Each front's Cholesky factor is the definiteness test and does
+the elimination, by triangular substitution, which is componentwise
+backward stable and so not moved by a scaling of the DOFs (Higham 2002,
+ch. 8).  A scaled pivot ``pivot_j / G_jj``, the share of DOF ``j``'s
+diagonal that the elimination left, is free of the DOFs' scale and shows
+the digits lost; a spread of ``1/eps`` or more is refused as numerically
+singular.
 
 *Corrected seminormal steps* (Bjorck 1987) with the same factor recover the
-accuracy that forming ``G`` squared away.  The solution's energy is
+accuracy that forming ``G`` squared away; DOFs whose steps do not converge
+to ``sqrt(eps)`` of them are refused too.  The solution's energy is
 integrated on the same Gauss points (:meth:`GramSystem.energy`), and
 :func:`optimality_check` measures its first variation there.
 """
@@ -62,8 +66,9 @@ from .trees import Tree
 
 
 class IndefiniteGramError(np.linalg.LinAlgError):
-    """The Gram matrix failed the positive-definite factorisation, or its
-    scaled pivots spread so far that it is numerically singular.
+    """The Gram matrix failed the positive-definite factorisation, its
+    scaled pivots spread so far that it is numerically singular, or the
+    corrected seminormal steps on its factor did not converge.
 
     The message reports the scaled pivot ratio, the largest over the
     smallest ``pivot_j / G_jj`` of the pivots formed, how many were formed,
@@ -76,8 +81,10 @@ class IndefiniteGramError(np.linalg.LinAlgError):
 PIVOT_RATIO_MAX = 1.0 / np.finfo(float).eps
 
 # Corrected seminormal steps run while each correction is less than half the
-# one before; a sequence still contracting after this many steps is an error.
+# one before, at most this many; the DOFs are accepted when the last correction
+# measured is at most CSNE_TOLERANCE times their norm.
 CSNE_MAX_STEPS = 10
+CSNE_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
 
 def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -313,43 +320,31 @@ class GramSystem:
     def _fronts(self) -> _Fronts:
         return _Fronts(self.basis, self.matrix.rows)
 
-    def hermiticity_defect(self) -> float:
-        """The largest ``|G[p, r] - conj(G[r, p])|``, with ``G - G^H``
-        assembled from the cells' ``B - B^H``."""
-        if self.matrix.ndof == 0:
-            return 0.0
-        B, fr = self.matrix.blocks, self._fronts
-        acc = np.zeros(fr.size + self.basis.n, dtype=complex)
-        np.add.at(acc, fr.cell_at.ravel(), (B - B.conj().swapaxes(1, 2)).ravel())
-        return float(np.abs(acc[: fr.size]).max(initial=0.0))
-
     @cached_property
     def diagonal(self) -> np.ndarray:
         """``G_jj``, the energy of each basis function."""
         return self.matrix.diagonal().real
 
-    def _health(self, scaled: np.ndarray) -> str:
-        """The spread of the scaled pivots formed (1 for none) and h_min, for a message."""
-        ratio = scaled.max() / scaled.min() if len(scaled) else 1.0
-        return (f"scaled pivot ratio {ratio:.3e} over {len(scaled)} of {self.matrix.ndof} pivots, "
-                f"smallest element width h_min = {self.basis.mesh.min_width():.3e}")
-
     def _indefinite(self, reason: str, scaled: np.ndarray) -> IndefiniteGramError:
+        """The failure, with the spread of the scaled pivots formed (1 for none) and h_min."""
+        ratio = scaled.max() / scaled.min() if len(scaled) else 1.0
         return IndefiniteGramError(
-            f"Gram matrix is not positive definite: {reason}; {self._health(scaled)}; a leading "
-            "coefficient near zero or a sliver element makes the energy form degenerate")
+            f"Gram matrix is not positive definite: {reason}; scaled pivot ratio {ratio:.3e} over "
+            f"{len(scaled)} of {self.matrix.ndof} pivots, smallest element width h_min = "
+            f"{self.basis.mesh.min_width():.3e}; a leading coefficient near zero or a sliver "
+            "element makes the energy form degenerate")
 
     def _factor(self) -> tuple:
         """The fronts' eliminations, depth by depth, and the scaled pivots.
 
         Each front's own block ``A`` is the definiteness test, by its
-        Cholesky factor, whose squared diagonal are the pivots; each over
-        its DOF's ``G_jj`` is a scaled pivot, in (0, 1] up to roundoff.  One
-        solve gives ``M = A^-1 [I, -A_12]``, which maps the front's right-hand
-        side and its boundary's solution onto its own DOFs; ``A_21 A^-1``,
-        the conjugate transpose of ``-M``'s last columns, carries the
-        right-hand side onto the boundary, and ``A_21`` times those columns
-        is the Schur update, added to the ancestors' columns.
+        Cholesky factor ``L``, whose squared diagonal are the pivots; each
+        over its DOF's ``G_jj`` is a scaled pivot, in (0, 1] up to roundoff.
+        The same factor does the elimination.  ``L^-H`` is the inverse of the
+        upper triangular ``L^H``, whose LU finds only zeros below its
+        diagonal, so it swaps no rows and is back substitution, which no
+        scaling of the DOFs moves.  With ``W = L^-1 A_12`` the Schur update
+        ``-W^H W`` is added to the ancestors' columns.
         """
         fr = self._fronts
         acc = np.zeros(fr.size + self.basis.n, dtype=complex)
@@ -364,27 +359,27 @@ class GramSystem:
                 raise self._indefinite("its Cholesky factor failed",
                                        np.concatenate([np.zeros(0), *pivots])) from None
             pivots.append(L.diagonal(axis1=1, axis2=2).real[own] ** 2 / self.diagonal[front[:, :K][own]])
-            rhs = np.zeros((B, K, F), dtype=complex)
-            rhs[:, np.arange(K), np.arange(K)] = 1.0
-            rhs[:, :, K:] = -P[:, K:].conj().swapaxes(1, 2)
-            try:
-                M = np.linalg.solve(P[:, :K], rhs)
-            except np.linalg.LinAlgError:  # the factor passed, but LU meets an exact zero
-                raise self._indefinite("the factor is singular", np.concatenate(pivots)) from None
-            np.add.at(acc, update_at, (P[:, K:] @ M[:, :, K:]).ravel())
-            steps.append((front, -M[:, :, K:].conj().swapaxes(1, 2), M))
+            R = np.linalg.inv(L.conj().swapaxes(1, 2))
+            W = R.conj().swapaxes(1, 2) @ P[:, K:].conj().swapaxes(1, 2)
+            np.add.at(acc, update_at, -(W.conj().swapaxes(1, 2) @ W).ravel())
+            steps.append((front[:, :K], front[:, K:], R, W))
         return steps, np.concatenate(pivots)
 
     @staticmethod
     def _substitute(steps: list, b: np.ndarray) -> np.ndarray:
         """``G^-1 b`` from the fronts' eliminations: down the depths, each
-        front's right-hand side onto its boundary, then back up, each
-        front's own DOFs from it and from its boundary's."""
+        front's own right-hand side made ``L^-1 b_own`` in place and carried
+        onto its boundary by ``W^H``, then back up, each front's own DOFs
+        ``L^-H (L^-1 b_own - W x_bnd)`` from its boundary's.  The down sweep
+        works on conjugate rows, ``(L^-1 b_own)^H = b_own^H L^-H``, so that
+        no factor is conjugated."""
         x = np.append(b, 0.0)  # the last entry stands for the padding
-        for front, C, _ in steps:
-            np.subtract.at(x, front[:, C.shape[2] :].ravel(), (C @ x[front[:, : C.shape[2]], None]).ravel())
-        for front, _, M in reversed(steps):
-            x[front[:, : M.shape[1]]] = (M @ x[front][..., None])[..., 0]
+        for own, bnd, R, W in steps:
+            z = x[own][:, None].conj() @ R
+            x[own] = z[:, 0].conj()
+            np.subtract.at(x, bnd.ravel(), (z @ W).conj().ravel())
+        for own, bnd, R, W in reversed(steps):
+            x[own] = (R @ (x[own, None] - W @ x[bnd, None]))[..., 0]
         return x[:-1]
 
     def solve(self) -> np.ndarray:
@@ -393,14 +388,15 @@ class GramSystem:
         The fronts along the tau-runs factor ``G`` (:meth:`_factor`); a
         pivot that is not positive fails the definiteness test, and scaled
         pivots spread over ``PIVOT_RATIO_MAX`` or more are refused as
-        numerically singular, both as :class:`IndefiniteGramError`.  Steps
-        of the corrected seminormal equations then recover the accuracy that
-        forming ``G`` squared away: the residual ``L phi + L^T x`` at the
-        Gauss points feeds one more solve with the same factor.  The steps
-        stop at the first correction that is not below half the previous
-        one, which is the roundoff floor, and is not applied; still
-        contracting after ``CSNE_MAX_STEPS`` steps, and above the roundoff
-        of ``x``, raises ``LinAlgError``.
+        numerically singular.  Steps of the corrected seminormal equations
+        then recover the accuracy that forming ``G`` squared away: the
+        residual ``L phi + L^T x`` at the Gauss points feeds one more solve
+        with the same factor.  The steps run while each correction is under
+        half the one before, at most ``CSNE_MAX_STEPS`` of them, and ``x``
+        is accepted when the last correction measured is at most
+        ``sqrt(eps) |x|``: the energy is quadratic at its minimum, so that
+        moves it by about eps.  Any other end is a numerical failure too.
+        All three failures raise :class:`IndefiniteGramError`.
         """
         if self.matrix.ndof == 0:
             # fully clamped space: the history's zero-DOF member is the only candidate
@@ -414,13 +410,13 @@ class GramSystem:
             dx = self._substitute(steps, -self.products(self.lift_values + self.images(x)))
             prev, size = size, np.linalg.norm(dx)
             if not size < prev / 2:
-                return x
+                break
             x += dx
-        if size <= np.finfo(float).eps * np.linalg.norm(x):  # converged below roundoff
+        # a nan correction passes, so that the overflow reaches the caller's check
+        if not size > CSNE_TOLERANCE * np.linalg.norm(x):
             return x
-        raise np.linalg.LinAlgError(
-            f"corrected seminormal steps still contracting after {CSNE_MAX_STEPS}: last relative "
-            f"correction {size / np.linalg.norm(x):.3e}, {self._health(scaled)}")
+        raise self._indefinite("its corrected seminormal steps did not converge: last relative "
+                               f"correction {size / np.linalg.norm(x):.3e}", scaled)
 
 
 def _operator_slots(basis: Basis, ids: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -207,12 +207,13 @@ def solution_report(sol: DampingSolution, qd: QuasiDerivativeSet | None = None) 
     """The diagnostics record of a damping solution, ready for JSON.
 
     Keys: ``ndof``; ``energy``; ``optimality`` (the relative first-variation
-    residual of :func:`~treedamp.damping.optimality_check`); ``hermiticity``
-    of the Gram matrix; ``equation_sup`` (:func:`equation_residual`);
-    ``kirchhoff``, one ``{vertex, order, residual}`` per branching vertex
-    and order, the vertex named by the input label of the edge ending
-    there; ``kirchhoff_max``; and ``continuity``, the largest jump of each
-    order ``k = n..2n-1`` keyed by ``str(k)``.
+    residual of :func:`~treedamp.damping.optimality_check`); ``equation_sup``
+    (:func:`equation_residual`); ``kirchhoff``, one ``{vertex, order,
+    residual}`` per branching vertex and order, the vertex named by the
+    input label of the edge ending there; ``kirchhoff_max``; and
+    ``continuity``, the largest jump of each order ``k = n..2n-1`` keyed by
+    ``str(k)``.  The Gram matrix's Hermitian defect is not recorded: its
+    factor reads one triangle of each front's block.
 
     ``qd``, when given, is the solution's :func:`quasi_derivatives`, so a
     caller that needs them too builds them once.
@@ -225,7 +226,6 @@ def solution_report(sol: DampingSolution, qd: QuasiDerivativeSet | None = None) 
         "ndof": int(sol.dofs.size),
         "energy": sol.energy,
         "optimality": optimality_check(sol)["max_rel"],
-        "hermiticity": sol.gram.hermiticity_defect(),
         "equation_sup": equation_residual(qd),
         "kirchhoff": [
             {"vertex": ids[key[0] - 1], "order": key[1], "residual": v}

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from treedamp import damping
-from treedamp.cli import main
 from treedamp.config import ProblemConfig
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import interval, star
@@ -151,9 +150,10 @@ def test_gram_matrix_is_hermitian_positive_definite():
         mesh = default_mesh(tr, cs, 2)
         basis = Basis(mesh, 1)
         gram = assemble(basis, PiecewisePoly.constant(-0.6, 0.0, 1.0), cs)
-        assert gram.hermiticity_defect() < 1e-12
+        G = gram.matrix.toarray()
+        assert np.abs(G - G.conj().T).max() <= 1e-14 * np.abs(G).max()
         # PD: Cholesky succeeds and the diagonal is positive
-        L = np.linalg.cholesky(gram.matrix.toarray())
+        L = np.linalg.cholesky(G)
         assert np.min(np.diag(L).real) > 0.0
 
 
@@ -255,25 +255,6 @@ def test_seminormal_steps_that_fall_below_roundoff_return():
     sol = solve_damping(tree, cs, PiecewisePoly.constant(-1.0, 0.0, 0.2890625j), q=1)
     want = oracles.least_squares_dofs(sol.gram)
     assert np.linalg.norm(sol.dofs - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_seminormal_steps_still_contracting_at_the_limit_raise(monkeypatch, tmp_path, capsys):
-    # the first correction always contracts, so a limit of one step is
-    # reached on any problem; the error names the conditioning, and is not
-    # the definiteness failure
-    monkeypatch.setattr(damping, "CSNE_MAX_STEPS", 1)
-    cfg = ProblemConfig.from_file(CONFIGS / "smoothness_loss.json")
-    with pytest.raises(np.linalg.LinAlgError) as info:
-        solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=8)
-    assert not isinstance(info.value, IndefiniteGramError)
-    assert "not positive definite" not in str(info.value)
-    assert re.search(r"still contracting after 1: last relative correction \d\.\d{3}e[+-]\d+, "
-                     r"scaled pivot ratio \d\.\d{3}e[+-]\d+ over \d+ of \d+ pivots, smallest element "
-                     r"width h_min = ",
-                     str(info.value))
-    cfg_path = str(CONFIGS / "smoothness_loss.json")
-    assert main(["damp", "--config", cfg_path, "--out", str(tmp_path / "o"), "--q", "8"]) == 3
-    assert "still contracting" in capsys.readouterr().err
 
 
 # tracemalloc peak of solve_damping on the depth-6, order-2, q-8 binary tree

@@ -357,13 +357,12 @@ def test_solution_report_bundle():
     sol = solve_damping(tr, cs, phi, q=3)
     rep = solution_report(sol)
     assert list(rep) == [
-        "ndof", "energy", "optimality", "hermiticity", "equation_sup",
+        "ndof", "energy", "optimality", "equation_sup",
         "kirchhoff", "kirchhoff_max", "continuity",
     ]
     assert rep["ndof"] == sol.dofs.size
     assert rep["energy"] == sol.energy
     assert rep["optimality"] < 1e-8
-    assert rep["hermiticity"] < 1e-12
     assert [(r["vertex"], r["order"]) for r in rep["kirchhoff"]] == [(tr.original_ids[0], 1)]
     assert rep["kirchhoff_max"] == rep["kirchhoff"][0]["residual"]
     assert set(rep["continuity"]) == {"1"}
