@@ -23,14 +23,15 @@ terms) and the rows of the other delayed reads come from one lookup each on
 the mesh's lead-ins (:func:`~treedamp.expressions.lead_ins`): a read before
 the edge or in its first delay window lands in the parent's tail element
 holding ``s + T_parent``, any other one in an earlier element of the edge.
-There remains one sweep of the mesh's delay windows (greedy runs of
-elements from a node ``x_a`` to within ``x_a + tau``), each from the state
-its parent window ended with (:attr:`~treedamp.meshing.DelayMesh.windows`):
-every read in a window lands in a finished element, so the window is one
-gather from the tree's coefficient table and a few batched products, and
-inside it the ``n``-vector state chain ``state <- (B P)_e state + (B Q)_e
-rhs_e``, ``B_e`` the end derivatives.  Elements wider than the delay are
-rejected, since their reads would reach the element itself.
+The one loop left sweeps the tree of delay windows
+(:attr:`~treedamp.meshing.DelayMesh.windows`) a depth at a time: every read
+in a window lands in its parent's tail or its edge's earlier windows, all of
+lower depth.  Per depth, one gather subtracts the delayed reads and one
+``(element index, windows)`` chain steps the states ``state <- (B P)_e
+state + (B Q)_e rhs_e``, ``B_e`` the end derivatives, from the parents'
+exit states; shorter windows are padded with ``B P = I`` and no carry, in
+states nothing reads.  Elements wider than the delay are rejected, since
+their reads would reach the element itself.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     t = el.left[:, None] + el.h[:, None] * sigma  # (E, g)
     values = coeffs.values(el.edge.repeat(g), t.ravel()).reshape(-1, E, g)
     inv_h = el.h[:, None] ** -np.arange(deg)  # d/dt = (1/h) d/dsigma
-    window, first, end, parent, _ = mesh.windows
+    window, first, end, parent, depth = mesh.windows
 
     # reads before the edge or in its first window go to the history (root) or
     # to the parent's tail element holding s + T_parent, the rest to the
@@ -91,11 +92,9 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     s_at = s + np.where(up, np.asarray(tree.lengths)[par - 1, None], 0.0)
     src = lead_src[_find(2 * lead + (shift == 0), el.left[lead_src],
                          (2 * el.edge[:, None] + ~up).ravel(), s_at.ravel())].reshape(E, g)
-    z = np.empty((E, deg), dtype=complex)  # per element: the entering state, then the rhs
-    rhs = z[:, n:]
     cp, ctab = EdgePieces.of(control)
     at = _find(cp.edge, cp.left, el.edge.repeat(g), t.ravel())
-    rhs[:] = _poly_val(ctab[at], t.ravel() - cp.left[at]).reshape(E, g)
+    rhs = _poly_val(ctab[at], t.ravel() - cp.left[at]).reshape(E, g)
     del cp, ctab, at
     for k in np.flatnonzero(coeffs.present[n + 1 :, 0]):
         rhs[hist] -= values[n + 1 + k][hist] * phi.values(s[hist], k)
@@ -128,17 +127,30 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     coef = np.zeros((E, deg), dtype=complex)  # powers of t - left
     exits = np.empty((len(first) + 1, n), dtype=complex)  # state at each window's end
     exits[-1] = [phi.left_limit(0.0, k) for k in range(n)]  # the root start's, parent -1
-    for i, (a, b, p) in enumerate(zip(first.tolist(), end.tolist(), parent.tolist())):
-        w, state = slice(a, b), exits[p]
-        if a:
-            rhs[w] -= np.einsum("epi,epi->ep", read[w], coef[np.minimum(src[w], a - 1)])
-        carry = np.einsum("eij,ej->ei", BQ[w], rhs[w])
-        for e in range(a, b):
-            z[e, :n] = state
-            state = BP[e] @ state + carry[e - a]
-        coef[w, :n] = z[w, :n] / fact
-        coef[w, n:] = np.einsum("eij,ej->ei", K[w], z[w])
-        exits[i] = state
+    lim = first[window] - 1  # the last element before each element's window
+    BP = np.concatenate([BP, np.eye(n)[None]])  # row E: the padding's step, state <- state
+    size = end - first
+    for d in range(depth.max() + 1):
+        ws = np.flatnonzero(depth == d)  # the depth's windows
+        steps = np.arange(size[ws].max())[:, None]
+        pad = steps >= size[ws]  # (element index, windows)
+        at = np.where(pad, E, first[ws] + steps)
+        rows = at[~pad]  # the depth's elements
+        z = np.empty((len(rows), deg), dtype=complex)  # per element: the entering state, then the rhs
+        reads = coef[np.minimum(src[rows], lim[rows, None])]
+        z[:, n:] = rhs[rows] - np.einsum("epi,epi->ep", read[rows], reads)
+        carry = np.zeros(at.shape + (n, 1), dtype=complex)  # 0 on the padding
+        carry[~pad, :, 0] = np.einsum("eij,ej->ei", BQ[rows], z[:, n:])
+        state = np.empty((len(steps) + 1, len(ws), n, 1), dtype=complex)
+        state[0, ..., 0] = exits[parent[ws]]
+        Px = np.empty_like(state[0])  # its own buffer: an output viewing x's array is slower
+        for P, c, x, y in zip(BP[at], carry, state, state[1:]):  # y = P x + c, all windows
+            np.matmul(P, x, Px)
+            np.add(Px, c, y)
+        z[:, :n] = state[:-1][~pad, :, 0]
+        coef[rows, :n] = z[:, :n] / fact
+        coef[rows, n:] = np.einsum("eij,ej->ei", K[rows], z)
+        exits[ws] = state[size[ws], np.arange(len(ws)), :, 0]
     bad = ~np.isfinite(coef).all(axis=1)
     if bad.any():
         eid = tree.original_ids[el.edge[bad.argmax()]]

@@ -98,7 +98,9 @@ class DelayMesh:
         is each element's window; per window, in element order, its first
         element, the one after its last, its parent (the window before it
         on the edge or the parent edge's last, -1 for the root's first) and
-        its depth.  A parent comes before its children."""
+        its depth.  A parent comes before its children.  The depth orders
+        both the forward simulation, which steps the windows of one depth
+        together, and the Gram factorisation's fronts."""
         el, rows = self.elements, np.arange(len(self.elements.edge))
         reach_to = el.left + self.tau * (1 + 1e-9)
         r = _find(el.edge, el.left, el.edge, reach_to)

@@ -24,8 +24,8 @@ products, restriction, shifts, integrals) belongs to the test oracle.
 per-edge row offsets, so that every computation after the solve runs on
 the whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
 builds every edge's cells in one sort, :func:`_find` finds the rows that
-hold a set of points in one more, and :func:`_gather` moves those rows
-from one layout onto another, re-centring each by one batched Taylor
+hold a set of points by one binary search, and :func:`_gather` moves those
+rows from one layout onto another, re-centring each by one batched Taylor
 shift.  The exact extremes of :func:`_abs_extremes` take the critical
 points of every row at once, as the eigenvalues of one stack of companion
 matrices per degree (:func:`_abs_min` adds the rows' zeros);
@@ -372,21 +372,18 @@ def _find(edge: np.ndarray, left: np.ndarray, q_edge: np.ndarray, q_t: np.ndarra
     """Per query point ``(q_edge, q_t)``, the row that holds it: the last
     row of the same edge with ``left <= q_t``, or the edge's first row when
     there is none.  The rows are ordered by ``edge`` and, within an edge,
-    by ``left``, the left ends of their pieces.  One ``lexsort`` of rows and
-    queries on ``(edge, t)`` keys, a row sorting before a query at the same
-    point, and a count of the rows sorted before each query find them all.
-    The keys stay per edge because a coordinate concatenated over the tree
-    would round."""
-    rows = len(edge)
-    order = np.lexsort((np.repeat([0, 1], [rows, len(q_t)]), np.concatenate([left, q_t]),
-                        np.concatenate([edge, q_edge])))
-    at = np.flatnonzero(order >= rows)  # where the queries sorted to
-    q = order[at] - rows
-    # the rows keep their order in the sort, so the rows before a query
-    # number one more than the index of the last of them
-    src = np.empty(len(q_t), dtype=np.intp)
-    src[q] = np.maximum(at - np.arange(len(at)) - 1, np.searchsorted(edge, q_edge[q]))
-    return src
+    by ``left``, the left ends of their pieces.  One binary search on
+    complex keys ``edge + 1j * left`` finds them all, since numpy orders
+    complex numbers by real part, then imaginary part; a row found on an
+    earlier edge is followed by the query edge's first row.  The keys stay
+    per edge because a coordinate concatenated over the tree would round,
+    and their parts are set, not computed, so that no ``0 * inf`` enters
+    them.  A NaN query reads as ``inf``, the end of its edge."""
+    keys, at = np.empty(len(edge), dtype=complex), np.empty(np.shape(q_t), dtype=complex)
+    keys.real, keys.imag, at.real, at.imag = edge, left, q_edge, q_t
+    at.imag[np.isnan(q_t)] = np.inf
+    row = np.maximum(np.searchsorted(keys, at, side="right") - 1, 0)
+    return row + (edge[row] < q_edge)
 
 
 def _gather(table: np.ndarray, edge: np.ndarray, left: np.ndarray,

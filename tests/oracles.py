@@ -12,12 +12,13 @@ the first variation through the re-indexed weights, the generic
 quasi-derivative recursion,
 membership in the perturbation space from one-sided limits, the delay
 mesh edge by edge (every source tried on every edge), its DOF numbering
-node by node and its delay windows element by element; and the file
-formats entry by entry and edge by edge: a piecewise record parsed one
-number at a time, and the CSV sampled one edge at a time.  The forward
-simulation is the one route that is not exact: the package's collocation,
-with one collocation stack and one delay-window sweep per edge instead of
-the whole tree's element table.
+node by node and its delay windows element by element, the rows of a
+piece table that hold a set of points by one sort of rows and queries;
+and the file formats entry by entry and edge by edge: a piecewise record
+parsed one number at a time, and the CSV sampled one edge at a time.  The
+forward simulation is the one route that is not exact: the package's
+collocation, with one collocation stack and one delay-window sweep per
+edge instead of the whole tree's element table.
 
 The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
 :class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
@@ -45,6 +46,23 @@ def merge_breaks(arrays, tol: float) -> np.ndarray:
     within ``tol`` of its predecessor in sorted order is dropped."""
     pts = np.sort(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays]))
     return pts[np.concatenate(([True], np.diff(pts) > tol))]
+
+
+def find_rows(edge, left, q_edge, q_t) -> np.ndarray:
+    """The reference for :func:`treedamp.piecewise._find`: one ``lexsort``
+    of rows and queries on ``(edge, t)`` keys, a row sorting before a query
+    at the same point, and a count of the rows sorted before each query,
+    held to the query edge's first row."""
+    rows = len(edge)
+    order = np.lexsort((np.repeat([0, 1], [rows, len(q_t)]), np.concatenate([left, q_t]),
+                        np.concatenate([edge, q_edge])))
+    at = np.flatnonzero(order >= rows)  # where the queries sorted to
+    q = order[at] - rows
+    # the rows keep their order in the sort, so the rows before a query
+    # number one more than the index of the last of them
+    src = np.empty(len(q_t), dtype=np.intp)
+    src[q] = np.maximum(at - np.arange(len(at)) - 1, np.searchsorted(edge, q_edge[q]))
+    return src
 
 
 class Poly(PiecewisePoly):

@@ -194,12 +194,10 @@ def _samples(y, n):
     return np.concatenate(out)
 
 
-def test_round_trip_on_a_benchmark_sized_binary_tree():
-    # depth 4, order 2, q 8, lengths 2 and 3, every lower-order coefficient a
-    # complex linear polynomial: the manufactured trajectory comes back to
-    # roundoff, relative to its largest value
-    rng = np.random.default_rng(4)
-    depth, n, q, tau = 4, 2, 8, 1.0
+def _binary_tree(rng, depth, n, tau):
+    """A full binary tree of ``2**depth - 1`` edges, lengths 2 and 3 in a
+    seeded order as on the benchmark's trees, every lower-order coefficient
+    a complex linear polynomial, and a seeded quadratic history."""
     m = 2**depth - 1
     lengths = [2.0 + (i % 2) for i in range(m)]
     rng.shuffle(lengths)
@@ -216,17 +214,95 @@ def test_round_trip_on_a_benchmark_sized_binary_tree():
                 tables[fam][(k, j)] = PiecewisePoly.from_global_coefs(0.0, tr.length(j), data)
         tables["b"][(n, j)] = 1.0
     cs = CoefficientSet.build(tr, n, tau, b=tables["b"], c=tables["c"])
-    phi = PiecewisePoly.from_global_coefs(-tau, 0.0, [small(0.5, 1.5) for _ in range(3)])
-    mesh = default_mesh(tr, cs, q)
-    basis = Basis(mesh, n)
+    return tr, cs, PiecewisePoly.from_global_coefs(-tau, 0.0, [small(0.5, 1.5) for _ in range(3)])
+
+
+def _manufactured(rng, cs, phi, mesh):
+    """A seeded trajectory on ``mesh`` and the control that drives it."""
+    basis = Basis(mesh, cs.n)
     z = rng.standard_normal(basis.ndof) + 1j * rng.standard_normal(basis.ndof)
-    y_true = history_lift(mesh, n, phi) + basis.tree_function(z)
-    u = tuple(apply_operator(y_true, cs, j) for j in range(1, m + 1))
+    y = history_lift(mesh, cs.n, phi) + basis.tree_function(z)
+    return y, tuple(apply_operator(y, cs, j) for j in range(1, mesh.tree.m + 1))
+
+
+def test_round_trip_on_a_benchmark_sized_binary_tree():
+    # depth 4, order 2, q 8, lengths 2 and 3, every lower-order coefficient a
+    # complex linear polynomial: the manufactured trajectory comes back to
+    # roundoff, relative to its largest value
+    rng = np.random.default_rng(4)
+    tr, cs, phi = _binary_tree(rng, 4, 2, 1.0)
+    mesh = default_mesh(tr, cs, 8)
+    y_true, u = _manufactured(rng, cs, phi, mesh)
 
     y = solve_cauchy(tr, cs, phi, u, mesh)
-    want = _samples(y_true, n)
-    gap = np.max(np.abs(_samples(y, n) - want)) / np.max(np.abs(want))
+    want = _samples(y_true, cs.n)
+    gap = np.max(np.abs(_samples(y, cs.n) - want)) / np.max(np.abs(want))
     assert gap <= 1e-12
+
+
+# CI's non-dyadic tree: with tau 0.7 the windows of one depth hold different
+# numbers of elements
+NONDYADIC = {
+    "order": 2, "delay": 0.7,
+    "edges": [{"id": 1, "parent": 0, "length": 2.3}, {"id": 2, "parent": 1, "length": 1.9},
+              {"id": 3, "parent": 1, "length": 2.6}, {"id": 4, "parent": 2, "length": 2.15},
+              {"id": 5, "parent": 2, "length": 1.7}],
+    "coefficients": [
+        *({"edge": j, "family": "b", "k": 2, "kind": "constant", "data": 1.0} for j in range(1, 6)),
+        {"edge": 1, "family": "b", "k": 1, "kind": "piecewise",
+         "data": {"breaks": [0.0, 0.55, 2.3], "pieces": [[0.2, -0.1], [[0.5, 0.25]]]}},
+        {"edge": 1, "family": "c", "k": 0, "kind": "constant", "data": 0.25},
+        {"edge": 2, "family": "c", "k": 1, "kind": "polynomial", "data": [0.1, [0.0, 0.05]]},
+        {"edge": 4, "family": "c", "k": 2, "kind": "constant", "data": 0.2},
+        {"edge": 3, "family": "c", "k": 0, "kind": "constant", "data": -0.3}],
+    "history": {"kind": "piecewise",
+                "data": {"breaks": [-0.7, -0.3, 0.0], "pieces": [[1.0, 0.5], [0.8, -0.2, 0.3]]}},
+    "solver": {"q": 6, "tolerance": 1e-9},
+}
+
+
+@pytest.mark.parametrize("case", ["nondyadic", "binary", "single edge"])
+def test_depth_sweep_matches_the_edge_by_edge_oracle(case):
+    # the sweep steps every window of a depth together and pads the shorter
+    # ones; the oracle sweeps each edge's windows on their own
+    rng = np.random.default_rng(5)
+    if case == "binary":  # tau 0.75, so that not every window holds q elements
+        (tr, cs, phi), q = _binary_tree(rng, 4, 2, 0.75), 4
+    else:
+        cfg = ProblemConfig.from_dict(NONDYADIC) if case == "nondyadic" else \
+            ProblemConfig.from_file(CONFIGS / "smoothness_loss.json")
+        tr, cs, phi, q = cfg.tree, cfg.coeffs, cfg.history, cfg.solver.q
+    mesh = default_mesh(tr, cs, q)
+    _, first, end, _, depth = mesh.windows
+    sizes = [(end - first)[depth == d] for d in range(depth.max() + 1)]  # per depth
+    if case == "single edge":
+        assert tr.m == 1 and all(len(s) == 1 for s in sizes)
+    else:
+        assert any(s.min() < s.max() for s in sizes)  # padded steps run
+    u = _manufactured(rng, cs, phi, mesh)[1]
+    want = _samples(oracles.solve_cauchy(tr, cs, phi, u, mesh), cs.n)
+    gap = np.max(np.abs(_samples(solve_cauchy(tr, cs, phi, u, mesh), cs.n) - want))
+    assert gap <= 1e-12 * np.max(np.abs(want))
+
+
+def test_an_overflow_inside_a_padded_depth_names_its_edge():
+    # a control of 1e308 on edge 7 from 1.5 on overflows its last window,
+    # the depth's last, which holds 3 elements where the depth's longest
+    # holds 5: the padded steps carry the overflowed state on, yet the error
+    # names no other edge, the root included
+    rng = np.random.default_rng(5)
+    tr, cs, phi = _binary_tree(rng, 4, 2, 0.75)
+    mesh = default_mesh(tr, cs, 4)
+    _, first, end, _, depth = mesh.windows
+    last = np.flatnonzero(mesh.elements.edge[first] == 6)[-1]  # edge 7's last window
+    assert mesh.elements.left[first[last]] == 1.5 and end[last] - first[last] == 3
+    assert last == np.flatnonzero(depth == depth[last])[-1]
+    assert (end - first)[depth == depth[last]].max() == 5
+    u = list(_zero_control(tr))
+    u[6] = PiecewisePoly([0.0, 1.5, tr.length(7)], [np.zeros(1), np.array([1e308])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="trajectory overflowed on edge id 7$"):
+            solve_cauchy(tr, cs, phi, tuple(u), mesh)
 
 
 def test_history_off_the_delay_window_is_rejected():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
@@ -15,6 +15,7 @@ from treedamp.piecewise import (
     PiecewisePoly,
     _abs_extremes,
     _abs_min,
+    _find,
     _poly_der,
     _poly_val,
     _sup_abs,
@@ -439,6 +440,31 @@ def test_abs_min_finds_the_minimum_at_a_double_zero(coefs, h, least):
     # the first row); the zeros of p itself give the minimum to roundoff
     c = np.array([coefs], dtype=complex)
     assert _abs_min(c, np.array([h]))[0] == pytest.approx(least, rel=1e-9, abs=1e-15)
+
+
+@st.composite
+def row_queries(draw):
+    """Rows ordered by (edge, left), one to four per edge, on edge ids with
+    gaps, and queries on those edges: at row ends (ties, ``-0.0`` against
+    ``0.0``), before an edge's first row, past its last, and NaN."""
+    t = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-3.0, 3.0)
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    ids = np.cumsum(draw(st.lists(st.integers(min_value=1, max_value=3),
+                                  min_size=len(sizes), max_size=len(sizes))))
+    left = np.concatenate([np.sort(draw(st.lists(t, min_size=k, max_size=k))) for k in sizes])
+    q_t = t | st.sampled_from(left.tolist() + [-np.inf, -9.0, 9.0, np.inf, np.nan])
+    queries = draw(st.lists(st.tuples(st.sampled_from(ids.tolist()), q_t), min_size=1, max_size=30))
+    q_edge, q = (np.array(c) for c in zip(*queries))
+    return np.repeat(ids, sizes), left, q_edge, q.astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_queries())
+@example((np.array([1, 1, 3]), np.array([0.0, 1.0, -0.0]), np.array([1, 1, 1, 1, 1, 3, 3, 3]),
+          np.array([-1.0, 1.0, 5.0, np.nan, -0.0, np.nan, 0.0, -2.0])))
+def test_find_matches_the_sort_of_rows_and_queries(case):
+    edge, left, q_edge, q_t = case
+    assert np.array_equal(_find(edge, left, q_edge, q_t), oracles.find_rows(edge, left, q_edge, q_t))
 
 
 @pytest.mark.parametrize("values", [
