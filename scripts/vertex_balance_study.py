@@ -24,18 +24,9 @@ from treedamp.piecewise import PiecewisePoly
 
 def scaled_coeffs(cs: CoefficientSet, amp: float) -> CoefficientSet:
     """Multiply every non-mandatory coefficient by ``amp``."""
-    b, c = {}, {}
-    for j in range(1, cs.tree.m + 1):
-        for k in range(cs.n + 1):
-            pb = cs.b[k][j - 1]
-            pc = cs.c[k][j - 1]
-            if k == cs.n:
-                b[(k, j)] = pb
-            elif pb.max_abs() > 0:
-                b[(k, j)] = PiecewisePoly(pb.breaks, pb.coefs * amp)
-            if pc.max_abs() > 0:
-                c[(k, j)] = PiecewisePoly(pc.breaks, pc.coefs * amp)
-    return CoefficientSet.build(cs.tree, cs.n, cs.tau, b, c)
+    terms = {(f, j): p if f == cs.n else PiecewisePoly(p.breaks, p.coefs * amp)
+             for (f, j), p in cs.terms.items()}
+    return CoefficientSet(cs.tree, cs.n, cs.tau, terms)
 
 
 def main():

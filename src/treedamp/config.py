@@ -410,15 +410,13 @@ class ProblemConfig:
 
         slots, polys = _read_records(d["coefficients"], "config.coefficients[{}]", _RECORD_KEYS,
                                     record, _walk_poly_data)
-        b_map, c_map = {}, {}
-        for (fam, k, j), p in zip(slots, polys):
-            (b_map if fam == "b" else c_map)[k, j] = p
+        terms = {(k if fam == "b" else n + 1 + k, j): p for (fam, k, j), p in zip(slots, polys)}
         for j, eid in enumerate(tree.original_ids, start=1):
-            if (n, j) not in b_map:
+            if (n, j) not in terms:
                 _fail("config.coefficients",
                       f"missing mandatory leading coefficient b, k={n}, edge id {eid}")
         try:
-            coeffs = CoefficientSet.build(tree, n, tau, b_map, c_map)
+            coeffs = CoefficientSet(tree, n, tau, terms)
         except CoefficientError as exc:
             _fail("config.coefficients", str(exc))
         # the history's errors come after those of the coefficient set
@@ -454,7 +452,7 @@ class ProblemConfig:
         for f, j in zip(*np.nonzero(self.coeffs.present)):
             fam, k = divmod(int(f), self.n + 1)
             rec = {"edge": self.edge_ids[j], "family": "bc"[fam], "k": k}
-            rec.update(_poly_out((self.coeffs.b, self.coeffs.c)[fam][k][j]))
+            rec.update(_poly_out(self.coeffs.terms[int(f), int(j) + 1]))
             records.append(rec)
         records.sort(key=lambda r: (r["family"], r["k"], r["edge"]))
         return {

@@ -60,8 +60,8 @@ import numpy as np
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import (EdgePieces, PiecewisePoly, _find, _poly_val, _unique, derivative_powers,
-                        gauss_legendre)
+from .piecewise import (EdgePieces, PiecewisePoly, _find, _poly_val, _ragged, _unique,
+                        derivative_powers, gauss_legendre)
 from .trees import Tree
 
 
@@ -95,19 +95,13 @@ def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out[:size]
 
 
-def _ragged(counts: np.ndarray) -> tuple:
-    """Owner and index within the owner of ``counts.sum()`` entries laid out
-    owner by owner."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 @dataclass
 class CellBlocks:
     """The Gram matrix as the sum of its cells' blocks: ``G[rows[c, i],
     rows[c, j]]`` gathers ``blocks[c, i, j]`` over the cells ``c``, a slot
     whose row is -1 (no free DOF) left out.  Answers ``shape``, ``nbytes``,
-    ``nonzero``, ``diagonal`` and ``toarray`` as a sparse matrix does."""
+    ``nonzero`` and ``diagonal`` as a sparse matrix does; the factor reads
+    ``blocks`` and ``rows`` directly, and nothing forms ``G`` densely."""
 
     blocks: np.ndarray
     rows: np.ndarray
@@ -130,11 +124,6 @@ class CellBlocks:
         """Row and column of every block entry, ``ndof`` for none."""
         return (np.broadcast_to(self.at[:, :, None], self.blocks.shape),
                 np.broadcast_to(self.at[:, None, :], self.blocks.shape))
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.ndof + 1, self.ndof + 1), dtype=complex)
-        np.add.at(out, self._entries(), self.blocks)
-        return out[:-1, :-1]
 
     def diagonal(self) -> np.ndarray:
         r, c = self._entries()

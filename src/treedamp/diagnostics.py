@@ -110,6 +110,15 @@ def kirchhoff_residual(qd: QuasiDerivativeSet) -> dict:
     return out
 
 
+def _gaps(qd: QuasiDerivativeSet) -> tuple:
+    """The rows with a right neighbour on their edge, and per order ``k =
+    n..2n-1`` the ``|gap|`` of right minus left limit at each one's end."""
+    cells = qd.cells
+    inner = np.flatnonzero(cells.edge[1:] == cells.edge[:-1])
+    return inner, {k: np.abs(t[inner + 1, 0] - _poly_val(t[inner], cells.h[inner]))
+                   for k, t in sorted(qd.tables.items()) if k < 2 * qd.n}
+
+
 def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
     """Jump summary per order ``k = n..2n-1``.
 
@@ -119,13 +128,10 @@ def continuity_report(qd: QuasiDerivativeSet, threshold: float = 0.0) -> dict:
     absolute-continuity proxies: under refinement they vanish at the true
     optimum except where the data itself obstructs smoothness.
     """
-    cells = qd.cells
-    inner = np.flatnonzero(cells.edge[1:] == cells.edge[:-1])  # rows with a right neighbour
+    cells, (inner, gaps) = qd.cells, _gaps(qd)
     edge, at = (cells.edge[inner + 1] + 1).tolist(), cells.left[inner + 1].tolist()
     report = {}
-    for k in range(qd.n, 2 * qd.n):
-        table = qd.tables[k]
-        gap = np.abs(table[inner + 1, 0] - _poly_val(table[inner], cells.h[inner]))
+    for k, gap in gaps.items():
         keep = np.flatnonzero(gap > threshold)
         entries = [(edge[i], at[i], g) for i, g in zip(keep.tolist(), gap[keep].tolist())]
         if entries:
@@ -212,7 +218,8 @@ def solution_report(sol: DampingSolution, qd: QuasiDerivativeSet | None = None) 
     residual}`` per branching vertex and order, the vertex named by the
     input label of the edge ending there; ``kirchhoff_max``; and
     ``continuity``, the largest jump of each order ``k = n..2n-1`` keyed by
-    ``str(k)``.  The Gram matrix's Hermitian defect is not recorded: its
+    ``str(k)`` (the ``max_jump`` of :func:`continuity_report`, without its
+    list).  The Gram matrix's Hermitian defect is not recorded: its
     factor reads one triangle of each front's block.
 
     ``qd``, when given, is the solution's :func:`quasi_derivatives`, so a
@@ -232,5 +239,6 @@ def solution_report(sol: DampingSolution, qd: QuasiDerivativeSet | None = None) 
             for key, v in kr.items() if key != "max"
         ],
         "kirchhoff_max": kr["max"],
-        "continuity": {str(k): rep["max_jump"] for k, rep in continuity_report(qd).items()},
+        "continuity": {str(k): float(gap[gap > 0.0].max(initial=0.0))
+                       for k, gap in _gaps(qd)[1].items()},
     }

@@ -12,6 +12,8 @@ This module holds the data types for coefficient families and trajectories
 plus the exact algebra on them after the solve: the control ``L y``
 (:func:`operator_components`) and the weights of the re-indexed first
 variation (:func:`variation_weights`) that the diagnostics are built on.
+A :class:`CoefficientSet` stores only the coefficients it is given; a
+missing one is zero, and its terms are skipped everywhere.
 
 Both run on whole-tree piece tables (:class:`~treedamp.piecewise.EdgePieces`)
 in a fixed number of array passes, whatever the number of edges.  Every
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_min, _convolve, _find,
-                        _gather, _poly_der, _taylor_shift, _unique)
+                        _gather, _poly_der, _ragged, _taylor_shift, _unique)
 from .trees import Tree
 
 
@@ -79,17 +81,18 @@ class _Families(NamedTuple):
 class CoefficientSet:
     """Operator coefficients ``b_kj``, ``c_kj`` for ``k=0..n``, edges ``1..m``.
 
-    ``b[k][j-1]`` and ``c[k][j-1]`` are piecewise polynomials on
-    ``[0, T_j]``.  The leading instantaneous coefficient ``b_nj`` must stay
-    away from zero on every edge; the leading delayed coefficient ``c_nj``
+    ``terms[f, j]`` is the coefficient of family ``f`` (``b_0..b_n``, then
+    ``c_0..c_n``) on edge ``j``, a piecewise polynomial on ``[0, T_j]``; a
+    missing key is a zero coefficient.  The leading instantaneous
+    coefficient ``b_nj`` is required and must stay away from zero on every
+    edge; the leading delayed coefficient ``c_nj``
     may vanish (retarded system) or not (neutral system).
     """
 
     tree: Tree
     n: int
     tau: float
-    b: tuple
-    c: tuple
+    terms: dict
 
     MIN_LEADING = 1e-12
 
@@ -103,12 +106,18 @@ class CoefficientSet:
             raise CoefficientError(
                 f"delay {self.tau} must be smaller than the shortest edge {Tmin}"
             )
-        for table, name in ((self.b, "b"), (self.c, "c")):
-            if len(table) != self.n + 1:
-                raise CoefficientError(f"{name} must have rows k=0..{self.n}")
-            for k, row in enumerate(table):
-                check_edge_functions(self.tree, row, f"{name}[{k}]", CoefficientError)
-        lead, table = EdgePieces.of(self.b[self.n])
+        for j in range(1, self.tree.m + 1):
+            if (self.n, j) not in self.terms:
+                raise CoefficientError(f"b[({self.n}, {j})] is required")
+        keys = sorted(self.terms)
+        (lo, hi), T = (np.array([self.terms[key].domain for key in keys]).T,
+                       np.asarray(self.tree.lengths)[[j - 1 for _, j in keys]])
+        bad = np.flatnonzero((np.abs(lo) > 1e-12) | (np.abs(hi - T) > 1e-12 * np.maximum(1.0, T)))
+        if bad.size:
+            (f, j), i = keys[bad[0]], bad[0]
+            raise CoefficientError(f"{'bc'[f > self.n]}[{f % (self.n + 1)}] on edge {j} has "
+                                   f"domain [{lo[i]}, {hi[i]}], expected [0, {T[i]}]")
+        lead, table = EdgePieces.of(self.terms[self.n, j] for j in range(1, self.tree.m + 1))
         least = lead.per_edge(_abs_min(table, lead.h), np.inf).min(axis=1)
         bad = np.flatnonzero(least < self.MIN_LEADING)
         if bad.size:
@@ -122,26 +131,32 @@ class CoefficientSet:
         """``present[f, j-1]``: whether family ``f`` (``b_0..b_n``, then
         ``c_0..c_n``) is present on edge ``j``, that is, has a nonzero
         coefficient.  Every term of an absent one is skipped."""
-        return np.reshape([p.coefs.any() for row in self.b + self.c for p in row],
-                          (2 * self.n + 2, self.tree.m))
+        out = np.zeros((2 * self.n + 2, self.tree.m), dtype=bool)
+        f, j = np.array(list(self.terms)).T
+        out[f, j - 1] = [p.coefs.any() for p in self.terms.values()]
+        return out
 
     @cached_property
     def _families(self) -> "_Families":
         """Every family (``b_0..b_n``, then ``c_0..c_n``) on each edge's
-        common pieces, built on first use."""
-        m, count = self.tree.m, 2 * self.n + 2
-        funcs = [p for row in self.b + self.c for p in row]
-        pieces, table = EdgePieces.of(funcs)
-        cells = EdgePieces.merged(pieces.break_edge % m, pieces.breaks, np.zeros(m),
+        common pieces, built on first use: each term's rows are gathered
+        onto the cells of its edge, and a missing term's stay zero."""
+        m, count, keys = self.tree.m, 2 * self.n + 2, sorted(self.terms)
+        fam, edge = np.array(keys).T
+        edge = edge - 1
+        pieces, table = EdgePieces.of(self.terms[key] for key in keys)
+        cells = EdgePieces.merged(edge[pieces.break_edge], pieces.breaks, np.zeros(m),
                                   np.asarray(self.tree.lengths))
-        rows = _gather(table, pieces.edge, pieces.left,
-                      (np.arange(count)[:, None] * m + cells.edge).ravel(),
-                      np.tile(cells.mid, count), np.tile(cells.left, count))
-        fam, edge = np.divmod(pieces.break_edge, m)
+        term, i = _ragged(np.diff(cells.offsets)[edge])  # every term on its edge's cells
+        at = cells.offsets[edge[term]] + i
+        rows = np.zeros((len(cells.edge), count, table.shape[1]), dtype=complex)
+        rows[at, fam[term]] = _gather(table, pieces.edge, pieces.left, term, cells.mid[at],
+                                      cells.left[at])
+        widths = np.ones((count, m), dtype=int)
+        widths[fam, edge] = [self.terms[key].coefs.shape[1] for key in keys]
+        fam, edge = fam[pieces.break_edge], edge[pieces.break_edge]
         live = self.present[fam, edge]
-        return _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
-                         np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
-                         (fam[live], edge[live], pieces.breaks[live]))
+        return _Families(cells, rows, widths, (fam[live], edge[live], pieces.breaks[live]))
 
     def values(self, edge: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Every family at the points ``(edge, t)`` (0-based edges), one row
@@ -172,10 +187,12 @@ class CoefficientSet:
 
     @classmethod
     def build(cls, tree: Tree, n: int, tau: float, b: dict, c: dict) -> "CoefficientSet":
-        """Assemble from sparse ``{(k, j): PiecewisePoly | scalar}`` maps.
+        """Assemble from sparse ``{(k, j): PiecewisePoly | scalar}`` maps:
+        ``b[(k, j)]`` is term ``(k, j)`` and ``c[(k, j)]`` term ``(n + 1 +
+        k, j)``.
 
-        Missing entries default to zero; ``b[(n, j)]`` is required for every
-        edge, and a key outside ``k = 0..n``, ``j = 1..m`` is rejected.
+        Missing entries are zero coefficients; ``b[(n, j)]`` is required for
+        every edge, and a key outside ``k = 0..n``, ``j = 1..m`` is rejected.
         Scalars are promoted to constants on ``[0, T_j]``.
         """
 
@@ -184,20 +201,15 @@ class CoefficientSet:
             for key in src:
                 if key not in valid:
                     raise CoefficientError(f"{name}[{key!r}] is outside k = 0..{n}, j = 1..{tree.m}")
-        for j in range(1, tree.m + 1):
-            if (n, j) not in b:
-                raise CoefficientError(f"b[({n}, {j})] is required")
 
         def promote(val, j):
             if isinstance(val, PiecewisePoly):
                 return val
             return PiecewisePoly._of(np.array([0.0, tree.length(j)]), np.full((1, 1), complex(val)))
 
-        def table(src):
-            return tuple(tuple(promote(src.get((k, j), 0.0), j) for j in range(1, tree.m + 1))
-                         for k in range(n + 1))
-
-        return cls(tree=tree, n=n, tau=tau, b=table(b), c=table(c))
+        terms = {(k, j): promote(val, j) for (k, j), val in b.items()}
+        terms.update({(n + 1 + k, j): promote(val, j) for (k, j), val in c.items()})
+        return cls(tree=tree, n=n, tau=tau, terms=terms)
 
     def _select(self, fams, edges: np.ndarray):
         """The coefficient families ``fams`` (indices into ``b_0..b_n,

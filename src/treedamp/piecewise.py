@@ -100,6 +100,13 @@ def gauss_legendre(k: int) -> tuple:
     return x, w
 
 
+def _ragged(counts: np.ndarray) -> tuple:
+    """Owner and index within the owner of ``counts.sum()`` entries laid out
+    owner by owner."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _taylor_shift(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Every row of ``c`` re-centred by its own ``dx``: row ``p(s)`` becomes
     the coefficients of ``p(u + dx)`` in powers of ``u = s - dx``.
@@ -329,17 +336,11 @@ class PiecewisePoly:
         i = int(np.searchsorted(self.breaks, t, side="right")) - 1
         return min(max(i, 0), self.npieces - 1)
 
-    def __call__(self, t, deriv: int = 0):
-        return self.values(np.asarray(t, dtype=float), deriv)
-
     def values(self, ts, deriv: int = 0) -> np.ndarray:
         """Vectorised evaluation (right-continuous at interior breaks)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1, 0, self.npieces - 1)
         return _poly_val(_poly_der(self._c[idx], deriv), ts - self.breaks[idx])
-
-    def eval(self, t: float, deriv: int = 0) -> complex:
-        return complex(self.values(np.array([t]), deriv)[0])
 
     def _value_in_piece(self, i: int, t: float, deriv: int) -> complex:
         return complex(_poly_val(_poly_der(self._c[i], deriv), t - self.breaks[i]))

@@ -10,11 +10,13 @@ callers can map results back.
 
 Edge indices are 1-based in every public signature, matching the usual
 notation for networks of this kind; parent index 0 stands for the root.
+A :class:`Tree` keeps what the solver reads, with no per-vertex lists of
+children: edge ``j`` ends at a leaf exactly when ``j > d``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +47,6 @@ class Tree:
     lengths: tuple
     d: int
     original_ids: tuple
-    children: tuple = field(init=False)
-
-    def __post_init__(self):
-        m = len(self.parent)
-        kids = [[] for _ in range(m + 1)]
-        for j in range(1, m + 1):
-            kids[self.parent[j - 1]].append(j)
-        object.__setattr__(self, "children", tuple(tuple(k) for k in kids))
 
     @property
     def m(self) -> int:
@@ -63,13 +57,6 @@ class Tree:
 
     def parent_of(self, j: int) -> int:
         return self.parent[j - 1]
-
-    def children_of(self, v: int) -> tuple:
-        """Edges leaving vertex ``v`` (v=0 is the root)."""
-        return self.children[v]
-
-    def is_boundary(self, j: int) -> bool:
-        return j > self.d
 
     @property
     def offsets(self) -> np.ndarray:

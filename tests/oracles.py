@@ -20,6 +20,14 @@ forward simulation is the one route that is not exact: the package's
 collocation, with one collocation stack and one delay-window sweep per
 edge instead of the whole tree's element table.
 
+The coefficient set's dense tables are kept here as the reference for its
+stored terms: every family on every edge, a missing one the zero constant
+(:func:`dense_coefficients`, :func:`dense_families`).  So are the small
+reads the package leaves to its tests: a piecewise polynomial's value at
+one point (:func:`eval_at`), a vertex's children (:func:`children`), a
+missing coefficient as zero (:func:`coefficient`) and the Gram matrix as
+one dense array (:func:`dense_matrix`).
+
 The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
 :class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
 evaluates; the sums, products, restrictions, shifts, integrals and jumps
@@ -34,11 +42,73 @@ import math
 import numpy as np
 import scipy.linalg
 
-from treedamp.expressions import TreeFunction
+from treedamp.expressions import TreeFunction, _Families
 from treedamp.piecewise import (BREAK_RTOL, SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_min,
                                 _convolve, _gather, _integrals, _poly_der, _poly_val, _taylor_shift,
                                 derivative_powers)
 from treedamp.meshing import DelayMesh
+
+
+def eval_at(p, t: float, deriv: int = 0) -> complex:
+    """The ``deriv``-th derivative of the piecewise polynomial ``p`` at the
+    one point ``t``, right-continuous at interior breaks."""
+    return complex(p.values(np.array([t]), deriv)[0])
+
+
+def children(tree, v: int) -> tuple:
+    """The edges leaving vertex ``v`` (0 is the root), in canonical order."""
+    return tuple(j for j in range(1, tree.m + 1) if tree.parent_of(j) == v)
+
+
+def dense_matrix(blocks) -> np.ndarray:
+    """The Gram matrix of :class:`~treedamp.damping.CellBlocks` as one dense
+    array: every cell's block added at its rows, a slot without a free DOF
+    left out."""
+    out = np.zeros((blocks.ndof + 1, blocks.ndof + 1), dtype=complex)
+    at = blocks.at
+    np.add.at(out, (at[:, :, None], at[:, None, :]), blocks.blocks)
+    return out[:-1, :-1]
+
+
+def coefficient(coeffs, f: int, j: int):
+    """The coefficient of family ``f`` (``b_0..b_n``, then ``c_0..c_n``) on
+    edge ``j``: its term, or the zero constant on ``[0, T_j]`` when the set
+    has none."""
+    p = coeffs.terms.get((f, j))
+    return Poly.zero(0.0, coeffs.tree.length(j)) if p is None else p
+
+
+def dense_coefficients(coeffs) -> tuple:
+    """The tables ``(b, c)`` of every family on every edge, ``b[k][j-1]``
+    and ``c[k][j-1]``, a missing term the zero constant built as the set's
+    ``build`` once padded it: the dense storage that ``terms`` replaced."""
+    n, m, length = coeffs.n, coeffs.tree.m, coeffs.tree.length
+    zero = {j: PiecewisePoly._of(np.array([0.0, length(j)]), np.full((1, 1), complex(0.0)))
+            for j in range(1, m + 1)}
+    return tuple(tuple(tuple(coeffs.terms.get((f, j), zero[j]) for j in range(1, m + 1))
+                       for f in range(first, first + n + 1)) for first in (0, n + 1))
+
+
+def dense_families(coeffs) -> tuple:
+    """``present`` and ``_families`` of a coefficient set, the reference
+    for :class:`~treedamp.expressions.CoefficientSet`: built from
+    :func:`dense_coefficients`, every family on every edge, one gather of
+    all ``2 (n + 1) m`` functions onto the merged cells."""
+    b, c = dense_coefficients(coeffs)
+    m, count = coeffs.tree.m, 2 * coeffs.n + 2
+    funcs = [p for row in b + c for p in row]
+    present = np.reshape([p.coefs.any() for p in funcs], (count, m))
+    pieces, table = EdgePieces.of(funcs)
+    cells = EdgePieces.merged(pieces.break_edge % m, pieces.breaks, np.zeros(m),
+                              np.asarray(coeffs.tree.lengths))
+    rows = _gather(table, pieces.edge, pieces.left,
+                   (np.arange(count)[:, None] * m + cells.edge).ravel(),
+                   np.tile(cells.mid, count), np.tile(cells.left, count))
+    fam, edge = np.divmod(pieces.break_edge, m)
+    live = present[fam, edge]
+    return present, _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
+                              np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
+                              (fam[live], edge[live], pieces.breaks[live]))
 
 
 def merge_breaks(arrays, tol: float) -> np.ndarray:
@@ -271,7 +341,7 @@ def advanced_part(g, tree, tau: float, j: int):
     early = poly(g[j - 1]).restrict(tau, Tj).shift(-tau)
     if j > tree.d:
         return early
-    reads = [poly(g[nu - 1]).restrict(0.0, tau).shift(Tj - tau) for nu in tree.children_of(j)]
+    reads = [poly(g[nu - 1]).restrict(0.0, tau).shift(Tj - tau) for nu in children(tree, j)]
     return early.concat(sum(reads[1:], reads[0]))
 
 
@@ -280,8 +350,8 @@ def terms(coeffs, j: int) -> list:
     ``None``.  Multiplying by a zero coefficient would add the lead-in's
     breaks to ``L y``, so every route here skips its term."""
     n, present = coeffs.n, coeffs.present[:, j - 1]
-    return [(k, coeffs.b[k][j - 1] if present[k] else None,
-             coeffs.c[k][j - 1] if present[n + 1 + k] else None) for k in range(n + 1)]
+    return [(k, coeffs.terms[k, j] if present[k] else None,
+             coeffs.terms[n + 1 + k, j] if present[n + 1 + k] else None) for k in range(n + 1)]
 
 
 def changes(p) -> np.ndarray:
@@ -303,8 +373,9 @@ def breakpoints(coeffs, j: int) -> np.ndarray:
     merged within ``BREAK_RTOL * max(1, T_j)``."""
     Tj = coeffs.tree.length(j)
     arrays = [np.array([0.0, Tj])]
-    for row in coeffs.b + coeffs.c:
-        arrays.append(changes(row[j - 1]))
+    for (_, e), p in coeffs.terms.items():
+        if e == j:
+            arrays.append(changes(p))
     return merge_breaks(arrays, BREAK_RTOL * max(1.0, Tj))[1:-1]
 
 
@@ -355,11 +426,11 @@ def eval_delayed(y, j: int, t: float, k: int = 0) -> complex:
     """``y_j^(k)(t)`` for ``t`` in ``[-tau, T_j]``; negative times read the
     parent edge, or the history on the root edge."""
     if t >= 0.0:
-        return y.component(j).eval(t, k)
+        return eval_at(y.component(j), t, k)
     if j == 1:
-        return y.history.eval(t, k)
+        return eval_at(y.history, t, k)
     p = y.tree.parent_of(j)
-    return y.component(p).eval(t + y.tree.length(p), k)
+    return eval_at(y.component(p), t + y.tree.length(p), k)
 
 
 def inner(a, b) -> complex:
@@ -642,7 +713,7 @@ def dof_numbering(mesh, n: int):
         tail_from = Tj - mesh.tau - 1e-9 * max(1.0, Tj)
         first = 0 if j == 1 else gid[tree.parent_of(j) - 1][-1]
         gid.append([first] + [len(free) + i for i in range(len(xs) - 1)])
-        free += [not (tree.is_boundary(j) and t >= tail_from) for t in xs[1:]]
+        free += [not (j > tree.d and t >= tail_from) for t in xs[1:]]
     ndof = n * sum(free)
     first, count = [], 0  # per gid: the DOF of derivative 0, -1 when fixed
     for f in free:

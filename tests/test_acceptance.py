@@ -173,7 +173,7 @@ def test_criterion_5_gram_positive_definite_and_rejections(capsys):
         mesh = default_mesh(tr, cs, 2)
         basis = Basis(mesh, 1)
         gram = assemble(basis, PiecewisePoly.constant(-tau, 0.0, 1.0), cs)
-        piv = np.min(np.diag(np.linalg.cholesky(gram.matrix.toarray())).real)
+        piv = np.min(np.diag(np.linalg.cholesky(oracles.dense_matrix(gram.matrix))).real)
         min_pivot = min(min_pivot, piv)
 
     # violation path one: a leading coefficient that reaches zero is
@@ -193,7 +193,7 @@ def test_criterion_5_gram_positive_definite_and_rejections(capsys):
     good = CoefficientSet.build(tr, 1, 1.0, b={(1, 1): 1.0}, c={})
     bad = object.__new__(CoefficientSet)
     for name, val in (("tree", tr), ("n", 1), ("tau", 1.0),
-                      ("b", ((zero,), (zero,))), ("c", good.c)):
+                      ("terms", {**good.terms, (0, 1): zero, (1, 1): zero})):
         object.__setattr__(bad, name, val)
     try:
         solve_damping(tr, bad, PiecewisePoly.constant(-1.0, 0.0, 1.0), q=2)

@@ -17,6 +17,7 @@ from treedamp.cauchy import residual_ell, solve_cauchy
 from treedamp.cli import main
 
 import oracles
+from oracles import eval_at
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -45,7 +46,7 @@ def test_pure_delay_analytic_solution():
         return -0.5 + s * s / 2.0 - s**3 / 6.0
 
     for t in (0.25, 0.5, 1.0, 1.3, 1.75, 2.0, 2.4, 2.9, 3.0):
-        assert y.component(1).eval(t) == pytest.approx(exact(t), abs=1e-12)
+        assert eval_at(y.component(1), t) == pytest.approx(exact(t), abs=1e-12)
 
 
 def test_polynomial_manufactured_solution_is_exact():
@@ -92,7 +93,7 @@ def _neutral_star():
     root = [1.0, -0.5 + 0.2j, 0.3, 0.1j]  # one cubic through the history and edge 1
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, root)
     y1 = PiecewisePoly.from_global_coefs(0.0, 2.0, root)
-    v, d = y1.eval(2.0), y1.eval(2.0, 1)  # C^1 across the vertex
+    v, d = eval_at(y1, 2.0), eval_at(y1, 2.0, 1)  # C^1 across the vertex
     comps = (
         y1,
         oracles.Poly.single(0.0, 2.0, [v, d, -0.7, 0.2]),
@@ -369,7 +370,7 @@ def test_second_order_system():
     mesh = build_mesh(tr, tau, 2)
     y = solve_cauchy(tr, cs, phi, u, mesh)
     for t in (0.5, 1.0, 1.7):
-        assert y.component(1).eval(t) == pytest.approx(t * t, abs=1e-12)
+        assert eval_at(y.component(1), t) == pytest.approx(t * t, abs=1e-12)
 
 
 def test_damp_then_resimulate_round_trip():
@@ -405,11 +406,11 @@ def test_delayed_read_crosses_vertex():
     mesh_line = build_mesh(tr_line, tau, 2)
     z = solve_cauchy(tr_line, cs_line, phi, _zero_control(tr_line), mesh_line)
     for t in (0.3, 1.1, 1.9):
-        assert y.component(1).eval(t) == pytest.approx(z.component(1).eval(t), abs=1e-11)
+        assert eval_at(y.component(1), t) == pytest.approx(eval_at(z.component(1), t), abs=1e-11)
     for t in (0.2, 0.9, 1.6):
-        got = y.component(2).eval(t)
-        assert got == pytest.approx(z.component(1).eval(2.0 + t), abs=1e-11)
-        assert y.component(3).eval(t) == pytest.approx(got, abs=1e-12)
+        got = eval_at(y.component(2), t)
+        assert got == pytest.approx(eval_at(z.component(1), 2.0 + t), abs=1e-11)
+        assert eval_at(y.component(3), t) == pytest.approx(got, abs=1e-12)
 
 
 @pytest.mark.parametrize("lengths, match", [

@@ -10,10 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treedamp import damping
 from treedamp.config import ProblemConfig
 from treedamp.piecewise import PiecewisePoly
-from treedamp.trees import interval, star
+from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import CoefficientError, CoefficientSet
 from treedamp.damping import (
     IndefiniteGramError,
@@ -25,6 +24,7 @@ from treedamp.damping import (
 from treedamp.meshing import Basis, history_lift
 
 import oracles
+from oracles import eval_at
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -44,7 +44,7 @@ def test_degenerate_interval_linear_decay():
     for q in (1, 4):
         sol = solve_damping(tr, cs, phi, q=q)
         assert sol.energy == pytest.approx(0.5, rel=1e-12)
-        assert sol.y.component(1).eval(1.0) == pytest.approx(0.5, abs=1e-10)
+        assert eval_at(sol.y.component(1), 1.0) == pytest.approx(0.5, abs=1e-10)
     # whole-interval rest: T = 2 leaves only [0, 1] active
     tr2, cs2 = _first_order_interval(T=2.0, tau=1.0)
     sol2 = solve_damping(tr2, cs2, PiecewisePoly.constant(-1.0, 0.0, 1.0), q=2)
@@ -150,7 +150,7 @@ def test_gram_matrix_is_hermitian_positive_definite():
         mesh = default_mesh(tr, cs, 2)
         basis = Basis(mesh, 1)
         gram = assemble(basis, PiecewisePoly.constant(-0.6, 0.0, 1.0), cs)
-        G = gram.matrix.toarray()
+        G = oracles.dense_matrix(gram.matrix)
         assert np.abs(G - G.conj().T).max() <= 1e-14 * np.abs(G).max()
         # PD: Cholesky succeeds and the diagonal is positive
         L = np.linalg.cholesky(G)
@@ -175,7 +175,7 @@ def _forged_degenerate():
     bad = object.__new__(CoefficientSet)
     for name, val in (
         ("tree", cs.tree), ("n", cs.n), ("tau", cs.tau),
-        ("b", ((zero,), (zero,))), ("c", cs.c),
+        ("terms", {**cs.terms, (0, 1): zero, (1, 1): zero}),
     ):
         object.__setattr__(bad, name, val)
     return tr, bad, PiecewisePoly.constant(-1.0, 0.0, 1.0)
@@ -194,16 +194,26 @@ def test_degenerate_operator_raises_indefinite_gram():
                      r"\d+ pivots", str(info.value))
 
 
-def test_large_degenerate_system_is_reported_without_a_dense_copy(monkeypatch):
-    # the report rests on the factor alone, at any size: no dense copy of G is made
-    def dense(self):
-        raise AssertionError("dense copy of the Gram matrix")
-
-    monkeypatch.setattr(damping.CellBlocks, "toarray", dense)
-    tr, bad, phi = _forged_degenerate()
-    with pytest.raises(IndefiniteGramError, match="not positive definite") as info:
-        solve_damping(tr, bad, phi, q=2)
-    assert f"h_min = {default_mesh(tr, bad, 2).min_width():.3e}" in str(info.value)
+def test_large_degenerate_system_is_reported_without_a_dense_copy():
+    # the report rests on the factor alone, at any size: on a binary tree of
+    # 255 edges with every b_1 forged to zero (ndof 1400, a dense G of 30 MiB)
+    # the failed solve peaks far below a quarter of a dense copy (about 3 MiB)
+    parent = {j: j // 2 for j in range(1, 256)}
+    tr = build_tree(parent, dict.fromkeys(parent, 2.0))
+    bad = object.__new__(CoefficientSet)
+    for name, val in (("tree", tr), ("n", 1), ("tau", 1.0),
+                      ("terms", {(1, j): PiecewisePoly.zero(0.0, 2.0) for j in parent})):
+        object.__setattr__(bad, name, val)
+    ndof = Basis(default_mesh(tr, bad, 4), 1).ndof
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndefiniteGramError, match="not positive definite") as info:
+            solve_damping(tr, bad, PiecewisePoly.constant(-1.0, 0.0, 1.0), q=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * ndof ** 2 / 4
+    assert f"h_min = {default_mesh(tr, bad, 4).min_width():.3e}" in str(info.value)
 
 
 def test_negative_pivot_raises_indefinite_gram():

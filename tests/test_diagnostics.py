@@ -28,6 +28,7 @@ from treedamp.diagnostics import (
 )
 
 import oracles
+from oracles import eval_at
 
 
 def _interval_fixture():
@@ -66,16 +67,16 @@ def test_first_order_quasi_derivative_closed_form():
     comp = y.component(1)
     for t in (0.2, 0.9, 1.5, 1.9):
         sym = (
-            (1 + a * a) * comp.eval(t, 1)
+            (1 + a * a) * eval_at(comp, t, 1)
             + a * oracles.eval_delayed(y, 1, t - tau, 1)
-            + a * comp.eval(t + tau, 1)
+            + a * eval_at(comp, t + tau, 1)
         )
         low = (
-            (a * c + b) * comp.eval(t)
+            (a * c + b) * eval_at(comp, t)
             + c * oracles.eval_delayed(y, 1, t - tau)
-            + a * b * comp.eval(t + tau)
+            + a * b * eval_at(comp, t + tau)
         )
-        assert f.eval(t) == pytest.approx(sym + low, rel=1e-12)
+        assert eval_at(f, t) == pytest.approx(sym + low, rel=1e-12)
 
 
 def test_second_order_quasi_derivatives_closed_form():
@@ -98,10 +99,11 @@ def test_second_order_quasi_derivatives_closed_form():
         return oracles.eval_delayed(y, 1, t, k)
 
     for t in (0.3, 1.4, 2.1, 2.9):
-        want2 = comp.eval(t, 2) + dk(t - tau, 1)
-        assert qd.function(2, 1).eval(t) == pytest.approx(want2, rel=1e-12)
-        want3 = -comp.eval(t, 3) + comp.eval(t + tau, 2) - dk(t - tau, 2) + comp.eval(t, 1)
-        assert qd.function(3, 1).eval(t) == pytest.approx(want3, rel=1e-12)
+        want2 = eval_at(comp, t, 2) + dk(t - tau, 1)
+        assert eval_at(qd.function(2, 1), t) == pytest.approx(want2, rel=1e-12)
+        want3 = (-eval_at(comp, t, 3) + eval_at(comp, t + tau, 2) - dk(t - tau, 2)
+                 + eval_at(comp, t, 1))
+        assert eval_at(qd.function(3, 1), t) == pytest.approx(want3, rel=1e-12)
 
 
 def test_retarded_first_order_vertex_balance_reduction():
@@ -120,7 +122,7 @@ def test_retarded_first_order_vertex_balance_reduction():
     )
     # vertex-continuous trajectory
     y1 = PiecewisePoly.from_global_coefs(0.0, 2.0, [1.0, -0.3, 0.2])
-    v = y1.eval(2.0)
+    v = eval_at(y1, 2.0)
     comps = (
         y1,
         PiecewisePoly.from_global_coefs(0.0, 2.0, [v, 0.7, -0.1]),
@@ -137,8 +139,8 @@ def test_retarded_first_order_vertex_balance_reduction():
     # minus the sum of outgoing derivatives
     reduced = (
         y1.left_limit(T1, 1)
-        + (b0[1].eval(T1) - b0[2].eval(0.0) - b0[3].eval(0.0)) * y1.eval(T1)
-        + (c0[1].eval(T1) - c0[2].eval(0.0) - c0[3].eval(0.0)) * y1.eval(T1 - tau)
+        + (eval_at(b0[1], T1) - eval_at(b0[2], 0.0) - eval_at(b0[3], 0.0)) * eval_at(y1, T1)
+        + (eval_at(c0[1], T1) - eval_at(c0[2], 0.0) - eval_at(c0[3], 0.0)) * eval_at(y1, T1 - tau)
         - sum(comps[j - 1].right_limit(0.0, 1) for j in (2, 3))
     )
     assert raw == pytest.approx(reduced, rel=1e-10, abs=1e-12)
@@ -206,7 +208,7 @@ def test_table_passes_match_the_per_edge_limits(seed):
         lj = qd.function(n, j).domain[1]
         for k in range(n, 2 * n):
             left = qd.function(k, j).left_limit(lj)
-            right = sum(qd.function(k, nu).right_limit(0.0) for nu in tree.children_of(j))
+            right = sum(qd.function(k, nu).right_limit(0.0) for nu in oracles.children(tree, j))
             assert _close(balances[(j, k)], abs(left - right))
     assert len(balances) == tree.d * n + 1
     top = max(p.max_abs() for p in qd.functions[2 * n])

@@ -20,7 +20,7 @@ from treedamp.expressions import (
 )
 
 import oracles
-from oracles import advanced_part, delayed_part
+from oracles import advanced_part, delayed_part, eval_at
 
 
 def test_reduced_length_interval_and_star():
@@ -83,8 +83,11 @@ def test_coefficient_set_rejects_keys_outside_orders_and_edges(b):
 def test_coefficient_defaults_are_zero():
     tr = interval(2.0)
     cs = CoefficientSet.build(tr, 2, 0.5, b={(2, 1): 1.0}, c={})
-    assert cs.b[0][0].max_abs() == 0.0
-    assert cs.c[2][0].max_abs() == 0.0
+    # only the given coefficient is stored; every other one reads as zero
+    assert list(cs.terms) == [(2, 1)]
+    assert cs.present[:, 0].tolist() == [False, False, True, False, False, False]
+    assert oracles.coefficient(cs, 0, 1).max_abs() == 0.0
+    assert oracles.coefficient(cs, 5, 1).max_abs() == 0.0
 
 
 def test_breakpoints_collects_interior_coefficient_breaks():
@@ -182,12 +185,12 @@ def test_delayed_part_concatenates_history_head():
     y = _tf_interval([0.0, 0.0, 1.0], [1.0], T=3.0, tau=1.0)  # y = t^2, phi = 1
     dp = delayed_part(y, 1)
     assert dp.domain == (0.0, 3.0)
-    assert dp.eval(0.5) == pytest.approx(1.0)            # history window
-    assert dp.eval(2.5) == pytest.approx((2.5 - 1) ** 2)  # shifted main part
+    assert eval_at(dp, 0.5) == pytest.approx(1.0)            # history window
+    assert eval_at(dp, 2.5) == pytest.approx((2.5 - 1) ** 2)  # shifted main part
     # derivative order moves through the delayed read
     dp1 = dp.derivative(1)
-    assert dp1.eval(2.0) == pytest.approx(2.0 * (2.0 - 1.0))
-    assert dp1.eval(0.3) == pytest.approx(0.0)
+    assert eval_at(dp1, 2.0) == pytest.approx(2.0 * (2.0 - 1.0))
+    assert eval_at(dp1, 0.3) == pytest.approx(0.0)
 
 
 def test_delayed_part_reads_parent_tail():
@@ -200,9 +203,9 @@ def test_delayed_part_reads_parent_tail():
     y = TreeFunction(tr, 1, comps, PiecewisePoly.zero(-0.5, 0.0))
     dp = delayed_part(y, 2)
     # on [0, tau): y_2(t - tau) = y_1(T_1 + t - tau)
-    assert dp.eval(0.2) == pytest.approx((2.0 + 0.2 - 0.5) ** 2)
+    assert eval_at(dp, 0.2) == pytest.approx((2.0 + 0.2 - 0.5) ** 2)
     # past tau it reads edge 2 itself (zero)
-    assert dp.eval(1.0) == pytest.approx(0.0)
+    assert eval_at(dp, 1.0) == pytest.approx(0.0)
 
 
 def test_advanced_part_is_adjoint_of_delayed_part():
@@ -237,9 +240,9 @@ def test_apply_operator_hand_case():
     )
     Ly = apply_operator(y, cs, 1)
     t = 0.4  # delayed reads in the history window
-    assert Ly.eval(t) == pytest.approx(2 * t + 0.0 + 2 * t**2 + 1.0)
+    assert eval_at(Ly, t) == pytest.approx(2 * t + 0.0 + 2 * t**2 + 1.0)
     t = 2.2  # delayed reads on the edge itself
-    assert Ly.eval(t) == pytest.approx(2 * t + 0.5 * 2 * (t - 1) + 2 * t**2 + (t - 1) ** 2)
+    assert eval_at(Ly, t) == pytest.approx(2 * t + 0.5 * 2 * (t - 1) + 2 * t**2 + (t - 1) ** 2)
 
 
 def test_energy_hand_case():
@@ -309,7 +312,7 @@ def _admissible_star_pair(rng, tau=0.5):
     # w: cubic bump vanishing at 0 on the root, matched values at the vertex,
     # boundary components decaying to zero before T - tau and resting after.
     w1 = PiecewisePoly.from_global_coefs(0.0, 2.0, [0.0, 0.0, 1.0, -0.25])  # t^2 - t^3/4
-    v = w1.eval(2.0)
+    v = eval_at(w1, 2.0)
     rest = 2.0 - tau
     ramps = []
     for fall in (1.0, 2.0):
@@ -354,8 +357,8 @@ def test_variation_weights_interval_weight():
         (weight,) = variation_weights(cs, (Ly,), k)
         assert weight.domain == (0.0, T - tau)
         for t in (0.3, 1.1, 1.9):
-            expect = bk * Ly.eval(t) + ck * Ly.eval(t + tau)
-            assert weight.eval(t) == pytest.approx(expect, rel=1e-12)
+            expect = bk * eval_at(Ly, t) + ck * eval_at(Ly, t + tau)
+            assert eval_at(weight, t) == pytest.approx(expect, rel=1e-12)
 
 
 def test_variation_weights_star_late_window_uses_children():
@@ -378,11 +381,11 @@ def test_variation_weights_star_late_window_uses_children():
         assert weight.domain == (0.0, T1)
         t = T1 - 0.2  # inside the final delay window
         bk = 1.0 if k == 1 else 0.0
-        expect = bk * ells[0].eval(t)
+        expect = bk * eval_at(ells[0], t)
         for nu in (2, 3):
-            c_nu = cs.c[k][nu - 1]
-            expect += np.conj(c_nu.eval(t - (T1 - tau))) * ells[nu - 1].eval(t - (T1 - tau))
-        assert weight.eval(t) == pytest.approx(expect, rel=1e-11, abs=1e-13)
+            c_nu = oracles.coefficient(cs, cs.n + 1 + k, nu)
+            expect += np.conj(eval_at(c_nu, t - (T1 - tau))) * eval_at(ells[nu - 1], t - (T1 - tau))
+        assert eval_at(weight, t) == pytest.approx(expect, rel=1e-11, abs=1e-13)
 
 
 def test_tree_function_defect_reports():
@@ -402,8 +405,8 @@ def test_tree_function_arithmetic():
     y = _tf_interval([1.0, 2.0], [1.0])
     z = _tf_interval([3.0], [0.0])
     s = y + oracles.scaled(z, 2.0) - z
-    assert s.component(1).eval(1.0) == pytest.approx(1.0 + 2.0 + 3.0)
-    assert s.history.eval(-0.5) == pytest.approx(1.0)
+    assert eval_at(s.component(1), 1.0) == pytest.approx(1.0 + 2.0 + 3.0)
+    assert eval_at(s.history, -0.5) == pytest.approx(1.0)
     with pytest.raises(ValueError):  # histories on different windows
         y + _tf_interval([3.0], [0.0], tau=0.5)
 
@@ -531,10 +534,10 @@ def test_gather_picks_the_row_of_a_sliver_cell_deep_in_a_tree():
     np.testing.assert_array_equal(got.breaks, want.breaks)
     assert np.any(np.isclose(np.diff(got.breaks), eps, rtol=1e-3))
     for t in (x + eps / 2, 0.2 + eps / 2):
-        direct = (comps[7].eval(t, 1) + step.eval(t) * comps[7].eval(t)
-                  + kink.eval(t) * oracles.eval_delayed(y, 8, t - tau))
-        assert got.eval(t) == pytest.approx(direct, rel=1e-12)
-        assert want.eval(t) == pytest.approx(direct, rel=1e-12)
+        direct = (eval_at(comps[7], t, 1) + eval_at(step, t) * eval_at(comps[7], t)
+                  + eval_at(kink, t) * oracles.eval_delayed(y, 8, t - tau))
+        assert eval_at(got, t) == pytest.approx(direct, rel=1e-12)
+        assert eval_at(want, t) == pytest.approx(direct, rel=1e-12)
 
 
 @st.composite
@@ -552,7 +555,7 @@ def lead_in_layouts(draw):
         T = tree.length(j)
         inner = set(draw(st.lists(st.floats(0.01, 0.99), max_size=4)))
         near = draw(st.sampled_from([None, -1e-12, -4e-13, 0.0, 4e-13, 1e-12]))
-        if near is not None and tree.children_of(j):
+        if near is not None and oracles.children(tree, j):
             inner.add((T - tau + near) / T)
         breaks.append(np.array([0.0, *sorted(T * x for x in inner), T]))
     if draw(st.booleans()):

@@ -28,6 +28,8 @@ from treedamp.meshing import Basis, DelayMesh
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree
 
+import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
@@ -84,7 +86,7 @@ def systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(systems(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_front_solve_matches_a_dense_solve(gram, seed):
-    G = gram.matrix.toarray()
+    G = oracles.dense_matrix(gram.matrix)
     if len(G) == 0:
         return
     # the factor's own solve agrees with a dense one to the condition number

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from treedamp.trees import Tree, TreeStructureError, build_tree, interval, star
 
 
@@ -11,16 +12,16 @@ def test_interval_shape():
     assert tr.m == 1 and tr.d == 0
     assert tr.parent == (0,)
     assert tr.lengths == (3.0,)
-    assert tr.is_boundary(1)
+    assert oracles.children(tr, 1) == ()  # edge 1 ends at a leaf
 
 
 def test_star_shape():
     tr = star([2.0, 1.0, 1.5])
     assert tr.m == 3 and tr.d == 1
     assert tr.parent == (0, 1, 1)
-    assert tr.children_of(1) == (2, 3)
-    assert not tr.is_boundary(1)
-    assert tr.is_boundary(2) and tr.is_boundary(3)
+    assert oracles.children(tr, 0) == (1,)
+    assert oracles.children(tr, 1) == (2, 3)
+    assert oracles.children(tr, 2) == oracles.children(tr, 3) == ()
 
 
 def test_canonical_order_puts_internal_edges_first():
@@ -116,7 +117,7 @@ def test_canonical_invariants(data):
         assert 0 <= tr.parent_of(j) < j
     # edges 1..d are exactly the ones with children
     for j in range(1, tr.m + 1):
-        assert (len(tr.children_of(j)) > 0) == (j <= tr.d)
+        assert (len(oracles.children(tr, j)) > 0) == (j <= tr.d)
     # original_ids is a bijection and lengths follow it
     assert sorted(tr.original_ids) == sorted(pm)
     for j, lab in enumerate(tr.original_ids, start=1):
