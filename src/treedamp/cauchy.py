@@ -31,7 +31,8 @@ lower depth.  Per depth, one gather subtracts the delayed reads and one
 state + (B Q)_e rhs_e``, ``B_e`` the end derivatives, from the parents'
 exit states; shorter windows are padded with ``B P = I`` and no carry, in
 states nothing reads.  Elements wider than the delay are rejected, since
-their reads would reach the element itself.
+their reads would reach the element itself.  The control is read from its
+table, and the trajectory is one table on the elements.
 """
 
 from __future__ import annotations
@@ -40,29 +41,30 @@ import math
 
 import numpy as np
 
-from .expressions import (CoefficientSet, TreeFunction, check_edge_functions, check_edge_spans,
-                          operator_components)
+from .expressions import CoefficientSet, TreeFunction, check_edge_spans, operator_components
 from .meshing import DelayMesh, MeshError, check_history
-from .piecewise import EdgePieces, PiecewisePoly, _find, _poly_val, derivative_powers, gauss_legendre
+from .piecewise import (EdgeFunctions, EdgePieces, PiecewisePoly, _find, _poly_val,
+                        as_edge_functions, derivative_powers, gauss_legendre)
 from .trees import Tree
 
 
-def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control: tuple,
+def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control,
                  mesh: DelayMesh) -> TreeFunction:
     """Integrate the controlled system forward from the history ``phi``.
 
     ``control`` holds the input on edge ``j``, a function on ``[0, T_j]``,
-    at index ``j - 1``.  ``mesh`` supplies the element partition of every
-    edge, one node array per edge spanning ``[0, T_j]``; an element wider
-    than the delay raises :class:`MeshError`, since its delayed reads would
-    reach the element itself, and so do a mesh that does not match the tree
-    and a history that does not live on ``[-tau, 0]``.  A trajectory that
-    overflows raises :class:`numpy.linalg.LinAlgError`.
+    at index ``j - 1``, as one table (per-edge functions are tabled first).
+    ``mesh`` supplies the element partition of every edge, one node array
+    per edge spanning ``[0, T_j]``; an element wider than the delay raises
+    :class:`MeshError`, since its delayed reads would reach the element
+    itself, and so do a mesh that does not match the tree and a history
+    that does not live on ``[-tau, 0]``.  A trajectory that overflows raises
+    :class:`numpy.linalg.LinAlgError`.
     """
-    check_edge_functions(tree, control, "control")
+    control = as_edge_functions(control)
+    check_edge_spans(tree, control.pieces.ends, "control")
     el = mesh.elements
-    ends = np.stack([el.offsets[:-1], el.offsets[1:]], 1) + np.arange(el.m)[:, None]  # end nodes
-    check_edge_spans(tree, el.breaks[ends], "mesh", MeshError, "node array")
+    check_edge_spans(tree, el.ends, "mesh", MeshError, "node array")
     n, tau = coeffs.n, coeffs.tau
     check_history(phi, tau)
     reach = tau * (1 + 1e-9)  # the slack DelayMesh.check allows
@@ -92,10 +94,10 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     s_at = s + np.where(up, np.asarray(tree.lengths)[par - 1, None], 0.0)
     src = lead_src[_find(2 * lead + (shift == 0), el.left[lead_src],
                          (2 * el.edge[:, None] + ~up).ravel(), s_at.ravel())].reshape(E, g)
-    cp, ctab = EdgePieces.of(control)
+    cp = control.pieces
     at = _find(cp.edge, cp.left, el.edge.repeat(g), t.ravel())
-    rhs = _poly_val(ctab[at], t.ravel() - cp.left[at]).reshape(E, g)
-    del cp, ctab, at
+    rhs = _poly_val(control.table[at], t.ravel() - cp.left[at]).reshape(E, g)
+    del at
     for k in np.flatnonzero(coeffs.present[n + 1 :, 0]):
         rhs[hist] -= values[n + 1 + k][hist] * phi.values(s[hist], k)
     values[n + 1 :, hist] = 0.0
@@ -155,13 +157,14 @@ def solve_cauchy(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly, control
     if bad.any():
         eid = tree.original_ids[el.edge[bad.argmax()]]
         raise np.linalg.LinAlgError(f"the simulated trajectory overflowed on edge id {eid}")
-    return TreeFunction(tree, n, tuple(el.views(coef)), phi)
+    return TreeFunction(tree, n, EdgeFunctions(el, coef), phi)
 
 
-def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control: tuple) -> dict:
+def residual_ell(y: TreeFunction, coeffs: CoefficientSet, control) -> dict:
     """Per-edge L2 distance between the applied operator and the control,
     integrated on their common cells (:meth:`EdgePieces.common`)."""
-    check_edge_functions(y.tree, control, "control")
+    control = as_edge_functions(control)
+    check_edge_spans(y.tree, control.pieces.ends, "control")
     cells, ell, u = EdgePieces.common(operator_components(y, coeffs), control)
     per_edge = np.sqrt(cells.norms_sq(ell - u)).tolist()
     return {"per_edge": per_edge, "total": math.sqrt(sum(r * r for r in per_edge))}

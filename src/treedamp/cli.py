@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,36 +31,10 @@ from .diagnostics import (continuity_report, detect_persistent_jump, quasi_deriv
                           solution_report)
 from .expressions import CoefficientError
 from .meshing import MeshError
-from .piecewise import EdgePieces, _poly_der, _poly_val
+from .piecewise import EdgeFunctions, EdgePieces, _poly_der, _poly_val
 from .trees import TreeStructureError
 
 _VALIDATION_ERRORS = (ConfigError, CoefficientError, MeshError, TreeStructureError)
-
-
-def _csv_samples(funcs, nderiv: int) -> tuple:
-    """Per edge the number of sample rows, and the rows ``t`` then the real
-    and imaginary parts of the function and of its first ``nderiv - 1``
-    derivatives: each piece's left end and three equispaced interior points,
-    then the edge's right end, all from one table.  Every point is evaluated
-    on the row it was made from; a point that rounds onto the next one of
-    its edge is dropped in favour of it, so a sample at a break is read on
-    the piece to its right, and the right end on the last piece."""
-    pieces, table = EdgePieces.of(funcs)
-    ends = pieces.offsets[1:]  # one past every edge's last row
-    t = np.empty((len(pieces.edge), 4))
-    t[:, 0] = pieces.left
-    t[:, 1:] = pieces.left[:, None] + pieces.h[:, None] * np.arange(1, 4) / 4
-    t = np.insert(t.ravel(), 4 * ends, pieces.breaks[ends + np.arange(pieces.m)])
-    row = np.insert(np.arange(len(pieces.edge)).repeat(4), 4 * ends, ends - 1)
-    keep = np.ones(len(t), dtype=bool)
-    keep[:-1] = (t[1:] != t[:-1]) | (pieces.edge[row[1:]] != pieces.edge[row[:-1]])
-    t, row = t[keep], row[keep]
-    s = t - pieces.left[row]
-    cols = [t]
-    for k in range(nderiv):
-        v = _poly_val(_poly_der(table[row], k), s)
-        cols += [v.real, v.imag]
-    return np.bincount(pieces.edge[row], minlength=pieces.m), np.column_stack(cols)
 
 
 def _write_rows(path: Path, edge_ids, counts, rows: np.ndarray, names: list) -> None:
@@ -76,12 +51,31 @@ def _write_rows(path: Path, edge_ids, counts, rows: np.ndarray, names: list) -> 
             fh.write((f"{eid}," + fmt) * int(b - a) % tuple(rows[a:b].ravel().tolist()))
 
 
-def _write_csv(path: Path, cfg: ProblemConfig, funcs, names: list) -> None:
+def _write_csv(path: Path, cfg: ProblemConfig, funcs: EdgeFunctions, names: list) -> None:
     """``edge,t`` then the real and imaginary parts of each edge's function
-    and of its derivatives, one derivative per entry of ``names``, one row
-    per sample time."""
-    counts, rows = _csv_samples(funcs, len(names))
-    _write_rows(path, cfg.edge_ids, counts, rows, names)
+    and of its derivatives, one derivative per entry of ``names``, at each
+    piece's left end and three equispaced interior points, then the edge's
+    right end, all from the functions' table.  Every point is evaluated on
+    the row it was made from; a point that rounds onto the next one of its
+    edge is dropped in favour of it, so a sample at a break is read on the
+    piece to its right, and the right end on the last piece."""
+    pieces, table = funcs.pieces, funcs.table
+    ends = pieces.offsets[1:]  # one past every edge's last row
+    t = np.empty((len(pieces.edge), 4))
+    t[:, 0] = pieces.left
+    t[:, 1:] = pieces.left[:, None] + pieces.h[:, None] * np.arange(1, 4) / 4
+    t = np.insert(t.ravel(), 4 * ends, pieces.breaks[ends + np.arange(pieces.m)])
+    row = np.insert(np.arange(len(pieces.edge)).repeat(4), 4 * ends, ends - 1)
+    keep = np.ones(len(t), dtype=bool)
+    keep[:-1] = (t[1:] != t[:-1]) | (pieces.edge[row[1:]] != pieces.edge[row[:-1]])
+    t, row = t[keep], row[keep]
+    s = t - pieces.left[row]
+    cols = [t]
+    for k in range(len(names)):
+        v = _poly_val(_poly_der(table[row], k), s)
+        cols += [v.real, v.imag]
+    _write_rows(path, cfg.edge_ids, np.bincount(pieces.edge[row], minlength=pieces.m),
+                np.column_stack(cols), names)
 
 
 def _numbers(value) -> list:
@@ -127,7 +121,7 @@ def _mesh_q(args, cfg: ProblemConfig) -> int:
 def cmd_simulate(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
     q = _mesh_q(args, cfg)
-    control = control_from_file(args.control, cfg)
+    control = EdgePieces.of(control_from_file(args.control, cfg))
     mesh = default_mesh(cfg.tree, cfg.coeffs, q)
     y = solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, control, mesh)
     out = Path(args.out)
@@ -185,7 +179,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{path}: q must be an integer of at least 1, got {q!r}")
     tol = cfg.solver.tolerance
     control_path = sol_dir / "control.json"
-    stored_u = control_from_file(control_path, cfg) if control_path.exists() else None
+    stored_u = EdgePieces.of(control_from_file(control_path, cfg)) if control_path.exists() else None
     sol = solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=q)
     # the record of the stored control, whose diagnostics do not move with
     # roundoff in the re-solve's DOFs; ndof and energy stay the re-solve's
@@ -322,7 +316,9 @@ _PARSER = _parser()  # built once: main runs in process, call after call
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report these
+        # the finiteness checks report overflows; a warning is one line, for this call only
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.fn(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

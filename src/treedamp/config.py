@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .expressions import CoefficientError, CoefficientSet
-from .piecewise import PiecewisePoly, _taylor_shift, _unique
+from .piecewise import PiecewisePoly, _taylor_shift, _unique, as_edge_functions
 from .trees import Tree, TreeStructureError, build_tree
 
 
@@ -78,13 +78,6 @@ def _num(x, path: str, *index) -> complex:
             _fail(path, "complex value must be a two-element [re, im] array", index)
         return complex(_real(x[0], path, *index, 0), _real(x[1], path, *index, 1))
     return complex(_real(x, path, *index), 0.0)
-
-
-def _num_out(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
 
 
 def _check_keys(d: dict, allowed: set, required: set, path: str):
@@ -269,22 +262,13 @@ def _tables(items: list, spans: list):
             for i, o, p, w in zip(first.tolist(), at.tolist(), npieces.tolist(), width.tolist())]
 
 
-def _piecewise_out(p: PiecewisePoly) -> dict:
-    """``{breaks, pieces}`` of a piecewise polynomial, as the parser reads
-    them back."""
-    return {
-        "breaks": [float(x) for x in p.breaks],
-        "pieces": [[_num_out(z) for z in cs] for cs in p.coefs],
-    }
-
-
-def _poly_out(p: PiecewisePoly) -> dict:
-    """Canonical {kind, data} for a stored piecewise polynomial."""
-    if p.npieces == 1:
-        cs = p.coefs[0]
-        if cs.size == 1:
-            return {"kind": "constant", "data": _num_out(cs[0])}
-    return {"kind": "piecewise", "data": _piecewise_out(p)}
+def _piecewise_out(breaks: np.ndarray, coefs: np.ndarray) -> dict:
+    """``{breaks, pieces}`` of a piecewise polynomial's breaks and ``(pieces,
+    width)`` table, as the parser reads them back: an entry whose imaginary
+    part is zero as a real number, any other as an ``[re, im]`` pair."""
+    return {"breaks": breaks.tolist(),
+            "pieces": [[x if y == 0.0 else [x, y] for x, y in zip(re, im)]
+                       for re, im in zip(coefs.real.tolist(), coefs.imag.tolist())]}
 
 
 _RECORD_KEYS = {"edge", "family", "k", "kind", "data"}
@@ -441,34 +425,11 @@ class ProblemConfig:
     def from_file(cls, path) -> "ProblemConfig":
         return cls.from_dict(read_json(path))
 
-    def to_dict(self) -> dict:
-        """Canonical form: canonical edge order, sorted coefficient records,
-        absent coefficients (:attr:`CoefficientSet.present`) dropped.
-        Parsing the output reproduces it."""
-        ids = (0,) + self.edge_ids  # the root's parent is 0
-        edges = [{"id": ids[j], "parent": ids[self.tree.parent_of(j)],
-                  "length": float(self.tree.length(j))} for j in range(1, self.tree.m + 1)]
-        records = []
-        for f, j in zip(*np.nonzero(self.coeffs.present)):
-            fam, k = divmod(int(f), self.n + 1)
-            rec = {"edge": self.edge_ids[j], "family": "bc"[fam], "k": k}
-            rec.update(_poly_out(self.coeffs.terms[int(f), int(j) + 1]))
-            records.append(rec)
-        records.sort(key=lambda r: (r["family"], r["k"], r["edge"]))
-        return {
-            "order": self.n,
-            "delay": float(self.tau),
-            "edges": edges,
-            "coefficients": records,
-            "history": _poly_out(self.history),
-            "solver": {"q": self.solver.q, "tolerance": self.solver.tolerance},
-        }
-
 
 def control_from_file(path, cfg: ProblemConfig) -> tuple:
     """The per-edge control of a control file, edge ``j`` at index ``j - 1``:
     every edge id of ``cfg`` once, each edge a ``piecewise`` record on
-    ``[0, T_j]``."""
+    ``[0, T_j]``, each padded only to its own widest piece."""
     d = read_json(path)
     _check_keys(d, {"edges"}, {"edges"}, "control")
     if not isinstance(d["edges"], list):
@@ -492,11 +453,14 @@ def control_from_file(path, cfg: ProblemConfig) -> tuple:
     return tuple(comps[slots[j]] for j in range(1, len(canon) + 1))
 
 
-def control_text(cfg: ProblemConfig, control: tuple) -> str:
-    """The control file of the per-edge ``control``, edge ``j`` at index
-    ``j - 1``, one edge record per line: :func:`control_from_file` reads it
-    back exactly."""
+def control_text(cfg: ProblemConfig, control) -> str:
+    """The control file of ``control``, edge ``j`` at index ``j - 1`` on one
+    table, one edge record per line, from the edge's rows cut to its width:
+    :func:`control_from_file` reads it back exactly."""
+    control = as_edge_functions(control)
+    o, b, w = control.pieces.offsets, control.pieces.breaks, control.widths
     # without indent json.dumps runs its C encoder
-    records = (json.dumps({"id": eid, **_piecewise_out(u)})
-               for eid, u in zip(cfg.edge_ids, control))
+    records = (json.dumps({"id": eid, **_piecewise_out(b[o[e] + e : o[e + 1] + e + 1],
+                                                       control.table[o[e] : o[e + 1], : w[e]])})
+               for e, eid in zip(range(control.pieces.m), cfg.edge_ids))
     return '{"edges": [\n' + ",\n".join(records) + "\n]}\n"

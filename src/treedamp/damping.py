@@ -60,8 +60,8 @@ import numpy as np
 
 from .expressions import CoefficientSet, TreeFunction, operator_components
 from .meshing import Basis, DelayMesh, build_mesh, check_history
-from .piecewise import (EdgePieces, PiecewisePoly, _find, _poly_val, _ragged, _unique,
-                        derivative_powers, gauss_legendre)
+from .piecewise import (EdgeFunctions, EdgePieces, PiecewisePoly, _find, _poly_val, _ragged,
+                        _unique, derivative_powers, gauss_legendre)
 from .trees import Tree
 
 
@@ -474,10 +474,10 @@ def assemble(basis: Basis, phi: PiecewisePoly, coeffs: CoefficientSet) -> GramSy
 class DampingSolution:
     """Output of :func:`solve_damping`.
 
-    ``control`` holds the per-edge control ``L_j y`` at index ``j - 1``."""
+    ``control`` holds the control ``L_j y`` at index ``j - 1``, on one table."""
 
     y: TreeFunction
-    control: tuple
+    control: EdgeFunctions
     energy: float
     dofs: np.ndarray
     basis: Basis
@@ -519,7 +519,7 @@ def solve_damping(tree: Tree, coeffs: CoefficientSet, phi: PiecewisePoly,
     gram = assemble(basis, phi, coeffs)
     x = gram.solve()
     y = basis.tree_function(x, phi)
-    u = tuple(operator_components(y, coeffs))
+    u = operator_components(y, coeffs)
     energy = gram.energy(x)
     if not math.isfinite(energy):  # an overflow in the nodal data reaches L phi + L^T x
         raise np.linalg.LinAlgError(f"the optimal trajectory overflowed: its energy is {energy}")
@@ -538,7 +538,7 @@ def optimality_check(sol: DampingSolution) -> dict:
     if sol.basis.ndof == 0:
         return {"max_abs": 0.0, "max_rel": 0.0, "per_basis": np.zeros(0, dtype=complex)}
     gram = sol.gram
-    pieces, table = EdgePieces.of(sol.control)
+    pieces, table = sol.control.pieces, sol.control.table
     at = _find(pieces.edge, pieces.left, gram.edge, gram.points)
     resid = gram.products(_poly_val(table[at], gram.points - pieces.left[at]))
     norms = np.sqrt(np.abs(gram.diagonal))

@@ -16,19 +16,19 @@ measure how far the computed trajectory is from the optimality structure,
 and they collapse under refinement exactly when the solver is right.
 
 All orders live on one whole-tree table per order, laid out on the same
-cells (:class:`~treedamp.piecewise.EdgePieces`): the variation weights of
-every order come from one call, the recursion is column work on those
-aligned tables, and every diagnostic is one pass over them.  A jump is a
-row's constant term minus the previous row's value at its right end, a
-vertex balance is an edge's last row at its right end minus the sum of its
-children's first constants, and the sup norm of the top order is one
-batched extremum search over the rows that a coefficient bound cannot rule
-out.  Per-edge functions are views of the tables, made only on request;
-the per-edge algebra that cross-checks these passes belongs to the test
-oracle.  Jumps at piece boundaries are never differentiated; they are
-recorded, which is the whole point: a persistent jump that refinement does
-not remove reproduces the loss-of-smoothness phenomenon of histories with
-limited regularity.
+cells: the variation weights of every order come from one call on the
+control's table, the recursion is column work on those aligned tables, and
+every diagnostic is one pass over them.  A jump is a row's constant term
+minus the previous row's value at its right end, a vertex balance is an
+edge's last row at its right end minus the sum of its children's first
+constants, and the sup norm of the top order is one batched extremum search
+over the rows that a coefficient bound cannot rule out.  Per-edge functions
+(:class:`~treedamp.piecewise.EdgeFunctions`) are views of the tables, made
+only on request; the per-edge algebra that cross-checks these passes
+belongs to the test oracle.  Jumps at piece boundaries are never
+differentiated; they are recorded, which is the whole point: a persistent
+jump that refinement does not remove reproduces the loss-of-smoothness
+phenomenon of histories with limited regularity.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .damping import DampingSolution, optimality_check
 from .expressions import CoefficientSet, _weight_table
-from .piecewise import EdgePieces, PiecewisePoly, _poly_der, _poly_val, _sup_abs
+from .piecewise import EdgeFunctions, EdgePieces, PiecewisePoly, _poly_der, _poly_val, _sup_abs
 
 # A jump is persistent when it changed by less than this share of its size
 # between the two finest levels of a refinement study; a jump the mesh
@@ -54,7 +54,7 @@ class QuasiDerivativeSet:
     ``[0, l_j]``.
 
     ``tables[k]`` holds the order ``k`` of every edge on ``cells``;
-    ``functions[k]`` gives them per edge, as views built on first use.
+    ``functions[k]`` reads it per edge (:class:`~treedamp.piecewise.EdgeFunctions`).
     """
 
     tree: object
@@ -64,7 +64,7 @@ class QuasiDerivativeSet:
 
     @cached_property
     def functions(self) -> dict:
-        return {k: self.cells.views(t) for k, t in self.tables.items()}
+        return {k: EdgeFunctions(self.cells, t) for k, t in self.tables.items()}
 
     def function(self, k: int, j: int) -> PiecewisePoly:
         return self.functions[k][j - 1]

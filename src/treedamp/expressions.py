@@ -15,13 +15,13 @@ variation (:func:`variation_weights`) that the diagnostics are built on.
 A :class:`CoefficientSet` stores only the coefficients it is given; a
 missing one is zero, and its terms are skipped everywhere.
 
-Both run on whole-tree piece tables (:class:`~treedamp.piecewise.EdgePieces`)
-in a fixed number of array passes, whatever the number of edges.  Every
-edge's cells are sorted in one pass; the rows a cell needs come in by one
-gather per kind of read: the trajectory at ``t`` and at ``t - tau`` (its
-lead-in), every coefficient, and for the weights the delayed products
-coming back to where the lead-ins land.  What is left is row-wise
-convolution and column work.
+Both take and give whole-tree tables
+(:class:`~treedamp.piecewise.EdgeFunctions`), a trajectory's components
+included, in a fixed number of array passes.  Every edge's cells are sorted
+in one pass; the rows a cell needs come in by one gather per kind of read:
+the trajectory at ``t`` and at ``t - tau`` (its lead-in), every
+coefficient, and for the weights the delayed products coming back to where
+the lead-ins land.  What is left is row-wise convolution and column work.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .piecewise import (SAME_POLY_RTOL, EdgePieces, PiecewisePoly, _abs_min, _convolve, _find,
-                        _gather, _poly_der, _ragged, _taylor_shift, _unique)
+from .piecewise import (SAME_POLY_RTOL, EdgeFunctions, EdgePieces, PiecewisePoly, _abs_min,
+                        _convolve, _find, _gather, _poly_der, _ragged, _taylor_shift, _unique,
+                        as_edge_functions)
 from .trees import Tree
 
 
 class CoefficientError(ValueError):
     """Raised when a coefficient family fails validation."""
-
-
-def check_edge_functions(tree: Tree, funcs, what: str, error=ValueError) -> None:
-    """Raise ``error`` unless ``funcs`` holds one function per edge, edge
-    ``j``'s at index ``j - 1`` and on ``[0, T_j]``."""
-    check_edge_spans(tree, [p.domain for p in funcs], what, error)
 
 
 def check_edge_spans(tree: Tree, ends, what: str, error=ValueError, item="function") -> None:
@@ -117,8 +112,8 @@ class CoefficientSet:
             (f, j), i = keys[bad[0]], bad[0]
             raise CoefficientError(f"{'bc'[f > self.n]}[{f % (self.n + 1)}] on edge {j} has "
                                    f"domain [{lo[i]}, {hi[i]}], expected [0, {T[i]}]")
-        lead, table = EdgePieces.of(self.terms[self.n, j] for j in range(1, self.tree.m + 1))
-        least = lead.per_edge(_abs_min(table, lead.h), np.inf).min(axis=1)
+        lead = EdgePieces.of(self.terms[self.n, j] for j in range(1, self.tree.m + 1))
+        least = lead.pieces.per_edge(_abs_min(lead.table, lead.pieces.h), np.inf).min(axis=1)
         bad = np.flatnonzero(least < self.MIN_LEADING)
         if bad.size:
             raise CoefficientError(
@@ -144,7 +139,8 @@ class CoefficientSet:
         m, count, keys = self.tree.m, 2 * self.n + 2, sorted(self.terms)
         fam, edge = np.array(keys).T
         edge = edge - 1
-        pieces, table = EdgePieces.of(self.terms[key] for key in keys)
+        given = EdgePieces.of(self.terms[key] for key in keys)
+        pieces, table = given.pieces, given.table
         cells = EdgePieces.merged(edge[pieces.break_edge], pieces.breaks, np.zeros(m),
                                   np.asarray(self.tree.lengths))
         term, i = _ragged(np.diff(cells.offsets)[edge])  # every term on its edge's cells
@@ -153,7 +149,7 @@ class CoefficientSet:
         rows[at, fam[term]] = _gather(table, pieces.edge, pieces.left, term, cells.mid[at],
                                       cells.left[at])
         widths = np.ones((count, m), dtype=int)
-        widths[fam, edge] = [self.terms[key].coefs.shape[1] for key in keys]
+        widths[fam, edge] = given.widths
         fam, edge = fam[pieces.break_edge], edge[pieces.break_edge]
         live = self.present[fam, edge]
         return _Families(cells, rows, widths, (fam[live], edge[live], pieces.breaks[live]))
@@ -234,7 +230,8 @@ class CoefficientSet:
 class TreeFunction:
     """A trajectory: one piecewise polynomial per edge plus root history.
 
-    ``components[j-1]`` lives on ``[0, T_j]``; ``history`` lives on
+    ``components[j-1]`` lives on ``[0, T_j]``, all on one table
+    (:class:`~treedamp.piecewise.EdgeFunctions`); ``history`` lives on
     ``[-tau, 0]`` and belongs to the root edge.  The delay on any other edge
     is served by the tail of the parent component, so no history is stored
     there.
@@ -242,11 +239,11 @@ class TreeFunction:
 
     tree: Tree
     n: int
-    components: tuple
+    components: EdgeFunctions
     history: PiecewisePoly
 
     def __post_init__(self):
-        check_edge_functions(self.tree, self.components, "trajectory")
+        check_edge_spans(self.tree, self.components.pieces.ends, "trajectory")
         h0, h1 = self.history.domain
         if abs(h1) > 1e-12 or not h0 < 0:
             raise ValueError(f"history must live on [-tau, 0], got [{h0}, {h1}]")
@@ -264,14 +261,23 @@ class TreeFunction:
     def __sub__(self, other: "TreeFunction") -> "TreeFunction":
         return self._combine(other, np.subtract)
 
+    def _with_history(self) -> EdgeFunctions:
+        """The history and then the components, edges ``0..m`` of one table."""
+        comps, phi = self.components, self.history
+        (rows, hw), w = phi.coefs.shape, comps.table.shape[1]
+        table = np.zeros((rows + len(comps.pieces.edge), max(w, hw)), dtype=complex)
+        table[:rows, :hw], table[rows:, :w] = phi.coefs, comps.table
+        pieces = EdgePieces(np.append(phi.breaks, comps.pieces.breaks),
+                            np.append(0, rows + comps.pieces.offsets))
+        return EdgeFunctions(pieces, table, np.append(hw, comps.widths))
+
     def _combine(self, other: "TreeFunction", op) -> "TreeFunction":
         """``op`` of the two trajectories on their common cells, the
         history riding along as one more edge."""
-        mine, theirs = self.components + (self.history,), other.components + (other.history,)
+        mine, theirs = self._with_history(), other._with_history()
         cells, a, b = EdgePieces.common(mine, theirs)
-        widths = np.maximum([p.coefs.shape[1] for p in mine], [p.coefs.shape[1] for p in theirs])
-        *comps, history = cells.views(op(a, b), widths)
-        return TreeFunction(self.tree, self.n, tuple(comps), history)
+        both = EdgeFunctions(cells, op(a, b), np.maximum(mine.widths, theirs.widths))
+        return TreeFunction(self.tree, self.n, both.take(np.arange(1, self.tree.m + 1)), both[0])
 
 
 def lead_ins(pieces: EdgePieces, head: np.ndarray, end: np.ndarray, tau: float) -> tuple:
@@ -313,8 +319,9 @@ def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, p
     heads = np.ones(tree.m + 1, dtype=bool)
     heads[edges] = False
     order = np.concatenate([edges, _unique(par[heads[par]])])
-    funcs = (y.history,) + y.components
-    pieces, table = EdgePieces.of(funcs[i] for i in order)
+    every = y._with_history()  # edge 0 the history, edge j the component of edge j
+    funcs = every.take(order)
+    pieces, table = funcs.pieces, funcs.table
     at = np.zeros(tree.m + 1, dtype=int)
     at[order] = np.arange(len(order))
     edge, src, shift = lead_ins(pieces, at[par], lengths[order], tau)
@@ -328,16 +335,13 @@ def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, p
                    np.concatenate([pieces.left[:own], pieces.left[src] + (tau - shift)]),
                    np.concatenate([cells.edge, k + cells.edge]),
                    np.concatenate([cells.mid, cells.mid]), np.concatenate([cells.left, cells.left]))
-    wy = np.array([funcs[j].coefs.shape[1] for j in edges])
-    return cells, reads, wy, np.maximum(wy, [funcs[p].coefs.shape[1] for p in par])
+    return cells, reads, every.widths[edges], np.maximum(every.widths[edges], every.widths[par])
 
 
 def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
-    """``L_j y`` for the 1-based ``edges`` (ascending) on one table.
-
-    Returns the layout, the table, and per edge the width the algebra of
-    its terms gives, so that a view has no padding beyond it.
-    """
+    """``L_j y`` for the 1-based ``edges`` (ascending) on one table, each
+    edge as wide as the algebra of its terms gives, so that a view has no
+    padding beyond it, and +0.0 past that width."""
     n = coeffs.n
     (c_label, c_left, c_table), points = coeffs._select(range(2 * n + 2), edges - 1)
     present = coeffs.present[:, edges - 1]
@@ -356,20 +360,21 @@ def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
     k = np.arange(n + 1)[:, None]
     term_w = coeffs._families.widths[:, edges - 1] - 1 + np.concatenate([np.maximum(wy - k, 1),
                                                                 np.maximum(wd - k, 1)])
-    return cells, acc, np.where(present, term_w, 1).max(axis=0)
+    widths = np.where(present, term_w, 1).max(axis=0)
+    acc = acc[:, : widths.max()]
+    acc[np.arange(acc.shape[1]) >= widths[cells.edge, None]] = 0.0  # a swap may leave -0.0 there
+    return EdgeFunctions(cells, acc, widths)
 
 
-def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> list:
-    """``[L_1 y, ..., L_m y]``, views of one whole-tree table."""
-    cells, table, widths = _operator_table(y, coeffs, np.arange(1, y.tree.m + 1))
-    return cells.views(table, widths)
+def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> EdgeFunctions:
+    """``L_j y`` of every edge ``j`` at index ``j - 1``, on one table."""
+    return _operator_table(y, coeffs, np.arange(1, y.tree.m + 1))
 
 
 def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
     """The edge operator ``L_j y`` on ``[0, T_j]``, from edge ``j``'s own
     pieces and its lead-in's only."""
-    cells, table, widths = _operator_table(y, coeffs, np.array([j]))
-    return cells.views(table, widths)[0]
+    return _operator_table(y, coeffs, np.array([j]))[0]
 
 
 def _weight_table(coeffs: CoefficientSet, ells, ks):
@@ -390,7 +395,8 @@ def _weight_table(coeffs: CoefficientSet, ells, ks):
     K = len(ks)
     lengths = np.asarray(tree.lengths)
     par = np.asarray(tree.parent)
-    ell, ell_c = EdgePieces.of(ells)
+    ells = as_edge_functions(ells)
+    ell, ell_c = ells.pieces, ells.table
     everyone = np.arange(m)
     families = ks + [n + 1 + k for k in ks]  # b_k, then c_k
     (c_label, c_left, c_table), (c_edge, c_points) = coeffs._select(families, everyone)
@@ -430,9 +436,9 @@ def _weight_table(coeffs: CoefficientSet, ells, ks):
     return weights, out + acc
 
 
-def variation_weights(coeffs: CoefficientSet, ells, k: int) -> list:
+def variation_weights(coeffs: CoefficientSet, ells, k: int) -> EdgeFunctions:
     """Weights of ``conj(w^(k))`` in the re-indexed first variation, edge
-    ``j``'s at index ``j - 1``.
+    ``j``'s at index ``j - 1``, on one table.
 
     After moving every delayed test-function read back to its home edge, the
     first variation becomes a sum of integrals over the active windows
@@ -444,4 +450,4 @@ def variation_weights(coeffs: CoefficientSet, ells, k: int) -> list:
     the children ``nu`` of ``conj(c_knu) ells_nu (t - T_j + tau)``.
     """
     weights, table = _weight_table(coeffs, ells, [k])
-    return weights.views(table[:, 0])
+    return EdgeFunctions(weights, table[:, 0])

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import TreeFunction, lead_ins
-from .piecewise import EdgePieces, PiecewisePoly, _find, derivative_powers
+from .piecewise import EdgeFunctions, EdgePieces, PiecewisePoly, _find, derivative_powers
 from .trees import Tree
 
 
@@ -253,9 +253,10 @@ class Basis:
         return src[i], t + shift[at] - left[src[at]]
 
     def tree_function(self, dofs: np.ndarray, phi: PiecewisePoly | None = None) -> TreeFunction:
-        """Member of the discrete space with the given DOF vector.  With
-        ``phi`` (on ``[-tau, 0]``) the root start carries its ``n`` end
-        derivatives and the history is ``phi``; without it both are zero."""
+        """Member of the discrete space with the given DOF vector, on the
+        mesh's elements.  With ``phi`` (on ``[-tau, 0]``) the root start
+        carries its ``n`` end derivatives and the history is ``phi``;
+        without it both are zero."""
         dofs = np.asarray(dofs, dtype=complex)
         if dofs.shape != (self.ndof,):
             raise ValueError(f"expected {self.ndof} degrees of freedom")
@@ -266,7 +267,7 @@ class Basis:
         # a left and a right shape nearly cancel at high powers: adding each
         # such pair first keeps the cancellation exact
         coefs = (nodal[:, :n] * self.shapes[:, :n] + nodal[:, n:] * self.shapes[:, n:]).sum(axis=1)
-        return TreeFunction(self.mesh.tree, n, tuple(self.mesh.elements.views(coefs)), phi)
+        return TreeFunction(self.mesh.tree, n, EdgeFunctions(self.mesh.elements, coefs), phi)
 
 
 def check_history(phi: PiecewisePoly, tau: float) -> None:

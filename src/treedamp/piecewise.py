@@ -13,24 +13,26 @@ keeps evaluation well conditioned for domains far from zero.  Rows are
 zero-padded on the right to a common width, so ``width - 1`` bounds the
 degree of every piece and a piece may list trailing zero coefficients.
 
-:class:`PiecewisePoly` is the per-edge exchange type: what the parser
-builds, what the exchange files are written from, and the per-edge view
-of a whole-tree table that the solver hands out.  It evaluates
+:class:`PiecewisePoly` is one edge's function: what the parser builds (the
+coefficients, the history, a control file's edges) and the view that a
+caller indexing a family of them gets.  It evaluates
 (:meth:`~PiecewisePoly.values`, :meth:`~PiecewisePoly.left_limit`) and
 takes its exact sup norm, and nothing more; the per-edge algebra (sums,
 products, restriction, shifts, integrals) belongs to the test oracle.
 
 :class:`EdgePieces` lays out one function per edge in a single table, with
-per-edge row offsets, so that every computation after the solve runs on
-the whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
-builds every edge's cells in one sort, :func:`_find` finds the rows that
-hold a set of points by one binary search, and :func:`_gather` moves those
-rows from one layout onto another, re-centring each by one batched Taylor
-shift.  The exact extremes of :func:`_abs_extremes` take the critical
-points of every row at once, as the eigenvalues of one stack of companion
-matrices per degree (:func:`_abs_min` adds the rows' zeros);
-:func:`_sup_abs` first drops the rows that a bound on their coefficients
-keeps below the largest end value.
+per-edge row offsets; an :class:`EdgeFunctions` is such a family (layout,
+table and per-edge widths), kept whole from the solve to the files, and
+:meth:`EdgePieces.of` tables per-edge input once.  So every computation
+after the solve runs on the whole tree in a fixed number of array passes:
+:meth:`EdgePieces.merged` builds every edge's cells in one sort,
+:func:`_find` finds the rows that hold a set of points by one binary
+search, and :func:`_gather` moves those rows from one layout onto another,
+re-centring each by one batched Taylor shift.  The exact extremes of
+:func:`_abs_extremes` take the critical points of every row at once, as the
+eigenvalues of one stack of companion matrices per degree (:func:`_abs_min`
+adds the rows' zeros); :func:`_sup_abs` first drops the rows that a bound
+on their coefficients keeps below the largest end value.
 
 Two helpers keep the package on numpy's core: :func:`_unique`, one sort for
 the distinct values where :func:`numpy.unique` would load ``numpy.ma``, and
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -329,33 +332,27 @@ class PiecewisePoly:
     def max_degree(self) -> int:
         return self._c.shape[1] - 1
 
-    def _tol(self) -> float:
-        return BREAK_RTOL * max(1.0, abs(float(self.breaks[0])), abs(float(self.breaks[-1])))
-
-    def _piece_at(self, t: float) -> int:
-        i = int(np.searchsorted(self.breaks, t, side="right")) - 1
-        return min(max(i, 0), self.npieces - 1)
-
     def values(self, ts, deriv: int = 0) -> np.ndarray:
         """Vectorised evaluation (right-continuous at interior breaks)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1, 0, self.npieces - 1)
         return _poly_val(_poly_der(self._c[idx], deriv), ts - self.breaks[idx])
 
-    def _value_in_piece(self, i: int, t: float, deriv: int) -> complex:
+    def _value_beside(self, t: float, deriv: int, side: float) -> complex:
+        """The value at ``t`` of the piece just after (``side`` 1) or before
+        (-1) it, to the break tolerance; the end pieces at the domain ends."""
+        tol = BREAK_RTOL * max(1.0, abs(float(self.breaks[0])), abs(float(self.breaks[-1])))
+        i = min(max(int(np.searchsorted(self.breaks, t + side * tol, side="right")) - 1, 0),
+                self.npieces - 1)
         return complex(_poly_val(_poly_der(self._c[i], deriv), t - self.breaks[i]))
 
     def right_limit(self, t: float, deriv: int = 0) -> complex:
         """Limit from the right; at the domain end, the one-sided value."""
-        if t >= self.breaks[-1] - self._tol():
-            return self.left_limit(self.breaks[-1], deriv)
-        return self._value_in_piece(self._piece_at(t + self._tol()), t, deriv)
+        return self._value_beside(t, deriv, 1.0)
 
     def left_limit(self, t: float, deriv: int = 0) -> complex:
         """Limit from the left; at the domain start, the one-sided value."""
-        if t <= self.breaks[0] + self._tol():
-            return self.right_limit(self.breaks[0], deriv)
-        return self._value_in_piece(self._piece_at(t - self._tol()), t, deriv)
+        return self._value_beside(t, deriv, -1.0)
 
     def max_abs(self) -> float:
         """Exact maximum of ``|p|`` over the domain."""
@@ -432,22 +429,23 @@ class EdgePieces:
     def mid(self) -> np.ndarray:
         return self.left + 0.5 * self.h
 
+    @property
+    def ends(self) -> np.ndarray:
+        """Per edge, the first and the last break: an ``(edges, 2)`` array."""
+        return self.breaks[np.stack([self.offsets[:-1], self.offsets[1:]], 1)
+                           + np.arange(self.m)[:, None]]
+
     @classmethod
-    def of(cls, funcs) -> tuple:
-        """The layout of ``funcs``, one function per edge, and their
-        coefficients as one table, narrower rows zero-padded."""
+    def of(cls, funcs) -> "EdgeFunctions":
+        """``funcs``, one function per edge, as one table, narrower rows zero-padded."""
         funcs = list(funcs)
         tables = [p.coefs for p in funcs]
         offsets = np.cumsum([0] + [len(c) for c in tables])
-        widths = [c.shape[1] for c in tables]
-        if min(widths) == max(widths):
-            table = np.concatenate(tables)
-        else:
-            width = np.repeat(widths, np.diff(offsets))
-            table = np.zeros((offsets[-1], width.max()), dtype=complex)
-            table[np.arange(width.max()) < width[:, None]] = np.concatenate([c.ravel()
-                                                                             for c in tables])
-        return cls(np.concatenate([p.breaks for p in funcs]), offsets), table
+        widths = np.array([c.shape[1] for c in tables])
+        table = np.zeros((offsets[-1], widths.max()), dtype=complex)
+        table[np.arange(widths.max()) < np.repeat(widths, np.diff(offsets))[:, None]] = \
+            np.concatenate([c.ravel() for c in tables])
+        return EdgeFunctions(cls(np.concatenate([p.breaks for p in funcs]), offsets), table, widths)
 
     @classmethod
     def merged(cls, edge: np.ndarray, points: np.ndarray, lo: np.ndarray,
@@ -471,14 +469,13 @@ class EdgePieces:
         return cls(pts, np.concatenate([[0], ends - np.arange(1, m + 1)]))
 
     @classmethod
-    def common(cls, a, b) -> tuple:
-        """Two lists of functions, edge by edge on the same domains, on
-        their merged cells: the layout and each list's table on it, both
-        zero-padded to one width.  The domains are those of ``a``; ``b``'s
-        must agree with them to the break tolerance."""
-        (pa, ta), (pb, tb) = cls.of(a), cls.of(b)
-        (lo, hi), (b_lo, b_hi) = ((p.breaks[p.offsets[:-1] + np.arange(p.m)],
-                                   p.breaks[p.offsets[1:] + np.arange(p.m)]) for p in (pa, pb))
+    def common(cls, a: "EdgeFunctions", b: "EdgeFunctions") -> tuple:
+        """Two functions per edge on the same domains, on their merged
+        cells: the layout and each one's table on it, both zero-padded to
+        one width.  The domains are those of ``a``; ``b``'s must agree with
+        them to the break tolerance."""
+        (pa, ta), (pb, tb) = (a.pieces, a.table), (b.pieces, b.table)
+        (lo, hi), (b_lo, b_hi) = pa.ends.T, pb.ends.T
         tol = BREAK_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         if (np.abs(b_lo - lo) > tol).any() or (np.abs(b_hi - hi) > tol).any():
             raise ValueError("the two functions of an edge live on different domains")
@@ -488,14 +485,6 @@ class EdgePieces:
         for o, (p, t) in zip(out, ((pa, ta), (pb, tb))):
             o[:, : t.shape[1]] = _gather(t, p.edge, p.left, cells.edge, cells.mid, cells.left)
         return cells, out[0], out[1]
-
-    def views(self, table: np.ndarray, widths=None) -> list:
-        """Edge by edge, the function whose coefficients are its rows of
-        ``table`` (their first ``widths[e]`` columns when given), as views."""
-        o, b = self.offsets, self.breaks
-        w = [table.shape[1]] * self.m if widths is None else widths
-        return [PiecewisePoly._of(b[o[e] + e : o[e + 1] + e + 1], table[o[e] : o[e + 1], : w[e]])
-                for e in range(self.m)]
 
     def per_edge(self, values: np.ndarray, fill=0.0) -> np.ndarray:
         """The rows' ``values`` as an ``(edges, most pieces)`` array, one edge
@@ -509,3 +498,41 @@ class EdgePieces:
         the pieces' integrals summed in piece order."""
         pieces = _integrals(_convolve(table, table.conj()), self.h)
         return self.per_edge(pieces).cumsum(axis=1)[:, -1].real
+
+
+class EdgeFunctions(Sequence):
+    """One function per edge as one whole-tree table: edge ``e``'s are the
+    first ``widths[e]`` columns of its rows of ``table`` in the layout
+    ``pieces``, +0.0 past them, and the table is as wide as the widest.  It
+    reads as the sequence of the edges' functions: indexing or iterating
+    makes each a :class:`PiecewisePoly` view of the table, nothing else does.
+    """
+
+    def __init__(self, pieces: EdgePieces, table: np.ndarray, widths=None):
+        self.pieces, self.table = pieces, table
+        self.widths = np.full(pieces.m, table.shape[1]) if widths is None else widths
+
+    def __len__(self) -> int:
+        return self.pieces.m
+
+    def __getitem__(self, e: int) -> PiecewisePoly:
+        e = range(self.pieces.m)[e]  # negative indices count from the end; IndexError past it
+        o, b = self.pieces.offsets, self.pieces.breaks
+        return PiecewisePoly._of(b[o[e] + e : o[e + 1] + e + 1],
+                                 self.table[o[e] : o[e + 1], : self.widths[e]])
+
+    def take(self, edges: np.ndarray) -> "EdgeFunctions":
+        """The functions of the 0-based ``edges``, in that order, on a table of their own."""
+        p, count = self.pieces, np.diff(self.pieces.offsets)[edges]
+        owner, i = _ragged(count)
+        rows = p.offsets[edges][owner] + i
+        owner, i = _ragged(count + 1)
+        breaks = p.breaks[(p.offsets[edges] + edges)[owner] + i]
+        widths = self.widths[edges]
+        return EdgeFunctions(EdgePieces(breaks, np.append(0, np.cumsum(count))),
+                             self.table[rows, : widths.max()], widths)
+
+
+def as_edge_functions(funcs) -> EdgeFunctions:
+    """``funcs``, one function per edge, tabled by :meth:`EdgePieces.of` unless it is a table."""
+    return funcs if isinstance(funcs, EdgeFunctions) else EdgePieces.of(funcs)

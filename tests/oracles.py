@@ -25,8 +25,12 @@ stored terms: every family on every edge, a missing one the zero constant
 (:func:`dense_coefficients`, :func:`dense_families`).  So are the small
 reads the package leaves to its tests: a piecewise polynomial's value at
 one point (:func:`eval_at`), a vertex's children (:func:`children`), a
-missing coefficient as zero (:func:`coefficient`) and the Gram matrix as
-one dense array (:func:`dense_matrix`).
+missing coefficient as zero (:func:`coefficient`), the Gram matrix as
+one dense array (:func:`dense_matrix`) and a trajectory from per-edge
+components (:func:`tree_function`).  The exchange files' writers entry by
+entry are here too: the control file edge by edge (:func:`control_text`)
+and a problem file in canonical form (:func:`config_dict`), which no
+command writes.
 
 The per-edge algebra itself lives here too, as :class:`Poly`.  The package's
 :class:`~treedamp.piecewise.PiecewisePoly` only parses, exchanges, views and
@@ -37,6 +41,7 @@ algebra are the tests of the reference.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -98,7 +103,8 @@ def dense_families(coeffs) -> tuple:
     m, count = coeffs.tree.m, 2 * coeffs.n + 2
     funcs = [p for row in b + c for p in row]
     present = np.reshape([p.coefs.any() for p in funcs], (count, m))
-    pieces, table = EdgePieces.of(funcs)
+    given = EdgePieces.of(funcs)
+    pieces, table = given.pieces, given.table
     cells = EdgePieces.merged(pieces.break_edge % m, pieces.breaks, np.zeros(m),
                               np.asarray(coeffs.tree.lengths))
     rows = _gather(table, pieces.edge, pieces.left,
@@ -133,6 +139,17 @@ def find_rows(edge, left, q_edge, q_t) -> np.ndarray:
     src = np.empty(len(q_t), dtype=np.intp)
     src[q] = np.maximum(at - np.arange(len(at)) - 1, np.searchsorted(edge, q_edge[q]))
     return src
+
+
+def break_tol(p) -> float:
+    """The tolerance to which two breaks of ``p`` coincide."""
+    return BREAK_RTOL * max(1.0, abs(float(p.breaks[0])), abs(float(p.breaks[-1])))
+
+
+def piece_at(p, t: float) -> int:
+    """The piece of ``p`` that holds ``t``, right-continuous at breaks, the
+    end pieces beyond the domain."""
+    return min(max(int(np.searchsorted(p.breaks, t, side="right")) - 1, 0), p.npieces - 1)
 
 
 class Poly(PiecewisePoly):
@@ -182,7 +199,7 @@ class Poly(PiecewisePoly):
     def refined(self, extra_breaks) -> "Poly":
         """Same function on a breakpoint set enlarged by ``extra_breaks``;
         ``self`` itself when no break is new."""
-        tol = self._tol()
+        tol = break_tol(self)
         a, b = self.domain
         extra = np.asarray(extra_breaks, dtype=float).ravel()
         extra = extra[(extra > a + tol) & (extra < b - tol)]
@@ -202,14 +219,14 @@ class Poly(PiecewisePoly):
         return self._of(breaks, table)
 
     def restrict(self, a: float, b: float) -> "Poly":
-        tol = self._tol()
+        tol = break_tol(self)
         lo, hi = self.domain
         if a < lo - tol or b > hi + tol or b - a <= tol:
             raise ValueError(f"restriction [{a}, {b}] outside domain [{lo}, {hi}]")
         a = min(max(a, lo), hi)
         b = min(max(b, lo), hi)
-        i0 = self._piece_at(a + tol)
-        i1 = self._piece_at(b - tol)
+        i0 = piece_at(self, a + tol)
+        i1 = piece_at(self, b - tol)
         breaks = self.breaks[i0 : i1 + 2].copy()
         table = self._c[i0 : i1 + 1]
         if breaks[0] != a:  # the first piece now starts at a
@@ -223,7 +240,7 @@ class Poly(PiecewisePoly):
         return self._of(self.breaks + dt, self._c)
 
     def concat(self, other) -> "Poly":
-        tol = max(self._tol(), other._tol())
+        tol = max(break_tol(self), break_tol(other))
         if abs(self.breaks[-1] - other.breaks[0]) > tol:
             raise ValueError("domains are not adjacent")
         breaks = np.concatenate([self.breaks, other.breaks[1:]])
@@ -242,7 +259,7 @@ class Poly(PiecewisePoly):
         other = Poly.of(other)
         if np.array_equal(self.breaks, other.breaks):
             return self, other
-        tol = max(self._tol(), other._tol())
+        tol = max(break_tol(self), break_tol(other))
         sa, sb = self.domain
         oa, ob = other.domain
         if abs(sa - oa) > tol or abs(sb - ob) > tol:
@@ -290,10 +307,16 @@ def poly(p) -> Poly:
     return Poly.of(p)
 
 
+def tree_function(tree, n: int, comps, history) -> TreeFunction:
+    """The trajectory of the per-edge ``comps`` (edge ``j``'s at index
+    ``j - 1``) and the root ``history``, the components tabled once."""
+    return TreeFunction(tree, n, EdgePieces.of(comps), history)
+
+
 def scaled(y, alpha) -> TreeFunction:
     """The trajectory ``alpha * y``, history included."""
-    return TreeFunction(y.tree, y.n, tuple(poly(p) * alpha for p in y.components),
-                        poly(y.history) * alpha)
+    return tree_function(y.tree, y.n, [poly(p) * alpha for p in y.components],
+                         poly(y.history) * alpha)
 
 
 def g_recursion(weights: list) -> list:
@@ -469,7 +492,7 @@ def smoothness_defect(y) -> float:
     """Largest jump of a derivative of order below ``n`` inside an edge or
     the history."""
     worst = 0.0
-    for p in y.components + (y.history,):
+    for p in (*y.components, y.history):
         for k in range(y.n):
             for _, gap in poly(p).derivative(k).jumps():
                 worst = max(worst, abs(gap))
@@ -586,12 +609,12 @@ def _lift_parts(basis, lift) -> list:
     phi, tree, n, root = lift.history, lift.tree, lift.n, lift.component(1)
     assert list(basis.rows[0, :n]) == list(range(basis.ndof, basis.ndof + n))
     zeros = tuple(PiecewisePoly.zero(0.0, tree.length(j)) for j in range(1, tree.m + 1))
-    parts = [(1.0, TreeFunction(tree, n, zeros, phi))]
+    parts = [(1.0, tree_function(tree, n, zeros, phi))]
     for k in range(n):
         table = np.zeros((root.npieces, 2 * n), dtype=complex)
         table[0] = basis.shapes[0, k]
-        shape = TreeFunction(tree, n, (PiecewisePoly(root.breaks, table),) + zeros[1:],
-                             PiecewisePoly.zero(*phi.domain))
+        shape = tree_function(tree, n, (PiecewisePoly(root.breaks, table),) + zeros[1:],
+                              PiecewisePoly.zero(*phi.domain))
         parts.append((phi.left_limit(0.0, k), shape))
     return parts
 
@@ -869,7 +892,7 @@ def solve_cauchy(tree, coeffs, phi, control, mesh) -> TreeFunction:
         comps.append(PiecewisePoly._of(xs, coef))
         exits.append(state)
 
-    return TreeFunction(tree, n, tuple(comps), phi)
+    return tree_function(tree, n, comps, phi)
 
 
 def weak_residual_symbolic(y, basis, coeffs) -> dict:
@@ -945,3 +968,49 @@ def write_csv(path, edge_ids, funcs, names: list) -> None:
         row_fmt = f"{eid}," + ",".join(["%.17g"] * len(cols))
         lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
     path.write_text("\n".join(lines) + "\n")
+
+
+def num_out(z):
+    """A number as the exchange files write it: a real number when its
+    imaginary part is zero, an ``[re, im]`` pair otherwise."""
+    z = complex(z)
+    return z.real if z.imag == 0.0 else [z.real, z.imag]
+
+
+def piecewise_out(p) -> dict:
+    """``{breaks, pieces}`` of one piecewise polynomial, entry by entry."""
+    return {"breaks": [float(x) for x in p.breaks],
+            "pieces": [[num_out(z) for z in cs] for cs in p.coefs]}
+
+
+def control_text(edge_ids, funcs) -> str:
+    """The control file written edge by edge from per-edge functions, one
+    edge record per line."""
+    records = (json.dumps({"id": eid, **piecewise_out(p)}) for eid, p in zip(edge_ids, funcs))
+    return '{"edges": [\n' + ",\n".join(records) + "\n]}\n"
+
+
+def poly_out(p) -> dict:
+    """The ``{kind, data}`` record of a stored piecewise polynomial: a
+    constant when it is one piece of one coefficient, else piecewise."""
+    if p.npieces == 1 and p.coefs.shape[1] == 1:
+        return {"kind": "constant", "data": num_out(p.coefs[0, 0])}
+    return {"kind": "piecewise", "data": piecewise_out(p)}
+
+
+def config_dict(cfg) -> dict:
+    """A problem file in canonical form: canonical edge order, sorted
+    coefficient records, absent coefficients (``present``) dropped.
+    Parsing it reproduces the configuration."""
+    ids, tree = (0,) + cfg.edge_ids, cfg.tree  # the root's parent is 0
+    edges = [{"id": ids[j], "parent": ids[tree.parent_of(j)], "length": float(tree.length(j))}
+             for j in range(1, tree.m + 1)]
+    records = []
+    for f, j in zip(*np.nonzero(cfg.coeffs.present)):
+        fam, k = divmod(int(f), cfg.n + 1)
+        records.append({"edge": cfg.edge_ids[j], "family": "bc"[fam], "k": k,
+                        **poly_out(cfg.coeffs.terms[int(f), int(j) + 1])})
+    records.sort(key=lambda r: (r["family"], r["k"], r["edge"]))
+    return {"order": cfg.n, "delay": float(cfg.tau), "edges": edges, "coefficients": records,
+            "history": poly_out(cfg.history),
+            "solver": {"q": cfg.solver.q, "tolerance": cfg.solver.tolerance}}

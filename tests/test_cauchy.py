@@ -10,14 +10,14 @@ import pytest
 from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree, interval, star
 from treedamp.config import ProblemConfig
-from treedamp.expressions import CoefficientSet, TreeFunction, apply_operator
+from treedamp.expressions import CoefficientSet, apply_operator
 from treedamp.meshing import Basis, DelayMesh, MeshError, build_mesh, history_lift
 from treedamp.damping import default_mesh, solve_damping
 from treedamp.cauchy import residual_ell, solve_cauchy
 from treedamp.cli import main
 
 import oracles
-from oracles import eval_at
+from oracles import eval_at, tree_function
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -65,7 +65,7 @@ def test_polynomial_manufactured_solution_is_exact():
         PiecewisePoly.from_global_coefs(0.0, 2.0, [4.0, -1.0]),            # 4 - t
     )
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, [0.0, 0.0, 1.0])      # t^2
-    y_true = TreeFunction(tr, 1, comps, phi)
+    y_true = tree_function(tr, 1, comps, phi)
     u = tuple(apply_operator(y_true, cs, j) for j in range(1, 4))
 
     mesh = build_mesh(tr, tau, 2)
@@ -99,7 +99,7 @@ def _neutral_star():
         oracles.Poly.single(0.0, 2.0, [v, d, -0.7, 0.2]),
         oracles.Poly.single(0.0, 2.0, [v, d, 0.4j, -0.1]),
     )
-    y_true = TreeFunction(tr, 2, comps, phi)
+    y_true = tree_function(tr, 2, comps, phi)
     u = tuple(apply_operator(y_true, cs, j) for j in edges)
     return tr, cs, y_true, u
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 import treedamp
 import treedamp.config as config_mod
-from treedamp.config import (ConfigError, ProblemConfig, SolverOptions, _num, _num_out,
+from treedamp.config import (ConfigError, ProblemConfig, SolverOptions, _num,
                              control_from_file, control_text)
 from treedamp.cli import _write_csv, _write_rows, main
 from treedamp.damping import GramSystem, IndefiniteGramError, solve_damping
-from treedamp.piecewise import PiecewisePoly
+from treedamp.piecewise import EdgePieces, PiecewisePoly
 
 import oracles
 from oracles import eval_at
@@ -57,8 +58,8 @@ def test_shipped_configs_parse(name):
 
 @pytest.mark.parametrize("name", ["interval.json", "star.json", "smoothness_loss.json"])
 def test_canonical_form_is_idempotent(name):
-    d1 = ProblemConfig.from_file(CONFIGS / name).to_dict()
-    d2 = ProblemConfig.from_dict(d1).to_dict()
+    d1 = oracles.config_dict(ProblemConfig.from_file(CONFIGS / name))
+    d2 = oracles.config_dict(ProblemConfig.from_dict(d1))
     assert d1 == d2
 
 
@@ -90,8 +91,8 @@ def test_complex_entries_parse_as_pairs():
     cfg = ProblemConfig.from_dict(d)
     assert eval_at(cfg.coeffs.terms[cfg.n + 1, 1], 1.0) == 0.5 - 1.0j
     assert _num([0.5, -1.0], "x") == 0.5 - 1.0j
-    assert _num_out(0.5 - 1.0j) == [0.5, -1.0]
-    assert _num_out(2.0 + 0.0j) == 2.0
+    assert oracles.num_out(0.5 - 1.0j) == [0.5, -1.0]
+    assert oracles.num_out(2.0 + 0.0j) == 2.0
 
 
 def test_polynomial_and_piecewise_kinds():
@@ -169,10 +170,11 @@ def test_missing_key_messages_do_not_depend_on_the_hash_seed(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(_minimal_dict()))
     (tmp_path / "control.json").write_text(json.dumps({"edges": [{"id": 1}]}))
     script = """if True:
-        import sys
+        import json, sys
         from treedamp.config import ConfigError, ProblemConfig, control_from_file
         cfg = ProblemConfig.from_file(sys.argv[1] + "/config.json")
-        for read in (lambda: ProblemConfig.from_dict(dict(cfg.to_dict(), edges=[{"length": 2.0}])),
+        d = json.load(open(sys.argv[1] + "/config.json"))
+        for read in (lambda: ProblemConfig.from_dict(dict(d, edges=[{"length": 2.0}])),
                      lambda: control_from_file(sys.argv[1] + "/control.json", cfg)):
             try:
                 read()
@@ -226,9 +228,9 @@ def test_from_file_reports_json_position(tmp_path):
 def test_canonical_form_round_trips_through_a_file(tmp_path):
     cfg = ProblemConfig.from_file(CONFIGS / "star.json")
     out = tmp_path / "copy.json"
-    out.write_text(json.dumps(cfg.to_dict()))
+    out.write_text(json.dumps(oracles.config_dict(cfg)))
     again = ProblemConfig.from_file(out)
-    assert again.to_dict() == cfg.to_dict()
+    assert oracles.config_dict(again) == oracles.config_dict(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +250,8 @@ def test_an_explicit_zero_coefficient_is_absent():
         sols.append(solve_damping(cfg.tree, cfg.coeffs, cfg.history, q=8))
     assert len(sols[1].gram.weights) == len(sols[0].gram.weights) == 48
     assert sols[1].energy == sols[0].energy
-    assert ProblemConfig.from_dict(zero).to_dict() == ProblemConfig.from_dict(plain).to_dict()
+    assert (oracles.config_dict(ProblemConfig.from_dict(zero))
+            == oracles.config_dict(ProblemConfig.from_dict(plain)))
 
 
 def test_cli_damp_verify_simulate_cycle(tmp_path, capsys):
@@ -886,9 +889,10 @@ def _assert_coefficients_match_the_dense_tables(cfg, records):
     for f, j in zip(*np.nonzero(present)):
         fam, k = divmod(int(f), cfg.n + 1)
         dense.append({"edge": cfg.edge_ids[j], "family": "bc"[fam], "k": k,
-                      **config_mod._poly_out((b, c)[fam][k][j])})
+                      **oracles.poly_out((b, c)[fam][k][j])})
     dense.sort(key=lambda r: (r["family"], r["k"], r["edge"]))
-    assert json.dumps(cfg.to_dict()) == json.dumps(dict(cfg.to_dict(), coefficients=dense))
+    assert json.dumps(oracles.config_dict(cfg)) == json.dumps(dict(oracles.config_dict(cfg),
+                                                                   coefficients=dense))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1200,6 +1204,101 @@ def test_control_exchange_format_is_exact(tmp_path):
         assert diff.max_abs() == 0.0
 
 
+# reals with signed zeros, integral values, extremes and non-finite values,
+# each an entry alone or one part of a complex entry, whose imaginary part
+# may be +0.0 or -0.0
+_text_reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0**53, 1e300, 5e-324]),
+                        st.integers(-10**6, 10**6).map(float), st.floats())
+_text_entries = st.builds(complex, _text_reals, st.one_of(st.sampled_from([0.0, -0.0]), _text_reals))
+
+
+@st.composite
+def _text_edge(draw):
+    """A piecewise polynomial on [0, T] whose pieces list 1-4 coefficients
+    each, padded to the edge's widest piece."""
+    T = draw(st.sampled_from([1.0, 2.5, 3.0]))
+    inner = sorted(set(draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                                     max_size=3))))
+    breaks = np.array([0.0, *inner, T])
+    pieces = [np.array(draw(st.lists(_text_entries, min_size=1, max_size=4)))
+              for _ in range(len(breaks) - 1)]
+    return PiecewisePoly(breaks, pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(funcs=st.lists(_text_edge(), min_size=1, max_size=4))
+def test_control_text_from_the_table_equals_the_per_edge_writer(funcs):
+    # edges of different widths on one table, each written from its rows cut
+    # to its own width, give the bytes of the edge-by-edge writer
+    table = EdgePieces.of(funcs)
+    cfg = SimpleNamespace(edge_ids=tuple(range(5, 5 + len(funcs))))
+    assert control_text(cfg, table) == oracles.control_text(cfg.edge_ids, funcs)
+    assert control_text(cfg, funcs) == control_text(cfg, table)
+
+
+def _counting_polys(monkeypatch):
+    """Record, per PiecewisePoly built, whether a file parse was running."""
+    import treedamp.cli as cli_mod
+
+    made, parsing = [], [False]
+    init = PiecewisePoly.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(parsing[0])
+        init(self, *args, **kwargs)
+
+    def parse(read):
+        def wrapper(*args):
+            parsing[0] = True
+            try:
+                return read(*args)
+            finally:
+                parsing[0] = False
+        return wrapper
+
+    monkeypatch.setattr(PiecewisePoly, "__init__", counted)
+    monkeypatch.setattr(ProblemConfig, "from_file", classmethod(parse(ProblemConfig.from_file.__func__)))
+    monkeypatch.setattr(cli_mod, "control_from_file", parse(cli_mod.control_from_file))
+    return made
+
+
+@pytest.mark.parametrize("name", ["star.json", "star3.json", "smoothness_loss.json"])
+def test_commands_build_piecewise_polys_only_while_parsing(tmp_path, monkeypatch, capsys, name):
+    # the solve, the diagnostics and the files run on whole-tree tables:
+    # damp builds no PiecewisePoly past the problem file's parse, and
+    # simulate and verify none past the parse of the problem and the control
+    made = _counting_polys(monkeypatch)
+    cfg, out = str(CONFIGS / name), tmp_path / "damp"
+    assert main(["damp", "--config", cfg, "--out", str(out), "--q", "4"]) == 0
+    assert made and all(made)
+    made.clear()
+    assert main(["simulate", "--config", cfg, "--control", str(out / "control.json"),
+                 "--out", str(tmp_path / "sim"), "--q", "4"]) == 0
+    assert made and all(made)
+    made.clear()
+    assert main(["verify", "--config", cfg, "--solution", str(out)]) == 0
+    assert made and all(made)
+
+
+def test_cli_prints_a_warning_as_one_line(tmp_path, capsys):
+    # a boundary edge of 1.5 under tau = 1 at q = 1 leaves no free DOF: the
+    # short-edge warning is one line on stderr, and only for the call
+    path = tmp_path / "clamped.json"
+    problem = json.loads((CONFIGS / "interval.json").read_text())
+    problem["edges"][0]["length"] = 1.5
+    problem["solver"]["q"] = 1
+    path.write_text(json.dumps(problem))
+    before = warnings.showwarning
+    assert main(["damp", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert warnings.showwarning is before
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: boundary edge 1 is shorter than two delay spans; the rest "
+                            "window consumes most of it and the problem may be stiff\n")
+    assert "(ndof 0, q 1)" in captured.out
+    assert main(["damp", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.count("warning: boundary edge 1") == 1
+
+
 @pytest.mark.parametrize("name", ["star.json", "smoothness_loss.json"])
 def test_damp_control_file_reads_back_bitwise(tmp_path, name):
     # damp writes one edge record per line; what simulate and verify read
@@ -1283,6 +1382,6 @@ def test_csv_bytes_equal_the_per_edge_oracle(tmp_path_factory, funcs, nderiv):
     names = [f"y{k}" for k in range(nderiv)]
     edge_ids = tuple(range(3, 3 + len(funcs)))
     out = tmp_path_factory.mktemp("csv")
-    _write_csv(out / "table.csv", SimpleNamespace(edge_ids=edge_ids), funcs, names)
+    _write_csv(out / "table.csv", SimpleNamespace(edge_ids=edge_ids), EdgePieces.of(funcs), names)
     oracles.write_csv(out / "oracle.csv", edge_ids, funcs, names)
     assert (out / "table.csv").read_bytes() == (out / "oracle.csv").read_bytes()

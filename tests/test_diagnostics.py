@@ -10,7 +10,6 @@ from treedamp.piecewise import PiecewisePoly
 from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientSet,
-    TreeFunction,
     operator_components,
     variation_weights,
 )
@@ -28,7 +27,7 @@ from treedamp.diagnostics import (
 )
 
 import oracles
-from oracles import eval_at
+from oracles import eval_at, tree_function
 
 
 def _interval_fixture():
@@ -36,7 +35,7 @@ def _interval_fixture():
     cs = CoefficientSet.build(
         tr, 1, 1.0, b={(1, 1): 1.0, (0, 1): 0.5}, c={(1, 1): 0.25, (0, 1): -0.3}
     )
-    y = TreeFunction(
+    y = tree_function(
         tr, 1,
         (PiecewisePoly.from_global_coefs(0.0, 3.0, [1.0, 0.5, -0.25, 0.125]),),
         PiecewisePoly.from_global_coefs(-1.0, 0.0, [1.0, 0.5]),
@@ -87,7 +86,7 @@ def test_second_order_quasi_derivatives_closed_form():
     tr = interval(4.0)
     cs = CoefficientSet.build(tr, 2, tau, b={(2, 1): 1.0}, c={(1, 1): 1.0})
     poly = [0.3, -0.2, 0.5, 0.125, -0.0625]
-    y = TreeFunction(
+    y = tree_function(
         tr, 2,
         (PiecewisePoly.from_global_coefs(0.0, 4.0, poly),),
         PiecewisePoly.from_global_coefs(-tau, 0.0, poly),
@@ -128,7 +127,7 @@ def test_retarded_first_order_vertex_balance_reduction():
         PiecewisePoly.from_global_coefs(0.0, 2.0, [v, 0.7, -0.1]),
         PiecewisePoly.from_global_coefs(0.0, 2.0, [v, -0.4]),
     )
-    y = TreeFunction(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, [1.0, 1.0]))
+    y = tree_function(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, [1.0, 1.0]))
 
     qd = quasi_derivatives(cs, operator_components(y, cs))
     T1 = 2.0
@@ -237,7 +236,7 @@ def test_jump_table_records_known_kink():
         np.array([0.0, 0.7, 3.0]),
         [np.array([1.0, -1.0]), np.array([0.3, 2.0])],
     )
-    y = TreeFunction(tr, 1, (comp,), PiecewisePoly.constant(-1.0, 0.0, 1.0))
+    y = tree_function(tr, 1, (comp,), PiecewisePoly.constant(-1.0, 0.0, 1.0))
     qd = quasi_derivatives(cs, operator_components(y, cs))
     # y<1> = y', carrying the slope change 2 - (-1) = 3 at t = 0.7
     entries = oracles.poly(qd.function(1, 1)).jumps()

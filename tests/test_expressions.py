@@ -12,7 +12,6 @@ from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientError,
     CoefficientSet,
-    TreeFunction,
     apply_operator,
     lead_ins,
     operator_components,
@@ -20,7 +19,7 @@ from treedamp.expressions import (
 )
 
 import oracles
-from oracles import advanced_part, delayed_part, eval_at
+from oracles import advanced_part, delayed_part, eval_at, tree_function
 
 
 def test_reduced_length_interval_and_star():
@@ -159,7 +158,7 @@ def test_breakpoints_match_the_per_coefficient_rule(cs):
 def _tf_interval(coefs_y, coefs_phi, T=3.0, tau=1.0, n=1):
     y = PiecewisePoly.from_global_coefs(0.0, T, coefs_y)
     phi = PiecewisePoly.from_global_coefs(-tau, 0.0, coefs_phi)
-    return TreeFunction(interval(T), n, (y,), phi)
+    return tree_function(interval(T), n, (y,), phi)
 
 
 def test_eval_delayed_reads_history_and_parent():
@@ -176,7 +175,7 @@ def test_eval_delayed_reads_history_and_parent():
         PiecewisePoly.constant(0.0, 2.0, 5.0),
         PiecewisePoly.constant(0.0, 2.0, 7.0),
     )
-    w = TreeFunction(tr, 1, comps, PiecewisePoly.zero(-1.0, 0.0))
+    w = tree_function(tr, 1, comps, PiecewisePoly.zero(-1.0, 0.0))
     assert oracles.eval_delayed(w, 2, -0.5) == pytest.approx(1.5)  # y_1(2 - 0.5)
     assert oracles.eval_delayed(w, 3, -0.5, k=1) == pytest.approx(1.0)
 
@@ -200,7 +199,7 @@ def test_delayed_part_reads_parent_tail():
         PiecewisePoly.constant(0.0, 2.0, 0.0),
         PiecewisePoly.constant(0.0, 2.0, 0.0),
     )
-    y = TreeFunction(tr, 1, comps, PiecewisePoly.zero(-0.5, 0.0))
+    y = tree_function(tr, 1, comps, PiecewisePoly.zero(-0.5, 0.0))
     dp = delayed_part(y, 2)
     # on [0, tau): y_2(t - tau) = y_1(T_1 + t - tau)
     assert eval_at(dp, 0.2) == pytest.approx((2.0 + 0.2 - 0.5) ** 2)
@@ -218,7 +217,7 @@ def test_advanced_part_is_adjoint_of_delayed_part():
     def rand(T):
         return PiecewisePoly.from_global_coefs(0.0, T, rng.standard_normal(3) + 1j * rng.standard_normal(3))
 
-    y = TreeFunction(tr, 1, tuple(rand(T) for T in tr.lengths), PiecewisePoly.zero(-tau, 0.0))
+    y = tree_function(tr, 1, tuple(rand(T) for T in tr.lengths), PiecewisePoly.zero(-tau, 0.0))
     g = [rand(T) for T in tr.lengths]
     delayed = sum(oracles.inner(delayed_part(y, nu), g[nu - 1]) for nu in range(1, 4))
     advanced = 0.0j
@@ -292,7 +291,7 @@ def test_energy_is_nonnegative_quadratic():
             PiecewisePoly.from_global_coefs(0.0, 2.0, rng.standard_normal(3))
             for _ in range(3)
         )
-        y = TreeFunction(tr, 1, comps, PiecewisePoly.from_global_coefs(-0.5, 0.0, rng.standard_normal(2)))
+        y = tree_function(tr, 1, comps, PiecewisePoly.from_global_coefs(-0.5, 0.0, rng.standard_normal(2)))
         assert oracles.energy(y, cs) >= 0.0
 
 
@@ -307,7 +306,7 @@ def _admissible_star_pair(rng, tau=0.5):
         PiecewisePoly.from_global_coefs(0.0, 2.0, rng.standard_normal(4))
         for _ in range(3)
     )
-    y = TreeFunction(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, rng.standard_normal(2)))
+    y = tree_function(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, rng.standard_normal(2)))
 
     # w: cubic bump vanishing at 0 on the root, matched values at the vertex,
     # boundary components decaying to zero before T - tau and resting after.
@@ -325,7 +324,7 @@ def _admissible_star_pair(rng, tau=0.5):
         ramps.append(ramp)
     # vertex matching needs w_2(0) = w_3(0) = w_1(2): rescale the second ramp
     w2, w3 = ramps[0], oracles.poly(ramps[1]) * 0.5
-    w = TreeFunction(tr, 1, (w1, w2, w3), PiecewisePoly.zero(-tau, 0.0))
+    w = tree_function(tr, 1, (w1, w2, w3), PiecewisePoly.zero(-tau, 0.0))
     assert oracles.vertex_defect(w) < 1e-12 and oracles.history_defect(w) < 1e-12
     return tr, y, w
 
@@ -373,7 +372,7 @@ def test_variation_weights_star_late_window_uses_children():
         PiecewisePoly.from_global_coefs(0.0, 2.0, rng.standard_normal(3))
         for _ in range(3)
     )
-    y = TreeFunction(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, rng.standard_normal(2)))
+    y = tree_function(tr, 1, comps, PiecewisePoly.from_global_coefs(-tau, 0.0, rng.standard_normal(2)))
     ells = [apply_operator(y, cs, j) for j in range(1, 4)]
     T1 = 2.0
     for k in (0, 1):
@@ -395,7 +394,7 @@ def test_tree_function_defect_reports():
         PiecewisePoly.constant(0.0, 2.0, 1.0),
         PiecewisePoly.constant(0.0, 2.0, 4.0),  # vertex mismatch of 3
     )
-    y = TreeFunction(tr, 1, comps, PiecewisePoly.constant(-0.5, 0.0, 1.0))
+    y = tree_function(tr, 1, comps, PiecewisePoly.constant(-0.5, 0.0, 1.0))
     assert oracles.vertex_defect(y) == pytest.approx(3.0)
     assert oracles.history_defect(y) == pytest.approx(0.0)
     assert oracles.smoothness_defect(y) == pytest.approx(0.0)
@@ -461,7 +460,7 @@ def _random_problem(seed):
     cs = CoefficientSet.build(tr, n, tau, b=b, c=c)
     comps = tuple(_random_piecewise(rng, 0.0, tr.length(j), int(rng.integers(1, 6)), 2 * n)
                   for j in range(1, m + 1))
-    y = TreeFunction(tr, n, comps, _random_piecewise(rng, -tau, 0.0, int(rng.integers(1, 3)), 3))
+    y = tree_function(tr, n, comps, _random_piecewise(rng, -tau, 0.0, int(rng.integers(1, 3)), 3))
     return cs, y
 
 
@@ -476,6 +475,11 @@ def test_operator_table_matches_symbolic_route(seed):
     got = operator_components(y, cs)
     want = oracles.operator_components(y, cs)
     scale = max(np.abs(p.coefs).max() for p in want)
+    # one table as wide as its widest edge, +0.0 past each edge's width
+    pad = np.arange(got.table.shape[1]) >= got.widths[got.pieces.edge, None]
+    assert got.table.shape[1] == got.widths.max()
+    assert not got.table[pad].any()
+    assert not np.signbit(got.table[pad].real).any() and not np.signbit(got.table[pad].imag).any()
     for j, (a, b) in enumerate(zip(got, want), start=1):
         np.testing.assert_array_equal(a.breaks, b.breaks)
         assert a.coefs.shape == b.coefs.shape
@@ -528,7 +532,7 @@ def test_gather_picks_the_row_of_a_sliver_cell_deep_in_a_tree():
     kink = PiecewisePoly(np.array([0.0, 0.2, length]), [np.array([1.0]), np.array([2.0, 0.5])])
     cs = CoefficientSet.build(tr, 1, tau, b={(1, j): 1.0 for j in range(1, 9)} | {(0, 8): step},
                               c={(0, 8): kink})
-    y = TreeFunction(tr, 1, tuple(comps), PiecewisePoly.zero(-tau, 0.0))
+    y = tree_function(tr, 1, tuple(comps), PiecewisePoly.zero(-tau, 0.0))
     got = operator_components(y, cs)[7]
     want = oracles.apply_operator(y, cs, 8)
     np.testing.assert_array_equal(got.breaks, want.breaks)

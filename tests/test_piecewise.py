@@ -244,13 +244,13 @@ def _ref_refined(p, extra):
     """Breaks and per-piece coefficients of ``p`` refined onto ``extra``,
     one piece at a time: each new piece re-centres the old piece holding
     its midpoint."""
-    tol = p._tol()
+    tol = oracles.break_tol(p)
     a, b = p.domain
     extra = [x for x in extra if a + tol < x < b - tol]
     breaks = merge_breaks([p.breaks, extra], tol) if extra else p.breaks
     pieces = []
     for i in range(len(breaks) - 1):
-        j = p._piece_at(0.5 * (breaks[i] + breaks[i + 1]))
+        j = oracles.piece_at(p, 0.5 * (breaks[i] + breaks[i + 1]))
         pieces.append(_poly_shift(np.array(p.coefs[j]), breaks[i] - p.breaks[j]))
     return breaks, pieces
 
@@ -289,7 +289,7 @@ def test_refined_matches_per_piece_shifts(data):
 @settings(max_examples=60, deadline=None)
 @given(pw_polys(), pw_polys())
 def test_sum_and_product_match_per_piece_algebra(p, q):
-    tol = max(p._tol(), q._tol())
+    tol = max(oracles.break_tol(p), oracles.break_tol(q))
     merged = merge_breaks([p.breaks, q.breaks], tol)
     breaks, pp = _ref_refined(p, merged)
     _, qq = _ref_refined(q, merged)
