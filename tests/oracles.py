@@ -805,13 +805,20 @@ def trajectory_distance(y, z) -> float:
     return math.sqrt(sum((poly(a) - b).l2_norm_sq() for a, b in zip(y.components, z.components)))
 
 
-def solve_cauchy(tree, coeffs, phi, control, mesh) -> TreeFunction:
+def solve_cauchy(tree, coeffs, phi, control, mesh, terms=False):
     """Forward simulation edge by edge, the reference for
     :func:`treedamp.cauchy.solve_cauchy`: per edge, one inverted ``(elements,
-    deg, deg)`` collocation stack (refined twice), delayed reads before the
-    edge or in its first delay window evaluated on the history or on the
-    parent's finished component, and a sweep of the edge's delay windows
-    with the ``n``-vector state chain element by element."""
+    deg, deg)`` collocation stack (LAPACK, refined twice), delayed reads
+    before the edge or in its first delay window evaluated on the history or
+    on the parent's finished component, and a sweep of the edge's delay
+    windows with the ``n``-vector state chain element by element.
+
+    With ``terms``, also the largest term summed on the way to the
+    trajectory's derivatives below ``n``: the largest entry, over the
+    elements, of ``|B P_e| |state_e| + |B Q_e| |rhs_e|`` (the state chain)
+    and of those derivatives of ``x_e = P_e state_e + Q_e rhs_e`` bounded
+    term by term on the element.  It is the scale of their roundoff, which
+    exceeds the trajectory's own where the integrated control cancels."""
     n = coeffs.n
     tau = coeffs.tau
     reach = tau * (1 + 1e-9)
@@ -834,6 +841,7 @@ def solve_cauchy(tree, coeffs, phi, control, mesh) -> TreeFunction:
 
     comps = []
     exits = []  # each edge's state at its far end
+    summed = 0.0
     for j in range(1, tree.m + 1):
         xs = mesh.nodes[j - 1]
         h = np.diff(xs)
@@ -888,11 +896,18 @@ def solve_cauchy(tree, coeffs, phi, control, mesh) -> TreeFunction:
                 state = BP[e] @ state + carry[e - a]
             x = np.einsum("eij,ej->ei", P[w], states[w]) + np.einsum("eij,ej->ei", Q[w], rhs[w])
             coef[w] = x * inv_h[w]
+            summed = max(summed, np.max(np.einsum("eij,ej->ei", np.abs(BP[w]), np.abs(states[w]))
+                                        + np.einsum("eij,ej->ei", np.abs(BQ[w]), np.abs(rhs[w]))))
+            tx = np.einsum("eij,ej->ei", np.abs(P[w]), np.abs(states[w])) + \
+                np.einsum("eij,ej->ei", np.abs(Q[w]), np.abs(rhs[w]))
+            for k in range(n):  # bounds the terms of derivative k anywhere on the element
+                summed = max(summed, np.max(tx @ derivative_powers([1.0], k, deg)[0] * inv_h[w, k]))
             a = last[a]
         comps.append(PiecewisePoly._of(xs, coef))
         exits.append(state)
 
-    return tree_function(tree, n, comps, phi)
+    y = tree_function(tree, n, comps, phi)
+    return (y, summed) if terms else y
 
 
 def weak_residual_symbolic(y, basis, coeffs) -> dict:

@@ -4,16 +4,20 @@ import math
 import sys
 from pathlib import Path
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from treedamp.piecewise import PiecewisePoly
+from treedamp.piecewise import PiecewisePoly, gauss_legendre
 from treedamp.trees import build_tree, interval, star
 from treedamp.config import ProblemConfig
 from treedamp.expressions import CoefficientSet, apply_operator
 from treedamp.meshing import Basis, DelayMesh, MeshError, build_mesh, history_lift
 from treedamp.damping import default_mesh, solve_damping
-from treedamp.cauchy import residual_ell, solve_cauchy
+from treedamp.cauchy import _inverse, _mul, residual_ell, solve_cauchy
 from treedamp.cli import main
 
 import oracles
@@ -262,13 +266,15 @@ NONDYADIC = {
 }
 
 
-@pytest.mark.parametrize("case", ["nondyadic", "binary", "single edge"])
+@pytest.mark.parametrize("case", ["nondyadic", "binary", "order 3", "single edge"])
 def test_depth_sweep_matches_the_edge_by_edge_oracle(case):
     # the sweep steps every window of a depth together and pads the shorter
     # ones; the oracle sweeps each edge's windows on their own
     rng = np.random.default_rng(5)
     if case == "binary":  # tau 0.75, so that not every window holds q elements
         (tr, cs, phi), q = _binary_tree(rng, 4, 2, 0.75), 4
+    elif case == "order 3":  # 4 Gauss points per element, so 4 x 4 blocks
+        (tr, cs, phi), q = _binary_tree(rng, 3, 3, 0.75), 4
     else:
         cfg = ProblemConfig.from_dict(NONDYADIC) if case == "nondyadic" else \
             ProblemConfig.from_file(CONFIGS / "smoothness_loss.json")
@@ -304,6 +310,112 @@ def test_an_overflow_inside_a_padded_depth_names_its_edge():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match="trajectory overflowed on edge id 7$"):
             solve_cauchy(tr, cs, phi, tuple(u), mesh)
+
+
+def _complex_stack(data, shape):
+    parts = data.draw(arrays(np.float64, (2,) + shape, elements=st.floats(-1.0, 1.0, allow_subnormal=False),
+                             fill=st.nothing()))  # every entry drawn: no repeated fill value
+    return parts[0] + 1j * parts[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([3, 4]), st.integers(1, 5), st.booleans())
+def test_stacked_kernels_match_lapack_and_matmul(data, g, E, zero_lead):
+    # the entries-major (rows, cols, elements) inverse and products against
+    # numpy's per-element ones; a zero leading entry needs no pivot
+    a = _complex_stack(data, (g, g, E))
+    if zero_lead:
+        a[0, 0] = 0.0
+    blocks = a.transpose(2, 0, 1)
+    cond = np.linalg.cond(blocks)
+    assume(np.all(cond < 1e10))
+    want = np.linalg.inv(blocks)
+    err = np.abs(_inverse(a, np.arange(E)).transpose(2, 0, 1) - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * cond * np.abs(want).max(axis=(1, 2)))
+    b = _complex_stack(data, (g, 2, E))
+    want = blocks @ b.transpose(2, 0, 1)
+    scale = np.abs(blocks) @ np.abs(b.transpose(2, 0, 1))
+    assert np.all(np.abs(_mul(a, b).transpose(2, 0, 1) - want) <= 4e-16 * g * scale)
+
+
+def test_a_singular_block_names_its_edge():
+    # a zero row or column makes the determinant exactly zero; the first
+    # singular block's edge id is named
+    a = np.tile(np.eye(3, dtype=complex)[..., None], 4) * 2.0
+    a[1, :, 2] = 0.0
+    a[:, 0, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="block of an element on edge id 12 is singular$"):
+        _inverse(a, np.array([10, 11, 12, 13]))
+
+
+def _leading_zero_config():
+    # y' + b_0 y = u on one edge, one element per delay: every block's
+    # leading entry b_1/h + b_0 sigma_0 cancels, to roundoff or exactly,
+    # since b_0 = -1/sigma_0, sigma_0 the first Gauss point on [0, 1]
+    sigma0 = 0.5 * (gauss_legendre(3)[0][0] + 1.0)
+    return {"order": 1, "delay": 1.0, "edges": [{"id": 5, "parent": 0, "length": 2.0}],
+            "coefficients": [{"edge": 5, "family": "b", "k": 1, "kind": "constant", "data": 1.0},
+                             {"edge": 5, "family": "b", "k": 0, "kind": "constant", "data": -1.0 / sigma0},
+                             {"edge": 5, "family": "c", "k": 0, "kind": "constant", "data": 0.5}],
+            "history": {"kind": "polynomial", "data": [1.0, 0.5]},
+            "solver": {"q": 1, "tolerance": 1e-9}}
+
+
+def test_a_cancelled_leading_entry_simulates_as_the_oracle(tmp_path):
+    cfg = ProblemConfig.from_dict(_leading_zero_config())
+    tr, cs, phi = cfg.tree, cfg.coeffs, cfg.history
+    mesh = default_mesh(tr, cs, 1)
+    assert mesh.elements.h.tolist() == [1.0, 1.0]
+    u = (PiecewisePoly.from_global_coefs(0.0, 2.0, [0.25, -1.0]),)
+    y, want = solve_cauchy(tr, cs, phi, u, mesh), oracles.solve_cauchy(tr, cs, phi, u, mesh)
+    assert np.all(np.isfinite(y.components.table))
+    gap, size = (np.max(np.abs(v)) for v in (_samples(y, 1) - _samples(want, 1), _samples(want, 1)))
+    assert gap <= 1e-12 * size
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_leading_zero_config()))
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"edges": [{"id": 5, "breaks": [0.0, 2.0], "pieces": [[0.25, -1.0]]}]}))
+    assert main(["simulate", "--config", str(path), "--control", str(control), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_a_singular_block_is_a_numerical_failure_naming_its_edge(tmp_path, capsys):
+    # under a delay of 1e200, h^-2 underflows to zero, so every block of
+    # edge 7 (b_2 = 1 only) is zero; edge 1's b_0 = 1 keeps its blocks
+    # nonsingular, so the edge named is 7, not the first in the file
+    problem = {"order": 2, "delay": 1e200,
+               "edges": [{"id": 1, "parent": 0, "length": 2e200}, {"id": 7, "parent": 1, "length": 2e200}],
+               "coefficients": [{"edge": 1, "family": "b", "k": 2, "kind": "constant", "data": 1.0},
+                                {"edge": 1, "family": "b", "k": 0, "kind": "constant", "data": 1.0},
+                                {"edge": 7, "family": "b", "k": 2, "kind": "constant", "data": 1.0}],
+               "history": {"kind": "polynomial", "data": [1.0]},
+               "solver": {"q": 2, "tolerance": 1e-9}}
+    path, control = tmp_path / "problem.json", tmp_path / "control.json"
+    path.write_text(json.dumps(problem))
+    control.write_text(json.dumps({"edges": [{"id": e, "breaks": [0.0, 2e200], "pieces": [[0.0]]}
+                                             for e in (1, 7)]}))
+    assert main(["simulate", "--config", str(path), "--control", str(control), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "collocation block of an element on edge id 7 is singular" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["smoothness_loss.json", "star3.json"])
+def test_simulate_makes_no_linalg_call(name, tmp_path, monkeypatch):
+    # every block is inverted and multiplied by the stacked kernels, for
+    # order 2 (3 x 3 blocks) and order 3 (4 x 4)
+    cfg = ProblemConfig.from_file(CONFIGS / name)
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"edges": [{"id": e, "breaks": [0.0, cfg.tree.length(j)], "pieces": [[0.5, -0.25]]}
+                                             for j, e in enumerate(cfg.edge_ids, start=1)]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for fn in ("solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(CONFIGS / name), "--control", str(control), "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
 
 
 def test_history_off_the_delay_window_is_rejected():

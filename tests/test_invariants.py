@@ -132,11 +132,16 @@ def test_damping_then_simulating_reproduces_the_trajectory(problem):
 @settings(max_examples=150, deadline=None)
 @given(problems())
 def test_forward_simulation_matches_the_edge_by_edge_oracle(problem):
-    # the whole-tree element table against the per-edge collocation sweep
+    # the whole-tree element table against the per-edge collocation sweep:
+    # the same method in other summation orders and another inverse, so they
+    # differ by roundoff on the scale of the largest term summed into the
+    # state chain and the coefficients, which a damped trajectory itself can
+    # fall far below
     sol = _solve(problem)
     args = (sol.mesh.tree, sol.coeffs, sol.y.history, sol.control, sol.mesh)
-    gap, size = _gap(oracles.solve_cauchy(*args), solve_cauchy(*args))
-    assert gap <= 1e-12 * size
+    want, summed = oracles.solve_cauchy(*args, terms=True)
+    gap, size = _gap(want, solve_cauchy(*args))
+    assert gap <= 1e-12 * max(size, summed)
 
 
 @settings(max_examples=20, deadline=None)
