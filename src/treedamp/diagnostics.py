@@ -79,7 +79,7 @@ def quasi_derivatives(coeffs: CoefficientSet, ells) -> QuasiDerivativeSet:
     cells, one whole-tree table per order, purely symbolically.
     """
     n = coeffs.n
-    cells, weights = _weight_table(coeffs, ells, range(n + 1))
+    cells, weights = _weight_table(coeffs, ells)
     tables = {n: weights[:, n]}
     for k in range(n + 1, 2 * n + 1):
         below = _poly_der(tables[k - 1])

@@ -12,12 +12,15 @@ This module holds the data types for coefficient families and trajectories
 plus the exact algebra on them after the solve: the control ``L y``
 (:func:`operator_components`) and the weights of the re-indexed first
 variation (:func:`variation_weights`) that the diagnostics are built on.
-A :class:`CoefficientSet` stores only the coefficients it is given; a
-missing one is zero, and its terms are skipped everywhere.
+A :class:`CoefficientSet` stores only the coefficients it is given, and
+reads them from one table of every family on every edge; a missing one is
+zero, and its terms are skipped everywhere.
 
 Both take and give whole-tree tables
 (:class:`~treedamp.piecewise.EdgeFunctions`), a trajectory's components
-included, in a fixed number of array passes.  Every edge's cells are sorted
+included, in a fixed number of array passes, and always for every edge and
+every order: :func:`apply_operator` and :func:`variation_weights` are views
+of one edge and one order of those tables.  Every edge's cells are sorted
 in one pass; the rows a cell needs come in by one gather per kind of read:
 the trajectory at ``t`` and at ``t - tau`` (its lead-in), every
 coefficient, and for the weights the delayed products coming back to where
@@ -33,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .piecewise import (SAME_POLY_RTOL, EdgeFunctions, EdgePieces, PiecewisePoly, _abs_min,
-                        _convolve, _find, _gather, _poly_der, _ragged, _taylor_shift, _unique,
+                        _convolve, _find, _gather, _poly_der, _ragged, _taylor_shift,
                         as_edge_functions)
 from .trees import Tree
 
@@ -62,14 +65,16 @@ class _Families(NamedTuple):
     ``table`` has one row per piece of ``cells``, the union of all the
     coefficients' pieces of an edge, and one column per family ``f``
     (``b_0..b_n``, then ``c_0..c_n``).  ``widths[f, j]`` is the
-    coefficient's own table width, and ``breaks`` holds the ``(family,
-    edge, point)`` breaks of the present ones.
+    coefficient's own table width, ``present[f, j]`` whether it has a
+    nonzero coefficient, and ``breaks`` holds the ``(family, edge, point)``
+    breaks of the present ones.
     """
 
     cells: EdgePieces
     table: np.ndarray
     widths: np.ndarray
     breaks: tuple
+    present: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,8 @@ class CoefficientSet:
             (f, j), i = keys[bad[0]], bad[0]
             raise CoefficientError(f"{'bc'[f > self.n]}[{f % (self.n + 1)}] on edge {j} has "
                                    f"domain [{lo[i]}, {hi[i]}], expected [0, {T[i]}]")
-        lead = EdgePieces.of(self.terms[self.n, j] for j in range(1, self.tree.m + 1))
-        least = lead.pieces.per_edge(_abs_min(lead.table, lead.pieces.h), np.inf).min(axis=1)
+        cells, table = self._families.cells, self._families.table
+        least = cells.per_edge(_abs_min(table[:, self.n], cells.h), np.inf).min(axis=1)
         bad = np.flatnonzero(least < self.MIN_LEADING)
         if bad.size:
             raise CoefficientError(
@@ -121,21 +126,19 @@ class CoefficientSet:
                 f"|.| = {least[bad[0]]:.3e}; it must stay away from zero"
             )
 
-    @cached_property
+    @property
     def present(self) -> np.ndarray:
         """``present[f, j-1]``: whether family ``f`` (``b_0..b_n``, then
         ``c_0..c_n``) is present on edge ``j``, that is, has a nonzero
         coefficient.  Every term of an absent one is skipped."""
-        out = np.zeros((2 * self.n + 2, self.tree.m), dtype=bool)
-        f, j = np.array(list(self.terms)).T
-        out[f, j - 1] = [p.coefs.any() for p in self.terms.values()]
-        return out
+        return self._families.present
 
     @cached_property
     def _families(self) -> "_Families":
         """Every family (``b_0..b_n``, then ``c_0..c_n``) on each edge's
-        common pieces, built on first use: each term's rows are gathered
-        onto the cells of its edge, and a missing term's stay zero."""
+        common pieces, from one table of the terms: each term's rows are
+        gathered onto the cells of its edge, and a missing term's stay
+        zero."""
         m, count, keys = self.tree.m, 2 * self.n + 2, sorted(self.terms)
         fam, edge = np.array(keys).T
         edge = edge - 1
@@ -150,9 +153,11 @@ class CoefficientSet:
                                       cells.left[at])
         widths = np.ones((count, m), dtype=int)
         widths[fam, edge] = given.widths
+        present = np.zeros((count, m), dtype=bool)
+        present[fam, edge] = np.logical_or.reduceat(table.any(axis=1), pieces.offsets[:-1])
         fam, edge = fam[pieces.break_edge], edge[pieces.break_edge]
-        live = self.present[fam, edge]
-        return _Families(cells, rows, widths, (fam[live], edge[live], pieces.breaks[live]))
+        live = present[fam, edge]
+        return _Families(cells, rows, widths, (fam[live], edge[live], pieces.breaks[live]), present)
 
     def values(self, edge: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Every family at the points ``(edge, t)`` (0-based edges), one row
@@ -189,7 +194,7 @@ class CoefficientSet:
 
         Missing entries are zero coefficients; ``b[(n, j)]`` is required for
         every edge, and a key outside ``k = 0..n``, ``j = 1..m`` is rejected.
-        Scalars are promoted to constants on ``[0, T_j]``.
+        Scalars, which must be finite, are promoted to constants on ``[0, T_j]``.
         """
 
         valid = {(k, j) for k in range(n + 1) for j in range(1, tree.m + 1)}
@@ -198,32 +203,16 @@ class CoefficientSet:
                 if key not in valid:
                     raise CoefficientError(f"{name}[{key!r}] is outside k = 0..{n}, j = 1..{tree.m}")
 
-        def promote(val, j):
+        def promote(val, name, k, j):
             if isinstance(val, PiecewisePoly):
                 return val
+            if not np.isfinite(complex(val)):
+                raise CoefficientError(f"{name}[{k}] on edge {j} is {val}; it must be finite")
             return PiecewisePoly._of(np.array([0.0, tree.length(j)]), np.full((1, 1), complex(val)))
 
-        terms = {(k, j): promote(val, j) for (k, j), val in b.items()}
-        terms.update({(n + 1 + k, j): promote(val, j) for (k, j), val in c.items()})
+        terms = {(k, j): promote(val, "b", k, j) for (k, j), val in b.items()}
+        terms.update({(n + 1 + k, j): promote(val, "c", k, j) for (k, j), val in c.items()})
         return cls(tree=tree, n=n, tau=tau, terms=terms)
-
-    def _select(self, fams, edges: np.ndarray):
-        """The coefficient families ``fams`` (indices into ``b_0..b_n,
-        c_0..c_n``) on the 0-based ``edges`` (ascending).
-
-        Returns the rows of their common pieces as ``(label, left, table)``,
-        labelled by the edge's position in ``edges`` and with one column of
-        ``table`` per family, and the breaks of the coefficients that are not
-        zero as ``(position, point)``."""
-        cells, table, _, (fam, edge, points) = self._families
-        pos = np.full(self.tree.m, -1)
-        pos[edges] = np.arange(len(edges))
-        wanted = np.zeros(2 * self.n + 2, dtype=bool)
-        wanted[list(fams)] = True
-        keep = pos[cells.edge] >= 0
-        rows = pos[cells.edge[keep]], cells.left[keep], table[keep][:, list(fams)]
-        keep = wanted[fam] & (pos[edge] >= 0)
-        return rows, (pos[edge[keep]], points[keep])
 
 
 @dataclass(frozen=True)
@@ -262,22 +251,28 @@ class TreeFunction:
         return self._combine(other, np.subtract)
 
     def _with_history(self) -> EdgeFunctions:
-        """The history and then the components, edges ``0..m`` of one table."""
+        """The components (edges ``0..m-1``) and then the history (edge
+        ``m``) on one table."""
         comps, phi = self.components, self.history
         (rows, hw), w = phi.coefs.shape, comps.table.shape[1]
-        table = np.zeros((rows + len(comps.pieces.edge), max(w, hw)), dtype=complex)
-        table[:rows, :hw], table[rows:, :w] = phi.coefs, comps.table
-        pieces = EdgePieces(np.append(phi.breaks, comps.pieces.breaks),
-                            np.append(0, rows + comps.pieces.offsets))
-        return EdgeFunctions(pieces, table, np.append(hw, comps.widths))
+        own = len(comps.pieces.edge)
+        table = np.zeros((own + rows, max(w, hw)), dtype=complex)
+        table[:own, :w], table[own:, :hw] = comps.table, phi.coefs
+        pieces = EdgePieces(np.append(comps.pieces.breaks, phi.breaks),
+                            np.append(comps.pieces.offsets, own + rows))
+        return EdgeFunctions(pieces, table, np.append(comps.widths, hw))
 
     def _combine(self, other: "TreeFunction", op) -> "TreeFunction":
         """``op`` of the two trajectories on their common cells, the
-        history riding along as one more edge."""
+        history riding along as one more edge after the last."""
         mine, theirs = self._with_history(), other._with_history()
         cells, a, b = EdgePieces.common(mine, theirs)
         both = EdgeFunctions(cells, op(a, b), np.maximum(mine.widths, theirs.widths))
-        return TreeFunction(self.tree, self.n, both.take(np.arange(1, self.tree.m + 1)), both[0])
+        m = self.tree.m
+        own = cells.offsets[m]
+        comps = EdgeFunctions(EdgePieces(cells.breaks[: own + m], cells.offsets[: m + 1]),
+                              both.table[:own, : both.widths[:m].max()], both.widths[:m])
+        return TreeFunction(self.tree, self.n, comps, both[m])
 
 
 def lead_ins(pieces: EdgePieces, head: np.ndarray, end: np.ndarray, tau: float) -> tuple:
@@ -302,52 +297,45 @@ def lead_ins(pieces: EdgePieces, head: np.ndarray, end: np.ndarray, tau: float) 
             np.append(end[head[reader]].repeat(size), np.zeros(own))[order])
 
 
-def _trajectory_reads(y: TreeFunction, edges: np.ndarray, delayed: np.ndarray, points):
-    """The cells of the 1-based ``edges`` (ascending) and the trajectory on
-    them, laid out after the heads that are not among them (the history, a
-    parent), whose :func:`lead_ins` serve the reads at ``t - tau``.
+def _trajectory_reads(y: TreeFunction, delayed: np.ndarray, points):
+    """The cells of every edge and the trajectory on them, read at ``t -
+    tau`` through :func:`lead_ins`: the root's from the history, laid out
+    after the last edge.
 
-    The cells of edge ``j`` are its nodes, the ``points`` given as ``(edge
-    position, point)`` and, where ``delayed`` holds, the right ends of its
-    lead-in's pieces moved onto ``t``.  Returns the cells, the ``(2 * rows,
-    width)`` table of the trajectory on every cell at ``t`` and then at ``t
-    - tau``, and per edge the widths of those two reads.
+    The cells of edge ``j`` are its nodes, the ``points`` given as ``(edge,
+    point)`` and, where ``delayed`` holds, the right ends of its lead-in's
+    pieces moved onto ``t``.  Returns the cells, the ``(2 * rows, width)``
+    table of the trajectory on every cell at ``t`` and then at ``t - tau``,
+    and per edge the widths of those two reads.
     """
-    tree, tau, k = y.tree, y.tau, len(edges)
-    lengths = np.append(0.0, tree.lengths)  # index 0: the history, moved back by nothing
-    par = np.asarray(tree.parent)[edges - 1]
-    heads = np.ones(tree.m + 1, dtype=bool)
-    heads[edges] = False
-    order = np.concatenate([edges, _unique(par[heads[par]])])
-    every = y._with_history()  # edge 0 the history, edge j the component of edge j
-    funcs = every.take(order)
-    pieces, table = funcs.pieces, funcs.table
-    at = np.zeros(tree.m + 1, dtype=int)
-    at[order] = np.arange(len(order))
-    edge, src, shift = lead_ins(pieces, at[par], lengths[order], tau)
-    own, use = pieces.offsets[k], delayed[edge]
+    tree, tau, m = y.tree, y.tau, y.tree.m
+    lengths = np.append(tree.lengths, 0.0)  # edge m: the history, moved back by nothing
+    parent = np.asarray(tree.parent)
+    head = np.where(parent > 0, parent - 1, m)
+    every = y._with_history()
+    pieces, table = every.pieces, every.table
+    edge, src, shift = lead_ins(pieces, head, lengths, tau)
+    own, use = pieces.offsets[m], delayed[edge]
     right = pieces.breaks[src + pieces.edge[src] + 1] + (tau - shift)  # on t, as the cells are
-    cells = EdgePieces.merged(np.concatenate([pieces.break_edge[: own + k], points[0], edge[use]]),
-                              np.concatenate([pieces.breaks[: own + k], points[1], right[use]]),
-                              np.zeros(k), lengths[edges])
+    cells = EdgePieces.merged(np.concatenate([pieces.break_edge[: own + m], points[0], edge[use]]),
+                              np.concatenate([pieces.breaks[: own + m], points[1], right[use]]),
+                              np.zeros(m), lengths[:m])
     reads = _gather(np.concatenate([table[:own], table[src]]),
-                   np.concatenate([pieces.edge[:own], k + edge]),
+                   np.concatenate([pieces.edge[:own], m + edge]),
                    np.concatenate([pieces.left[:own], pieces.left[src] + (tau - shift)]),
-                   np.concatenate([cells.edge, k + cells.edge]),
+                   np.concatenate([cells.edge, m + cells.edge]),
                    np.concatenate([cells.mid, cells.mid]), np.concatenate([cells.left, cells.left]))
-    return cells, reads, every.widths[edges], np.maximum(every.widths[edges], every.widths[par])
+    return cells, reads, every.widths[:m], np.maximum(every.widths[:m], every.widths[head])
 
 
-def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
-    """``L_j y`` for the 1-based ``edges`` (ascending) on one table, each
+def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> EdgeFunctions:
+    """``L_j y`` of every edge ``j`` at index ``j - 1``, on one table, each
     edge as wide as the algebra of its terms gives, so that a view has no
     padding beyond it, and +0.0 past that width."""
-    n = coeffs.n
-    (c_label, c_left, c_table), points = coeffs._select(range(2 * n + 2), edges - 1)
-    present = coeffs.present[:, edges - 1]
-    cells, reads, wy, wd = _trajectory_reads(y, edges, present[n + 1 :].any(axis=0), points)
+    n, (c_cells, c_table, c_widths, (_, *points), present) = coeffs.n, coeffs._families
+    cells, reads, wy, wd = _trajectory_reads(y, present[n + 1 :].any(axis=0), points)
     R = len(cells.edge)
-    coefs = _gather(c_table, c_label, c_left, cells.edge, cells.mid, cells.left)
+    coefs = _gather(c_table, c_cells.edge, c_cells.left, cells.edge, cells.mid, cells.left)
     acc = np.zeros((R, 1), dtype=complex)
     for k in range(n + 1):
         for f, rows in ((k, reads[:R]), (n + 1 + k, reads[R:])):
@@ -358,28 +346,22 @@ def _operator_table(y: TreeFunction, coeffs: CoefficientSet, edges: np.ndarray):
                 acc[:, : term.shape[1]] += term
 
     k = np.arange(n + 1)[:, None]
-    term_w = coeffs._families.widths[:, edges - 1] - 1 + np.concatenate([np.maximum(wy - k, 1),
-                                                                np.maximum(wd - k, 1)])
+    term_w = c_widths - 1 + np.concatenate([np.maximum(wy - k, 1), np.maximum(wd - k, 1)])
     widths = np.where(present, term_w, 1).max(axis=0)
     acc = acc[:, : widths.max()]
     acc[np.arange(acc.shape[1]) >= widths[cells.edge, None]] = 0.0  # a swap may leave -0.0 there
     return EdgeFunctions(cells, acc, widths)
 
 
-def operator_components(y: TreeFunction, coeffs: CoefficientSet) -> EdgeFunctions:
-    """``L_j y`` of every edge ``j`` at index ``j - 1``, on one table."""
-    return _operator_table(y, coeffs, np.arange(1, y.tree.m + 1))
-
-
 def apply_operator(y: TreeFunction, coeffs: CoefficientSet, j: int) -> PiecewisePoly:
-    """The edge operator ``L_j y`` on ``[0, T_j]``, from edge ``j``'s own
-    pieces and its lead-in's only."""
-    return _operator_table(y, coeffs, np.array([j]))[0]
+    """The edge operator ``L_j y`` on ``[0, T_j]``: edge ``j`` of
+    :func:`operator_components`."""
+    return operator_components(y, coeffs)[j - 1]
 
 
-def _weight_table(coeffs: CoefficientSet, ells, ks):
-    """The weights of ``conj(w^(k))`` for every ``k`` of ``ks`` and every
-    edge, on one set of cells per edge: the layout and a ``(rows, len(ks),
+def _weight_table(coeffs: CoefficientSet, ells):
+    """The weights of ``conj(w^(k))`` for every ``k = 0..n`` and every
+    edge, on one set of cells per edge: the layout and a ``(rows, n + 1,
     width)`` table.
 
     The products ``conj(b_k) ell`` and ``conj(c_k) ell`` are formed on the
@@ -390,25 +372,20 @@ def _weight_table(coeffs: CoefficientSet, ells, ks):
     last delay window.  One gather brings the own products in, one more
     the advanced reads, and the children's reads are summed per cell.
     """
-    tree, tau, n, m = coeffs.tree, coeffs.tau, coeffs.n, coeffs.tree.m
-    ks = list(ks)
-    K = len(ks)
+    tree, tau, K, m = coeffs.tree, coeffs.tau, coeffs.n + 1, coeffs.tree.m
     lengths = np.asarray(tree.lengths)
     par = np.asarray(tree.parent)
     ells = as_edge_functions(ells)
     ell, ell_c = ells.pieces, ells.table
+    c_cells, c_table, _, (_, c_edge, c_points), present = coeffs._families
     everyone = np.arange(m)
-    families = ks + [n + 1 + k for k in ks]  # b_k, then c_k
-    (c_label, c_left, c_table), (c_edge, c_points) = coeffs._select(families, everyone)
-    present = coeffs.present[families]
     zeros = np.zeros(m)
 
     cells = EdgePieces.merged(np.concatenate([ell.break_edge, c_edge]),
                               np.concatenate([ell.breaks, c_points]), zeros, lengths)
-    if not np.array_equal(cells.breaks, ell.breaks):
-        ell_c = _gather(ell_c, ell.edge, ell.left, cells.edge, cells.mid, cells.left)
-    coefs = _gather(c_table, c_label, c_left, cells.edge, cells.mid, cells.left)
-    products = _convolve(coefs.conj(), ell_c[:, None])  # (rows, 2K, width)
+    ell_c = _gather(ell_c, ell.edge, ell.left, cells.edge, cells.mid, cells.left)
+    coefs = _gather(c_table, c_cells.edge, c_cells.left, cells.edge, cells.mid, cells.left)
+    products = _convolve(coefs.conj(), ell_c[:, None])  # (rows, 2K, width): b_k, then c_k
 
     active = np.where(everyone < tree.d, lengths, lengths - tau)
     split = lengths + (-tau)  # the start of the last delay window
@@ -449,5 +426,5 @@ def variation_weights(coeffs: CoefficientSet, ells, k: int) -> EdgeFunctions:
     tau]`` and, on the last delay window of an internal edge, the sum over
     the children ``nu`` of ``conj(c_knu) ells_nu (t - T_j + tau)``.
     """
-    weights, table = _weight_table(coeffs, ells, [k])
-    return EdgeFunctions(weights, table[:, 0])
+    weights, table = _weight_table(coeffs, ells)
+    return EdgeFunctions(weights, table[:, k])

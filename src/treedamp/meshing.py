@@ -73,9 +73,15 @@ class DelayMesh:
 
     @classmethod
     def from_nodes(cls, tree: Tree, tau: float, q: int, nodes) -> "DelayMesh":
-        """The mesh of one sorted node array per edge, edge ``j``'s at ``j - 1``."""
+        """The mesh of one sorted node array per edge, edge ``j``'s at ``j - 1``;
+        :class:`MeshError` unless every array is finite and strictly increasing."""
         sizes = np.fromiter(map(len, nodes), int, len(nodes))
-        return cls(tree, tau, q, EdgePieces(np.concatenate(nodes), np.append(0, np.cumsum(sizes - 1))))
+        el = EdgePieces(np.concatenate(nodes), np.append(0, np.cumsum(sizes - 1)))
+        bad = np.append(el.break_edge[~np.isfinite(el.breaks)], el.edge[~(el.h > 0)])
+        if bad.size:
+            raise MeshError(f"the node array of edge {bad.min() + 1} is not finite and "
+                            "strictly increasing")
+        return cls(tree, tau, q, el)
 
     @property
     def nodes(self) -> tuple:

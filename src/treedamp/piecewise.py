@@ -18,17 +18,19 @@ coefficients, the history, a control file's edges) and the view that a
 caller indexing a family of them gets.  It evaluates
 (:meth:`~PiecewisePoly.values`, :meth:`~PiecewisePoly.left_limit`) and
 takes its exact sup norm, and nothing more; the per-edge algebra (sums,
-products, restriction, shifts, integrals) belongs to the test oracle.
+products, restriction, shifts, integrals) belongs to the test oracle.  Its
+constructor refuses breaks and coefficients that are not finite.
 
 :class:`EdgePieces` lays out one function per edge in a single table, with
 per-edge row offsets; an :class:`EdgeFunctions` is such a family (layout,
 table and per-edge widths), kept whole from the solve to the files, and
-:meth:`EdgePieces.of` tables per-edge input once.  So every computation
-after the solve runs on the whole tree in a fixed number of array passes:
-:meth:`EdgePieces.merged` builds every edge's cells in one sort,
-:func:`_find` finds the rows that hold a set of points by one binary
-search, and :func:`_gather` moves those rows from one layout onto another,
-re-centring each by one batched Taylor shift.  The exact extremes of
+:meth:`EdgePieces.of` tables per-edge input once; no family is ever cut to
+a subset of its edges.  So every computation after the solve runs on the
+whole tree in a fixed number of array passes: :meth:`EdgePieces.merged`
+builds every edge's cells in one sort, :func:`_find` finds the rows that
+hold a set of points by one binary search, and :func:`_gather` moves those
+rows from one layout onto another, re-centring each by one batched Taylor
+shift.  The exact extremes of
 :func:`_abs_extremes` take the critical points of every row at once, as the
 eigenvalues of one stack of companion matrices per degree (:func:`_abs_min`
 adds the rows' zeros); :func:`_sup_abs` first drops the rows that a bound
@@ -262,13 +264,16 @@ class PiecewisePoly:
 
     def __init__(self, breaks, coefs, _valid: bool = False):
         """``coefs`` lists one coefficient array per piece, ascending powers
-        of ``t - breaks[i]``; pieces may differ in length.  ``_valid`` marks
+        of ``t - breaks[i]``; pieces may differ in length, and every break
+        and coefficient must be finite.  ``_valid`` marks
         an internal result whose ``breaks`` and ``(npieces, width)`` complex
         table are correct by construction and are taken as they are."""
         if not _valid:
             breaks = np.asarray(breaks, dtype=float)
             if breaks.ndim != 1 or len(breaks) < 2:
                 raise ValueError("need at least two breakpoints")
+            if not np.isfinite(breaks).all():
+                raise ValueError("breakpoints must be finite")
             if np.any(np.diff(breaks) <= 0):
                 raise ValueError("breakpoints must be strictly increasing")
             if len(coefs) != len(breaks) - 1:
@@ -279,6 +284,8 @@ class PiecewisePoly:
             coefs = np.zeros((len(pieces), max(c.size for c in pieces)), dtype=complex)
             for i, c in enumerate(pieces):
                 coefs[i, : c.size] = c
+            if not np.isfinite(coefs).all():
+                raise ValueError("coefficients must be finite")
         coefs.flags.writeable = False
         self.breaks = breaks
         self._c = coefs
@@ -520,17 +527,6 @@ class EdgeFunctions(Sequence):
         o, b = self.pieces.offsets, self.pieces.breaks
         return PiecewisePoly._of(b[o[e] + e : o[e + 1] + e + 1],
                                  self.table[o[e] : o[e + 1], : self.widths[e]])
-
-    def take(self, edges: np.ndarray) -> "EdgeFunctions":
-        """The functions of the 0-based ``edges``, in that order, on a table of their own."""
-        p, count = self.pieces, np.diff(self.pieces.offsets)[edges]
-        owner, i = _ragged(count)
-        rows = p.offsets[edges][owner] + i
-        owner, i = _ragged(count + 1)
-        breaks = p.breaks[(p.offsets[edges] + edges)[owner] + i]
-        widths = self.widths[edges]
-        return EdgeFunctions(EdgePieces(breaks, np.append(0, np.cumsum(count))),
-                             self.table[rows, : widths.max()], widths)
 
 
 def as_edge_functions(funcs) -> EdgeFunctions:

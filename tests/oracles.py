@@ -95,10 +95,11 @@ def dense_coefficients(coeffs) -> tuple:
 
 
 def dense_families(coeffs) -> tuple:
-    """``present`` and ``_families`` of a coefficient set, the reference
-    for :class:`~treedamp.expressions.CoefficientSet`: built from
+    """``_families`` of a coefficient set, the reference for
+    :class:`~treedamp.expressions.CoefficientSet`: built from
     :func:`dense_coefficients`, every family on every edge, one gather of
-    all ``2 (n + 1) m`` functions onto the merged cells."""
+    all ``2 (n + 1) m`` functions onto the merged cells, and ``present``
+    read per function."""
     b, c = dense_coefficients(coeffs)
     m, count = coeffs.tree.m, 2 * coeffs.n + 2
     funcs = [p for row in b + c for p in row]
@@ -112,9 +113,9 @@ def dense_families(coeffs) -> tuple:
                    np.tile(cells.mid, count), np.tile(cells.left, count))
     fam, edge = np.divmod(pieces.break_edge, m)
     live = present[fam, edge]
-    return present, _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
-                              np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
-                              (fam[live], edge[live], pieces.breaks[live]))
+    return _Families(cells, rows.reshape(count, len(cells.edge), -1).transpose(1, 0, 2),
+                     np.reshape([p.coefs.shape[1] for p in funcs], (count, m)),
+                     (fam[live], edge[live], pieces.breaks[live]), present)
 
 
 def merge_breaks(arrays, tol: float) -> np.ndarray:

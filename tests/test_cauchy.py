@@ -160,6 +160,20 @@ def test_mesh_not_matching_the_tree_is_rejected_up_front(cut, match):
         solve_cauchy(cfg.tree, cfg.coeffs, cfg.history, _zero_control(cfg.tree), bad)
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda x: np.insert(x, 2, x[2]),
+    lambda x: np.where(np.arange(len(x)) == 2, np.nan, x),
+    lambda x: x[[0, 2, 1, *range(3, len(x))]],
+], ids=["repeated", "nan", "unsorted"])
+def test_a_node_array_not_finite_and_strictly_increasing_is_rejected(spoil):
+    # a repeated or NaN node used to end in an overflow blamed on the
+    # trajectory, and an unsorted array was simulated without complaint
+    cfg = ProblemConfig.from_file(CONFIGS / "star.json")
+    nodes = default_mesh(cfg.tree, cfg.coeffs, 4).nodes
+    with pytest.raises(MeshError, match="the node array of edge 2 is not finite"):
+        DelayMesh.from_nodes(cfg.tree, cfg.coeffs.tau, 4, (nodes[0], spoil(nodes[1]), nodes[2]))
+
+
 # geometric mean, over the 40 order-2 simulate cases of the benchmark's seeds
 # 1-20, of the round-trip distance its check reads: 8.852e-14 for the sweep
 # of tests/oracles.py, 7.74e-14 for the whole-tree one

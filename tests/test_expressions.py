@@ -12,6 +12,7 @@ from treedamp.trees import build_tree, interval, star
 from treedamp.expressions import (
     CoefficientError,
     CoefficientSet,
+    _weight_table,
     apply_operator,
     lead_ins,
     operator_components,
@@ -77,6 +78,19 @@ def test_coefficient_set_rejects_keys_outside_orders_and_edges(b):
         CoefficientSet.build(tr, 1, 0.5, b=b, c={})
     with pytest.raises(CoefficientError, match=re.escape(f"c[{stray!r}] is outside")):
         CoefficientSet.build(tr, 1, 0.5, b={(1, 1): 1.0}, c={stray: 1.0})
+
+
+@pytest.mark.parametrize("b, c, match", [
+    ({(1, 1): np.nan}, {}, "b[1] on edge 1 is nan"),
+    ({(1, 1): 1.0, (0, 1): np.inf}, {}, "b[0] on edge 1 is inf"),
+    ({(1, 1): 1.0, (1, 2): 1.0}, {(0, 2): complex(1.0, -np.inf)}, "c[0] on edge 2 is (1-infj)"),
+])
+def test_coefficient_set_rejects_a_non_finite_scalar(b, c, match):
+    # these used to be accepted, and the solve then failed on a bare
+    # "Singular matrix"
+    tr = star([3.0, 3.0]) if (1, 2) in b else interval(3.0)
+    with pytest.raises(CoefficientError, match=re.escape(match + "; it must be finite")):
+        CoefficientSet.build(tr, 1, 1.0, b=b, c=c)
 
 
 def test_coefficient_defaults_are_zero():
@@ -487,6 +501,33 @@ def test_operator_table_matches_symbolic_route(seed):
         single = apply_operator(y, cs, j)
         np.testing.assert_array_equal(single.breaks, a.breaks)
         assert np.abs(single.coefs - b.coefs).max() <= 1e-13 * scale
+
+
+def _bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_edge_and_order_views_read_the_whole_tree_tables(seed):
+    # apply_operator is edge j of the whole-tree control, and
+    # variation_weights order k of the weights quasi_derivatives recurses on
+    cs, y = _random_problem(seed)
+    ells = operator_components(y, cs)
+    for j in range(1, cs.tree.m + 1):
+        got, want = apply_operator(y, cs, j), ells[j - 1]
+        _bitwise(got.breaks, want.breaks)
+        _bitwise(got.coefs, want.coefs)
+    cells, table = _weight_table(cs, ells)
+    qd = quasi_derivatives(cs, ells)
+    _bitwise(qd.cells.breaks, cells.breaks)
+    _bitwise(qd.tables[cs.n], table[:, cs.n])
+    for k in range(cs.n + 1):
+        got = variation_weights(cs, ells, k)
+        _bitwise(got.pieces.breaks, cells.breaks)
+        _bitwise(got.pieces.offsets, cells.offsets)
+        _bitwise(got.table, table[:, k])
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,6 +37,20 @@ def test_constructor_rejects_bad_breaks():
         PiecewisePoly(np.array([0.0, 1.0, 2.0]), [np.array([1.0])])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PiecewisePoly([0.0, np.nan, 2.0], [[1.0], [1.0]]),
+    lambda: PiecewisePoly([0.0, 1.0, np.inf], [[1.0], [1.0]]),
+    lambda: PiecewisePoly([0.0, 1.0], [[1.0, np.nan]]),
+    lambda: PiecewisePoly([0.0, 1.0, 2.0], [[1.0], [complex(0.0, np.inf)]]),
+    lambda: PiecewisePoly.from_global_coefs(-1.0, 0.0, [np.inf]),
+], ids=["nan-break", "inf-end", "nan-coefficient", "complex-inf", "inf-history"])
+def test_constructor_rejects_non_finite_input(make):
+    # a NaN break used to build, and an infinite history ended the solve in
+    # an overflow of the optimal trajectory
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_coefs_is_a_read_only_zero_padded_table():
     p = PiecewisePoly([0.0, 1.0, 2.0], [np.array([1.0]), np.array([1.0, 2.0, 3.0])])
     assert p.coefs.shape == (2, 3) and p.max_degree == 2
